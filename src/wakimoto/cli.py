@@ -169,7 +169,12 @@ class _Parser:
             num = int(tok)
             if self.peek() == "/":
                 self.take()
-                den = int(self.take())
+                den_tok = self.take()
+                if not den_tok.isdigit():
+                    raise InputError(f"expected a denominator after '/', found {den_tok!r}")
+                den = int(den_tok)
+                if den == 0:
+                    raise InputError(f"division by zero in {num}/0")
                 return FieldExpr.const(Fraction(num, den))
             return FieldExpr.const(num)
         return self.atom()
@@ -502,7 +507,7 @@ def cmd_ope(args) -> int:
     cs = _load(args.algebra)
     A = parse_expression(cs, args.left)
     B = parse_expression(cs, args.right)
-    res = contract(cs.ctx, A, B, max_order=args.max_order)
+    res = contract(cs.ctx, A, B)
     if args.format == "json":
         print(json.dumps(ope_to_json(res, cs.ctx), indent=2, sort_keys=True))
     else:
@@ -528,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--algebra", default="B2", help="A1/A2/B2/..., OSP22, or a Cartan JSON path")
         p.add_argument("--format", choices=("text", "json", "latex"), default="json")
-        p.add_argument("--max-order", type=int, default=4)
         p.add_argument(
             "--jobs",
             type=int,

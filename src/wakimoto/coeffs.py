@@ -403,7 +403,18 @@ class RatFunc:
         other = RatFunc.of(other)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc(Pol())
+        # a plain constant leaves the other operand's denominator as _make
+        # would: already merged, monic and reduced against its numerator
+        if other.is_rational:
+            return self._scaled(other.num.terms[(0, 0)])
+        if self.is_rational:
+            return other._scaled(self.num.terms[(0, 0)])
         return RatFunc._make(self.num * other.num, self.den + other.den)
+
+    def _scaled(self, c: Fraction) -> "RatFunc":
+        if c == 1:
+            return self
+        return RatFunc(self.num.scale(c), self.den)
 
     __rmul__ = __mul__
 

@@ -7,6 +7,14 @@ power factor X^p use the falling-factorial rule: each one multiplies by the
 current exponent, decrements it, and releases the struck copy's remainder
 fields at the factor's position.  Fermionic crossings contribute signs.
 
+A term pair in which no z-side factor has a contraction partner on the w
+side (matching ghost pairs, scalar legs, legs against a vertex, primitives
+inside a power-factor base) has only a regular part, so it is skipped unless
+the regular part is asked for.  Each Wick pattern is appended as a raw term
+to its pole order, and every order is canonicalized once at the end.  Pair
+kernels and the Taylor towers of the surviving z parts are tabulated per
+call.
+
 The result maps pole orders to expressions at w; order 0 (the point-split
 normal product) is used for the Sugawara construction.
 """
@@ -17,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import Exp, RatFunc
+from .coeffs import ONE, RatFunc
 from .fields import (
     BETA,
     BGH,
@@ -118,12 +126,12 @@ class _WItem:
         self.parity = prim_parity(prim) if kind == _WPRIM else 0
 
 
-def _pf_channels(ctx: FieldContext, base: BaseKey, zp: Prim):
+def _pf_channels(kernel, base: BaseKey, zp: Prim):
     """Ways zp can strike one copy of the base: (order, coef, remainder prims)."""
     out = []
     for prims, bcoef in base:
         for i, g in enumerate(prims):
-            ker = pair_kernel(ctx, zp, g)
+            ker = kernel(zp, g)
             if ker is None:
                 continue
             # sign to pull g to the front of its copy
@@ -137,40 +145,121 @@ def _pf_channels(ctx: FieldContext, base: BaseKey, zp: Prim):
     return out
 
 
+# Contraction partners.  A z-side factor is keyed by (kind, label); the
+# w side of a term lists the keys of every z-side factor that can contract
+# with one of its factors.  Scalar legs contract across labels, so their
+# keys carry no label.
+_PARTNER_KIND = {BETA: GAMMA, GAMMA: BETA, BGH: CGH, CGH: BGH}
+_LEG = (PHI, -1)
+_VERTEX = (-1, -1)
+
+
+def _z_keys(term: Term) -> set:
+    prims, _, vertex = term
+    keys = {_LEG if kind == PHI else (kind, label) for kind, label, _ in prims}
+    if vertex is not None:
+        keys.add(_VERTEX)
+    return keys
+
+
+def _w_partners(term: Term) -> set:
+    prims, pfs, vertex = term
+    out = set()
+    for kind, label, _ in prims:
+        if kind == PHI:
+            out.update((_LEG, _VERTEX))
+        else:
+            out.add((_PARTNER_KIND[kind], label))
+    for key, _ in pfs:
+        for bprims, _ in key:
+            for kind, label, _ in bprims:
+                out.add(_LEG if kind == PHI else (_PARTNER_KIND[kind], label))
+    if vertex is not None:
+        out.add(_LEG)
+    return out
+
+
 def contract(
     ctx: FieldContext,
     A: FieldExpr,
     B: FieldExpr,
-    max_order: int = 4,
+    *,
     min_order: int = 1,
-) -> OpeResult | dict[int, FieldExpr]:
-    """OPE of A(z) with B(w).  Returns pole orders >= max(min_order, 1);
-    with min_order = 0 the regular (point-split product) part is included.
+) -> OpeResult:
+    """OPE of A(z) with B(w): the pole orders >= min_order.
+
+    With min_order = 0 the regular part (the point-split normal product) is
+    included as order 0.
     """
-    acc: dict[int, FieldExpr] = {}
+    run = _Contraction(ctx, min_order)
+    w_terms = [(tb, cb, _w_partners(tb)) for tb, cb in B.terms.items()]
     for ta, ca in A.terms.items():
         if ta[1]:
             raise UnsupportedContraction(
                 "symbolic power factors on the left operand are not supported"
             )
-        for tb, cb in B.terms.items():
+        z_keys = _z_keys(ta)
+        for tb, cb, partners in w_terms:
             if ta[2] is not None and tb[2] is not None:
                 raise UnsupportedContraction("vertex-vertex contraction is out of scope")
-            _contract_pair(ctx, ta, ca, tb, cb, min_order, acc)
-    poles = {q: v for q, v in acc.items() if not v.is_structurally_zero}
-    if min_order >= 1:
-        return OpeResult(poles)
-    return poles
+            # with no contraction possible the pair only has an order-0 part
+            if min_order >= 1 and z_keys.isdisjoint(partners):
+                continue
+            _contract_pair(run, ta, ca, tb, cb)
+    poles = {}
+    for q, raw in run.raw.items():
+        expr = FieldExpr._from_raw(raw)
+        if not expr.is_structurally_zero:
+            poles[q] = expr
+    return OpeResult(poles)
 
 
 def regularized_product(ctx: FieldContext, A: FieldExpr, B: FieldExpr) -> FieldExpr:
     """Point-splitting normal product: the (z-w)^0 part of the full expansion."""
-    full = contract(ctx, A, B, min_order=0)
-    assert isinstance(full, dict)
-    return full.get(0, FieldExpr.zero())
+    return contract(ctx, A, B, min_order=0).order(0)
 
 
-def _contract_pair(ctx, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc, min_order, acc) -> None:
+class _Contraction:
+    """State of one contract() call: lookup tables and raw terms per pole order."""
+
+    def __init__(self, ctx: FieldContext, min_order: int):
+        self.ctx = ctx
+        self.min_order = min_order
+        self.kernels: dict[tuple[Prim, Prim], Optional[tuple[int, RatFunc]]] = {}
+        self.channels: dict[tuple[BaseKey, Prim], list] = {}
+        self.towers: dict[tuple, tuple[list[FieldExpr], list[list]]] = {}
+        self.raw: dict[int, list] = {}
+
+    def kernel(self, zp: Prim, wp: Prim) -> Optional[tuple[int, RatFunc]]:
+        key = (zp, wp)
+        if key not in self.kernels:
+            self.kernels[key] = pair_kernel(self.ctx, zp, wp)
+        return self.kernels[key]
+
+    def pf_channels(self, base: BaseKey, zp: Prim) -> list:
+        key = (base, zp)
+        if key not in self.channels:
+            self.channels[key] = _pf_channels(self.kernel, base, zp)
+        return self.channels[key]
+
+    def taylor(self, prims: tuple[Prim, ...], vertex, top: int) -> list[list]:
+        """Levels m = 0..top of the Taylor tower d^m/m! of :prims vertex: as
+        (coef, prims, vertex) triples; shorter once a derivative vanishes."""
+        tower = self.towers.get((prims, vertex))
+        if tower is None:
+            expr = FieldExpr._from_raw([(ONE, prims, (), vertex)])
+            tower = self.towers[(prims, vertex)] = ([expr], [_level(expr, 1)])
+        exprs, levels = tower
+        while len(levels) <= top and not exprs[-1].is_structurally_zero:
+            exprs.append(exprs[-1].derivative(self.ctx))
+            levels.append(_level(exprs[-1], _FACT[len(levels)]))
+        return levels[: top + 1]
+
+
+def _contract_pair(run: _Contraction, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc) -> None:
+    """Append every Wick pattern of one term pair to ``run.raw``."""
+    ctx = run.ctx
+    min_order = run.min_order
     zprims, _, zvertex = ta
     wprims, wpfs, wvertex = tb
 
@@ -203,37 +292,20 @@ def _contract_pair(ctx, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc, min_order,
             coef = coef * c
         if coef.is_zero:
             return
-        # assemble surviving z and w parts
-        zleft = [p for p, alive in zip(zprims, zalive) if alive]
-        zraw = [(RatFunc.one(), tuple(zleft), (), zvertex)]
-        zexpr = FieldExpr._from_raw(zraw)
-        wraw_prims: list[Prim] = []
-        wraw_pfs = []
-        for item in witems:
-            if not item.alive:
-                continue
-            if item.kind == _WPRIM:
-                wraw_prims.append(item.prim)
-            elif item.kind == _WPF:
-                wraw_pfs.append((item.base, item.exp))
-        wexpr = FieldExpr._from_raw(
-            [(RatFunc.one(), tuple(wraw_prims), tuple(wraw_pfs), wvertex)]
-        )
-        taylor = zexpr
-        fact = 1
-        for m in range(0, q - min_order + 1):
-            if m:
-                taylor = taylor.derivative(ctx)
-                fact *= m
-                if taylor.is_structurally_zero:
-                    break
-            order = q - m
-            piece = (taylor * wexpr).scale(coef * Fraction(1, fact))
-            if piece.is_structurally_zero:
-                continue
-            cur = acc.get(order)
-            acc[order] = piece if cur is None else cur + piece
-        return
+        # surviving w part; the surviving z part is Taylor-expanded about w
+        wleft = [item for item in witems if item.alive]
+        rest_prims = tuple(item.prim for item in wleft if item.kind == _WPRIM)
+        rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == _WPF)
+        zleft = tuple(p for p, alive in zip(zprims, zalive) if alive)
+        for m, level in enumerate(run.taylor(zleft, zvertex, q - min_order)):
+            bucket = run.raw.setdefault(q - m, [])
+            for tc, tprims, tvertex in level:
+                bucket.append((
+                    coef * tc,
+                    tprims + rest_prims,
+                    rest_pfs,
+                    tvertex if tvertex is not None else wvertex,
+                ))
 
     def stage_two(widx: int) -> None:
         # optional contractions of the z vertex with surviving scalar legs
@@ -263,7 +335,7 @@ def _contract_pair(ctx, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc, min_order,
             if not item.alive:
                 continue
             if item.kind == _WPRIM:
-                ker = pair_kernel(ctx, zp, item.prim)
+                ker = run.kernel(zp, item.prim)
                 if ker is None:
                     continue
                 # both contracted factors are odd or both even; an odd pair
@@ -275,7 +347,7 @@ def _contract_pair(ctx, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc, min_order,
                 contractions.pop()
                 item.alive = True
             elif item.kind == _WPF:
-                for order, coef, remainder, gpar in _pf_channels(ctx, item.base, zp):
+                for order, coef, remainder, gpar in run.pf_channels(item.base, zp):
                     sgn = 1
                     if prim_parity(zp) and crossing_parity(iz, pos):
                         sgn = -1
@@ -305,17 +377,19 @@ def _contract_pair(ctx, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc, min_order,
     walk(0)
 
 
+def _level(expr: FieldExpr, fact: int) -> list:
+    """Terms of ``expr`` divided by ``fact`` as (coef, prims, vertex) triples."""
+    inv = Fraction(1, fact)
+    return [(c * inv, prims, vertex) for (prims, _, vertex), c in expr.terms.items()]
+
+
 # ---------------------------------------------------------------------------
 # energy-momentum tensors
 # ---------------------------------------------------------------------------
 
 def free_field_tensor(ctx: FieldContext) -> FieldExpr:
     """T = sum :d(gamma) beta: + (1/2t) G^{ij} :P_i P_j: - (1/t) rho^j dP_j."""
-    T = FieldExpr.zero()
-    for pos in range(ctx.n_pos):
-        bk = ctx.beta_kind(pos)
-        gk = ctx.gamma_kind(pos)
-        T = T + FieldExpr.prim(gk, pos, 1) * FieldExpr.prim(bk, pos, 0)
+    T = betagamma_tensor(ctx)
     t = ctx.t()
     half_over_t = RatFunc.of(Fraction(1, 2)) / t
     for i in range(ctx.rank):
@@ -347,9 +421,7 @@ def scalar_tensor(ctx: FieldContext) -> FieldExpr:
 
 def central_charge(ctx: FieldContext, T: FieldExpr) -> RatFunc:
     """c from the fourth-order pole of T(z)T(w)."""
-    res = contract(ctx, T, T, max_order=4)
-    assert isinstance(res, OpeResult)
-    four = res.order(4)
+    four = contract(ctx, T, T).order(4)
     c = RatFunc.zero()
     for term, coef in four.terms.items():
         if term[0] or term[1] or term[2] is not None:
@@ -360,8 +432,7 @@ def central_charge(ctx: FieldContext, T: FieldExpr) -> RatFunc:
 
 def conformal_weight(ctx: FieldContext, T: FieldExpr, A: FieldExpr):
     """Weight h with T(z)A(w) = h A/(z-w)^2 + dA/(z-w); (h, None) or (None, info)."""
-    res = contract(ctx, T, A, max_order=6)
-    assert isinstance(res, OpeResult)
+    res = contract(ctx, T, A)
     for q in res.nonzero_orders():
         if q > 2:
             return None, (q, res.order(q))
@@ -380,15 +451,3 @@ def conformal_weight(ctx: FieldContext, T: FieldExpr, A: FieldExpr):
                 return h, None
             return None, (2, pole2 - A.scale(h))
     return None, (2, pole2)
-
-
-def sugawara_tensor(ctx: FieldContext, currents, kappa_inv) -> FieldExpr:
-    """(1/2t) kappa^{ab} (J_a J_b)_0 with the point-split product.
-
-    ``currents`` maps basis labels to expressions; ``kappa_inv`` lists
-    (label_a, label_b, coefficient) triples of the inverse Killing form.
-    """
-    T = FieldExpr.zero()
-    for la, lb, coef in kappa_inv:
-        T = T + regularized_product(ctx, currents[la], currents[lb]).scale(coef)
-    return T.scale(RatFunc.of(Fraction(1, 2)) / ctx.t())

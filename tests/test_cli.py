@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wakimoto.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main, parse_expression, _load
 from wakimoto.fields import FieldExpr
 from wakimoto.ope import contract
@@ -37,6 +39,23 @@ def test_ope_parse_error(capsys):
     code, out, err = run(capsys, "ope", "--algebra", "B2", "E[nope]", "F[theta]")
     assert code == EXIT_INPUT
     assert "error" in err
+
+
+def test_ope_bad_fraction_is_input_error(capsys):
+    for expr, why in (("1/0", "division by zero"), ("1/x", "denominator")):
+        code, out, err = run(capsys, "ope", "--algebra", "B2", expr, "E[1]")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.count("\n") == 1 and why in err
+
+
+def test_ope_max_order_flag_removed(capsys):
+    # the flag never limited the poles; it is gone rather than ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["ope", "--algebra", "B2", "--max-order", "1", "E[1]", "F[1]"])
+    assert exc.value.code == EXIT_INPUT
+    code, out, err = run(capsys, "ope", "--algebra", "B2", "--format", "text", "E[1]", "F[1]")
+    assert code == EXIT_OK and "pole 2: k" in out
 
 
 def test_ope_expression_arithmetic():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto.coeffs import Exp, Pol, RatFunc
 
@@ -64,3 +66,28 @@ def test_exp_affine():
     assert Exp(0, 3, 0).subs_t(Fraction(1)) == 3
     assert e.subs_t(Fraction(1)) is None
     assert Exp(-1, 0, 0).subs_t(Fraction(-3)) == 3
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_pols = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _small, max_size=3
+).map(lambda d: Pol({m: c for m, c in d.items() if c}))
+_factors = st.sampled_from(
+    [Pol.k() + Pol.const(3), Pol.n() + Pol.const(1), Pol.k().scale(2) + Pol.n(), Pol.k() - Pol.n()]
+)
+_ratfuncs = st.builds(
+    RatFunc._make, _pols, st.lists(st.tuples(_factors, st.integers(1, 2)), max_size=2)
+)
+
+
+@settings(deadline=None)
+@given(_ratfuncs, _small.filter(bool))
+def test_constant_product_matches_general_path(x, c):
+    """The constant short cut in RatFunc.__mul__ gives exactly _make's form."""
+    cr = RatFunc.of(c)
+    want = RatFunc._make(x.num * cr.num, x.den + cr.den)
+    for got in (x * cr, cr * x, x * c, c * x):
+        assert got == want and hash(got) == hash(want)
+        assert got.num.terms == want.num.terms
+        assert got.den == want.den
+    assert x * 1 == x and (x * 1).den == x.den and (1 * x).num.terms == x.num.terms

@@ -92,7 +92,7 @@ def test_e_e_pair_regular(b2cs):
     assert contract(b2cs.ctx, e1, e1).is_regular()
 
 
-@pytest.mark.parametrize("label", ["A1", "A2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "G2"])
 def test_small_algebra_sweep(label):
     rs = build_root_system(label)
     cs = build_wakimoto(rs, build_structure_table(rs))

@@ -16,6 +16,7 @@ from wakimoto.fields import (
 )
 from wakimoto.liealg import build_root_system, osp22_fixture
 from wakimoto.ope import (
+    OpeResult,
     betagamma_tensor,
     central_charge,
     conformal_weight,
@@ -294,3 +295,59 @@ def test_conformal_weight_reports_anomalous_pole(ctx):
     order, offending = err
     assert order == 3
     assert offending.equals(FieldExpr.const(1))
+
+
+def test_contract_always_returns_ope_result(ctx):
+    g = FieldExpr.prim(GAMMA, 0)
+    b = FieldExpr.prim(BETA, 0)
+    full = contract(ctx, b, g, min_order=0)
+    assert isinstance(full, OpeResult)
+    assert full.order(1).equals(FieldExpr.const(1))
+    assert full.order(0).equals(b * g)
+    with pytest.raises(TypeError):
+        contract(ctx, b, g, max_order=4)
+    with pytest.raises(TypeError):  # an old positional max_order must not pass as min_order
+        contract(ctx, b, g, 4)
+
+
+def test_normal_product_of_pairs_without_contraction(ctx):
+    """At min_order = 0 a term pair with no contraction still gives :AB:."""
+    g1, g2 = FieldExpr.prim(GAMMA, 0), FieldExpr.prim(GAMMA, 1)
+    assert regularized_product(ctx, g1, g2) == g1 * g2
+    assert contract(ctx, g1, g2).poles == {}
+    rs, _ = osp22_fixture()
+    octx = FieldContext.from_algebra(rs)
+    c1, c2 = FieldExpr.prim(CGH, 1), FieldExpr.prim(CGH, 2)
+    assert regularized_product(octx, c2, c1) == (c1 * c2).scale(-1)
+
+
+def test_z_vertex_contracts_with_w_scalar_leg(ctx):
+    # gamma_1 on the z side and the gamma_3 term on the w side have no partner
+    mom = [RatFunc.of(3), RatFunc.k()]
+    V = FieldExpr.vertex(mom)
+    g = [FieldExpr.prim(GAMMA, i) for i in range(3)]
+    res = contract(ctx, g[0] * V, FieldExpr.prim(PHI, 0) * g[1] + g[2])
+    assert res.nonzero_orders() == [1]
+    assert res.order(1) == (g[0] * g[1] * V).scale(-3)
+
+
+def test_z_prim_contracts_into_power_factor_base(ctx):
+    # gamma_2 meets beta_2 inside the base only; gamma_theta meets nothing
+    X = FieldExpr.prim(BETA, 1) + FieldExpr.prim(GAMMA, 0) * FieldExpr.prim(BETA, 2)
+    B = FieldExpr.power(X, Exp(-1, 0, 0))
+    res = contract(ctx, FieldExpr.prim(GAMMA, 1) + FieldExpr.prim(GAMMA, 3), B)
+    assert res.nonzero_orders() == [1]
+    assert res.order(1) == FieldExpr.power(X, Exp(-1, -1, 0)).scale(ctx.t())
+    assert contract(ctx, FieldExpr.prim(GAMMA, 3), B).poles == {}
+
+
+def test_fermionic_pairs_keep_signs():
+    rs, _ = osp22_fixture()
+    octx = FieldContext.from_algebra(rs)
+    b = [None] + [FieldExpr.prim(BGH, i) for i in (1, 2)]
+    c = [None] + [FieldExpr.prim(CGH, i) for i in (1, 2)]
+    # b1 b2 (z) c1 c2 (w): the double contraction crosses c1; c1 (z) is dead
+    res = contract(octx, b[1] * b[2] + c[1], c[1] * c[2])
+    assert res.nonzero_orders() == [2, 1]
+    assert res.order(2) == FieldExpr.const(-1)
+    assert res.order(1) == (b[1] * c[1] + b[2] * c[2]).scale(-1)
