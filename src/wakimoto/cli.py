@@ -69,6 +69,13 @@ def _load(selector: str) -> CurrentSet:
     return build_wakimoto(rs, tab)
 
 
+def _direction_index(cs: CurrentSet, direction: int) -> int:
+    """0-based simple-root index of a 1-based ``--direction``."""
+    if not 1 <= direction <= cs.rs.rank:
+        raise InputError(f"--direction {direction} is outside 1..{cs.rs.rank}")
+    return direction - 1
+
+
 # ---------------------------------------------------------------------------
 # expression grammar for `ope`
 # ---------------------------------------------------------------------------
@@ -451,7 +458,7 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
-    direction = args.direction - 1 if args.direction is not None else None
+    direction = _direction_index(cs, args.direction) if args.direction is not None else None
     report = {}
     ok = True
     for suite in suites:
@@ -471,7 +478,7 @@ def cmd_verify(args) -> int:
 
 def cmd_screen(args) -> int:
     cs = _load(args.algebra)
-    j = args.direction - 1
+    j = _direction_index(cs, args.direction)
     if args.kind == "first":
         s = first_kind(cs, j)
         rep = verify_first_kind(cs, s) if args.verify else None

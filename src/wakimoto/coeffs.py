@@ -520,12 +520,13 @@ ONE = RatFunc.one()
 class Exp:
     """Exponent of a symbolic power factor: u*t + v + w*n with rational u, v, w."""
 
-    __slots__ = ("u", "v", "w")
+    __slots__ = ("u", "v", "w", "_hash")
 
     def __init__(self, u=0, v=0, w=0):
         self.u = Fraction(u)
         self.v = Fraction(v)
         self.w = Fraction(w)
+        self._hash: Optional[int] = None
 
     @staticmethod
     def const(v) -> "Exp":
@@ -565,7 +566,9 @@ class Exp:
         return isinstance(other, Exp) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def text(self) -> str:
         bits = []

@@ -277,23 +277,21 @@ class FieldExpr:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, ctx: FieldContext) -> "FieldExpr":
-        out = FieldExpr.zero()
+        raw = []
         for (prims, pfs, vertex), coef in self.terms.items():
             for i, p in enumerate(prims):
                 bumped = prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:]
-                out = out + FieldExpr._from_raw([(coef, bumped, pfs, vertex)])
+                raw.append((coef, bumped, pfs, vertex))
             for i, (key, exp) in enumerate(pfs):
                 rest = pfs[:i] + ((key, exp - 1),) + pfs[i + 1:]
-                dbase = _base_derivative(key)
-                pref = FieldExpr._from_raw([(coef * exp.as_ratfunc(ctx.hvee), prims, rest, vertex)])
-                out = out + pref * dbase
+                pref = coef * exp.as_ratfunc(ctx.hvee)
+                for dprims, dcoef in _base_derivative(key):
+                    raw.append((pref * dcoef, prims + dprims, rest, vertex))
             if vertex is not None:
                 for j, nu in enumerate(ctx.vertex_phi_coupling(vertex)):
                     if not nu.is_zero:
-                        out = out + FieldExpr._from_raw(
-                            [(coef * nu, prims + ((PHI, j, 0),), pfs, vertex)]
-                        )
-        return out
+                        raw.append((coef * nu, prims + ((PHI, j, 0),), pfs, vertex))
+        return FieldExpr._from_raw(raw)
 
     # -- queries -----------------------------------------------------------
 
@@ -417,7 +415,8 @@ def _base_sort_key(key: BaseKey):
 _base_derivative_cache: dict = {}
 
 
-def _base_derivative(key: BaseKey) -> FieldExpr:
+def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+    """The monomials of d(base) as (sorted prims, coefficient) pairs."""
     cached = _base_derivative_cache.get(key)
     if cached is None:
         raw = []
@@ -425,9 +424,33 @@ def _base_derivative(key: BaseKey) -> FieldExpr:
             for i, p in enumerate(prims):
                 bumped = prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:]
                 raw.append((coef, bumped, (), None))
-        cached = FieldExpr._from_raw(raw)
+        cached = _plain_monomials(FieldExpr._from_raw(raw))
         _base_derivative_cache[key] = cached
     return cached
+
+
+_base_power_cache: dict = {}
+
+
+def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+    """The monomials of :base^m: (m >= 1) as (sorted prims, coefficient) pairs."""
+    cached = _base_power_cache.get((key, m))
+    if cached is None:
+        if m == 1:
+            raw = [(coef, prims, (), None) for prims, coef in key]
+        else:
+            raw = [
+                (c1 * c2, p1 + p2, (), None)
+                for p1, c1 in _base_power(key, m - 1)
+                for p2, c2 in key
+            ]
+        cached = _plain_monomials(FieldExpr._from_raw(raw))
+        _base_power_cache[(key, m)] = cached
+    return cached
+
+
+def _plain_monomials(expr: FieldExpr) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+    return [(prims, coef) for (prims, _, _), coef in expr.terms.items()]
 
 
 def _base_weight(key: BaseKey) -> Optional[RatFunc]:
@@ -445,37 +468,62 @@ def _base_weight(key: BaseKey) -> Optional[RatFunc]:
 # zero testing across power-factor levels
 # ---------------------------------------------------------------------------
 
+PowerClass = tuple  # (base, u, w, v mod 1): exponents differing by integers
+
+
+def power_floors(expr: FieldExpr) -> dict[PowerClass, Fraction]:
+    """The least constant offset v present in each power class of ``expr``."""
+    floors: dict[PowerClass, Fraction] = {}
+    for _, pfs, _ in expr.terms:
+        for key, exp in pfs:
+            cls = (key, exp.u, exp.w, exp.v % 1)
+            cur = floors.get(cls)
+            if cur is None or exp.v < cur:
+                floors[cls] = exp.v
+    return floors
+
+
+def lower_to_floors(terms: Iterable[tuple[Term, RatFunc]], floors: dict[PowerClass, Fraction]) -> list:
+    """Raw terms of ``terms`` with every power factor lowered to its class floor.
+
+    X^(e+s) = :X^s X^e: for a nonnegative integer surplus s, so a term with
+    surplus copies becomes one raw term per monomial of the (memoized)
+    expanded product of those copies.  Every class of ``terms`` must be in
+    ``floors``.
+    """
+    raw = []
+    for (prims, pfs, vertex), coef in terms:
+        parts = [(coef, prims)]
+        lowered = []
+        for key, exp in pfs:
+            vmin = floors[(key, exp.u, exp.w, exp.v % 1)]
+            surplus = exp.v - vmin
+            if surplus.denominator != 1 or surplus < 0:
+                raise AssertionError("power offsets within a class must be nonnegative integers")
+            if surplus:
+                lowered.append((key, Exp(exp.u, vmin, exp.w)))
+                power = _base_power(key, int(surplus))
+                parts = [(c * pc, p + pp) for c, p in parts for pp, pc in power]
+            else:
+                lowered.append((key, exp))
+        lowered_pfs = tuple(lowered)
+        raw.extend((c, p, lowered_pfs, vertex) for c, p in parts)
+    return raw
+
+
 def expand_power_levels(expr: FieldExpr) -> FieldExpr:
     """Rewrite so all powers of one base class share the least constant offset.
 
     Within a class (base, u, w) the exponents u t + v + w n differ by the
     integers v; X^(e+1) = :X X^e:, so expanding the surplus copies puts every
-    term at the common level, after which cancellation is structural.
+    term at the common level, after which cancellation is structural.  One
+    pass: the floors are found, every term is lowered to raw terms, and the
+    result is canonicalized once.
     """
-    classes: dict[tuple, Fraction] = {}
-    for (prims, pfs, vertex) in expr.terms:
-        for key, exp in pfs:
-            cls = (key, exp.u, exp.w, exp.v % 1)
-            cur = classes.get(cls)
-            if cur is None or exp.v < cur:
-                classes[cls] = exp.v
-    if not classes:
+    floors = power_floors(expr)
+    if not floors:
         return expr
-    out = FieldExpr.zero()
-    for (prims, pfs, vertex), coef in expr.terms.items():
-        piece = FieldExpr._from_raw([(coef, prims, (), vertex)])
-        for key, exp in pfs:
-            vmin = classes[(key, exp.u, exp.w, exp.v % 1)]
-            surplus = exp.v - vmin
-            if surplus.denominator != 1 or surplus < 0:
-                raise AssertionError("power offsets within a class must be nonnegative integers")
-            lowered = FieldExpr._from_raw([(RatFunc.one(), (), ((key, Exp(exp.u, vmin, exp.w)),), None)])
-            piece = piece * lowered
-            b = base_expr(key)
-            for _ in range(int(surplus)):
-                piece = piece * b
-        out = out + piece
-    return out
+    return FieldExpr._from_raw(lower_to_floors(expr.terms.items(), floors))
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,6 @@ class CMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def block_pp(self) -> list[list[Poly]]:
-        np = self.rs.n_pos
-        return [row[:np] for row in self.entries[:np]]
-
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 

@@ -121,18 +121,9 @@ def second_kind_b2(cs: CurrentSet) -> ScreeningCurrent:
     rs = cs.rs
     if rs.name not in ("B2",) and rs.pos_roots != ((1, 0), (0, 1), (1, 1), (1, 2)):
         raise DirectionError("the series construction is provided for B2 only")
-    ctx = cs.ctx
     j = 1
-    ith = rs.root_index(rs.theta)
-    g1 = 0  # position of gamma^1
-    third = Fraction(1, 3)
-    A = (
-        FieldExpr.prim(ctx.gamma_kind(g1), g1, 1) * FieldExpr.prim(ctx.beta_kind(ith), ith)
-    ).scale(-2 * third) + (
-        FieldExpr.prim(ctx.gamma_kind(g1), g1) * FieldExpr.prim(ctx.beta_kind(ith), ith, 1)
-    ).scale(third)
-    B = screening_composite(cs, j)
-    mom = second_kind_momentum(ctx, j)
+    A, B = _b2_bases(cs)
+    mom = second_kind_momentum(cs.ctx, j)
     body = (
         FieldExpr.power(A, Exp(0, 0, 1))
         * FieldExpr.power(B, Exp(-2, 0, -2))
@@ -176,11 +167,10 @@ def _check_total_derivative(
     ctx, label, res, witness, series: bool
 ) -> GeneratorCheck:
     """Pole 2 must equal the witness, pole 1 its derivative, nothing higher."""
-    for q in res.nonzero_orders():
-        if q > 2:
-            ok, txt = _expr_equal(ctx, res.order(q), _zero_like(witness), series)
-            if not ok:
-                return GeneratorCheck(label, False, detail=f"pole {q}: {txt}")
+    for q in sorted((q for q in res.poles if q > 2), reverse=True):
+        ok, txt = _expr_equal(ctx, res.order(q), _zero_like(witness), series)
+        if not ok:
+            return GeneratorCheck(label, False, detail=f"pole {q}: {txt}")
     wd = witness.derivative(ctx)
     ok2, t2 = _expr_equal(ctx, res.order(2), witness, series)
     if not ok2:
@@ -301,6 +291,7 @@ def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
 
 
 def _b2_bases(cs: CurrentSet):
+    """The bases A (anchor, exponent n) and B (exponent -2t - 2n) of the B2 series."""
     ctx = cs.ctx
     ith = cs.rs.root_index(cs.rs.theta)
     third = Fraction(1, 3)

@@ -11,11 +11,17 @@ and applying the rewrite rule, with power-factor offsets of a common base
 expanded as usual.  A final absorption pass recombines complete copies of
 the anchor base back into its power, which is the only rewriting the
 verification ever needs beyond level expansion.
+
+The zero test is one pass, ``residual``: anchor every term and canonicalize
+once, level-expand once, then absorb copies from a worklist of rewritable
+terms, lowering only what each rewrite adds against the current class
+floors.  ``is_zero`` asks whether that residual is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .coeffs import Exp, RatFunc
@@ -24,7 +30,10 @@ from .fields import (
     FieldContext,
     FieldExpr,
     Term,
+    _base_sort_key,
     expand_power_levels,
+    lower_to_floors,
+    power_floors,
     prim_parity,
 )
 
@@ -36,6 +45,7 @@ def cn_ratio(hvee: int) -> RatFunc:
     return (-2 * t - 2 * n) * (-2 * t - 2 * n - 1) / (2 * (n + 1))
 
 
+@lru_cache(maxsize=None)
 def _cn_shift_factor(hvee: int, j: int) -> RatFunc:
     """C_{n-j} / C_n as a rational function of n (after the reindex)."""
     out = RatFunc.one()
@@ -79,7 +89,7 @@ class SeriesExpr:
 
     def anchored(self, ctx: FieldContext) -> "SeriesExpr":
         """Reindex each term so the anchor power sits at exactly n."""
-        out = FieldExpr.zero()
+        raw = []
         for term, coef in self.body.terms.items():
             anchor = _anchor_of(term)
             if anchor is None:
@@ -88,21 +98,17 @@ class SeriesExpr:
             if exp.u != 0 or exp.v.denominator != 1:
                 raise ValueError("anchor exponent must be n plus an integer")
             j = int(exp.v)
-            piece = FieldExpr({term: coef})
+            prims, pfs, vertex = term
             if j:
-                piece = piece.shift_n(-j).scale(_cn_shift_factor(ctx.hvee, j))
-            out = out + piece
-        return SeriesExpr(out)
+                pfs = tuple((key, e.shift_n(-j)) for key, e in pfs)
+                if vertex is not None:
+                    vertex = tuple(c.shift_n(-j) for c in vertex)
+                coef = coef.shift_n(-j) * _cn_shift_factor(ctx.hvee, j)
+            raw.append((coef, prims, pfs, vertex))
+        return SeriesExpr(FieldExpr._from_raw(raw))
 
     def is_zero(self, ctx: FieldContext) -> bool:
-        body = self.anchored(ctx).body
-        if body.is_structurally_zero:
-            return True
-        body = expand_power_levels(body)
-        if body.is_structurally_zero:
-            return True
-        body = _absorb_anchor_copies(ctx, body)
-        return body.is_structurally_zero
+        return self.residual(ctx).is_structurally_zero
 
     def equals(self, other: "SeriesExpr", ctx: FieldContext) -> bool:
         return (self - other).is_zero(ctx)
@@ -140,45 +146,93 @@ def _pivot_monomial(key: BaseKey) -> tuple:
     return max(key, key=lambda it: (max(it[0]), it[0]))[0]
 
 
+def _rewritable(term: Term) -> Optional[tuple]:
+    """(order key, anchor base, pivot, remaining prims) when the copy rewrite applies."""
+    anchor = _anchor_of(term)
+    if anchor is None:
+        return None
+    key = term[1][anchor[0]][0]
+    if any(prim_parity(g) for prims, _ in key for g in prims):
+        return None  # the rewrite is only used for the bosonic series
+    pivot = _pivot_monomial(key)
+    rest = _multiset_minus(term[0], pivot)
+    if rest is None:
+        return None
+    return _absorb_order(term), key, pivot, rest
+
+
+def _rewritable_terms(terms) -> dict:
+    return {t: r for t in terms if (r := _rewritable(t)) is not None}
+
+
+def _absorb_order(term: Term) -> tuple:
+    """Total order on terms: prims, then each power factor, then the vertex."""
+    prims, pfs, vertex = term
+    return (
+        prims,
+        tuple((_base_sort_key(key), exp.key()) for key, exp in pfs),
+        () if vertex is None else tuple(
+            (c.num.frozen(), tuple((p.frozen(), e) for p, e in c.den)) for c in vertex
+        ),
+    )
+
+
+def _floors_hold(body: FieldExpr, pfs: tuple) -> bool:
+    """Whether each power factor (at its class floor) still occurs in ``body``."""
+    return all(any(pf in t[1] for t in body.terms) for pf in pfs)
+
+
+def _within_floors(expr: FieldExpr, floors: dict) -> bool:
+    """Whether every power factor of ``expr`` lies in a known class at or above its floor."""
+    for _, pfs, _ in expr.terms:
+        for key, exp in pfs:
+            floor = floors.get((key, exp.u, exp.w, exp.v % 1))
+            if floor is None or exp.v < floor:
+                return False
+    return True
+
+
 def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
     """Quotient by :sum_tau c_tau tau m A^n: = :m A^{n+1}: at a common level.
 
-    Works on the anchored, level-expanded representation: every term whose
-    bare factors contain the pivot monomial of its anchor base is rewritten
-    through the relation (the promoted A^{n+1} piece is re-anchored, which
-    applies the C_n rule, and re-expanded).  What survives is the canonical
+    Works on the anchored, level-expanded representation: the least term
+    (``_absorb_order``) whose bare factors contain the pivot monomial of its
+    anchor base is rewritten through the relation, and the promoted A^{n+1}
+    piece is re-anchored, which applies the C_n rule.  The body stays level
+    expanded: the removal terms already sit at the class floors, so only the
+    promoted term is lowered, and only the terms the rewrite touched are
+    re-examined.  The whole body is expanded again only when the cancellation
+    took the last term off a class floor, or when the promoted term leaves
+    the known classes or falls below a floor.  What survives is the canonical
     residual; it is empty exactly when the series vanishes.
     """
+    floors = power_floors(body)
+    pending = _rewritable_terms(body.terms)
     for _ in range(500):
-        if body.is_structurally_zero:
+        if not pending:
             return body
-        target = None
-        for term, coef in body.terms.items():
-            anchor = _anchor_of(term)
-            if anchor is None:
-                continue
-            key = term[1][anchor[0]][0]
-            if any(prim_parity(g) for prims, _ in key for g in prims):
-                continue  # the rewrite is only used for the bosonic series
-            pivot = _pivot_monomial(key)
-            rest = _multiset_minus(term[0], pivot)
-            if rest is None:
-                continue
-            cand = (term, coef, key, pivot, rest)
-            if target is None or term < target[0]:
-                target = cand
-        if target is None:
-            return body
-        term, coef, key, pivot, rest = target
-        cpivot = dict(key)[pivot]
-        lam = coef / cpivot
+        term = min(pending, key=lambda t: pending[t][0])
+        _, key, pivot, rest = pending[term]
+        lam = body.terms[term] / dict(key)[pivot]
         prims, pfs, vertex = term
         removal = FieldExpr._from_raw(
             [(lam * ctau, rest + tau, pfs, vertex) for tau, ctau in key]
         )
         aidx = next(i for i, (kk, e) in enumerate(pfs) if e.w == 1)
         bumped = pfs[:aidx] + ((key, pfs[aidx][1] + 1),) + pfs[aidx + 1:]
-        promoted = FieldExpr._from_raw([(lam, rest, bumped, vertex)])
-        body = body - removal + SeriesExpr(promoted).anchored(ctx).body
-        body = expand_power_levels(body)
+        promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)])).anchored(ctx).body
+        body = body - removal
+        if _floors_hold(body, pfs) and _within_floors(promoted, floors):
+            added = FieldExpr._from_raw(lower_to_floors(promoted.terms.items(), floors))
+            body = body + added
+            for t in list(removal.terms) + list(added.terms):
+                if t not in body.terms:
+                    pending.pop(t, None)
+                elif t not in pending and (r := _rewritable(t)) is not None:
+                    pending[t] = r
+        else:
+            body = expand_power_levels(body + promoted)
+            floors = power_floors(body)
+            pending = _rewritable_terms(body.terms)
     raise RuntimeError("series copy-elimination did not terminate")
+

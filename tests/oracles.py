@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wakimoto.coeffs import RatFunc
+from wakimoto.coeffs import Exp, RatFunc
+from wakimoto.fields import FieldExpr, base_expr
 from wakimoto.liealg import RootSystem, StructureTable
 from wakimoto.polymat import Poly, RealizationPolys, _mat_mul, basis_labels
+from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
 
 
 def adjoint_matrices(rs: RootSystem, tab: StructureTable) -> dict:
@@ -328,3 +330,61 @@ def engine_vacuum_series(ctx, A, B, orders=4, window=None):
             out[key] = out.get(key, RatFunc.zero()) + s * Fraction(binom)
             binom = binom * (q + j) // (j + 1)
     return {k: v for k, v in out.items() if not v.is_zero and 0 <= k[1] <= 2}
+
+
+# ---------------------------------------------------------------------------
+# series zero test, term by term
+# ---------------------------------------------------------------------------
+
+def expand_power_levels_termwise(expr: FieldExpr) -> FieldExpr:
+    """Reference level expansion: every term is rebuilt through Wick products
+    of its lowered powers and one base copy per surplus level, and the pieces
+    are summed one by one."""
+    classes = {}
+    for (prims, pfs, vertex) in expr.terms:
+        for key, exp in pfs:
+            cls = (key, exp.u, exp.w, exp.v % 1)
+            cur = classes.get(cls)
+            if cur is None or exp.v < cur:
+                classes[cls] = exp.v
+    if not classes:
+        return expr
+    out = FieldExpr.zero()
+    for (prims, pfs, vertex), coef in expr.terms.items():
+        piece = FieldExpr._from_raw([(coef, prims, (), vertex)])
+        for key, exp in pfs:
+            vmin = classes[(key, exp.u, exp.w, exp.v % 1)]
+            surplus = exp.v - vmin
+            assert surplus.denominator == 1 and surplus >= 0
+            piece = piece * FieldExpr._from_raw([(RatFunc.one(), (), ((key, Exp(exp.u, vmin, exp.w)),), None)])
+            for _ in range(int(surplus)):
+                piece = piece * base_expr(key)
+        out = out + piece
+    return out
+
+
+def series_residual_rescan(ctx, series) -> FieldExpr:
+    """Reference series residual: anchor term by term, then rewrite the least
+    rewritable term and level-expand the whole body again, until none is left."""
+    body = FieldExpr.zero()
+    for term, coef in series.body.terms.items():
+        j = int(next(e for _, e in term[1] if e.w == 1).v)
+        piece = FieldExpr({term: coef})
+        if j:
+            piece = piece.shift_n(-j).scale(_cn_shift_factor(ctx.hvee, j))
+        body = body + piece
+    body = expand_power_levels_termwise(body)
+    for _ in range(500):
+        targets = [t for t in body.terms if _rewritable(t) is not None]
+        if not targets:
+            return body
+        term = min(targets, key=_absorb_order)
+        _, key, pivot, rest = _rewritable(term)
+        lam = body.terms[term] / dict(key)[pivot]
+        prims, pfs, vertex = term
+        removal = FieldExpr._from_raw([(lam * ctau, rest + tau, pfs, vertex) for tau, ctau in key])
+        aidx = next(i for i, (_, e) in enumerate(pfs) if e.w == 1)
+        bumped = pfs[:aidx] + ((key, pfs[aidx][1] + 1),) + pfs[aidx + 1:]
+        promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)]))
+        body = expand_power_levels_termwise(body - removal + promoted.anchored(ctx).body)
+    raise RuntimeError("reference copy elimination did not terminate")

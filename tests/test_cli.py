@@ -107,6 +107,22 @@ def test_screen_second_kind_b2_direction2(capsys):
     assert data["checks"]["T"]["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screen", "--algebra", "B2", "--direction", "0", "--kind", "first"],
+        ["screen", "--algebra", "B2", "--direction", "9"],
+        ["verify", "--algebra", "B2", "--suite", "screening-first", "--direction", "0"],
+        ["verify", "--algebra", "B2", "--suite", "screening-second", "--direction", "7"],
+    ],
+)
+def test_direction_out_of_range_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "--direction" in err and "1..2" in err
+
+
 def test_screen_first_kind(capsys):
     code, out, err = run(
         capsys, "screen", "--algebra", "A1", "--direction", "1", "--verify"

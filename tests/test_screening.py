@@ -9,6 +9,7 @@ from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.ope import contract
 from wakimoto.screening import (
     DirectionError,
+    b2_series_witnesses,
     first_kind,
     naive_second_kind_failure,
     second_kind_b2,
@@ -201,6 +202,24 @@ def test_second_kind_b2_series_full_verification(b2cs):
     s = second_kind_b2(b2cs)
     report = verify_second_kind_b2(b2cs, s)
     assert report.ok, [(c.label, c.detail) for c in report.failures()]
+
+
+@pytest.mark.parametrize("change", ["scaled", "removed"])
+def test_second_kind_b2_series_negative_controls(b2cs, change):
+    # the series zero test must also be able to say "nonzero"
+    s = second_kind_b2(b2cs)
+    witnesses = b2_series_witnesses(b2cs, s)
+    for label, witness in witnesses.items():
+        wrong = dict(witnesses)
+        if change == "scaled":
+            wrong[label] = witness.scale(2)
+        else:
+            del wrong[label]
+        report = verify_screening(b2cs, s, wrong)
+        assert [c.label for c in report.failures()] == [label]
+        prefix, residual = report.failures()[0].detail.split(": ", 1)
+        assert prefix == "pole 2 mismatch"
+        assert residual not in ("", "0") and "beta" in residual
 
 
 def test_osp22_second_kind():
