@@ -22,7 +22,6 @@ from .coeffs import RatFunc
 from .currents import (
     CurrentSet,
     build_wakimoto,
-    check_pair,
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
@@ -44,13 +43,9 @@ from .screening import (
     DirectionError,
     first_kind,
     naive_second_kind_failure,
-    second_kind_b2,
+    second_kind,
     second_kind_mult_one,
-    second_kind_osp22,
-    verify_first_kind,
-    verify_second_kind_b2,
-    verify_second_kind_mult_one,
-    verify_second_kind_osp22,
+    verify,
 )
 
 EXIT_OK = 0
@@ -112,7 +107,7 @@ def _root_position(cs: CurrentSet, label: str) -> int:
     if label == "theta":
         return rs.root_index(rs.theta)
     if label.isdigit():
-        if len(label) == 1 and int(label) <= rs.rank:
+        if len(label) == 1 and 1 <= int(label) <= rs.rank:
             root = tuple(1 if i == int(label) - 1 else 0 for i in range(rs.rank))
             return rs.root_index(root)
         if len(label) == rs.rank:
@@ -120,6 +115,13 @@ def _root_position(cs: CurrentSet, label: str) -> int:
             if rs.is_root(root) and all(c >= 0 for c in root):
                 return rs.root_index(root)
     raise InputError(f"unknown root label {label!r}")
+
+
+def _index(cs: CurrentSet, name: str, label: str) -> int:
+    """0-based index of the 1-based label of ``H``, ``dphi``, ``s`` or ``stilde``."""
+    if not label.isdigit() or not 1 <= int(label) <= cs.rs.rank:
+        raise InputError(f"{name}[{label}]: the index must be an integer in 1..{cs.rs.rank}")
+    return int(label) - 1
 
 
 class _Parser:
@@ -205,24 +207,17 @@ class _Parser:
             pos = _root_position(cs, label)
             return cs.currents[("e" if name == "E" else "f", cs.rs.pos_roots[pos])]
         if name == "H":
-            i = int(label)
-            if not 1 <= i <= cs.rs.rank:
-                raise InputError(f"Cartan index {i} out of range")
-            return cs.currents[("h", i - 1)]
+            return cs.currents[("h", _index(cs, name, label))]
         if name in ("beta", "gamma", "b", "c"):
             pos = _root_position(cs, label)
             kind = cs.ctx.beta_kind(pos) if name in ("beta", "b") else cs.ctx.gamma_kind(pos)
             return FieldExpr.prim(kind, pos)
         if name == "dphi":
-            i = int(label)
-            return FieldExpr.prim(PHI, i - 1)
+            return FieldExpr.prim(PHI, _index(cs, name, label))
         if name == "s":
-            j = int(label) - 1
-            return first_kind(cs, j).expr
+            return first_kind(cs, _index(cs, name, label)).expr
         if name == "stilde":
-            j = int(label) - 1
-            s = second_kind_mult_one(cs, j)
-            return s.expr
+            return second_kind_mult_one(cs, _index(cs, name, label)).expr
         raise InputError(f"unknown generator {name!r}")
 
 
@@ -251,12 +246,7 @@ def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
 
 def _sweep_worker(args):
     selector, pairs = args
-    cs = _load(selector)
-    out = []
-    for a, b in pairs:
-        for v in check_pair(cs, a, b):
-            out.append((v.pair, v.order, v.detail))
-    return out
+    return verify_current_algebra(_load(selector), pairs)
 
 
 def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, selector: str = "B2"):
@@ -266,19 +256,14 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
         bad = verify_jacobi(cs.tab)
         return not bad, {"violations": [str(t) for t in bad]}
     if suite == "realization":
-        if cs.ctx.root_parity != (0,) * rs.n_pos:
+        if not cs.ctx.bosonic:
             return True, {"skipped": "differential realization covers the bosonic algebras"}
         ops = build_differential_realization(rs, cs.tab, cs.polys)
         bad = verify_realization(ops, cs.tab)
         return not bad, {"violations": [str(t) for t in bad]}
     if suite == "currents":
         bad = _sweep_pairs(cs, jobs, selector)
-        det = []
-        for v in bad:
-            if isinstance(v, tuple):
-                det.append({"pair": str(v[0]), "order": v[1], "diff": v[2]})
-            else:
-                det.append({"pair": str(v.pair), "order": v.order, "diff": v.detail})
+        det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]
         return not det, {"violations": det}
     if suite == "sugawara":
         T = sugawara_tensor(cs)
@@ -287,7 +272,7 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
         k = RatFunc.k()
         t = cs.ctx.t()
         c_got = central_charge(cs.ctx, Tfree)
-        c_want = k * rs.dim / t if cs.ctx.root_parity == (0,) * rs.n_pos else None
+        c_want = k * rs.dim / t if cs.ctx.bosonic else None
         details = {"sugawara_equals_free": ok, "central_charge": c_got.text()}
         if c_want is not None:
             details["central_charge_ok"] = c_got == c_want
@@ -295,12 +280,12 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
         return ok, details
     if suite == "screening-first":
         directions = [direction] if direction is not None else list(range(rs.rank))
-        if cs.ctx.root_parity != (0,) * rs.n_pos:
+        if not cs.ctx.bosonic:
             return True, {"skipped": "first-kind suite covers the bosonic algebras"}
         results = {}
         ok = True
         for j in directions:
-            rep = verify_first_kind(cs, first_kind(cs, j))
+            rep = verify(cs, first_kind(cs, j))
             results[str(j + 1)] = _report_json(cs, rep)
             ok = ok and rep.ok
         return ok, results
@@ -322,22 +307,16 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
 
 def _second_kind_suite(cs: CurrentSet, direction: Optional[int]):
     rs = cs.rs
+    if not cs.ctx.bosonic:
+        directions = [0]  # the one current of the osp(2|2) fixture
+    else:
+        directions = [direction] if direction is not None else list(range(rs.rank))
     results = {}
     ok = True
-    if cs.ctx.root_parity != (0,) * rs.n_pos:
-        s = second_kind_osp22(cs)
-        rep = verify_second_kind_osp22(cs, s)
-        results["1"] = _report_json(cs, rep)
-        return rep.ok, results
-    directions = [direction] if direction is not None else list(range(rs.rank))
     for j in directions:
-        if rs.theta[j] == 1:
-            s = second_kind_mult_one(cs, j)
-            rep = verify_second_kind_mult_one(cs, s)
-        elif rs.name == "B2" and j == 1:
-            s = second_kind_b2(cs)
-            rep = verify_second_kind_b2(cs, s)
-        else:
+        try:
+            rep = verify(cs, second_kind(cs, j))
+        except DirectionError:
             results[str(j + 1)] = {
                 "status": "unavailable",
                 "reason": f"multiplicity {rs.theta[j]} direction without a series construction",
@@ -348,22 +327,25 @@ def _second_kind_suite(cs: CurrentSet, direction: Optional[int]):
     return ok, results
 
 
+def _label_name(cs: CurrentSet, label) -> str:
+    """E[root], F[root], H[i] or T, as the expression grammar spells them."""
+    kind, arg = label
+    if kind == "h":
+        return f"H[{arg + 1}]"
+    if kind in ("e", "f"):
+        return ("E" if kind == "e" else "F") + f"[{cs.rs.root_name(arg)}]"
+    return "T"
+
+
 def _report_json(cs: CurrentSet, rep):
     out = {}
     for c in rep.checks:
-        kind, arg = c.label
-        if kind in ("e", "f"):
-            name = ("E" if kind == "e" else "F") + "[" + cs.rs.root_name(arg) + "]"
-        elif kind == "h":
-            name = f"H[{arg + 1}]"
-        else:
-            name = "T"
         entry = {"status": "ok" if c.ok else "fail"}
         if c.witness_text:
             entry["witness"] = c.witness_text
         if c.detail:
             entry["detail"] = c.detail
-        out[name] = entry
+        out[_label_name(cs, c.label)] = entry
     return out
 
 
@@ -374,19 +356,12 @@ def _report_json(cs: CurrentSet, rep):
 def cmd_realize(args) -> int:
     cs = _load(args.algebra)
     rs = cs.rs
-    bosonic = cs.ctx.root_parity == (0,) * rs.n_pos
     ops = (
         build_differential_realization(rs, cs.tab, cs.polys)
-        if bosonic and cs.polys is not None
+        if cs.ctx.bosonic and cs.polys is not None
         else None
     )
-    names = {}
-    for label in cs.labels():
-        kind, arg = label
-        if kind == "h":
-            names[label] = f"H[{arg + 1}]"
-        else:
-            names[label] = ("E" if kind == "e" else "F") + f"[{rs.root_name(arg)}]"
+    names = {label: _label_name(cs, label) for label in cs.labels()}
     if args.format == "json":
         data = {
             "schema": SCHEMA_REALIZATION,
@@ -479,26 +454,16 @@ def cmd_verify(args) -> int:
 def cmd_screen(args) -> int:
     cs = _load(args.algebra)
     j = _direction_index(cs, args.direction)
-    if args.kind == "first":
-        s = first_kind(cs, j)
-        rep = verify_first_kind(cs, s) if args.verify else None
-    else:
-        if cs.ctx.root_parity != (0,) * cs.rs.n_pos:
-            s = second_kind_osp22(cs)
-            rep = verify_second_kind_osp22(cs, s) if args.verify else None
-        elif cs.rs.theta[j] == 1:
-            s = second_kind_mult_one(cs, j)
-            rep = verify_second_kind_mult_one(cs, s) if args.verify else None
-        else:
-            s = second_kind_b2(cs)
-            rep = verify_second_kind_b2(cs, s) if args.verify else None
-    body = s.expr.body if s.is_series else s.expr
+    s = first_kind(cs, j) if args.kind == "first" else second_kind(cs, j)
+    rep = verify(cs, s) if args.verify else None
     data = {
         "schema": SCHEMA_REPORT,
         "algebra": cs.rs.name,
         "kind": s.kind,
         "direction": args.direction,
-        "current": body.text(cs.ctx) if args.format != "latex" else latex_fieldexpr(body, cs.ctx),
+        "current": (
+            latex_fieldexpr(s.body, cs.ctx) if args.format == "latex" else s.body.text(cs.ctx)
+        ),
         "series": s.is_series,
     }
     if rep is not None:
@@ -540,12 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--algebra", default="B2", help="A1/A2/B2/..., OSP22, or a Cartan JSON path")
         p.add_argument("--format", choices=("text", "json", "latex"), default="json")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=int(os.environ.get("WAKIMOTO_JOBS", "1")),
-            help="parallel workers for the OPE sweep",
-        )
 
     p = sub.add_parser("realize", help="emit the realization")
     common(p)
@@ -568,6 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--direction", type=int, default=None, help="simple-root index (1-based)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=int(os.environ.get("WAKIMOTO_JOBS", "1")),
+        help="parallel workers for the OPE sweep",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("screen", help="build or verify a screening current")

@@ -128,9 +128,6 @@ class Pol:
             raise ValueError("polynomial is not constant: %s" % self)
         return self.terms[(0, 0)]
 
-    def degree_k(self) -> int:
-        return max((m[0] for m in self.terms), default=-1)
-
     def degree_n(self) -> int:
         return max((m[1] for m in self.terms), default=-1)
 
@@ -439,11 +436,6 @@ class RatFunc:
     @property
     def is_rational(self) -> bool:
         return self.num.is_const and not self.den
-
-    def rational_value(self) -> Fraction:
-        if self.den:
-            raise ValueError("not a plain rational: %s" % self)
-        return self.num.const_value()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RatFunc, Pol, int, Fraction)):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .coeffs import RatFunc
 from .fields import PHI, FieldContext, FieldExpr
-from .liealg import Label, RootSystem, StructureTable, osp22_fixture
+from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
 from .ope import contract, regularized_product
 from .polymat import Poly, RealizationPolys, anomalous_term, realization_polynomials
 
@@ -146,29 +146,9 @@ def verify_current_algebra(cs: CurrentSet, pairs=None) -> list[SweepViolation]:
 
 def kappa_inverse(cs: CurrentSet) -> list[tuple[Label, Label, Fraction]]:
     """Triples (a, b, kappa^{ab}) with kappa^{ab} kappa_{bc} = delta^a_c."""
-    labels = [("e", al) for al in cs.rs.pos_roots]
-    labels += [("h", i) for i in range(cs.rs.rank)]
-    labels += [("f", al) for al in cs.rs.pos_roots]
-    d = len(labels)
-    M = [[Fraction(cs.tab.kappa_of(labels[i], labels[j])) for j in range(d)] for i in range(d)]
-    # Gauss-Jordan inverse
-    A = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i, row in enumerate(M)]
-    for col in range(d):
-        piv = next(r for r in range(col, d) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for r in range(d):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    out = []
-    for i in range(d):
-        for j in range(d):
-            v = A[i][d + j]
-            if v:
-                out.append((labels[i], labels[j], v))
-    return out
+    labels = cs.tab.basis()
+    inv = _invert([[Fraction(cs.tab.kappa_of(a, b)) for b in labels] for a in labels])
+    return [(a, b, v) for a, row in zip(labels, inv) for b, v in zip(labels, row) if v]
 
 
 def sugawara_tensor(cs: CurrentSet) -> FieldExpr:

@@ -73,6 +73,11 @@ class FieldContext:
     def t(self) -> RatFunc:
         return RatFunc.t(self.hvee)
 
+    @property
+    def bosonic(self) -> bool:
+        """Whether every positive root is even (no fermionic ghost pairs)."""
+        return not any(self.root_parity)
+
     def beta_kind(self, pos: int) -> int:
         return BGH if self.root_parity[pos] else BETA
 

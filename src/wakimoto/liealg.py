@@ -117,11 +117,6 @@ class RootSystem:
         return len(self.pos_roots)
 
     @property
-    def a_coeffs(self) -> Root:
-        """Decomposition of the highest root on the simple roots."""
-        return self.theta
-
-    @property
     def rho_labels(self) -> tuple[Fraction, ...]:
         """Dynkin labels of the Weyl vector (rho . alpha_i^vee = 1)."""
         if self.rho_override is not None:

@@ -7,6 +7,14 @@ nothing higher appears.  The first kind uses the screening polynomials
 S_{alpha_j}; the second kind raises the same ghost composite to the power
 -2t/alpha_j^2 (valid when the highest-root coefficient a^j is 1), while the
 B2 direction with a^j = 2 requires a formal bilateral series in n.
+
+One choice, one loop: ``second_kind`` picks the construction of a
+direction (the osp(2|2) current, the multiplicity-one power or the B2
+series), ``verify`` picks the witnesses of a current, and
+``_check_total_derivative`` tests each pole order of one OPE once against
+{2: R, 1: dR, else 0}.  Only the current knows whether it is a series: its
+witnesses are plain summands, and ``ScreeningCurrent.compare`` tests the
+poles of a series current with the series residual.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Union
 from .coeffs import Exp, RatFunc
 from .currents import CurrentSet, poly_to_fields
 from .fields import FieldContext, FieldExpr
-from .liealg import Label, RootSystem
+from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
 from .series import SeriesExpr
 
@@ -37,6 +45,24 @@ class ScreeningCurrent:
     @property
     def is_series(self) -> bool:
         return isinstance(self.expr, SeriesExpr)
+
+    @property
+    def body(self) -> FieldExpr:
+        """The field expression whose OPEs are taken: the summand of a series."""
+        return self.expr.body if self.is_series else self.expr
+
+    def compare(self, ctx: FieldContext, got: FieldExpr, want: FieldExpr) -> tuple[bool, str]:
+        """Whether ``got - want`` vanishes, and the difference's text when it does not.
+
+        For a series current both sides are summands and the difference is
+        tested as a series; its text is the series residual.
+        """
+        diff = got - want
+        if self.is_series:
+            res = SeriesExpr(diff).residual(ctx)
+            return res.is_structurally_zero, res.text(ctx)
+        ok = diff.is_zero
+        return ok, "" if ok else diff.text(ctx)
 
 
 @dataclass
@@ -78,10 +104,19 @@ def _simple(rs: RootSystem, j: int):
     return tuple(1 if i == j else 0 for i in range(rs.rank))
 
 
+def _polys(cs: CurrentSet):
+    """The realization polynomials the constructions are built from."""
+    if cs.polys is None:
+        raise DirectionError(
+            f"{cs.rs.name} has no realization polynomials; "
+            "only its second-kind current is provided"
+        )
+    return cs.polys
+
+
 def screening_composite(cs: CurrentSet, j: int) -> FieldExpr:
     """S_{alpha_j}^sigma(gamma) beta_sigma."""
-    polys = cs.polys
-    assert polys is not None
+    polys = _polys(cs)
     out = FieldExpr.zero()
     for sig in range(cs.rs.n_pos):
         p = polys.S[j][sig]
@@ -116,11 +151,30 @@ def _prop1_form(cs: CurrentSet, j: int) -> ScreeningCurrent:
     return ScreeningCurrent("second", j, expr, mom)
 
 
+def second_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
+    """The second-kind current of direction j.
+
+    The osp(2|2) fixture has its one bosonic-direction current; otherwise
+    a^j = 1 gives the power construction and a^j = 2 the B2 series.
+    """
+    if not cs.ctx.bosonic:
+        return second_kind_osp22(cs)
+    if cs.rs.theta[j] == 1:
+        return second_kind_mult_one(cs, j)
+    return second_kind_b2(cs)
+
+
 def second_kind_b2(cs: CurrentSet) -> ScreeningCurrent:
-    """The series current in the multiplicity-two direction of B2."""
-    rs = cs.rs
-    if rs.name not in ("B2",) and rs.pos_roots != ((1, 0), (0, 1), (1, 1), (1, 2)):
+    """The series current in the multiplicity-two direction of B2.
+
+    Its bases and witnesses are closed forms in the built-in B2 structure
+    constants, so a B2 with other extraspecial signs is refused too.
+    """
+    b2 = build_root_system("B2")
+    if cs.rs.pos_roots != b2.pos_roots:
         raise DirectionError("the series construction is provided for B2 only")
+    if cs.tab.f != build_structure_table(b2).f:
+        raise DirectionError("the series construction assumes the built-in B2 signs")
     j = 1
     A, B = _b2_bases(cs)
     mom = second_kind_momentum(cs.ctx, j)
@@ -151,56 +205,23 @@ def second_kind_osp22(cs: CurrentSet) -> ScreeningCurrent:
 # verification
 # ---------------------------------------------------------------------------
 
-def _expr_equal(ctx, got, want, series: bool) -> tuple[bool, str]:
-    if series:
-        diff = SeriesExpr(got) - want if isinstance(want, SeriesExpr) else SeriesExpr(
-            got - want
-        )
-        res = diff.residual(ctx)
-        return res.is_structurally_zero, res.text(ctx)
-    diff = got - want
-    ok = diff.is_zero
-    return ok, "" if ok else diff.text(ctx)
-
-
 def _check_total_derivative(
-    ctx, label, res, witness, series: bool
+    ctx: FieldContext, s: ScreeningCurrent, label, res, witness: FieldExpr
 ) -> GeneratorCheck:
     """Pole 2 must equal the witness, pole 1 its derivative, nothing higher."""
-    for q in sorted((q for q in res.poles if q > 2), reverse=True):
-        ok, txt = _expr_equal(ctx, res.order(q), _zero_like(witness), series)
+    want = {2: witness, 1: witness.derivative(ctx)}
+    for q in sorted(set(res.poles) | {1, 2}, reverse=True):
+        ok, text = s.compare(ctx, res.order(q), want.get(q, FieldExpr.zero()))
         if not ok:
-            return GeneratorCheck(label, False, detail=f"pole {q}: {txt}")
-    wd = witness.derivative(ctx)
-    ok2, t2 = _expr_equal(ctx, res.order(2), witness, series)
-    if not ok2:
-        return GeneratorCheck(label, False, detail=f"pole 2 mismatch: {t2}")
-    ok1, t1 = _expr_equal(ctx, res.order(1), wd, series)
-    if not ok1:
-        return GeneratorCheck(label, False, detail=f"pole 1 mismatch: {t1}")
-    wtext = witness.text(ctx) if not _is_zero_like(ctx, witness, series) else "0"
-    return GeneratorCheck(label, True, witness_text=wtext)
-
-
-def _zero_like(witness):
-    return SeriesExpr.zero() if isinstance(witness, SeriesExpr) else FieldExpr.zero()
-
-
-def _is_zero_like(ctx, witness, series: bool) -> bool:
-    if isinstance(witness, SeriesExpr):
-        return witness.is_zero(ctx)
-    return witness.is_zero
-
-
-def _screening_ope(cs: CurrentSet, J: FieldExpr, s: ScreeningCurrent):
-    body = s.expr.body if s.is_series else s.expr
-    return contract(cs.ctx, J, body)
+            where = f"pole {q}" if q > 2 else f"pole {q} mismatch"
+            return GeneratorCheck(label, False, detail=f"{where}: {text}")
+    shown = SeriesExpr(witness) if s.is_series else witness
+    return GeneratorCheck(label, True, witness_text=shown.text(ctx))
 
 
 def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
     """R for F_alpha against a first-kind current: -(2t/alpha_j^2) Q_{-alpha}^{-alpha_j}."""
-    polys = cs.polys
-    assert polys is not None
+    polys = _polys(cs)
     j = s.direction
     aj2 = cs.rs.root_norm2(_simple(cs.rs, j))
     q = polys.Q[alpha_pos][j]
@@ -212,8 +233,7 @@ def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> F
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
     """R_{-alpha} = -(2t/a_j^2) Q_{-alpha}^{-alpha_j} X^{-2t/a_j^2 - 1}."""
-    polys = cs.polys
-    assert polys is not None
+    polys = _polys(cs)
     j = s.direction
     q = polys.Q[alpha_pos][j]
     if q.is_zero:
@@ -228,44 +248,51 @@ def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldE
 def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> ScreeningReport:
     """Run the full contract: E/H regular, F total derivative, T weight 1.
 
-    ``witnesses`` maps ("f", alpha) labels to the expected second-order pole;
-    raising/Cartan labels are expected regular.
+    ``witnesses`` maps ("f", alpha) labels to the expected second-order pole
+    (a summand, for a series current); raising/Cartan labels are expected
+    regular.
     """
     report = ScreeningReport()
-    series = s.is_series
-    zero = SeriesExpr.zero() if series else FieldExpr.zero()
     for label, J in cs.currents.items():
-        res = _screening_ope(cs, J, s)
-        want = witnesses.get(label, zero)
-        report.checks.append(_check_total_derivative(cs.ctx, label, res, want, series))
+        res = contract(cs.ctx, J, s.body)
+        want = witnesses.get(label, FieldExpr.zero())
+        report.checks.append(_check_total_derivative(cs.ctx, s, label, res, want))
     # conformal contract
-    T = free_field_tensor(cs.ctx)
-    res = contract(cs.ctx, T, s.expr.body if series else s.expr)
-    want = s.expr if series else s.expr
-    report.checks.append(_check_total_derivative(cs.ctx, ("T", 0), res, want, series))
+    res = contract(cs.ctx, free_field_tensor(cs.ctx), s.body)
+    report.checks.append(_check_total_derivative(cs.ctx, s, ("T", 0), res, s.body))
     return report
 
 
-def verify_first_kind(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
+def _root_witnesses(cs: CurrentSet, s: ScreeningCurrent, witness) -> dict:
+    """The nonzero ``witness(cs, s, alpha_pos)`` of every positive root."""
     wit = {}
     for a, alpha in enumerate(cs.rs.pos_roots):
-        w = first_kind_witness(cs, s, a)
+        w = witness(cs, s, a)
         if not w.is_structurally_zero:
             wit[("f", alpha)] = w
+    return wit
+
+
+def verify(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
+    """Check a current against the closed-form witnesses of its construction."""
+    if s.kind == "first":
+        wit = _root_witnesses(cs, s, first_kind_witness)
+    elif s.is_series:
+        wit = b2_series_witnesses(cs, s)
+    elif not cs.ctx.bosonic:
+        wit = osp22_witnesses(cs, s)
+    else:
+        wit = _root_witnesses(cs, s, prop1_witness)
     return verify_screening(cs, s, wit)
 
 
-def verify_second_kind_mult_one(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
-    wit = {}
-    for a, alpha in enumerate(cs.rs.pos_roots):
-        w = prop1_witness(cs, s, a)
-        if not w.is_structurally_zero:
-            wit[("f", alpha)] = w
-    return verify_screening(cs, s, wit)
+# the names of the per-construction checks; each is ``verify``
+verify_first_kind = verify_second_kind_mult_one = verify
+verify_second_kind_b2 = verify_second_kind_osp22 = verify
 
 
 def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
-    """The closed-form witnesses of the B2 series verification."""
+    """The closed-form witnesses of the B2 series verification, as summands."""
     ctx = cs.ctx
     rs = cs.rs
     t = ctx.t()
@@ -281,12 +308,11 @@ def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
     g11 = FieldExpr.prim(ctx.gamma_kind(2), 2)
     dg1 = FieldExpr.prim(ctx.gamma_kind(0), 0, 1)
     wit = {}
-    wit[("f", (0, 1))] = SeriesExpr((An * B_less * V).scale(-2 * t - 2 * n))
-    wit[("f", (1, 1))] = SeriesExpr((g1 * An * B_less * V).scale(2 * t + 2 * n))
-    wit[("f", rs.theta)] = SeriesExpr(
-        (dg1 * An_less * B_same * V).scale(n)
-        + ((g1 * g2).scale(Fraction(1, 2)) + g11) * (An * B_less * V).scale(-2 * t - 2 * n)
-    )
+    wit[("f", (0, 1))] = (An * B_less * V).scale(-2 * t - 2 * n)
+    wit[("f", (1, 1))] = (g1 * An * B_less * V).scale(2 * t + 2 * n)
+    wit[("f", rs.theta)] = (dg1 * An_less * B_same * V).scale(n) + (
+        (g1 * g2).scale(Fraction(1, 2)) + g11
+    ) * (An * B_less * V).scale(-2 * t - 2 * n)
     return wit
 
 
@@ -304,10 +330,6 @@ def _b2_bases(cs: CurrentSet):
     return A, B
 
 
-def verify_second_kind_b2(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
-    return verify_screening(cs, s, b2_series_witnesses(cs, s))
-
-
 def osp22_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
     ctx = cs.ctx
     t = ctx.t()
@@ -323,10 +345,6 @@ def osp22_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
     ).scale(t)
     wit[("f", (1, 1))] = (c * FieldExpr.power(beta, Exp(-1, -1, 0)) * V).scale(t)
     return wit
-
-
-def verify_second_kind_osp22(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
-    return verify_screening(cs, s, osp22_witnesses(cs, s))
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +367,14 @@ def naive_second_kind_failure(cs: CurrentSet, j: int) -> NaiveFailure:
     """Build the Prop-1-form current in a multiplicity > 1 direction and
     exhibit the third-order pole of T(z)s(w); it is proportional to the
     contracted sequence S_j^sigma d_sigma S_j^beta."""
-    aj = cs.rs.theta[j]
-    if aj <= 1:
+    if j >= cs.rs.rank or cs.rs.theta[j] <= 1:
         raise DirectionError("the naive construction only fails for multiplicity > 1")
     s = _prop1_form(cs, j)
     T = free_field_tensor(cs.ctx)
     res = contract(cs.ctx, T, s.expr)
     pole3 = res.order(3)
     # expected: p(p-1) (S dS)^tau(gamma) beta_tau X^{p-2} V
-    polys = cs.polys
-    assert polys is not None
+    polys = _polys(cs)
     np_ = cs.rs.n_pos
     aj2 = cs.rs.root_norm2(_simple(cs.rs, j))
     u = -Fraction(2) / aj2

@@ -184,3 +184,107 @@ def test_json_roundtrip():
     rt = ope_from_json(json.loads(json.dumps(ope_to_json(res))))
     for q in set(res.poles) | set(rt.poles):
         assert rt.order(q).equals(res.order(q))
+
+
+@pytest.mark.parametrize(
+    "algebra, expr, why",
+    [
+        ("A1", "dphi[x]", "dphi[x]"),
+        ("A1", "H[x]", "H[x]"),
+        ("A2", "stilde[0]", "stilde[0]"),
+        ("A2", "s[0]", "s[0]"),
+        ("A1", "dphi[5]", "dphi[5]"),
+        ("A2", "H[3]", "H[3]"),
+        ("B2", "s[3]", "s[3]"),
+        ("A1", "E[0]", "root label '0'"),
+        ("B2", "beta[0]", "root label '0'"),
+    ],
+)
+def test_bad_label_is_input_error(capsys, algebra, expr, why):
+    code, out, err = run(capsys, "ope", "--algebra", algebra, expr, "E[1]")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and why in err
+
+
+def test_naive_suite_without_a_second_direction_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "A1", "--suite", "naive-second-kind")
+    assert code == EXIT_INPUT
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screen", "--algebra", "OSP22", "--direction", "1", "--kind", "first"],
+        ["ope", "--algebra", "OSP22", "s[1]", "E[1]"],
+    ],
+)
+def test_osp22_first_kind_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "realization polynomials" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "--algebra", "A1"],
+        ["screen", "--algebra", "A1", "--direction", "1"],
+        ["ope", "--algebra", "A1", "E[1]", "F[1]"],
+    ],
+)
+def test_jobs_only_on_verify(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--jobs", "2"] + argv[1:])
+    assert exc.value.code == EXIT_INPUT
+
+
+def test_verify_jobs_matches_one_process(capsys):
+    argv = ["verify", "--algebra", "A1", "--suite", "currents"]
+    one = run(capsys, *argv)
+    two = run(capsys, *argv, "--jobs", "2")
+    assert one == two and one[0] == EXIT_OK
+
+
+SECOND_KIND_DIRECTIONS = [
+    (alg, d)
+    for alg, rank in (("A1", 1), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 3), ("OSP22", 2))
+    for d in range(1, rank + 1)
+]
+
+
+def assert_screen_matches_suite(capsys, algebra, direction, key):
+    """`screen --kind second --verify` and the suite entry ``key`` agree."""
+    d = str(direction)
+    code, out, err = run(
+        capsys, "screen", "--algebra", algebra, "--direction", d, "--kind", "second", "--verify"
+    )
+    vcode, vout, _ = run(
+        capsys, "verify", "--algebra", algebra, "--suite", "screening-second", "--direction", d
+    )
+    entry = json.loads(vout)["suites"]["screening-second"]["details"][key]
+    if code == EXIT_INPUT:
+        assert out == "" and entry["status"] == "unavailable"
+        assert vcode == EXIT_OK
+    else:
+        assert code == vcode == EXIT_OK
+        assert json.loads(out)["checks"] == entry
+    return code
+
+
+@pytest.mark.parametrize("algebra, direction", SECOND_KIND_DIRECTIONS)
+def test_screen_and_suite_pick_the_same_second_kind_current(capsys, algebra, direction):
+    # the osp(2|2) fixture has one second-kind current, reported as direction 1
+    key = "1" if algebra == "OSP22" else str(direction)
+    assert_screen_matches_suite(capsys, algebra, direction, key)
+
+
+@pytest.mark.parametrize("signs, code", [({}, EXIT_OK), ({"1,1": -1, "1,2": -1}, EXIT_INPUT)])
+def test_custom_b2_series_needs_the_builtin_signs(tmp_path, capsys, signs, code):
+    p = tmp_path / "b2.json"
+    p.write_text(
+        json.dumps({"name": "my-b2", "cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": signs})
+    )
+    assert assert_screen_matches_suite(capsys, str(p), 2, "2") == code

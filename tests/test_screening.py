@@ -297,3 +297,51 @@ def test_series_ope_specializes_to_integer_powers(b2cs):
         res_dir = contract(ctx, J, direct)
         for q in set(res_sym.poles) | set(res_dir.poles):
             assert subs_n_expr(res_sym.order(q), n0).equals(res_dir.order(q)), (n0, q)
+
+
+def test_b2_series_tests_each_pole_once(b2cs, monkeypatch):
+    """One series residual per pole order tested, and none for witness texts."""
+    s = second_kind_b2(b2cs)
+    calls = []
+    residual = SeriesExpr.residual
+
+    def counted(self, ctx):
+        calls.append(1)
+        return residual(self, ctx)
+
+    monkeypatch.setattr(SeriesExpr, "residual", counted)
+    report = verify_second_kind_b2(b2cs, s)
+    monkeypatch.undo()
+    assert report.ok
+    from wakimoto.ope import free_field_tensor
+
+    ctx = b2cs.ctx
+    probes = list(b2cs.currents.values()) + [free_field_tensor(ctx)]
+    poles = sum(len(set(contract(ctx, J, s.expr.body).poles) | {1, 2}) for J in probes)
+    assert len(calls) == poles == 25
+
+
+def test_second_kind_b2_witnesses_are_summands(b2cs):
+    s = second_kind_b2(b2cs)
+    assert s.body is s.expr.body
+    for w in b2_series_witnesses(b2cs, s).values():
+        assert isinstance(w, FieldExpr) and not w.is_structurally_zero
+
+
+def test_prop1_negative_control_shows_unexpanded_difference():
+    from wakimoto.fields import expand_power_levels
+    from wakimoto.screening import prop1_witness
+
+    rs = build_root_system("A2")
+    cs = build_wakimoto(rs, build_structure_table(rs))
+    s = second_kind_mult_one(cs, 0)
+    assert s.body is s.expr
+    label = ("f", (1, 1))
+    wrong = {("f", al): prop1_witness(cs, s, a) for a, al in enumerate(rs.pos_roots)}
+    wrong[label] = wrong[label].scale(2)
+    report = verify_screening(cs, s, wrong)
+    assert [c.label for c in report.failures()] == [label]
+    diff = contract(cs.ctx, cs[label], s.expr).order(2) - wrong[label]
+    detail = report.failures()[0].detail
+    assert detail == "pole 2 mismatch: " + diff.text(cs.ctx)
+    assert detail != "pole 2 mismatch: " + expand_power_levels(diff).text(cs.ctx)
