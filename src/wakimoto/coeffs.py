@@ -9,10 +9,15 @@ everything is a polynomial in ``k`` and ``n``; emitters may re-express in
 ``t`` on demand.
 
 Denominators only ever arise from a handful of explicit divisions (the
-Sugawara 1/2t, vertex-derivative 1/t factors and the series prefactor
-recursion), so they are kept as an explicit factor list instead of running a
-general multivariate gcd.  Zero-testing is exact; equality falls back on
-cross multiplication when the factored shapes differ.
+Sugawara 1/2t, vertex-derivative 1/t factors and the linear factors
+(-2t-2n), (-2t-2n-1) and 2(n+1) of the series prefactor recursion), so they
+are kept as an explicit factor list instead of running a general
+multivariate gcd.  Every RatFunc is canonical: its denominator is a sorted
+tuple of distinct monic *linear* factors with positive powers, none of which
+divides the numerator.  Linear forms are irreducible, so two values are
+equal exactly when their numerators and denominators are; equality and
+hashing are structural, and division by a factor of degree above 1 raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -195,7 +200,8 @@ class Pol:
         quo: dict[Monomial, Fraction] = {}
         lead = max(divisor.terms)  # lex on (k-power, n-power)
         lead_c = divisor.terms[lead]
-        guard = len(self.terms) * (len(divisor.terms) + 2) + 16
+        # each step removes the lex-leading monomial of rem, and lex order
+        # well-orders N^2, so the loop ends
         while not rem.is_zero:
             m = max(rem.terms)
             qm = (m[0] - lead[0], m[1] - lead[1])
@@ -204,9 +210,6 @@ class Pol:
             qc = rem.terms[m] / lead_c
             quo[qm] = quo.get(qm, Fraction(0)) + qc
             rem = rem - Pol({qm: qc}) * divisor
-            guard -= 1
-            if guard < 0:
-                return None
         return Pol({m: c for m, c in quo.items() if c})
 
     # -- presentation ------------------------------------------------------
@@ -263,25 +266,16 @@ class Pol:
         return out
 
 
-def _normalize_factor(p: Pol) -> tuple[Fraction, Pol]:
-    """Scale a polynomial to leading coefficient 1; return (scale, monic)."""
-    lc = p.leading_coeff()
-    if lc == 1:
-        return Fraction(1), p
-    return lc, p.scale(1 / lc)
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Quotient of a Pol by a product of monic Pol factors.
+    """Quotient of a Pol by a product of monic linear Pol factors.
 
-    The factored denominator is reduced against the numerator by exact
-    division only.  That keeps every value produced by the engine in a
-    predictable shape (denominators are products of small linear forms in
-    practice) without a general gcd.
+    ``_make`` puts every value in canonical form (module docstring): the
+    factored denominator is merged, made monic, sorted and reduced against
+    the numerator by exact division only, without a general gcd.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -326,27 +320,26 @@ class RatFunc:
         if num.is_zero:
             return RatFunc(Pol())
         scale = Fraction(1)
-        merged: dict[tuple, tuple[Pol, int]] = {}
+        merged: dict[Pol, int] = {}
         for p, e in den:
             if e == 0:
                 continue
             if p.is_const:
                 scale *= p.const_value() ** e
                 continue
-            lc, monic = _normalize_factor(p)
-            scale *= lc ** e
-            key = monic.frozen()
-            if key in merged:
-                q, e0 = merged[key]
-                merged[key] = (q, e0 + e)
-            else:
-                merged[key] = (monic, e)
+            if any(a + b > 1 for a, b in p.terms):
+                raise ValueError(f"denominator factor {p.text()} is not linear")
+            lc = p.leading_coeff()
+            if lc != 1:
+                scale *= lc ** e
+                p = p.scale(1 / lc)
+            merged[p] = merged.get(p, 0) + e
         if scale != 1:
             num = num.scale(1 / scale)
         # cancel factors dividing the numerator
         out_den: list[tuple[Pol, int]] = []
-        for key in sorted(merged):
-            p, e = merged[key]
+        for p in sorted(merged, key=Pol.frozen):
+            e = merged[p]
             while e > 0:
                 q = num.divide_exact(p)
                 if q is None:
@@ -367,16 +360,12 @@ class RatFunc:
             return self
         if self.den == other.den:
             return RatFunc._make(self.num + other.num, self.den)
-        sden = {p.frozen(): (p, e) for p, e in self.den}
-        oden = {p.frozen(): (p, e) for p, e in other.den}
-        keys = set(sden) | set(oden)
+        sden, oden = dict(self.den), dict(other.den)
         common: list[tuple[Pol, int]] = []
         lh = Pol.const(1)
         rh = Pol.const(1)
-        for key in keys:
-            ps, es = sden.get(key, (None, 0))
-            po, eo = oden.get(key, (None, 0))
-            p = ps if ps is not None else po
+        for p in sden.keys() | oden.keys():
+            es, eo = sden.get(p, 0), oden.get(p, 0)
             e = max(es, eo)
             common.append((p, e))
             for _ in range(e - es):
@@ -400,8 +389,7 @@ class RatFunc:
         other = RatFunc.of(other)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc(Pol())
-        # a plain constant leaves the other operand's denominator as _make
-        # would: already merged, monic and reduced against its numerator
+        # scaling by a plain constant keeps the other operand canonical
         if other.is_rational:
             return self._scaled(other.num.terms[(0, 0)])
         if self.is_rational:
@@ -437,40 +425,37 @@ class RatFunc:
     def is_rational(self) -> bool:
         return self.num.is_const and not self.den
 
+    def key(self) -> tuple:
+        """Sortable structural key; equal exactly when the values are equal."""
+        return (self.num.frozen(), tuple((p.frozen(), e) for p, e in self.den))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, (RatFunc, Pol, int, Fraction)):
             return NotImplemented
         other = RatFunc.of(other)
-        if self.num == other.num and self.den == other.den:
-            return True
-        return (self - other).is_zero
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num.frozen(), tuple((p.frozen(), e) for p, e in self.den)))
+            self._hash = hash(self.key())
         return self._hash
 
     # -- substitutions -----------------------------------------------------
 
     def subs_k(self, value) -> "RatFunc":
-        num = self.num.subs_k(value)
-        den: list[tuple[Pol, int]] = []
-        for p, e in self.den:
-            q = p.subs_k(value)
-            if q.is_zero:
-                raise ZeroDivisionError("denominator vanishes at k = %s" % value)
-            den.append((q, e))
-        return RatFunc._make(num, den)
+        return self._subs(Pol.subs_k, "k", value)
 
     def subs_n(self, value) -> "RatFunc":
-        num = self.num.subs_n(value)
+        return self._subs(Pol.subs_n, "n", value)
+
+    def _subs(self, sub, name: str, value) -> "RatFunc":
         den: list[tuple[Pol, int]] = []
         for p, e in self.den:
-            q = p.subs_n(value)
+            q = sub(p, value)
             if q.is_zero:
-                raise ZeroDivisionError("denominator vanishes at n = %s" % value)
+                raise ZeroDivisionError(f"denominator vanishes at {name} = {value}")
             den.append((q, e))
-        return RatFunc._make(num, den)
+        return RatFunc._make(sub(self.num, value), den)
 
     def shift_n(self, delta: int) -> "RatFunc":
         if delta == 0:

@@ -349,7 +349,7 @@ class FieldExpr:
                 w = w + ctx.vertex_weight(vertex)
             if seen is None:
                 seen = w
-            elif not (seen - w).is_zero:
+            elif seen != w:
                 return None
         return seen if seen is not None else RatFunc.zero()
 
@@ -414,7 +414,7 @@ def base_expr(key: BaseKey) -> FieldExpr:
 
 
 def _base_sort_key(key: BaseKey):
-    return tuple((prims, coef.num.frozen()) for prims, coef in key)
+    return tuple((prims, coef.key()) for prims, coef in key)
 
 
 _base_derivative_cache: dict = {}

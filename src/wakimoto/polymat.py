@@ -40,7 +40,8 @@ class Poly:
     """Multivariate polynomial in the triangular coordinates x^alpha.
 
     Terms map exponent tuples (indexed by the fixed positive-root order) to
-    RatFunc coefficients; the zero polynomial has no terms.
+    RatFunc coefficients.  No coefficient is ever zero (the zero polynomial
+    has no terms), so equality is structural.
     """
 
     __slots__ = ("nvars", "terms")
@@ -141,12 +142,10 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return (self - other).is_zero
-        return all(c == other.terms[e] for e, c in self.terms.items())
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((e, c.num.frozen()) for e, c in self.terms.items())))
+        return hash(tuple(sorted((e, c.key()) for e, c in self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Expo, RatFunc]]:
         """Graded-lex order over the fixed positive-root variable order."""

@@ -38,23 +38,30 @@ from .fields import (
 )
 
 
-def cn_ratio(hvee: int) -> RatFunc:
-    """C_{n+1}/C_n from the defining recursion."""
+def _cn_factors(hvee: int) -> tuple[RatFunc, RatFunc, RatFunc]:
+    """The recursion's linear factors (-2t-2n), (-2t-2n-1) and 2(n+1)."""
     t = RatFunc.t(hvee)
     n = RatFunc.n()
-    return (-2 * t - 2 * n) * (-2 * t - 2 * n - 1) / (2 * (n + 1))
+    return -2 * t - 2 * n, -2 * t - 2 * n - 1, 2 * (n + 1)
+
+
+def cn_ratio(hvee: int) -> RatFunc:
+    """C_{n+1}/C_n from the defining recursion."""
+    a, b, c = _cn_factors(hvee)
+    return a * b / c
 
 
 @lru_cache(maxsize=None)
 def _cn_shift_factor(hvee: int, j: int) -> RatFunc:
     """C_{n-j} / C_n as a rational function of n (after the reindex)."""
+    a, b, c = _cn_factors(hvee)
     out = RatFunc.one()
     if j > 0:
         for i in range(1, j + 1):
-            out = out / cn_ratio(hvee).shift_n(-i)
+            out = out * c.shift_n(-i) / a.shift_n(-i) / b.shift_n(-i)
     else:
         for i in range(0, -j):
-            out = out * cn_ratio(hvee).shift_n(i)
+            out = out * a.shift_n(i) * b.shift_n(i) / c.shift_n(i)
     return out
 
 
@@ -171,9 +178,7 @@ def _absorb_order(term: Term) -> tuple:
     return (
         prims,
         tuple((_base_sort_key(key), exp.key()) for key, exp in pfs),
-        () if vertex is None else tuple(
-            (c.num.frozen(), tuple((p.frozen(), e) for p, e in c.den)) for c in vertex
-        ),
+        () if vertex is None else tuple(c.key() for c in vertex),
     )
 
 

@@ -388,3 +388,38 @@ def series_residual_rescan(ctx, series) -> FieldExpr:
         promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)]))
         body = expand_power_levels_termwise(body - removal + promoted.anchored(ctx).body)
     raise RuntimeError("reference copy elimination did not terminate")
+
+
+# Sample points for the evaluation oracle: generic rationals, so a nonzero
+# numerator of small degree vanishes at all of them only by accident.
+_SAMPLE_POINTS = (
+    (Fraction(3761, 97), Fraction(-5209, 311)),
+    (Fraction(-8123, 677), Fraction(1913, 53)),
+    (Fraction(461, 887), Fraction(7727, 229)),
+    (Fraction(-2939, 43), Fraction(-613, 919)),
+    (Fraction(9871, 557), Fraction(4447, 827)),
+)
+
+
+def ratfunc_value(x: RatFunc, k: Fraction, n: Fraction):
+    """x at (k, n), summed from the monomials of its numerator and factors; None at a pole."""
+
+    def pol(p):
+        return sum((c * k**a * n**b for (a, b), c in p.terms.items()), Fraction(0))
+
+    den = Fraction(1)
+    for p, e in x.den:
+        den *= pol(p) ** e
+    return None if den == 0 else pol(x.num) / den
+
+
+def ratfunc_values(x: RatFunc) -> list:
+    """The values of x at the sample points (None at a pole)."""
+    return [ratfunc_value(x, k, n) for k, n in _SAMPLE_POINTS]
+
+
+def ratfuncs_equal_by_evaluation(x: RatFunc, y: RatFunc) -> bool:
+    """Whether x and y agree at every sample point where neither has a pole."""
+    pairs = [(a, b) for a, b in zip(ratfunc_values(x), ratfunc_values(y)) if None not in (a, b)]
+    assert len(pairs) >= 3, "too many sample points hit a pole"
+    return all(a == b for a, b in pairs)

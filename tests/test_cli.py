@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +154,17 @@ def test_verify_custom_cartan_json(tmp_path, capsys):
     p.write_text('{"cartan_matrix": [[2, -1], [-1, 2]], "name": "custom-a2"}')
     code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "currents")
     assert code == EXIT_OK
+
+
+def test_readme_algebra_json_example_loads(tmp_path, capsys):
+    """The custom-algebra JSON shown in README.md passes the Jacobi suite."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r'`(\{"cartan_matrix".*?)`', readme).group(1)
+    assert "extraspecial_signs" in example
+    p = tmp_path / "alg.json"
+    p.write_text(example)
+    code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
+    assert code == EXIT_OK, err
 
 
 def test_verify_exit_code_on_math_failure(capsys, monkeypatch):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ratfunc_values, ratfuncs_equal_by_evaluation
 from wakimoto.coeffs import Exp, Pol, RatFunc
+from wakimoto.fields import BETA, GAMMA, FieldExpr
+from wakimoto.polymat import Poly
 
 
 def test_pol_ring_basics():
@@ -91,3 +94,88 @@ def test_constant_product_matches_general_path(x, c):
         assert got.num.terms == want.num.terms
         assert got.den == want.den
     assert x * 1 == x and (x * 1).den == x.den and (1 * x).num.terms == x.num.terms
+
+
+# -- canonical form -----------------------------------------------------------
+
+_lin_coef = st.sampled_from([Fraction(c) for c in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)])
+_linear = st.builds(
+    lambda a, b, c: Pol({m: v for m, v in (((1, 0), a), ((0, 1), b), ((0, 0), c)) if v}),
+    _lin_coef,
+    _lin_coef,
+    st.sampled_from([Fraction(c) for c in (-1, 0, 1, 3)] + [Fraction(5, 2)]),
+).filter(lambda p: not p.is_const)
+_built = st.recursive(
+    st.one_of(_small.map(RatFunc.of), _linear.map(RatFunc.of)),
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda ab: ab[0] + ab[1]),
+        st.tuples(kids, kids).map(lambda ab: ab[0] - ab[1]),
+        st.tuples(kids, kids).map(lambda ab: ab[0] * ab[1]),
+        st.tuples(kids, _linear).map(lambda ap: ap[0] / ap[1]),
+    ),
+    max_leaves=6,
+)
+
+
+def _assert_canonical(x):
+    again = RatFunc._make(x.num, x.den)
+    assert again.num.terms == x.num.terms and again.den == x.den
+    keys = [p.frozen() for p, _ in x.den]
+    assert keys == sorted(set(keys))
+    for p, e in x.den:
+        assert e > 0 and p.leading_coeff() == 1
+        assert not p.is_const and all(a + b <= 1 for a, b in p.terms)
+        assert x.num.divide_exact(p) is None
+
+
+@settings(deadline=None, max_examples=150)
+@given(_built, _built, _linear)
+def test_ratfunc_equality_matches_evaluation(x, y, lin):
+    """Arithmetic agrees with pointwise evaluation, == with the oracle, and
+    equal values hash equal, whatever route built them."""
+    for z in (x, y):
+        _assert_canonical(z)
+    for a, b in ((x, y), (x + y, y + x), (x * y, y * x), ((x + y) * lin, x * lin + y * lin),
+                 (x / lin * lin, x), (x - y + y, x), (x * lin / lin, x)):
+        _assert_canonical(a)
+        same = ratfuncs_equal_by_evaluation(a, b)
+        assert (a == b) == same
+        if same:
+            assert hash(a) == hash(b) and a.key() == b.key()
+    for got, op in ((x + y, Fraction.__add__), (x - y, Fraction.__sub__), (x * y, Fraction.__mul__)):
+        for g, u, v in zip(ratfunc_values(got), ratfunc_values(x), ratfunc_values(y)):
+            if None not in (g, u, v):
+                assert g == op(u, v)
+
+
+def test_partial_fractions_hash_equal():
+    k = RatFunc.k()
+    a = 1 / k + 1 / (k + 1)
+    b = (2 * k + 1) / k / (k + 1)
+    assert a == b and hash(a) == hash(b)
+    assert (k * k + k) / k / k / (k + 1) == 1 / k
+
+
+def test_division_by_nonlinear_factor_raises():
+    k = RatFunc.k()
+    with pytest.raises(ValueError, match="not linear"):
+        RatFunc.one() / (k * k + k)
+
+
+def test_power_factor_order_sees_coefficient_denominators():
+    """Bases that differ only in a coefficient's denominator sort apart."""
+    k = RatFunc.k()
+    bases = [
+        FieldExpr.prim(BETA, 0) + FieldExpr.prim(GAMMA, 0, coef=1 / (k + c)) for c in (0, 1)
+    ]
+    P1, P2 = (FieldExpr.power(b, Exp(-1, 0, 0)) for b in bases)
+    assert P1 * P2 == P2 * P1
+    assert (P1 * P2 - P2 * P1).is_structurally_zero
+
+
+def test_equal_polys_hash_equal():
+    k = RatFunc.k()
+    a = Poly.var(2, 0, 1 / k + 1 / (k + 1)) + Poly.const(2, (k * k + k) / k / k / (k + 1))
+    b = Poly.var(2, 0, (2 * k + 1) / k / (k + 1)) + Poly.const(2, 1 / k)
+    assert a == b and hash(a) == hash(b)
+    assert a != b + Poly.const(2, 1)

@@ -10,7 +10,7 @@ from wakimoto.currents import build_wakimoto
 from wakimoto.fields import GAMMA, FieldExpr, expand_power_levels
 from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.screening import _b2_bases, second_kind_b2
-from wakimoto.series import SeriesExpr, cn_ratio
+from wakimoto.series import SeriesExpr
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +31,12 @@ def series_term(cs, coef, a_off=0, b_off=0, extra=None):
 def test_anchoring_applies_recursion(setup):
     cs = setup
     ctx = cs.ctx
-    # C_n f(n) A^{n+1} B^{-2t-2n}  ==  C_n f(n-1)/rho(n-1) A^n B^{-2t-2n+2}
+    # C_n f(n) A^{n+1} B^{-2t-2n}  ==  C_n f(n-1)/rho(n-1) A^n B^{-2t-2n+2},
+    # rho(n-1) = (-2t-2n+2)(-2t-2n+1) / 2n, divided one linear factor at a time
     f = RatFunc.n() + 5
     lhs = series_term(cs, f, a_off=1, b_off=0)
-    rho = cn_ratio(ctx.hvee)
-    g = f.shift_n(-1) / rho.shift_n(-1)
+    t, n = RatFunc.t(ctx.hvee), RatFunc.n()
+    g = f.shift_n(-1) * 2 * n / (-2 * t - 2 * n + 2) / (-2 * t - 2 * n + 1)
     rhs = series_term(cs, g, a_off=0, b_off=2)
     assert lhs.equals(rhs, ctx)
     assert not lhs.equals(rhs.scale(2), ctx)
