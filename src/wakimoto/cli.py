@@ -232,13 +232,14 @@ def parse_expression(cs: CurrentSet, text: str) -> FieldExpr:
 def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
     labels = cs.labels()
     pairs = [(a, b) for a in labels for b in labels]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    if workers <= 1:
         return verify_current_algebra(cs, pairs)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [pairs[i::jobs] for i in range(jobs)]
+    chunks = [pairs[i::workers] for i in range(workers)]
     bad = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_sweep_worker, [(selector, c) for c in chunks]):
             bad.extend(part)
     return bad
@@ -495,6 +496,16 @@ def cmd_ope(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wakimoto",
@@ -529,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", type=int, default=None, help="simple-root index (1-based)")
     p.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("WAKIMOTO_JOBS", "1")),
-        help="parallel workers for the OPE sweep",
+        type=_positive_int,
+        default=os.environ.get("WAKIMOTO_JOBS", "1"),
+        help="parallel workers for the OPE sweep (at most one per CPU and pair)",
     )
     p.set_defaults(fn=cmd_verify)
 

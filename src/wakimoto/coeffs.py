@@ -1,8 +1,11 @@
 """Exact scalar arithmetic for the whole engine.
 
-Every coefficient that appears downstream -- entries of the realization
-polynomials, OPE pole coefficients, series prefactors -- is a rational
-function of the level symbol ``k`` and an integer-spaced shift symbol ``n``.
+``SparsePoly`` is the one sparse polynomial arithmetic over Q; ``Pol`` (in
+k and n) and ``polymat.Poly`` (the realization polynomials, which are free
+of k) share it.  Every coefficient of the field layer -- OPE pole
+coefficients, current coefficients, series prefactors -- is a ``RatFunc``, a
+rational function of the level symbol ``k`` and an integer-spaced shift
+symbol ``n``.
 The derived symbol ``t = k + h_vee`` (root normalization theta^2 = 2, so the
 level equals the central extension) is handled as an alias: internally
 everything is a polynomial in ``k`` and ``n``; emitters may re-express in
@@ -23,6 +26,7 @@ hashing are structural, and division by a factor of degree above 1 raises
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Union
 
 Monomial = tuple[int, int]  # (power of k, power of n)
@@ -31,17 +35,99 @@ Scalar = Union[int, Fraction, "RatFunc"]
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials in (k, n) over Q
+# sparse polynomials over Q
 # ---------------------------------------------------------------------------
 
-class Pol:
-    """Sparse bivariate polynomial in the symbols k and n with Fraction coefficients."""
+class SparsePoly:
+    """Sparse polynomial over Q: exponent tuples mapped to nonzero Fractions.
+
+    The one implementation of the ring arithmetic shared by ``Pol`` (in k and
+    n) and ``polymat.Poly`` (in the triangular coordinates).  No coefficient
+    is ever zero, so equality and hashing are structural.  Values are never
+    mutated after construction.  Each subclass defines ``_like(terms)``, which
+    builds a value of its own shape, and names ``__mul__`` in its own
+    namespace, where ``perfbench/tracer.py`` wraps it as a separate span.
+    """
 
     __slots__ = ("terms", "_hash")
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.terms or not other.terms:
+            return self._like({})
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(map(add, m1, m2))
+                c = c1 * c2
+                s = out.get(m)
+                if s is None:
+                    out[m] = c
+                else:
+                    s = s + c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return self._like(out)
+
+    def scale(self, c):
+        """Multiply by a rational; a ``RatFunc`` is refused with ``TypeError``."""
+        c = Fraction(c)
+        if not c:
+            return self._like({})
+        return self._like({m: v * c for m, v in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def frozen(self) -> tuple:
+        return tuple(sorted(self.terms.items()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.frozen())
+        return self._hash
+
+
+class Pol(SparsePoly):
+    """Sparse bivariate polynomial in the symbols k and n with Fraction coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Optional[dict[Monomial, Fraction]] = None):
         self.terms: dict[Monomial, Fraction] = terms if terms is not None else {}
         self._hash: Optional[int] = None
+
+    def _like(self, terms: dict[Monomial, Fraction]) -> "Pol":
+        return Pol(terms)
+
+    __mul__ = SparsePoly.__mul__
 
     # -- constructors ------------------------------------------------------
 
@@ -65,51 +151,6 @@ class Pol:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "Pol") -> "Pol":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Pol(out)
-
-    def __neg__(self) -> "Pol":
-        return Pol({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Pol") -> "Pol":
-        return self + (-other)
-
-    def __mul__(self, other: "Pol") -> "Pol":
-        if not self.terms or not other.terms:
-            return Pol()
-        out: dict[Monomial, Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                m = (a1 + a2, b1 + b2)
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return Pol(out)
-
-    def scale(self, c) -> "Pol":
-        c = Fraction(c)
-        if not c:
-            return Pol()
-        return Pol({m: v * c for m, v in self.terms.items()})
-
     def __pow__(self, e: int) -> "Pol":
         out = Pol.const(1)
         for _ in range(e):
@@ -117,10 +158,6 @@ class Pol:
         return out
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_const(self) -> bool:
@@ -132,9 +169,6 @@ class Pol:
         if not self.is_const:
             raise ValueError("polynomial is not constant: %s" % self)
         return self.terms[(0, 0)]
-
-    def degree_n(self) -> int:
-        return max((m[1] for m in self.terms), default=-1)
 
     # -- substitutions -----------------------------------------------------
 
@@ -214,17 +248,6 @@ class Pol:
 
     # -- presentation ------------------------------------------------------
 
-    def frozen(self) -> tuple:
-        return tuple(sorted((m, c) for m, c in self.terms.items()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Pol) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.frozen())
-        return self._hash
-
     def leading_coeff(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -256,14 +279,6 @@ class Pol:
 
     def __repr__(self) -> str:
         return f"Pol({self.text()})"
-
-    def in_t(self, hvee: int) -> "Pol":
-        """Rewrite with k = t - hvee; the k-slot then means t (display helper)."""
-        out = Pol()
-        shift = Pol({(1, 0): Fraction(1), (0, 0): Fraction(-hvee)})
-        for (a, b), c in self.terms.items():
-            out = out + (shift ** a) * Pol({(0, b): c})
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +481,15 @@ class RatFunc:
 
     # -- presentation ------------------------------------------------------
 
-    def text(self, use_t: Optional[int] = None) -> str:
-        """Human form; pass use_t=hvee to display in t = k + hvee."""
-        num = self.num if use_t is None else self.num.in_t(use_t)
-        k_name = "k" if use_t is None else "t"
-        s = num.text(k_name=k_name)
+    def text(self) -> str:
+        s = self.num.text()
         if not self.den:
             return s
         bits = []
         for p, e in self.den:
-            q = p if use_t is None else p.in_t(use_t)
-            f = "(" + q.text(k_name=k_name) + ")"
+            f = "(" + p.text() + ")"
             bits.append(f if e == 1 else f + f"^{e}")
-        if len(num.terms) > 1:
+        if len(self.num.terms) > 1:
             s = "(" + s + ")"
         return s + "/(" + "*".join(bits) + ")" if len(bits) > 1 else s + "/" + bits[0]
 

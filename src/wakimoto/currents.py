@@ -1,9 +1,11 @@
 """Wakimoto free-field currents and their algebra verification.
 
 The raising/Cartan/lowering currents come from the realization polynomials
-by the substitution d_alpha -> beta_alpha, x^alpha -> gamma^alpha,
+(over Q) by the substitution d_alpha -> beta_alpha, x^alpha -> gamma^alpha,
 L_i -> sqrt(t) d phi_i, plus the anomalous d(gamma) corrections on the
-lowering side.  The osp(2|2) current set is entered from its closed form
+lowering side.  Those corrections are where the level k enters: the k-free
+part comes from ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part
+is added here.  The osp(2|2) current set is entered from its closed form
 and validated by the same graded OPE sweep as the generated algebras.
 """
 
@@ -56,6 +58,7 @@ def build_wakimoto(
         polys = realization_polynomials(rs, tab)
     ctx = FieldContext.from_algebra(rs)
     F_anom = anomalous_term(rs, polys)
+    k = RatFunc.k()
     np_ = rs.n_pos
     currents: dict[Label, FieldExpr] = {}
     for a, alpha in enumerate(rs.pos_roots):
@@ -84,11 +87,14 @@ def build_wakimoto(
         for j in range(rs.rank):
             if not polys.P[a][j].is_zero:
                 expr = expr + poly_to_fields(ctx, polys.P[a][j]) * FieldExpr.prim(PHI, j)
+        level = k * (2 / rs.root_norm2(alpha))
         for b in range(np_):
-            if not F_anom[a][b].is_zero:
-                expr = expr + poly_to_fields(ctx, F_anom[a][b]) * FieldExpr.prim(
-                    ctx.gamma_kind(b), b, 1
-                )
+            # d gamma^b coefficient: (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}
+            corr = poly_to_fields(ctx, polys.V_plus_inv[b][a]).scale(level) + poly_to_fields(
+                ctx, F_anom[a][b]
+            )
+            if not corr.is_structurally_zero:
+                expr = expr + corr * FieldExpr.prim(ctx.gamma_kind(b), b, 1)
         currents[("f", alpha)] = expr
     return CurrentSet(rs, tab, ctx, currents, polys)
 

@@ -9,9 +9,9 @@ realization lives in this class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .coeffs import RatFunc
 from .liealg import Label, RootSystem, StructureTable
 from .polymat import Poly, RealizationPolys, realization_polynomials
 
@@ -124,7 +124,7 @@ def build_differential_realization(
     return ops
 
 
-def realized(ops: dict[Label, DiffOp], coeffs: dict[Label, RatFunc | int]) -> DiffOp:
+def realized(ops: dict[Label, DiffOp], coeffs: dict[Label, Fraction]) -> DiffOp:
     rs = next(iter(ops.values())).rs
     out = DiffOp.zero(rs)
     for lab, c in coeffs.items():

@@ -322,17 +322,6 @@ class FieldExpr:
     def __hash__(self):
         raise TypeError("FieldExpr is not hashable; freeze a base instead")
 
-    def parity(self) -> Optional[int]:
-        """0/1 for homogeneous expressions, None when mixed."""
-        seen = None
-        for (prims, pfs, vertex), _ in self.terms.items():
-            p = sum(prim_parity(x) for x in prims) % 2
-            if seen is None:
-                seen = p
-            elif seen != p:
-                return None
-        return seen
-
     def weight(self, ctx: FieldContext) -> Optional[RatFunc]:
         """Conformal weight when every term agrees, else None."""
         seen: Optional[RatFunc] = None
@@ -352,13 +341,6 @@ class FieldExpr:
             elif seen != w:
                 return None
         return seen if seen is not None else RatFunc.zero()
-
-    def map_coeffs(self, fn) -> "FieldExpr":
-        raw = []
-        for (prims, pfs, vertex), coef in self.terms.items():
-            nv = tuple(fn(c) for c in vertex) if vertex is not None else None
-            raw.append((fn(coef), prims, pfs, nv))
-        return FieldExpr._from_raw(raw)
 
     def shift_n(self, delta: int) -> "FieldExpr":
         raw = []

@@ -172,9 +172,6 @@ class RootSystem:
     def _pos_set(self) -> frozenset:
         return frozenset(self.pos_roots)
 
-    def height(self, root: Root) -> int:
-        return sum(root)
-
     def root_name(self, root: Root) -> str:
         """Short name: '1', '2' for simple roots, digit string otherwise, 'theta' for the top."""
         if root == self.theta:
@@ -720,18 +717,42 @@ def osp22_fixture() -> tuple[RootSystem, StructureTable]:
 # ---------------------------------------------------------------------------
 
 def load_algebra_json(path: str) -> tuple[RootSystem, StructureTable]:
-    """Read {"cartan_matrix": [[...]], "extraspecial_signs": {"<coeffs>": +-1}}."""
+    """Read {"cartan_matrix": [[...]], "extraspecial_signs": {"<coeffs>": +-1}}.
+
+    Malformed input raises ``CartanTypeError``: invalid JSON, a Cartan entry
+    that is not an integer, a sign other than +1 or -1, or a sign key that is
+    not a non-simple positive root.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "cartan_matrix" not in data:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise CartanTypeError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict) or "cartan_matrix" not in data:
         raise CartanTypeError("JSON algebra file must contain 'cartan_matrix'")
-    rs = build_root_system(data["cartan_matrix"], name=data.get("name", "custom"))
+    A = data["cartan_matrix"]
+    if not isinstance(A, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in A
+    ):
+        raise CartanTypeError("'cartan_matrix' must be a list of rows of integers")
+    rs = build_root_system(A, name=data.get("name", "custom"))
+    signs = data.get("extraspecial_signs", {})
+    if not isinstance(signs, dict):
+        raise CartanTypeError("'extraspecial_signs' must map root keys to +1 or -1")
+    nonsimple = {a for a in rs.pos_roots if sum(a) > 1}
     overrides: dict[Root, int] = {}
-    for key, sign in data.get("extraspecial_signs", {}).items():
-        coeffs = tuple(int(c) for c in key.replace(",", " ").split())
+    for key, sign in signs.items():
+        try:
+            coeffs = tuple(int(c) for c in key.replace(",", " ").split())
+        except ValueError:
+            raise CartanTypeError(f"override key {key!r} is not a list of integers") from None
         if len(coeffs) != rs.rank:
             raise CartanTypeError(f"override key {key!r} has wrong rank")
-        overrides[coeffs] = int(sign)
+        if coeffs not in nonsimple:
+            raise CartanTypeError(f"override key {key!r} is not a non-simple positive root")
+        if type(sign) is not int or sign not in (1, -1):
+            raise CartanTypeError(f"override sign {sign!r} for {key!r} must be 1 or -1")
+        overrides[coeffs] = sign
     return rs, build_structure_table(rs, overrides or None)
 
 

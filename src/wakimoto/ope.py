@@ -99,10 +99,6 @@ class OpeResult:
     def order(self, q: int) -> FieldExpr:
         return self.poles.get(q, FieldExpr.zero())
 
-    @property
-    def max_pole(self) -> int:
-        return max(self.poles, default=0)
-
     def is_regular(self) -> bool:
         return all(v.is_zero for v in self.poles.values())
 

@@ -12,18 +12,21 @@ function applied to C:
     Q    = e^{-C}         (negative-negative block)
     S    = -B(-C)         (screening polynomials)
 
-plus the quantum correction F supplying the normal-ordering terms of the
-lowering currents.
+plus the k-free part F of the quantum correction supplying the
+normal-ordering terms of the lowering currents.  The construction is over Q:
+every coefficient is a ``Fraction``; the level k enters only in
+``currents.build_wakimoto``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .coeffs import Pol, RatFunc
-from .liealg import Label, RootSystem, StructureTable
+from .coeffs import SparsePoly
+from .liealg import RootSystem, StructureTable
 
 Expo = tuple[int, ...]  # one slot per positive root
 
@@ -36,19 +39,24 @@ class NilpotencyError(RuntimeError):
 # sparse polynomials in the x^alpha
 # ---------------------------------------------------------------------------
 
-class Poly:
-    """Multivariate polynomial in the triangular coordinates x^alpha.
+class Poly(SparsePoly):
+    """Multivariate polynomial over Q in the triangular coordinates x^alpha.
 
     Terms map exponent tuples (indexed by the fixed positive-root order) to
-    RatFunc coefficients.  No coefficient is ever zero (the zero polynomial
-    has no terms), so equality is structural.
+    Fraction coefficients; the arithmetic is the shared ``SparsePoly`` one.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, terms: Optional[dict[Expo, RatFunc]] = None):
+    def __init__(self, nvars: int, terms: Optional[dict[Expo, Fraction]] = None):
         self.nvars = nvars
-        self.terms: dict[Expo, RatFunc] = terms or {}
+        self.terms: dict[Expo, Fraction] = terms if terms is not None else {}
+        self._hash: Optional[int] = None
+
+    def _like(self, terms: dict[Expo, Fraction]) -> "Poly":
+        return Poly(self.nvars, terms)
+
+    __mul__ = SparsePoly.__mul__
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
@@ -56,98 +64,24 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        c = RatFunc.of(c)
-        if c.is_zero:
-            return Poly(nvars)
-        return Poly(nvars, {(0,) * nvars: c})
+        return Poly(nvars, {(0,) * nvars: Fraction(1)}).scale(c)
 
     @staticmethod
     def var(nvars: int, idx: int, c=1) -> "Poly":
         e = tuple(1 if j == idx else 0 for j in range(nvars))
-        c = RatFunc.of(c)
-        return Poly(nvars, {e: c} if not c.is_zero else {})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s.is_zero:
-                    del out[e]
-                else:
-                    out[e] = s
-        return Poly(self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly(self.nvars)
-        out: dict[Expo, RatFunc] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = c
-                else:
-                    s = s + c
-                    if s.is_zero:
-                        del out[e]
-                    else:
-                        out[e] = s
-        return Poly(self.nvars, out)
-
-    def scale(self, c) -> "Poly":
-        c = RatFunc.of(c)
-        if c.is_zero:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        return Poly(nvars, {e: Fraction(1)}).scale(c)
 
     def deriv(self, idx: int) -> "Poly":
-        out: dict[Expo, RatFunc] = {}
+        # e -> e - unit(idx) is injective on the terms it keeps, so no two
+        # terms collect and no coefficient cancels
+        out: dict[Expo, Fraction] = {}
         for e, c in self.terms.items():
-            if e[idx]:
-                e2 = tuple(v - 1 if j == idx else v for j, v in enumerate(e))
-                nc = c * e[idx]
-                s = out.get(e2)
-                out[e2] = nc if s is None else s + nc
-        return Poly(self.nvars, {e: c for e, c in out.items() if not c.is_zero})
-
-    def flip_sign_vars(self) -> "Poly":
-        """Substitute x -> -x on every variable."""
-        out = {}
-        for e, c in self.terms.items():
-            out[e] = -c if sum(e) % 2 else c
+            p = e[idx]
+            if p:
+                out[e[:idx] + (p - 1,) + e[idx + 1:]] = c * p
         return Poly(self.nvars, out)
 
-    def eval_zero(self) -> RatFunc:
-        return self.terms.get((0,) * self.nvars, RatFunc.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((e, c.key()) for e, c in self.terms.items())))
-
-    def sorted_terms(self) -> list[tuple[Expo, RatFunc]]:
+    def sorted_terms(self) -> list[tuple[Expo, Fraction]]:
         """Graded-lex order over the fixed positive-root variable order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-v for v in t[0])))
 
@@ -161,11 +95,11 @@ class Poly:
                 for i, p in enumerate(e)
                 if p
             )
-            cs = c.text()
+            cs = str(c)
             if mono:
                 bits.append(mono if cs == "1" else ("-" + mono if cs == "-1" else f"({cs})*{mono}"))
             else:
-                bits.append(cs if ("+" not in cs[1:] and "-" not in cs[1:]) else f"({cs})")
+                bits.append(cs)
         return " + ".join(bits).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -176,46 +110,24 @@ class Poly:
 # matrices of Poly over the full basis (+ roots, Cartan, - roots)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CMatrix:
-    """Adjoint-representation matrix of the generic raising element.
+def adjoint_matrix(tab: StructureTable) -> list[list[Poly]]:
+    """C_a^b(x) = -x^beta f_{beta a}^b, summed over positive beta.
 
-    Rows and columns run over the basis order [e_alpha..., h_i..., f_alpha...].
+    Rows and columns run over ``tab.basis()``: [e_alpha..., h_i..., f_alpha...].
     """
-
-    rs: RootSystem
-    entries: list[list[Poly]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
-
-def basis_labels(rs: RootSystem) -> list[Label]:
-    out: list[Label] = [("e", a) for a in rs.pos_roots]
-    out += [("h", i) for i in range(rs.rank)]
-    out += [("f", a) for a in rs.pos_roots]
-    return out
-
-
-def adjoint_matrix(tab: StructureTable, rs: RootSystem) -> CMatrix:
-    """C_a^b(x) = -x^beta f_{beta a}^b, summed over positive beta."""
-    labels = basis_labels(rs)
+    labels = tab.basis()
     index = {lab: i for i, lab in enumerate(labels)}
-    nv = rs.n_pos
+    nv = tab.rs.n_pos
     d = len(labels)
     entries = [[Poly.zero(nv) for _ in range(d)] for _ in range(d)]
-    for bi, beta in enumerate(rs.pos_roots):
+    for bi, beta in enumerate(tab.rs.pos_roots):
         for a in labels:
             for c, v in tab.bracket(("e", beta), a).items():
                 # bracket gives f_{beta a}^c
                 entries[index[a]][index[c]] = entries[index[a]][index[c]] + Poly.var(
                     nv, bi, -v
                 )
-    return CMatrix(rs, entries)
+    return entries
 
 
 def _mat_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
@@ -315,24 +227,24 @@ class RealizationPolys:
 
 
 def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationPolys:
-    C = adjoint_matrix(tab, rs)
+    C = adjoint_matrix(tab)
     np_ = rs.n_pos
     r = rs.rank
-    d = C.dim
+    d = len(C)
     height_bound = sum(rs.theta) * 2 + 2
     depth = min(d, 2 * sum(rs.theta) + 1) + 1
 
     bser, binv = bernoulli_series(depth)
-    exp_neg = [Fraction(-1) ** m / _factorial(m) for m in range(depth + 1)]
+    exp_neg = [Fraction((-1) ** m, math.factorial(m)) for m in range(depth + 1)]
 
-    BC = matrix_function(bser, C.entries, bound=height_bound)
-    negC = [[-p for p in row] for row in C.entries]
+    BC = matrix_function(bser, C, bound=height_bound)
+    negC = [[-p for p in row] for row in C]
     BnegC = matrix_function(bser, negC, bound=height_bound)
-    EnegC = matrix_function(exp_neg, C.entries, bound=height_bound)
-    Binv = matrix_function(binv, C.entries, bound=height_bound)
+    EnegC = matrix_function(exp_neg, C, bound=height_bound)
+    Binv = matrix_function(binv, C, bound=height_bound)
 
     V_plus = [[BC[a][b] for b in range(np_)] for a in range(np_)]
-    V_cartan = [[-C.entries[np_ + i][b] for b in range(np_)] for i in range(r)]
+    V_cartan = [[-C[np_ + i][b] for b in range(np_)] for i in range(r)]
     # V_minus = (e^{-C})_-^gamma B(-C)_gamma^beta, gamma over positive roots
     V_minus = []
     P = []
@@ -355,21 +267,14 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
     return RealizationPolys(rs, V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
 
 
-def _factorial(m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
 def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
-    """F_{alpha beta}: the normal-ordering corrections to the lowering currents.
+    """The k-free part of the normal-ordering corrections to the lowering currents.
 
-    F_{alpha beta} = (2k/alpha^2) (V_+^{-1})_beta^alpha
-                     + (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma
+    F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
+    the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
+    coefficient is added by ``currents.build_wakimoto``.
     """
     np_ = rs.n_pos
-    k = RatFunc.k()
     # precompute derivative tables
     dV_plus = [
         [[polys.V_plus[mu][g].deriv(s) for g in range(np_)] for s in range(np_)]
@@ -380,11 +285,10 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
         for a in range(np_)
     ]
     out: list[list[Poly]] = []
-    for a, alpha in enumerate(rs.pos_roots):
+    for a in range(np_):
         row: list[Poly] = []
-        pref = RatFunc.of(2) * k / RatFunc.of(rs.root_norm2(alpha))
         for b in range(np_):
-            acc = polys.V_plus_inv[b][a].scale(pref)
+            acc = Poly.zero(np_)
             for mu in range(np_):
                 if polys.V_plus_inv[b][mu].is_zero:
                     continue

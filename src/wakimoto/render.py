@@ -94,7 +94,8 @@ def latex_poly(p: Poly, names) -> str:
     if p.is_zero:
         return "0"
     bits = []
-    for expo, coef in p.sorted_terms():
+    for expo, c in p.sorted_terms():
+        coef = RatFunc.of(c)
         mono = "".join(
             f"x^{{{_root_tex(names[i])}}}" * m for i, m in enumerate(expo)
         )
@@ -160,7 +161,7 @@ def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
         body = "".join(latex_prim(p, ctx) + "\\," for p in prims)
         for key, e in pfs:
             inner = latex_fieldexpr(base_expr(key), ctx)
-            body += f"\\left({inner}\\right)^{{{_latex_exp(e)}}}"
+            body += f"\\left({inner}\\right)^{{{e.text()}}}"
         if vertex is not None:
             comps = []
             for i, c in enumerate(vertex):
@@ -175,10 +176,6 @@ def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
     for b in bits[1:]:
         out += b if b.startswith("-") else "+" + b
     return out
-
-
-def _latex_exp(e: Exp) -> str:
-    return e.text()
 
 
 def _term_order(kv):
@@ -282,7 +279,7 @@ def ope_from_json(data) -> OpeResult:
 
 def poly_to_json(p: Poly):
     return [
-        {"expo": list(expo), "coef": ratfunc_to_json(c)} for expo, c in p.sorted_terms()
+        {"expo": list(expo), "coef": ratfunc_to_json(RatFunc.of(c))} for expo, c in p.sorted_terms()
     ]
 
 

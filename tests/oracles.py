@@ -13,13 +13,13 @@ from fractions import Fraction
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.fields import FieldExpr, base_expr
 from wakimoto.liealg import RootSystem, StructureTable
-from wakimoto.polymat import Poly, RealizationPolys, _mat_mul, basis_labels
+from wakimoto.polymat import Poly, RealizationPolys, _mat_mul
 from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
 
 
 def adjoint_matrices(rs: RootSystem, tab: StructureTable) -> dict:
     """Matrix of ad(label) acting on the ordered basis, entries as Fractions."""
-    labels = basis_labels(rs)
+    labels = tab.basis()
     index = {lab: i for i, lab in enumerate(labels)}
     d = len(labels)
     out = {}
@@ -30,6 +30,11 @@ def adjoint_matrices(rs: RootSystem, tab: StructureTable) -> dict:
                 M[index[c]][index[b]] += v
         out[lab] = M
     return out
+
+
+def eval_zero(p: Poly) -> Fraction:
+    """The value of p at x = 0."""
+    return p.terms.get((0,) * p.nvars, Fraction(0))
 
 
 class DualMat:
@@ -90,10 +95,9 @@ def dual_exp(M: DualMat, d: int) -> DualMat:
     raise AssertionError("dual exponential did not truncate")
 
 
-def lie_elem(rs, admats, coeffs, nvars) -> list[list[Poly]]:
+def lie_elem(admats, coeffs, nvars) -> list[list[Poly]]:
     """Poly matrix for sum coeffs[label] * ad(label), coefficients Poly."""
-    labels = basis_labels(rs)
-    d = len(labels)
+    d = len(next(iter(admats.values())))
     zero = Poly.zero(nvars)
     out = [[zero for _ in range(d)] for _ in range(d)]
     for lab, poly in coeffs.items():
@@ -108,13 +112,12 @@ def lie_elem(rs, admats, coeffs, nvars) -> list[list[Poly]]:
 def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: RealizationPolys) -> list:
     """Verify the defining decomposition for every generator; returns failures."""
     admats = adjoint_matrices(rs, tab)
-    labels = basis_labels(rs)
-    d = len(labels)
+    d = len(tab.basis())
     np_ = rs.n_pos
     zero = Poly.zero(np_)
 
     gplus = lie_elem(
-        rs, admats, {("e", a): Poly.var(np_, i) for i, a in enumerate(rs.pos_roots)}, np_
+        admats, {("e", a): Poly.var(np_, i) for i, a in enumerate(rs.pos_roots)}, np_
     )
     E = dual_exp(DualMat(gplus, [[zero] * d for _ in range(d)]), d)
 
@@ -122,13 +125,13 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
     for a, alpha in enumerate(rs.pos_roots):
         # raising: G_+(x) e^{s e_a} = exp(g_+(x) + s V_a^b e_b)
         lhs = E * dual_exp(
-            DualMat([[zero] * d for _ in range(d)], lie_elem(rs, admats, {("e", alpha): Poly.const(np_, 1)}, np_)),
+            DualMat([[zero] * d for _ in range(d)], lie_elem(admats, {("e", alpha): Poly.const(np_, 1)}, np_)),
             d,
         )
         rhs = dual_exp(
             DualMat(
                 gplus,
-                lie_elem(rs, admats, {("e", b): polys.V_plus[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
+                lie_elem(admats, {("e", b): polys.V_plus[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
             ),
             d,
         )
@@ -139,7 +142,7 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
             dual_exp(
                 DualMat(
                     [[zero] * d for _ in range(d)],
-                    lie_elem(rs, admats, {("e", alpha): Poly.const(np_, -1)}, np_),
+                    lie_elem(admats, {("e", alpha): Poly.const(np_, -1)}, np_),
                 ),
                 d,
             )
@@ -148,7 +151,7 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
         rhs = dual_exp(
             DualMat(
                 gplus,
-                lie_elem(rs, admats, {("e", b): polys.S[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
+                lie_elem(admats, {("e", b): polys.S[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
             ),
             d,
         )
@@ -158,16 +161,16 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
     for i in range(rs.rank):
         # Cartan: G_+(x) e^{s h_i} = e^{s h_i} exp(g_+(x) + s V_i^b e_b)
         lhs = E * dual_exp(
-            DualMat([[zero] * d for _ in range(d)], lie_elem(rs, admats, {("h", i): Poly.const(np_, 1)}, np_)),
+            DualMat([[zero] * d for _ in range(d)], lie_elem(admats, {("h", i): Poly.const(np_, 1)}, np_)),
             d,
         )
         rhs = dual_exp(
-            DualMat([[zero] * d for _ in range(d)], lie_elem(rs, admats, {("h", i): Poly.const(np_, 1)}, np_)),
+            DualMat([[zero] * d for _ in range(d)], lie_elem(admats, {("h", i): Poly.const(np_, 1)}, np_)),
             d,
         ) * dual_exp(
             DualMat(
                 gplus,
-                lie_elem(rs, admats, {("e", b): polys.V_cartan[i][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
+                lie_elem(admats, {("e", b): polys.V_cartan[i][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
             ),
             d,
         )
@@ -178,27 +181,27 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
         # lowering: G_+(x) e^{s f_a}
         #   = exp(s Q_a^b f_b) exp(s P_a^j h_j) exp(g_+(x) + s V_{-a}^b e_b)
         lhs = E * dual_exp(
-            DualMat([[zero] * d for _ in range(d)], lie_elem(rs, admats, {("f", alpha): Poly.const(np_, 1)}, np_)),
+            DualMat([[zero] * d for _ in range(d)], lie_elem(admats, {("f", alpha): Poly.const(np_, 1)}, np_)),
             d,
         )
         mf = dual_exp(
             DualMat(
                 [[zero] * d for _ in range(d)],
-                lie_elem(rs, admats, {("f", b): polys.Q[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
+                lie_elem(admats, {("f", b): polys.Q[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
             ),
             d,
         )
         mh = dual_exp(
             DualMat(
                 [[zero] * d for _ in range(d)],
-                lie_elem(rs, admats, {("h", j): polys.P[a][j] for j in range(rs.rank)}, np_),
+                lie_elem(admats, {("h", j): polys.P[a][j] for j in range(rs.rank)}, np_),
             ),
             d,
         )
         me = dual_exp(
             DualMat(
                 gplus,
-                lie_elem(rs, admats, {("e", b): polys.V_minus[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
+                lie_elem(admats, {("e", b): polys.V_minus[a][bi] for bi, b in enumerate(rs.pos_roots)}, np_),
             ),
             d,
         )

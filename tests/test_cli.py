@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from wakimoto import cli
 from wakimoto.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main, parse_expression, _load
 from wakimoto.fields import FieldExpr
 from wakimoto.ope import contract
@@ -254,6 +255,43 @@ def test_jobs_only_on_verify(argv):
     assert exc.value.code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("abc", []), ("0", []), ("-2", []), ("1", ["--jobs", "0"]), ("1", ["--jobs", "x"]),
+])
+def test_bad_jobs_is_usage_error(monkeypatch, capsys, env, argv):
+    monkeypatch.setenv("WAKIMOTO_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--algebra", "A1", "--suite", "jacobi", *argv])
+    assert exc.value.code == EXIT_INPUT
+    assert "--jobs: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
+def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, jobs, cpus, workers):
+    """The pool is replaced by an in-process stand-in, so no process starts."""
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._sweep_pairs(_load("A1"), jobs, "A1") == []  # A1 has 9 ordered pairs
+    assert started == ([] if workers is None else [workers])
+
+
 def test_verify_jobs_matches_one_process(capsys):
     argv = ["verify", "--algebra", "A1", "--suite", "currents"]
     one = run(capsys, *argv)
@@ -301,3 +339,24 @@ def test_custom_b2_series_needs_the_builtin_signs(tmp_path, capsys, signs, code)
         json.dumps({"name": "my-b2", "cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": signs})
     )
     assert assert_screen_matches_suite(capsys, str(p), 2, "2") == code
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"a,b": -1}}',
+        '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"1,1": -1}',
+        '{"cartan_matrix": [[2, "x"], [-2, 2]]}',
+        '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"1,1": 2}}',
+        '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"5,5": -1}}',
+        '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"1,0": -1}}',
+    ],
+    ids=["key-not-integers", "invalid-json", "cartan-entry-not-integer", "sign-2",
+         "key-not-a-root", "key-simple-root"],
+)
+def test_malformed_algebra_json_is_input_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -184,7 +184,7 @@ def test_exchange_symmetry_on_random_expressions(ctx):
             expect = FieldExpr.zero()
             m = 0
             fact = 1
-            while r + m <= (ab.max_pole if ab.poles else 0):
+            while r + m <= max(ab.poles, default=0):
                 p = ab.order(r + m)
                 for _ in range(m):
                     p = p.derivative(ctx)
@@ -275,7 +275,7 @@ def test_graded_exchange_symmetry():
             expect = FieldExpr.zero()
             m = 0
             fact = 1
-            while r + m <= (ab.max_pole if ab.poles else 0):
+            while r + m <= max(ab.poles, default=0):
                 p = ab.order(r + m)
                 for _ in range(m):
                     p = p.derivative(ctx)
