@@ -26,7 +26,7 @@ from .currents import (
     sugawara_tensor,
     verify_current_algebra,
 )
-from .diffop import build_differential_realization, verify_realization
+from .diffop import verify_realization
 from .fields import PHI, FieldExpr, UnsupportedContraction
 from .liealg import CartanTypeError, get_algebra, verify_jacobi
 from .ope import central_charge, contract, free_field_tensor
@@ -38,6 +38,7 @@ from .render import (
     latex_diffop,
     latex_fieldexpr,
     ope_to_json,
+    poly_to_json,
 )
 from .screening import (
     DirectionError,
@@ -257,10 +258,9 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
         bad = verify_jacobi(cs.tab)
         return not bad, {"violations": [str(t) for t in bad]}
     if suite == "realization":
-        if not cs.ctx.bosonic:
+        if cs.ops is None:
             return True, {"skipped": "differential realization covers the bosonic algebras"}
-        ops = build_differential_realization(rs, cs.tab, cs.polys)
-        bad = verify_realization(ops, cs.tab)
+        bad = verify_realization(cs.ops, cs.tab)
         return not bad, {"violations": [str(t) for t in bad]}
     if suite == "currents":
         bad = _sweep_pairs(cs, jobs, selector)
@@ -357,11 +357,6 @@ def _report_json(cs: CurrentSet, rep):
 def cmd_realize(args) -> int:
     cs = _load(args.algebra)
     rs = cs.rs
-    ops = (
-        build_differential_realization(rs, cs.tab, cs.polys)
-        if cs.ctx.bosonic and cs.polys is not None
-        else None
-    )
     names = {label: _label_name(cs, label) for label in cs.labels()}
     if args.format == "json":
         data = {
@@ -374,48 +369,35 @@ def cmd_realize(args) -> int:
                 names[lab]: fieldexpr_to_json(expr) for lab, expr in cs.currents.items()
             },
         }
-        if ops is not None:
+        if cs.ops is not None:
             data["differential_operators"] = {
-                names[lab]: diffop_to_json(op) for lab, op in ops.items()
+                names[lab]: diffop_to_json(op) for lab, op in cs.ops.items()
             }
         if cs.polys is not None:
-            from .render import poly_to_json
-
             rnames = [rs.root_name(a) for a in rs.pos_roots]
+            cnames = [str(i + 1) for i in range(rs.rank)]
             polys = cs.polys
 
-            def fam(rows, col_names):
+            def fam(rows, row_names, col_names):
                 return {
-                    rnames[a]: {
-                        col_names[b]: poly_to_json(rows[a][b])
-                        for b in range(len(rows[a]))
-                        if not rows[a][b].is_zero
-                    }
-                    for a in range(len(rows))
+                    rn: {cn: poly_to_json(p) for cn, p in zip(col_names, row) if not p.is_zero}
+                    for rn, row in zip(row_names, rows)
                 }
 
-            cartan_names = [str(i + 1) for i in range(rs.rank)]
             data["polynomials"] = {
-                "V_plus": fam(polys.V_plus, rnames),
-                "V_cartan": {
-                    cartan_names[i]: {
-                        rnames[b]: poly_to_json(polys.V_cartan[i][b])
-                        for b in range(rs.n_pos)
-                        if not polys.V_cartan[i][b].is_zero
-                    }
-                    for i in range(rs.rank)
-                },
-                "V_minus": fam(polys.V_minus, rnames),
-                "P": fam(polys.P, cartan_names),
-                "Q": fam(polys.Q, rnames),
-                "S": fam(polys.S, rnames),
+                "V_plus": fam(polys.V_plus, rnames, rnames),
+                "V_cartan": fam(polys.V_cartan, cnames, rnames),
+                "V_minus": fam(polys.V_minus, rnames, rnames),
+                "P": fam(polys.P, rnames, cnames),
+                "Q": fam(polys.Q, rnames, rnames),
+                "S": fam(polys.S, rnames, rnames),
             }
         print(json.dumps(data, indent=2, sort_keys=True))
     elif args.format == "latex":
         lines = []
-        if ops is not None:
+        if cs.ops is not None:
             lines.append("% differential operator realization")
-            for lab, op in ops.items():
+            for lab, op in cs.ops.items():
                 lines.append(f"{names[lab]} &= {latex_diffop(op)} \\\\")
         lines.append("% free-field currents")
         for lab, expr in cs.currents.items():
@@ -566,10 +548,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, CartanTypeError, DirectionError, UnsupportedContraction) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, CartanTypeError, DirectionError, UnsupportedContraction, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

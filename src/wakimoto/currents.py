@@ -1,22 +1,26 @@
 """Wakimoto free-field currents and their algebra verification.
 
-The raising/Cartan/lowering currents come from the realization polynomials
-(over Q) by the substitution d_alpha -> beta_alpha, x^alpha -> gamma^alpha,
+The currents are the free-field image of the differential operators of
+``diffop.build_differential_realization`` under the one substitution
+``free_field_image``: x^alpha -> gamma^alpha, d_alpha -> beta_alpha,
 L_i -> sqrt(t) d phi_i, plus the anomalous d(gamma) corrections on the
 lowering side.  Those corrections are where the level k enters: the k-free
 part comes from ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part
-is added here.  The osp(2|2) current set is entered from its closed form
+is added here.  The screening composites are images under the same
+substitution.  The osp(2|2) current set is entered from its closed form
 and validated by the same graded OPE sweep as the generated algebras.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from typing import Optional, Sequence
 
 from .coeffs import RatFunc
-from .fields import PHI, FieldContext, FieldExpr
+from .diffop import DiffOp, build_differential_realization
+from .fields import PHI, FieldContext, FieldExpr, Prim
 from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
 from .ope import contract, regularized_product
 from .polymat import Poly, RealizationPolys, anomalous_term, realization_polynomials
@@ -31,6 +35,7 @@ class CurrentSet:
     ctx: FieldContext
     currents: dict[Label, FieldExpr]
     polys: Optional[RealizationPolys] = None
+    ops: Optional[dict[Label, DiffOp]] = None  # the differential operators the currents realize
 
     def labels(self) -> list[Label]:
         return list(self.currents)
@@ -39,64 +44,64 @@ class CurrentSet:
         return self.currents[label]
 
 
-def poly_to_fields(ctx: FieldContext, p: Poly) -> FieldExpr:
-    """Substitute x^alpha -> gamma^alpha (or c^alpha on odd roots)."""
-    out = FieldExpr.zero()
-    for expo, coef in p.terms.items():
-        term = FieldExpr.const(coef)
-        for pos, mult in enumerate(expo):
-            for _ in range(mult):
-                term = term * FieldExpr.prim(ctx.gamma_kind(pos), pos)
-        out = out + term
-    return out
+Slot = tuple[Prim, ...]
+
+
+def operator_slots(ctx: FieldContext) -> list[Slot]:
+    """The free field of each ``DiffOp`` slot: d_beta -> beta_beta, L_j -> sqrt(t) d phi_j."""
+    return [((ctx.beta_kind(b), b, 0),) for b in range(ctx.n_pos)] + [
+        ((PHI, j, 0),) for j in range(ctx.rank)
+    ]
+
+
+def free_field_image(
+    ctx: FieldContext, coeffs: Sequence[Poly], slots: Sequence[Slot], weights: Optional[Sequence] = None
+) -> FieldExpr:
+    """sum_i weights[i] coeffs[i](gamma) slots[i], canonicalized once.
+
+    x^alpha -> gamma^alpha (c^alpha on odd roots); a slot is a product of
+    primitives, () for none; the weights default to 1.
+    """
+    raw = []
+    for p, slot, w in zip(coeffs, slots, repeat(1) if weights is None else weights):
+        for expo, c in p.terms.items():
+            gammas = tuple(
+                (ctx.gamma_kind(pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
+            )
+            raw.append((RatFunc.of(c) * w, gammas + slot, (), None))
+    return FieldExpr._from_raw(raw)
 
 
 def build_wakimoto(
     rs: RootSystem, tab: StructureTable, polys: Optional[RealizationPolys] = None
 ) -> CurrentSet:
+    """The free-field image of the differential realization, plus the d gamma corrections.
+
+    The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
+    """
     if polys is None:
         polys = realization_polynomials(rs, tab)
     ctx = FieldContext.from_algebra(rs)
+    ops = build_differential_realization(rs, tab, polys)
     F_anom = anomalous_term(rs, polys)
     k = RatFunc.k()
     np_ = rs.n_pos
+    slots = operator_slots(ctx)
+    dgamma = [((ctx.gamma_kind(b), b, 1),) for b in range(np_)]
     currents: dict[Label, FieldExpr] = {}
-    for a, alpha in enumerate(rs.pos_roots):
-        expr = FieldExpr.zero()
-        for b in range(np_):
-            if not polys.V_plus[a][b].is_zero:
-                expr = expr + poly_to_fields(ctx, polys.V_plus[a][b]) * FieldExpr.prim(
-                    ctx.beta_kind(b), b
-                )
-        currents[("e", alpha)] = expr
-    for i in range(rs.rank):
-        expr = FieldExpr.prim(PHI, i)
-        for b in range(np_):
-            if not polys.V_cartan[i][b].is_zero:
-                expr = expr + poly_to_fields(ctx, polys.V_cartan[i][b]) * FieldExpr.prim(
-                    ctx.beta_kind(b), b
-                )
-        currents[("h", i)] = expr
-    for a, alpha in enumerate(rs.pos_roots):
-        expr = FieldExpr.zero()
-        for b in range(np_):
-            if not polys.V_minus[a][b].is_zero:
-                expr = expr + poly_to_fields(ctx, polys.V_minus[a][b]) * FieldExpr.prim(
-                    ctx.beta_kind(b), b
-                )
-        for j in range(rs.rank):
-            if not polys.P[a][j].is_zero:
-                expr = expr + poly_to_fields(ctx, polys.P[a][j]) * FieldExpr.prim(PHI, j)
-        level = k * (2 / rs.root_norm2(alpha))
-        for b in range(np_):
-            # d gamma^b coefficient: (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}
-            corr = poly_to_fields(ctx, polys.V_plus_inv[b][a]).scale(level) + poly_to_fields(
-                ctx, F_anom[a][b]
-            )
-            if not corr.is_structurally_zero:
-                expr = expr + corr * FieldExpr.prim(ctx.gamma_kind(b), b, 1)
-        currents[("f", alpha)] = expr
-    return CurrentSet(rs, tab, ctx, currents, polys)
+    for lab, op in ops.items():
+        if lab[0] != "f":
+            currents[lab] = free_field_image(ctx, op.coeffs, slots)
+            continue
+        a = rs.root_index(lab[1])
+        level = k * (2 / rs.root_norm2(lab[1]))
+        currents[lab] = free_field_image(
+            ctx,
+            op.coeffs + [polys.V_plus_inv[b][a] for b in range(np_)] + F_anom[a],
+            slots + dgamma + dgamma,
+            [1] * len(slots) + [level] * np_ + [1] * np_,
+        )
+    return CurrentSet(rs, tab, ctx, currents, polys, ops)
 
 
 @dataclass

@@ -177,7 +177,7 @@ class RootSystem:
         if root == self.theta:
             return "theta"
         if all(abs(c) <= 9 for c in root):
-            return "".join(str(c) for c in root if True) if sum(root) > 1 else str(root.index(1) + 1)
+            return "".join(str(c) for c in root) if sum(root) > 1 else str(root.index(1) + 1)
         return "-".join(str(c) for c in root)
 
     def parity(self, root: Root) -> int:
@@ -231,39 +231,21 @@ def _simple_norms(A: Sequence[Sequence[int]]) -> list[Fraction]:
 
 
 def _positive_definite(B: list[list[Fraction]]) -> bool:
-    """Leading principal minors of a symmetric Fraction matrix."""
-    r = len(B)
+    """Whether a symmetric Fraction matrix is positive definite.
+
+    The k-th pivot of elimination without row exchanges is the ratio of the
+    k-th to the (k-1)-th leading principal minor, so every minor is positive
+    exactly when every pivot is.
+    """
     M = [row[:] for row in B]
-    for s in range(1, r + 1):
-        sub = [[M[i][j] for j in range(s)] for i in range(s)]
-        det = _det(sub)
-        if det <= 0:
+    for col, prow in enumerate(M):
+        if prow[col] <= 0:
             return False
-    return True
-
-
-def _det(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if M[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for row in range(col + 1, n):
-            f = M[row][col] * inv
+        for row in M[col + 1:]:
+            f = row[col] / prow[col]
             if f:
-                M[row] = [a - f * b for a, b in zip(M[row], M[col])]
-    return det
+                row[:] = [a - f * b for a, b in zip(row, prow)]
+    return True
 
 
 def _invert(M: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -580,7 +562,7 @@ def build_structure_table(
 # ---------------------------------------------------------------------------
 
 def _bracket_elements(
-    tab: StructureTable, x: dict[Label, Fraction], y: dict[Label, Fraction], graded: bool = False
+    tab: StructureTable, x: dict[Label, Fraction], y: dict[Label, Fraction]
 ) -> dict[Label, Fraction]:
     out: dict[Label, Fraction] = {}
     for a, ca in x.items():

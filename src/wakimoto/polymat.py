@@ -13,7 +13,10 @@ function applied to C:
     S    = -B(-C)         (screening polynomials)
 
 plus the k-free part F of the quantum correction supplying the
-normal-ordering terms of the lowering currents.  The construction is over Q:
+normal-ordering terms of the lowering currents.  C is raised to its powers
+once (``nilpotent_powers``) and every series is summed over that one list
+(``matrix_function``); B(-C) is the Bernoulli series with its odd
+coefficients negated.  The construction is over Q:
 every coefficient is a ``Fraction``; the level k enters only in
 ``currents.build_wakimoto``.
 """
@@ -152,36 +155,39 @@ def _mat_is_zero(A: list[list[Poly]]) -> bool:
     return all(p.is_zero for row in A for p in row)
 
 
-def matrix_function(
-    series: Sequence[Fraction], M: list[list[Poly]], bound: Optional[int] = None
-) -> list[list[Poly]]:
-    """Sum series[m] * M^m until M^m vanishes (M must be nilpotent).
+def nilpotent_powers(M: list[list[Poly]], bound: Optional[int] = None) -> list[list[list[Poly]]]:
+    """[I, M, M^2, ...] through the last nonzero power of the nilpotent M.
 
-    ``bound`` caps the number of powers tried; exceeding it raises
-    NilpotencyError since the block structure guarantees truncation.
+    A nonzero M^m with m > ``bound`` (default: the dimension) raises
+    NilpotencyError, since the block structure guarantees truncation.
     """
     d = len(M)
     nv = M[0][0].nvars if d else 0
-    bound = bound if bound is not None else d + 1
-    out = [
-        [Poly.const(nv, series[0]) if i == j else Poly.zero(nv) for j in range(d)]
-        for i in range(d)
-    ]
-    power = None
-    for m in range(1, len(series)):
-        power = M if power is None else _mat_mul(power, M)
-        if _mat_is_zero(power):
-            return out
-        if m > bound:
-            raise NilpotencyError("series argument is not nilpotent within the dimension bound")
-        if series[m]:
+    bound = bound if bound is not None else d
+    powers = [[[Poly.const(nv, 1) if i == j else Poly.zero(nv) for j in range(d)] for i in range(d)]]
+    power = M
+    while not _mat_is_zero(power):
+        if len(powers) > bound:
+            raise NilpotencyError("matrix is not nilpotent within the bound")
+        powers.append(power)
+        power = _mat_mul(power, M)
+    return powers
+
+
+def matrix_function(
+    series: Sequence[Fraction], powers: list[list[list[Poly]]]
+) -> list[list[Poly]]:
+    """Sum series[m] * M^m over the power sequence of ``nilpotent_powers``."""
+    if len(series) < len(powers):
+        raise NilpotencyError("series truncated before the matrix power vanished")
+    d = len(powers[0])
+    out = [[p.scale(series[0]) for p in row] for row in powers[0]]
+    for c, power in zip(series[1:], powers[1:]):
+        if c:
             for i in range(d):
                 for j in range(d):
                     if not power[i][j].is_zero:
-                        out[i][j] = out[i][j] + power[i][j].scale(series[m])
-    # make sure we actually truncated
-    if power is not None and not _mat_is_zero(_mat_mul(power, M)):
-        raise NilpotencyError("series truncated before the matrix power vanished")
+                        out[i][j] = out[i][j] + power[i][j].scale(c)
     return out
 
 
@@ -235,35 +241,25 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
     depth = min(d, 2 * sum(rs.theta) + 1) + 1
 
     bser, binv = bernoulli_series(depth)
+    bser_neg = [-c if m % 2 else c for m, c in enumerate(bser)]
     exp_neg = [Fraction((-1) ** m, math.factorial(m)) for m in range(depth + 1)]
 
-    BC = matrix_function(bser, C, bound=height_bound)
-    negC = [[-p for p in row] for row in C]
-    BnegC = matrix_function(bser, negC, bound=height_bound)
-    EnegC = matrix_function(exp_neg, C, bound=height_bound)
-    Binv = matrix_function(binv, C, bound=height_bound)
+    powers = nilpotent_powers(C, height_bound)
+    BC = matrix_function(bser, powers)
+    Bneg = matrix_function(bser_neg, powers)
+    Eneg = matrix_function(exp_neg, powers)
+    Binv = matrix_function(binv, powers)
 
-    V_plus = [[BC[a][b] for b in range(np_)] for a in range(np_)]
-    V_cartan = [[-C[np_ + i][b] for b in range(np_)] for i in range(r)]
+    pos, cartan, neg = slice(0, np_), slice(np_, np_ + r), slice(np_ + r, None)
+    lower = Eneg[neg]  # rows -alpha of e^{-C}
+    V_plus = [row[pos] for row in BC[pos]]
+    V_cartan = [[-p for p in row[pos]] for row in C[cartan]]
     # V_minus = (e^{-C})_-^gamma B(-C)_gamma^beta, gamma over positive roots
-    V_minus = []
-    P = []
-    Q = []
-    for ai in range(np_):
-        row_idx = np_ + r + ai
-        vrow = []
-        for b in range(np_):
-            acc = Poly.zero(np_)
-            for g in range(np_):
-                if EnegC[row_idx][g].is_zero or BnegC[g][b].is_zero:
-                    continue
-                acc = acc + EnegC[row_idx][g] * BnegC[g][b]
-            vrow.append(acc)
-        V_minus.append(vrow)
-        P.append([EnegC[row_idx][np_ + j] for j in range(r)])
-        Q.append([EnegC[row_idx][np_ + r + b] for b in range(np_)])
-    S = [[-BnegC[a][b] for b in range(np_)] for a in range(np_)]
-    V_plus_inv = [[Binv[a][b] for b in range(np_)] for a in range(np_)]
+    V_minus = _mat_mul([row[pos] for row in lower], [row[pos] for row in Bneg[pos]])
+    P = [row[cartan] for row in lower]
+    Q = [row[neg] for row in lower]
+    S = [[-p for p in row[pos]] for row in Bneg[pos]]
+    V_plus_inv = [row[pos] for row in Binv[pos]]
     return RealizationPolys(rs, V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
 
 

@@ -24,10 +24,11 @@ from fractions import Fraction
 from typing import Union
 
 from .coeffs import Exp, RatFunc
-from .currents import CurrentSet, poly_to_fields
+from .currents import CurrentSet, free_field_image, operator_slots
 from .fields import FieldContext, FieldExpr
 from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
+from .polymat import Poly
 from .series import SeriesExpr
 
 
@@ -116,15 +117,7 @@ def _polys(cs: CurrentSet):
 
 def screening_composite(cs: CurrentSet, j: int) -> FieldExpr:
     """S_{alpha_j}^sigma(gamma) beta_sigma."""
-    polys = _polys(cs)
-    out = FieldExpr.zero()
-    for sig in range(cs.rs.n_pos):
-        p = polys.S[j][sig]
-        if not p.is_zero:
-            out = out + poly_to_fields(cs.ctx, p) * FieldExpr.prim(
-                cs.ctx.beta_kind(sig), sig
-            )
-    return out
+    return free_field_image(cs.ctx, _polys(cs).S[j], operator_slots(cs.ctx))
 
 
 def first_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
@@ -228,7 +221,7 @@ def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> F
     if q.is_zero:
         return FieldExpr.zero()
     pref = RatFunc.of(-2) * cs.ctx.t() / aj2
-    return poly_to_fields(cs.ctx, q).scale(pref) * FieldExpr.vertex(s.momentum)
+    return free_field_image(cs.ctx, [q], [()], [pref]) * FieldExpr.vertex(s.momentum)
 
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
@@ -242,7 +235,7 @@ def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldE
     base = screening_composite(cs, j)
     pref = RatFunc.of(-2) * cs.ctx.t() / aj2
     power = FieldExpr.power(base, Exp(-Fraction(2) / aj2, -1, 0))
-    return poly_to_fields(cs.ctx, q).scale(pref) * power * FieldExpr.vertex(s.momentum)
+    return free_field_image(cs.ctx, [q], [()], [pref]) * power * FieldExpr.vertex(s.momentum)
 
 
 def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> ScreeningReport:
@@ -380,16 +373,11 @@ def naive_second_kind_failure(cs: CurrentSet, j: int) -> NaiveFailure:
     u = -Fraction(2) / aj2
     p = Exp(u, 0, 0).as_ratfunc(cs.ctx.hvee)
     base = screening_composite(cs, j)
-    shape = FieldExpr.zero()
-    for tau in range(np_):
-        acc = None
-        for g in range(np_):
-            piece = polys.S[j][g] * polys.S[j][tau].deriv(g)
-            acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero:
-            shape = shape + poly_to_fields(cs.ctx, acc) * FieldExpr.prim(
-                cs.ctx.beta_kind(tau), tau
-            )
+    Sj = polys.S[j]
+    contracted = [
+        sum((Sj[g] * Sj[tau].deriv(g) for g in range(np_)), Poly.zero(np_)) for tau in range(np_)
+    ]
+    shape = free_field_image(cs.ctx, contracted, operator_slots(cs.ctx))
     expected = (
         shape
         * FieldExpr.power(base, Exp(u, -2, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -360,3 +361,34 @@ def test_malformed_algebra_json_is_input_error(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_algebra_path_that_is_a_directory_is_input_error(tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.mkdir()
+    code, out, err = run(capsys, "verify", "--algebra", str(p))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_JSON_SHA256 = {
+    name: digest
+    for digest, name in (
+        line.split() for line in (GOLDEN / "realize-json.sha256").read_text().splitlines()
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "algebra, fmt",
+    [("B2", "latex"), ("G2", "latex"), ("B2", "json"), ("G2", "json"), ("A3", "json"), ("C3", "json")],
+)
+def test_realize_output_is_pinned(capsys, algebra, fmt):
+    """``realize`` reproduces the stored LaTeX, and JSON with the stored sha256, byte for byte."""
+    code, out, err = run(capsys, "realize", "--algebra", algebra, "--format", fmt)
+    assert code == EXIT_OK and err == ""
+    if fmt == "latex":
+        assert out == (GOLDEN / f"realize-{algebra}.tex").read_text()
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == _JSON_SHA256[f"realize-{algebra}.json"]

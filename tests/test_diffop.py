@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto.diffop import (
     DiffOp,
@@ -17,12 +19,13 @@ from oracles import check_gauss_decomposition, eval_zero
 
 
 def make_op(rs, dspec, lspec):
-    op = DiffOp.zero(rs)
-    for pos, terms in dspec.items():
-        op.dpart[pos] = Poly(rs.n_pos, {e: Fraction(c) for e, c in terms.items()})
-    for j, terms in lspec.items():
-        op.lpart[j] = Poly(rs.n_pos, {e: Fraction(c) for e, c in terms.items()})
-    return op
+    """The operator with derivative coefficients ``dspec`` and weight coefficients ``lspec``."""
+    slots = {**dspec, **{rs.n_pos + j: terms for j, terms in lspec.items()}}
+    coeffs = [
+        Poly(rs.n_pos, {e: Fraction(c) for e, c in slots.get(i, {}).items()})
+        for i in range(rs.n_pos + rs.rank)
+    ]
+    return DiffOp(rs, coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +79,9 @@ def test_full_bracket_table(label):
 def test_verify_detects_broken_operator(b2_setup):
     rs, tab, ops = b2_setup
     broken = dict(ops)
-    bad = DiffOp.zero(rs)
-    bad.dpart = list(ops[("e", (1, 0))].dpart)
-    bad.dpart[0] = bad.dpart[0] + Poly.var(rs.n_pos, 1)
-    broken[("e", (1, 0))] = bad
+    coeffs = list(ops[("e", (1, 0))].coeffs)
+    coeffs[0] = coeffs[0] + Poly.var(rs.n_pos, 1)
+    broken[("e", (1, 0))] = DiffOp(rs, coeffs)
     assert verify_realization(broken, tab) != []
 
 
@@ -101,3 +103,38 @@ def test_gauss_decomposition_oracle(label):
     tab = build_structure_table(rs)
     polys = realization_polynomials(rs, tab)
     assert check_gauss_decomposition(rs, tab, polys) == []
+
+
+# Random first-order operators on B2's four coordinates, applied to a test
+# polynomial in (x^1, x^2, x^11, x^theta, L1, L2): the L_j are extra variables
+# that no derivative touches, and an operator's weight part multiplies.
+_B2 = build_root_system("B2")
+_NX, _NL = _B2.n_pos, _B2.rank
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+def _polys(nvars, max_size):
+    return st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), _coef, max_size=max_size)
+
+
+_ops = st.lists(_polys(_NX, 3), min_size=_NX + _NL, max_size=_NX + _NL).map(
+    lambda specs: DiffOp(_B2, [Poly(_NX, dict(t)) for t in specs])
+)
+
+
+def _apply(op, f):
+    """op(f) with op's coefficients lifted to the variables (x..., L...)."""
+    nv = f.nvars
+    out = Poly.zero(nv)
+    for i, c in enumerate(op.coeffs):
+        lifted = Poly(nv, {e + (0,) * _NL: v for e, v in c.terms.items()})
+        out = out + lifted * (f.deriv(i) if i < _NX else Poly.var(nv, i) * f)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ops, _ops, _polys(_NX + _NL, 4))
+def test_commutator_acts_as_its_definition(a, b, fspec):
+    f = Poly(_NX + _NL, dict(fspec))
+    c = commutator(a, b)
+    assert _apply(c, f) == _apply(a, _apply(b, f)) - _apply(b, _apply(a, f))

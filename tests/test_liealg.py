@@ -91,6 +91,10 @@ def test_rejects_non_finite_type():
         build_root_system([[2, 0], [0, 2]])  # disconnected
     with pytest.raises(CartanTypeError):
         build_root_system([[2, -1], [-5, 2]])
+    with pytest.raises(CartanTypeError):
+        build_root_system([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])  # affine A2^(1)
+    with pytest.raises(CartanTypeError):
+        build_root_system([[2, -3], [-3, 2]])  # hyperbolic
 
 
 def test_b2_structure_constants_match_reference():

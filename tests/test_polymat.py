@@ -17,6 +17,7 @@ from wakimoto.polymat import (
     anomalous_term,
     bernoulli_series,
     matrix_function,
+    nilpotent_powers,
     realization_polynomials,
     _mat_mul,
 )
@@ -97,7 +98,7 @@ def test_matrix_function_identity_at_zero_argument():
     rs, tab = b2()
     M = [[Poly.zero(rs.n_pos) for _ in range(3)] for _ in range(3)]
     series = [Fraction(7), Fraction(1), Fraction(1, 2)]
-    out = matrix_function(series, M)
+    out = matrix_function(series, nilpotent_powers(M))
     for i in range(3):
         for j in range(3):
             assert out[i][j] == (Poly.const(rs.n_pos, 7) if i == j else Poly.zero(rs.n_pos))
@@ -107,7 +108,29 @@ def test_matrix_function_rejects_non_nilpotent():
     one = Poly.const(1, 1)
     M = [[one]]
     with pytest.raises(NilpotencyError):
-        matrix_function([Fraction(1)] * 30, M, bound=5)
+        nilpotent_powers(M, bound=5)
+
+
+def shift_matrix(d):
+    """The d x d nilpotent shift: N^(d-1) != 0, N^d = 0."""
+    return [
+        [Poly.const(1, 1) if j == i + 1 else Poly.zero(1) for j in range(d)] for i in range(d)
+    ]
+
+
+def test_nilpotent_powers_raises_past_its_bound():
+    N = shift_matrix(3)
+    assert len(nilpotent_powers(N)) == 3
+    assert len(nilpotent_powers(N, bound=2)) == 3
+    with pytest.raises(NilpotencyError):
+        nilpotent_powers(N, bound=1)
+
+
+def test_matrix_function_refuses_short_series():
+    powers = nilpotent_powers(shift_matrix(3))
+    assert matrix_function([Fraction(1)] * 3, powers)[0][2] == Poly.const(1, 1)
+    with pytest.raises(NilpotencyError):
+        matrix_function([Fraction(1)] * 2, powers)
 
 
 def test_exp_inverse_on_b2():
@@ -119,8 +142,9 @@ def test_exp_inverse_on_b2():
         fact.append(fact[-1] * m)
     exp_p = [Fraction(1) / fact[m] for m in range(depth)]
     exp_m = [Fraction(-1) ** m / fact[m] for m in range(depth)]
-    E = matrix_function(exp_p, C)
-    Einv = matrix_function(exp_m, C)
+    powers = nilpotent_powers(C)
+    E = matrix_function(exp_p, powers)
+    Einv = matrix_function(exp_m, powers)
     prod = _mat_mul(E, Einv)
     for i in range(len(C)):
         for j in range(len(C)):
