@@ -256,12 +256,12 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
     rs = cs.rs
     if suite == "jacobi":
         bad = verify_jacobi(cs.tab)
-        return not bad, {"violations": [str(t) for t in bad]}
+        return not bad, {"triples": len(cs.tab.basis()) ** 3, "violations": [str(t) for t in bad]}
     if suite == "realization":
         if cs.ops is None:
             return True, {"skipped": "differential realization covers the bosonic algebras"}
         bad = verify_realization(cs.ops, cs.tab)
-        return not bad, {"violations": [str(t) for t in bad]}
+        return not bad, {"pairs": len(cs.ops) ** 2, "violations": [str(t) for t in bad]}
     if suite == "currents":
         bad = _sweep_pairs(cs, jobs, selector)
         det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]

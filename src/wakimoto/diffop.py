@@ -5,12 +5,21 @@ are central symbols (the lowest-weight labels).  It is stored as one vector
 of coefficients over the slots (d_beta..., L_j...); since no derivative
 touches an L_j, the commutator of two such operators is first order again
 and acts on every slot alike, so the whole realization lives in this class.
+
+Brackets are taken over the integers: coefficients and structure constants
+are scaled by their common denominator D, and an exponent tuple e is packed
+into the int sum_sig e_sig B^sig with base B = 2 emax + 1 (emax the largest
+single exponent), so a product of two coefficients never carries.  Each
+operator's partial derivatives d_sig(coeff_i) are tabulated once; one slot
+kernel serves ``commutator`` and ``verify_realization``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .liealg import Label, RootSystem, StructureTable
@@ -23,10 +32,6 @@ class DiffOp:
 
     rs: RootSystem
     coeffs: list[Poly]  # n_pos derivative coefficients, then rank weight coefficients
-
-    @staticmethod
-    def zero(rs: RootSystem) -> "DiffOp":
-        return DiffOp(rs, [Poly.zero(rs.n_pos) for _ in range(rs.n_pos + rs.rank)])
 
     @property
     def dpart(self) -> list[Poly]:
@@ -49,11 +54,6 @@ class DiffOp:
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return (self - other).is_zero
-
     def text(self) -> str:
         names = [self.rs.root_name(a) for a in self.rs.pos_roots]
         slots = [f"d_{n}" for n in names] + [f"L{j + 1}" for j in range(self.rs.rank)]
@@ -64,24 +64,47 @@ class DiffOp:
         return f"DiffOp({self.text()})"
 
 
+def _packed(ops: list[DiffOp], consts=()) -> tuple[int, int, list]:
+    """Pack ``ops`` over the integers: (D, B, [(coeffs, jac) per operator]).
+
+    D is the common denominator of every coefficient and constant, B = 2 emax + 1, the
+    coefficients are D-scaled, and jac[i] lists (sig, d_sig coeffs[i]) for each nonzero one."""
+    terms = [t for op in ops for p in op.coeffs for t in p.terms.items()]
+    D = math.lcm(*(c.denominator for _, c in terms), *(c.denominator for c in consts))
+    B = 2 * max((x for e, _ in terms for x in e), default=0) + 1
+    powers = [B**s for s in range(ops[0].rs.n_pos if ops else 0)]
+
+    def pack(p: Poly) -> dict[int, int]:
+        return {sum(map(mul, e, powers)): c.numerator * (D // c.denominator) for e, c in p.terms.items()}
+
+    return D, B, [
+        ([pack(p) for p in op.coeffs],
+         [[(s, pack(d)) for s in range(len(powers)) if not (d := p.deriv(s)).is_zero] for p in op.coeffs])
+        for op in ops
+    ]
+
+
+def _bracket_slot(a: tuple, b: tuple, i: int, acc: dict[int, int]) -> dict[int, int]:
+    """Add D^2 (a^sig d_sig b_i - b^sig d_sig a_i) to acc and return it."""
+    for (coeffs, _), (_, jac), sign in ((a, b, 1), (b, a, -1)):
+        for s, dy in jac[i]:
+            for m1, c1 in coeffs[s].items():
+                c1 *= sign
+                for m2, c2 in dy.items():
+                    m = m1 + m2
+                    acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b]: out_i = a^sig d_sig b_i - b^sig d_sig a_i on every slot i (the L_j are central)."""
-    np_ = a.rs.n_pos
-    da = [(sig, p) for sig, p in enumerate(a.coeffs[:np_]) if not p.is_zero]
-    db = [(sig, p) for sig, p in enumerate(b.coeffs[:np_]) if not p.is_zero]
-    out = []
-    for ai, bi in zip(a.coeffs, b.coeffs):
-        acc = Poly.zero(np_)
-        for sig, pa in da:
-            d = bi.deriv(sig)
-            if not d.is_zero:
-                acc = acc + pa * d
-        for sig, pb in db:
-            d = ai.deriv(sig)
-            if not d.is_zero:
-                acc = acc - pb * d
-        out.append(acc)
-    return DiffOp(a.rs, out)
+    D, B, (pa, pb) = _packed([a, b])
+    powers = [B**s for s in range(a.rs.n_pos)]
+
+    def unpack(acc: dict[int, int]) -> Poly:
+        return Poly(len(powers), {tuple(m // w % B for w in powers): Fraction(c, D * D) for m, c in acc.items() if c})
+
+    return DiffOp(a.rs, [unpack(_bracket_slot(pa, pb, i, {})) for i in range(len(a.coeffs))])
 
 
 def build_differential_realization(
@@ -103,18 +126,20 @@ def build_differential_realization(
     return ops
 
 
-def realized(ops: dict[Label, DiffOp], coeffs: dict[Label, Fraction]) -> DiffOp:
-    out = DiffOp.zero(next(iter(ops.values())).rs)
-    for lab, c in coeffs.items():
-        out = out + ops[lab].scale(c)
-    return out
-
-
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
-    """Check [J_a, J_b] = f_ab^c J_c on every basis pair; return failures."""
-    return [
-        (a, b)
-        for a in ops
-        for b in ops
-        if not (commutator(ops[a], ops[b]) - realized(ops, tab.bracket(a, b))).is_zero
-    ]
+    """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures."""
+    D, _, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
+    packed = dict(zip(ops, packed))
+    bad = []
+    for a, pa in packed.items():
+        for b, pb in packed.items():
+            rhs = [(packed[c][0], int(D * v)) for c, v in tab.bracket(a, b).items()]
+            for i in range(len(pa[0])):
+                acc: dict[int, int] = {}
+                for coeffs, v in rhs:
+                    for m, c in coeffs[i].items():
+                        acc[m] = acc.get(m, 0) - v * c
+                if any(_bracket_slot(pa, pb, i, acc).values()):
+                    bad.append((a, b))
+                    break
+    return bad

@@ -11,8 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from wakimoto.coeffs import Exp, RatFunc
+from wakimoto.diffop import DiffOp
 from wakimoto.fields import FieldExpr, base_expr
-from wakimoto.liealg import RootSystem, StructureTable
+from wakimoto.liealg import Label, RootSystem, StructureTable
 from wakimoto.polymat import Poly, RealizationPolys, _mat_mul
 from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
 
@@ -209,6 +210,103 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
         if not lhs == rhs:
             failures.append(("f", alpha))
     return failures
+
+
+# ---------------------------------------------------------------------------
+# Fraction bracket-table oracles: the structure checks over Q, term by term
+# ---------------------------------------------------------------------------
+
+def commutator_fraction(a: DiffOp, b: DiffOp) -> DiffOp:
+    """[a, b] slot by slot in ``Poly`` arithmetic, re-deriving every partial."""
+    np_ = a.rs.n_pos
+    da = [(sig, p) for sig, p in enumerate(a.coeffs[:np_]) if not p.is_zero]
+    db = [(sig, p) for sig, p in enumerate(b.coeffs[:np_]) if not p.is_zero]
+    out = []
+    for ai, bi in zip(a.coeffs, b.coeffs):
+        acc = Poly.zero(np_)
+        for sig, pa in da:
+            d = bi.deriv(sig)
+            if not d.is_zero:
+                acc = acc + pa * d
+        for sig, pb in db:
+            d = ai.deriv(sig)
+            if not d.is_zero:
+                acc = acc - pb * d
+        out.append(acc)
+    return DiffOp(a.rs, out)
+
+
+def realized(ops: dict[Label, DiffOp], coeffs: dict[Label, Fraction]) -> DiffOp:
+    """The operator sum_c coeffs[c] J_c."""
+    rs = next(iter(ops.values())).rs
+    out = DiffOp(rs, [Poly.zero(rs.n_pos)] * (rs.n_pos + rs.rank))
+    for lab, c in coeffs.items():
+        out = out + ops[lab].scale(c)
+    return out
+
+
+def realization_failures_fraction(ops: dict[Label, DiffOp], tab: StructureTable) -> list:
+    """Ordered pairs (a, b) with [J_a, J_b] != f_ab^c J_c, in ``ops`` order."""
+    return [
+        (a, b)
+        for a in ops
+        for b in ops
+        if not (commutator_fraction(ops[a], ops[b]) - realized(ops, tab.bracket(a, b))).is_zero
+    ]
+
+
+def _bracket_elements(
+    tab: StructureTable, x: dict[Label, Fraction], y: dict[Label, Fraction]
+) -> dict[Label, Fraction]:
+    out: dict[Label, Fraction] = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for c, v in tab.bracket(a, b).items():
+                val = ca * cb * v
+                if val:
+                    out[c] = out.get(c, Fraction(0)) + val
+    return {c: v for c, v in out.items() if v}
+
+
+def jacobi_failures_fraction(tab: StructureTable) -> list:
+    """Basis triples violating the graded Jacobi identity, over Q."""
+    basis = tab.basis()
+    bad = []
+    for a in basis:
+        pa = tab.label_parity(a)
+        for b in basis:
+            pb = tab.label_parity(b)
+            for c in basis:
+                # [[a,b],c] - [a,[b,c]] + (-1)^{|a||b|} [b,[a,c]] = 0
+                acc: dict[Label, Fraction] = {}
+
+                def add(coeffs: dict[Label, Fraction], sign: int) -> None:
+                    for lab, v in coeffs.items():
+                        acc[lab] = acc.get(lab, Fraction(0)) + sign * v
+
+                add(_bracket_elements(tab, tab.bracket(a, b), {c: Fraction(1)}), 1)
+                add(_bracket_elements(tab, {a: Fraction(1)}, tab.bracket(b, c)), -1)
+                s = -1 if (pa and pb) else 1
+                add(_bracket_elements(tab, {b: Fraction(1)}, tab.bracket(a, c)), s)
+                if any(v for v in acc.values()):
+                    bad.append((a, b, c))
+    return bad
+
+
+def verify_killing_invariance(tab: StructureTable) -> list:
+    """kappa([x,y],z) = kappa(x,[y,z]) on all basis triples; returns the violating ones."""
+    basis = tab.basis()
+    bad = []
+    for a in basis:
+        for b in basis:
+            ab = tab.bracket(a, b)
+            for c in basis:
+                lhs = sum((v * tab.kappa_of(lab, c) for lab, v in ab.items()), Fraction(0))
+                bc = tab.bracket(b, c)
+                rhs = sum((v * tab.kappa_of(a, lab) for lab, v in bc.items()), Fraction(0))
+                if lhs != rhs:
+                    bad.append((a, b, c))
+    return bad
 
 
 # ---------------------------------------------------------------------------

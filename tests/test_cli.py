@@ -82,6 +82,21 @@ def test_verify_a1_all(capsys):
     assert all(v["status"] == "pass" for v in data["suites"].values())
 
 
+def test_verify_a1_all_says_what_the_structure_suites_checked(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "A1", "--suite", "all")
+    suites = json.loads(out)["suites"]
+    assert suites["jacobi"]["details"] == {"triples": 27, "violations": []}
+    assert suites["realization"]["details"] == {"pairs": 9, "violations": []}
+
+
+def test_verify_d4_realization(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "D4", "--suite", "realization")
+    assert code == EXIT_OK
+    suite = json.loads(out)["suites"]["realization"]
+    assert suite["status"] == "pass"
+    assert suite["details"] == {"pairs": 28 ** 2, "violations": []}
+
+
 def test_verify_naive_second_kind(capsys):
     code, out, err = run(
         capsys,

@@ -1,3 +1,5 @@
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,22 @@ from wakimoto.diffop import (
     DiffOp,
     build_differential_realization,
     commutator,
-    realized,
     verify_realization,
 )
-from wakimoto.liealg import build_root_system, build_structure_table
+from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.polymat import Poly, realization_polynomials
 
 from fixtures_b2 import B2_DIFFOPS
-from oracles import check_gauss_decomposition, eval_zero
+from oracles import (
+    check_gauss_decomposition,
+    commutator_fraction,
+    eval_zero,
+    realization_failures_fraction,
+    realized,
+)
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 
 def make_op(rs, dspec, lspec):
@@ -68,12 +78,22 @@ def test_commutator_basics(b2_setup):
     assert (commutator(e1, f1) - expected).is_zero
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4"])
 def test_full_bracket_table(label):
     rs = build_root_system(label)
     tab = build_structure_table(rs)
     ops = build_differential_realization(rs, tab)
     assert verify_realization(ops, tab) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_full_bracket_table_on_sign_flipped_json_algebras(tmp_path, seed):
+    # the A4 and C3 algebra files of the benchmark's realization workload,
+    # whose seed draws the extraspecial sign of every non-simple root
+    workloads.build("realization", seed, str(tmp_path))
+    for alg in ("A4", "C3"):
+        rs, tab = get_algebra(str(tmp_path / f"{alg}.json"))
+        assert verify_realization(build_differential_realization(rs, tab), tab) == []
 
 
 def test_verify_detects_broken_operator(b2_setup):
@@ -138,3 +158,55 @@ def test_commutator_acts_as_its_definition(a, b, fspec):
     f = Poly(_NX + _NL, dict(fspec))
     c = commutator(a, b)
     assert _apply(c, f) == _apply(a, _apply(b, f)) - _apply(b, _apply(a, f))
+
+
+def test_commutator_packs_without_carrying():
+    # on the first two coordinates, x1^5 d_2 (x1^5 x2^5) = 5 x1^10 x2^4: with emax = 5
+    # a packing base of emax + 1 = 6 would carry x1^10 into x1^4 x2^5
+    a = make_op(_B2, {1: {(5, 0, 0, 0): 1}, 3: {(0, 0, 5, 0): Fraction(2, 3)}}, {})
+    b = make_op(
+        _B2,
+        {0: {(5, 5, 0, 0): 1}, 2: {(0, 5, 5, 0): Fraction(1, 2)}},
+        {0: {(0, 5, 0, 5): 3}, 1: {(1, 1, 1, 1): -1}},
+    )
+    c = commutator(a, b)
+    assert c == commutator_fraction(a, b)
+    assert c.coeffs[0].terms == {(10, 4, 0, 0): Fraction(5)}
+    for fspec in ({(1, 1, 1, 1, 0, 0): 1}, {(0, 3, 2, 1, 1, 0): Fraction(-1, 2)}, {(2, 0, 0, 3, 0, 1): 4}):
+        f = Poly(_NX + _NL, fspec)
+        assert _apply(c, f) == _apply(a, _apply(b, f)) - _apply(b, _apply(a, f))
+
+
+def _realization(label):
+    rs, tab = get_algebra(label)
+    return rs, tab, build_differential_realization(rs, tab)
+
+
+_REALIZATIONS = {label: _realization(label) for label in ("B2", "G2")}
+
+
+@st.composite
+def _perturbed_realization(draw):
+    """The B2 or G2 realization with one operator perturbed: a monomial with a rational
+    coefficient added to one slot, or the whole operator scaled by a rational other than 1."""
+    rs, tab, ops = _REALIZATIONS[draw(st.sampled_from(sorted(_REALIZATIONS)))]
+    lab = draw(st.sampled_from(list(ops)))
+    op = ops[lab]
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, len(op.coeffs) - 1))
+        mono = draw(st.tuples(*[st.integers(0, 2)] * rs.n_pos))
+        coeffs = list(op.coeffs)
+        coeffs[slot] = coeffs[slot] + Poly(rs.n_pos, {mono: draw(_coef)})
+        op = DiffOp(rs, coeffs)
+    else:
+        op = op.scale(draw(_coef.filter(lambda c: c != 1)))
+    return tab, {**ops, lab: op}
+
+
+@settings(deadline=None, max_examples=20)
+@given(_perturbed_realization())
+def test_verify_realization_matches_fraction_oracle(case):
+    tab, ops = case
+    bad = verify_realization(ops, tab)
+    assert bad == realization_failures_fraction(ops, tab)
+    assert bad

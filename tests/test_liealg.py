@@ -1,6 +1,9 @@
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto.liealg import (
     CartanTypeError,
@@ -9,8 +12,9 @@ from wakimoto.liealg import (
     get_algebra,
     osp22_fixture,
     verify_jacobi,
-    verify_killing_invariance,
 )
+
+from oracles import jacobi_failures_fraction, verify_killing_invariance
 
 
 def brute_force_closure(cartan):
@@ -125,7 +129,7 @@ def test_sum_not_root_gives_zero():
     assert tab.bracket(("e", (1, 0)), ("e", (1, 2))) == {}
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "G2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "G2", "D4"])
 def test_jacobi_holds(label):
     rs = build_root_system(label)
     tab = build_structure_table(rs)
@@ -139,6 +143,33 @@ def test_jacobi_detects_sign_flip():
     key = (("e", (1, 0)), ("e", (0, 1)))
     tab.f[key] = {("e", (1, 1)): Fraction(-1)}
     assert verify_jacobi(tab) != []
+
+
+_TABLES = {label: get_algebra(label)[1] for label in ("B2", "G2", "OSP22")}
+
+
+@st.composite
+def _perturbed_table(draw):
+    """One f_ab^c shifted by a nonzero rational, with its graded-antisymmetric partner f_ba^c."""
+    tab = copy.deepcopy(_TABLES[draw(st.sampled_from(sorted(_TABLES)))])
+    basis = tab.basis()
+    a, b = draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2, unique=True))
+    c = draw(st.sampled_from(basis))
+    delta = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    partner = delta if tab.label_parity(a) and tab.label_parity(b) else -delta
+    for x, y, v in ((a, b, delta), (b, a, partner)):
+        out = dict(tab.bracket(x, y))
+        out[c] = out.get(c, Fraction(0)) + v
+        tab.f[(x, y)] = {lab: w for lab, w in out.items() if w}
+    return tab
+
+
+@settings(deadline=None, max_examples=40)
+@given(_perturbed_table())
+def test_verify_jacobi_matches_fraction_oracle(tab):
+    bad = verify_jacobi(tab)
+    assert bad == jacobi_failures_fraction(tab)
+    assert bad
 
 
 def test_sign_override_still_consistent():
