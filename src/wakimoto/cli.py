@@ -5,7 +5,8 @@ verify (run verification suites), screen (build and check screening
 currents), ope (ad-hoc operator products in a small expression grammar).
 
 Exit codes: 0 all checks pass, 1 a mathematical verification failed,
-2 input or configuration error.
+2 input or configuration error, 141 (128 + SIGPIPE) the reader of stdout
+went away before the output was written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .coeffs import RatFunc
 from .currents import (
     CurrentSet,
     build_wakimoto,
+    check_pair,
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
@@ -52,6 +54,7 @@ from .screening import (
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(ValueError):
@@ -231,6 +234,11 @@ def parse_expression(cs: CurrentSet, text: str) -> FieldExpr:
 # ---------------------------------------------------------------------------
 
 def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
+    """Violations of every ordered pair, in pair order whatever the number of workers.
+
+    Pairs go to workers greedily, costliest first, each to the least-loaded
+    worker; a pair costs the product of its two currents' term counts.
+    """
     labels = cs.labels()
     pairs = [(a, b) for a in labels for b in labels]
     workers = min(jobs, os.cpu_count() or 1, len(pairs))
@@ -238,17 +246,25 @@ def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
         return verify_current_algebra(cs, pairs)
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [pairs[i::workers] for i in range(workers)]
-    bad = []
+    cost = [len(cs[a].terms) * len(cs[b].terms) for a, b in pairs]
+    chunks: list[list] = [[] for _ in range(workers)]
+    load = [0] * workers
+    for i in sorted(range(len(pairs)), key=lambda i: -cost[i]):
+        w = load.index(min(load))
+        chunks[w].append((i, pairs[i]))
+        load[w] += cost[i]
+    found: dict[int, list] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_sweep_worker, [(selector, c) for c in chunks]):
-            bad.extend(part)
-    return bad
+            found.update(part)
+    return [v for i in sorted(found) for v in found[i]]
 
 
 def _sweep_worker(args):
-    selector, pairs = args
-    return verify_current_algebra(_load(selector), pairs)
+    """{pair index: violations} for one chunk of (index, pair) items."""
+    selector, items = args
+    cs = _load(selector)
+    return {i: check_pair(cs, a, b) for i, (a, b) in items}
 
 
 def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, selector: str = "B2"):
@@ -547,7 +563,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # a closed stdout is not bad input; send the unwritten rest nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (InputError, CartanTypeError, DirectionError, UnsupportedContraction, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

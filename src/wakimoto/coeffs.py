@@ -21,6 +21,12 @@ divides the numerator.  Linear forms are irreducible, so two values are
 equal exactly when their numerators and denominators are; equality and
 hashing are structural, and division by a factor of degree above 1 raises
 ``ValueError``.
+
+Every stored coefficient is a RatFunc, but rational values may travel as
+plain ints and Fractions in between: ``RatFunc.plain`` unwraps them for the
+Wick engine (``ope.contract``) and for canonicalization
+(``fields.FieldExpr._from_raw``), which wraps each result once.  A RatFunc
+mixes with an int or a Fraction in every arithmetic operation.
 """
 
 from __future__ import annotations
@@ -306,6 +312,8 @@ class RatFunc:
     def of(value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
+        if type(value) is Fraction:
+            return RatFunc(Pol({(0, 0): value} if value else {}))
         if isinstance(value, Pol):
             return RatFunc(value)
         return RatFunc(Pol.const(value))
@@ -439,6 +447,15 @@ class RatFunc:
     @property
     def is_rational(self) -> bool:
         return self.num.is_const and not self.den
+
+    def plain(self) -> Scalar:
+        """The value as an int (when integral, for C-speed arithmetic) or a
+        Fraction when it is a plain rational, else self."""
+        terms = self.num.terms
+        if self.den or len(terms) > 1 or (terms and (0, 0) not in terms):
+            return self
+        c = terms.get((0, 0), 0)
+        return c.numerator if c.denominator == 1 else c
 
     def key(self) -> tuple:
         """Sortable structural key; equal exactly when the values are equal."""

@@ -16,6 +16,11 @@ factors dropped, vertices merged, power factors with equal bases merged, and
 nonnegative-integer constant powers expanded.  Zero-testing expands power
 factors of a common base to the least constant offset present, after which
 distinct factor structures are linearly independent.
+
+Raw terms handed to ``FieldExpr._from_raw`` may carry int, Fraction or
+RatFunc coefficients.  Rational ones are summed as plain numbers, and each
+output coefficient is wrapped as a RatFunc once, so every coefficient
+stored in a FieldExpr is a RatFunc.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .coeffs import Exp, RatFunc
+from .coeffs import Exp, RatFunc, Scalar
 from .liealg import RootSystem
 
 # primitive kinds, in canonical factor order
@@ -117,6 +122,11 @@ def prim_parity(p: Prim) -> int:
 
 def _sort_prims(prims: Sequence[Prim]) -> Optional[tuple[int, tuple[Prim, ...]]]:
     """Stable graded sort; None when an odd factor squares to zero."""
+    for p in prims:
+        if KIND_PARITY[p[0]]:
+            break
+    else:
+        return 1, tuple(sorted(prims))
     lst = list(prims)
     sign = 1
     # insertion sort, counting odd-odd transpositions
@@ -189,13 +199,22 @@ class FieldExpr:
 
     @staticmethod
     def _from_raw(
-        raw: Iterable[tuple[RatFunc, Sequence[Prim], Sequence[PF], Optional[Momentum]]]
+        raw: Iterable[tuple[Scalar, Sequence[Prim], Sequence[PF], Optional[Momentum]]]
     ) -> "FieldExpr":
-        out: dict[Term, RatFunc] = {}
+        """The canonical sum of raw (coef, prims, pfs, vertex) terms.
+
+        A raw coefficient is an int, a Fraction or a RatFunc.  Rational
+        values are carried as plain numbers, so equal terms are summed as
+        numbers, and each output coefficient is wrapped as a RatFunc once.
+        """
+        out: dict[Term, Scalar] = {}
         stack = list(raw)
         while stack:
             coef, prims, pfs, vertex = stack.pop()
-            if coef.is_zero:
+            if type(coef) is RatFunc:
+                coef = coef.plain()
+            # a RatFunc left by plain() is not constant, hence not zero
+            if not coef:
                 continue
             sorted_ = _sort_prims(prims)
             if sorted_ is None:
@@ -236,11 +255,13 @@ class FieldExpr:
                 out[term] = coef
             else:
                 cur = cur + coef
-                if cur.is_zero:
-                    del out[term]
-                else:
+                if type(cur) is RatFunc:
+                    cur = cur.plain()
+                if cur:
                     out[term] = cur
-        return FieldExpr(out)
+                else:
+                    del out[term]
+        return FieldExpr({t: RatFunc.of(c) for t, c in out.items()})
 
     # -- ring operations ---------------------------------------------------
 

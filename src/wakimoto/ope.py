@@ -13,7 +13,17 @@ inside a power-factor base) has only a regular part, so it is skipped unless
 the regular part is asked for.  Each Wick pattern is appended as a raw term
 to its pole order, and every order is canonicalized once at the end.  Pair
 kernels and the Taylor towers of the surviving z parts are tabulated per
-call.
+call, and each w term's items are built once per call: every walk restores
+them.  The walk passes its running pole order and coefficient product down,
+and holds no closures, so a call leaves no reference cycles behind.
+
+Plain rationals travel as ints and Fractions: ghost kernels are ints, and
+the coefficients of the operands' terms and of the Taylor levels are
+unwrapped once per call (``RatFunc.plain``).  Only symbolic values stay
+``RatFunc``: the t of scalar-leg kernels, vertex momenta, power-factor
+bases and exponents.  Python's operator dispatch mixes the two, so there
+is one code path.  Canonicalization wraps every output coefficient, so
+every coefficient of the result is a ``RatFunc``.
 
 The result maps pole orders to expressions at w; order 0 (the point-split
 normal product) is used for the Sugawara construction.
@@ -23,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .coeffs import ONE, RatFunc
+from .coeffs import ONE, RatFunc, Scalar
 from .fields import (
     BETA,
     BGH,
@@ -46,26 +57,27 @@ _FACT = [1]
 for _i in range(1, 40):
     _FACT.append(_FACT[-1] * _i)
 
+# Contraction partners.  A z-side factor is keyed by (kind, label); the
+# w side of a term lists the keys of every z-side factor that can contract
+# with one of its factors.  Scalar legs contract across labels, so their
+# keys carry no label.
+_PARTNER_KIND = {BETA: GAMMA, GAMMA: BETA, BGH: CGH, CGH: BGH}
+_LEG = (PHI, -1)
+_VERTEX = (-1, -1)
 
-def pair_kernel(ctx: FieldContext, zp: Prim, wp: Prim) -> Optional[tuple[int, RatFunc]]:
-    """(pole order, coefficient) of <zp(z) wp(w)>, or None."""
+
+def pair_kernel(ctx: FieldContext, zp: Prim, wp: Prim) -> Optional[tuple[int, Scalar]]:
+    """(pole order, coefficient) of <zp(z) wp(w)>, or None; ghost kernels are ints."""
     kz, lz, m = zp
     kw, lw, l = wp
-    if kz == BETA and kw == GAMMA and lz == lw:
-        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _FACT[m + l]))
-    if kz == GAMMA and kw == BETA and lz == lw:
-        return m + l + 1, RatFunc.of(Fraction(-((-1) ** m) * _FACT[m + l]))
-    if kz == BGH and kw == CGH and lz == lw:
-        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _FACT[m + l]))
-    if kz == CGH and kw == BGH and lz == lw:
-        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _FACT[m + l]))
-    if kz == PHI and kw == PHI:
-        g = ctx.G[lz][lw]
-        if not g:
+    if kz == PHI:
+        if kw != PHI or not ctx.G[lz][lw]:
             return None
-        coef = ctx.t() * Fraction(g * (-1) ** m * _FACT[m + l + 1])
-        return m + l + 2, coef
-    return None
+        return m + l + 2, ctx.t() * (ctx.G[lz][lw] * (-1) ** m * _FACT[m + l + 1])
+    if kw != _PARTNER_KIND[kz] or lz != lw:
+        return None
+    coef = (-1) ** m * _FACT[m + l]
+    return m + l + 1, -coef if kz == GAMMA and kw == BETA else coef
 
 
 def vertex_kernel_z(momentum: Momentum, zp: Prim) -> Optional[tuple[int, RatFunc]]:
@@ -76,7 +88,7 @@ def vertex_kernel_z(momentum: Momentum, zp: Prim) -> Optional[tuple[int, RatFunc
     mu = momentum[label]
     if mu.is_zero:
         return None
-    return m + 1, mu * Fraction((-1) ** m * _FACT[m])
+    return m + 1, mu * ((-1) ** m * _FACT[m])
 
 
 def vertex_kernel_w(momentum: Momentum, wp: Prim) -> Optional[tuple[int, RatFunc]]:
@@ -87,7 +99,7 @@ def vertex_kernel_w(momentum: Momentum, wp: Prim) -> Optional[tuple[int, RatFunc
     mu = momentum[label]
     if mu.is_zero:
         return None
-    return l + 1, -mu * Fraction(_FACT[l])
+    return l + 1, mu * -_FACT[l]
 
 
 @dataclass
@@ -122,12 +134,47 @@ class _WItem:
         self.parity = prim_parity(prim) if kind == _WPRIM else 0
 
 
-def _pf_channels(kernel, base: BaseKey, zp: Prim):
+class _ZTerm:
+    """A left-hand term: its factors, which of them are still uncontracted,
+    and the parity of the odd factors to the right of each one."""
+
+    __slots__ = ("prims", "vertex", "coef", "keys", "alive", "odd_after")
+
+    def __init__(self, term: Term, coef: RatFunc):
+        self.prims, _, self.vertex = term
+        self.coef = coef.plain()
+        self.keys = _z_keys(term)
+        self.alive = [True] * len(self.prims)
+        self.odd_after = [
+            sum(map(prim_parity, self.prims[i + 1:])) & 1 for i in range(len(self.prims))
+        ]
+
+
+class _WTerm:
+    """A right-hand term and its w-side items, built once per contract() call.
+
+    A walk leaves ``items`` as it found them: every item alive, every
+    exponent restored and every inserted remainder removed again.
+    """
+
+    __slots__ = ("vertex", "coef", "partners", "items")
+
+    def __init__(self, term: Term, coef: RatFunc):
+        prims, pfs, self.vertex = term
+        self.coef = coef.plain()
+        self.partners = _w_partners(term)
+        self.items = [_WItem(_WPRIM, prim=p) for p in prims]
+        self.items += [_WItem(_WPF, base=key, exp=exp) for key, exp in pfs]
+        if self.vertex is not None:
+            self.items.append(_WItem(_WVERT))
+
+
+def _pf_channels(kernels: "_Table", base: BaseKey, zp: Prim):
     """Ways zp can strike one copy of the base: (order, coef, remainder prims)."""
     out = []
     for prims, bcoef in base:
         for i, g in enumerate(prims):
-            ker = kernel(zp, g)
+            ker = kernels[zp, g]
             if ker is None:
                 continue
             # sign to pull g to the front of its copy
@@ -137,17 +184,22 @@ def _pf_channels(kernel, base: BaseKey, zp: Prim):
                     if prim_parity(h):
                         sgn = -sgn
             remainder = prims[:i] + prims[i + 1:]
-            out.append((ker[0], ker[1] * bcoef * sgn, remainder, prim_parity(g)))
+            out.append((ker[0], ker[1] * bcoef.plain() * sgn, remainder))
     return out
 
 
-# Contraction partners.  A z-side factor is keyed by (kind, label); the
-# w side of a term lists the keys of every z-side factor that can contract
-# with one of its factors.  Scalar legs contract across labels, so their
-# keys carry no label.
-_PARTNER_KIND = {BETA: GAMMA, GAMMA: BETA, BGH: CGH, CGH: BGH}
-_LEG = (PHI, -1)
-_VERTEX = (-1, -1)
+class _Table(dict):
+    """A memo table: a missing key is filled with ``fn(*key)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
 
 
 def _z_keys(term: Term) -> set:
@@ -188,20 +240,20 @@ def contract(
     included as order 0.
     """
     run = _Contraction(ctx, min_order)
-    w_terms = [(tb, cb, _w_partners(tb)) for tb, cb in B.terms.items()]
+    w_terms = [_WTerm(tb, cb) for tb, cb in B.terms.items()]
     for ta, ca in A.terms.items():
         if ta[1]:
             raise UnsupportedContraction(
                 "symbolic power factors on the left operand are not supported"
             )
-        z_keys = _z_keys(ta)
-        for tb, cb, partners in w_terms:
-            if ta[2] is not None and tb[2] is not None:
+        z = _ZTerm(ta, ca)
+        for w in w_terms:
+            if z.vertex is not None and w.vertex is not None:
                 raise UnsupportedContraction("vertex-vertex contraction is out of scope")
             # with no contraction possible the pair only has an order-0 part
-            if min_order >= 1 and z_keys.isdisjoint(partners):
+            if min_order >= 1 and z.keys.isdisjoint(w.partners):
                 continue
-            _contract_pair(run, ta, ca, tb, cb)
+            run.walk(z, w, 0, 0, z.coef * w.coef)
     poles = {}
     for q, raw in run.raw.items():
         expr = FieldExpr._from_raw(raw)
@@ -216,27 +268,22 @@ def regularized_product(ctx: FieldContext, A: FieldExpr, B: FieldExpr) -> FieldE
 
 
 class _Contraction:
-    """State of one contract() call: lookup tables and raw terms per pole order."""
+    """One contract() call: lookup tables, the Wick walk, raw terms per pole order.
+
+    The walk of a term pair is a depth-first search over the contractions of
+    the z factors, in order.  Each step passes the running pole order ``q``
+    and coefficient product ``coef`` down, so a leaf emits without
+    multiplying the contractions out again.
+    """
 
     def __init__(self, ctx: FieldContext, min_order: int):
         self.ctx = ctx
         self.min_order = min_order
-        self.kernels: dict[tuple[Prim, Prim], Optional[tuple[int, RatFunc]]] = {}
-        self.channels: dict[tuple[BaseKey, Prim], list] = {}
+        # (zp, wp) -> pair_kernel(ctx, zp, wp); (base, zp) -> _pf_channels(...)
+        self.kernels = _Table(partial(pair_kernel, ctx))
+        self.channels = _Table(partial(_pf_channels, self.kernels))
         self.towers: dict[tuple, tuple[list[FieldExpr], list[list]]] = {}
         self.raw: dict[int, list] = {}
-
-    def kernel(self, zp: Prim, wp: Prim) -> Optional[tuple[int, RatFunc]]:
-        key = (zp, wp)
-        if key not in self.kernels:
-            self.kernels[key] = pair_kernel(self.ctx, zp, wp)
-        return self.kernels[key]
-
-    def pf_channels(self, base: BaseKey, zp: Prim) -> list:
-        key = (base, zp)
-        if key not in self.channels:
-            self.channels[key] = _pf_channels(self.kernel, base, zp)
-        return self.channels[key]
 
     def taylor(self, prims: tuple[Prim, ...], vertex, top: int) -> list[list]:
         """Levels m = 0..top of the Taylor tower d^m/m! of :prims vertex: as
@@ -251,132 +298,99 @@ class _Contraction:
             levels.append(_level(exprs[-1], _FACT[len(levels)]))
         return levels[: top + 1]
 
+    def walk(self, z: _ZTerm, w: _WTerm, iz: int, q: int, coef: Scalar) -> None:
+        """Contract z factor ``iz`` and the ones after it in every way."""
+        if iz == len(z.prims):
+            if z.vertex is None:
+                self.emit(z, w, q, coef)
+            else:
+                self.vertex_legs(z, w, 0, q, coef)
+            return
+        zp = z.prims[iz]
+        # leave the factor for Taylor expansion
+        self.walk(z, w, iz + 1, q, coef)
+        z.alive[iz] = False
+        # both contracted factors are odd or both even; an odd pair picks up
+        # a sign from every odd factor crossed in between
+        odd = prim_parity(zp)
+        crossed = z.odd_after[iz]
+        kernels = self.kernels
+        items = w.items
+        for pos, item in enumerate(items):
+            if not item.alive:
+                continue
+            if item.kind == _WPRIM:
+                ker = kernels[zp, item.prim]
+                if ker is not None:
+                    item.alive = False
+                    kc = -ker[1] if odd and crossed else ker[1]
+                    self.walk(z, w, iz + 1, q + ker[0], coef * kc)
+                    item.alive = True
+                crossed ^= item.parity
+            elif item.kind == _WPF:
+                channels = self.channels[item.base, zp]
+                if not channels:
+                    continue
+                pval = item.exp.as_ratfunc(self.ctx.hvee)
+                if odd and crossed:
+                    pval = -pval
+                old_exp = item.exp
+                item.exp = old_exp - 1
+                item.alive = not (item.exp.is_const and item.exp.v == 0)
+                for order, kc, remainder in channels:
+                    items[pos:pos] = [_WItem(_WPRIM, prim=p) for p in remainder]
+                    self.walk(z, w, iz + 1, q + order, coef * (kc * pval))
+                    del items[pos: pos + len(remainder)]
+                item.exp = old_exp
+                item.alive = True
+            else:  # vertex
+                ker = vertex_kernel_z(w.vertex, zp)
+                if ker is not None:
+                    self.walk(z, w, iz + 1, q + ker[0], coef * ker[1])
+        z.alive[iz] = True
 
-def _contract_pair(run: _Contraction, ta: Term, ca: RatFunc, tb: Term, cb: RatFunc) -> None:
-    """Append every Wick pattern of one term pair to ``run.raw``."""
-    ctx = run.ctx
-    min_order = run.min_order
-    zprims, _, zvertex = ta
-    wprims, wpfs, wvertex = tb
+    def vertex_legs(self, z: _ZTerm, w: _WTerm, widx: int, q: int, coef: Scalar) -> None:
+        """Optional contractions of the z vertex with surviving w scalar legs."""
+        items = w.items
+        if widx == len(items):
+            self.emit(z, w, q, coef)
+            return
+        item = items[widx]
+        self.vertex_legs(z, w, widx + 1, q, coef)
+        if item.alive and item.kind == _WPRIM and item.prim[0] == PHI:
+            ker = vertex_kernel_w(z.vertex, item.prim)
+            if ker is not None:
+                item.alive = False
+                self.vertex_legs(z, w, widx + 1, q + ker[0], coef * ker[1])
+                item.alive = True
 
-    zalive = [True] * len(zprims)
-    witems: list[_WItem] = [_WItem(_WPRIM, prim=p) for p in wprims]
-    for key, exp in wpfs:
-        witems.append(_WItem(_WPF, base=key, exp=exp))
-    if wvertex is not None:
-        witems.append(_WItem(_WVERT))
-
-    base_coef = ca * cb
-    contractions: list[tuple[int, RatFunc]] = []
-
-    def crossing_parity(iz: int, pos: int) -> int:
-        odd = 0
-        for j in range(iz + 1, len(zprims)):
-            if zalive[j] and prim_parity(zprims[j]):
-                odd ^= 1
-        for item in witems[:pos]:
-            if item.alive and item.parity:
-                odd ^= 1
-        return odd
-
-    def emit() -> None:
-        q = sum(o for o, _ in contractions)
+    def emit(self, z: _ZTerm, w: _WTerm, q: int, coef: Scalar) -> None:
+        """Append one Wick pattern: the surviving z part is Taylor-expanded about w."""
+        min_order = self.min_order
         if q < min_order:
             return
-        coef = base_coef
-        for _, c in contractions:
-            coef = coef * c
-        if coef.is_zero:
-            return
-        # surviving w part; the surviving z part is Taylor-expanded about w
-        wleft = [item for item in witems if item.alive]
+        wleft = [item for item in w.items if item.alive]
         rest_prims = tuple(item.prim for item in wleft if item.kind == _WPRIM)
         rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == _WPF)
-        zleft = tuple(p for p, alive in zip(zprims, zalive) if alive)
-        for m, level in enumerate(run.taylor(zleft, zvertex, q - min_order)):
-            bucket = run.raw.setdefault(q - m, [])
+        zleft = tuple(p for p, alive in zip(z.prims, z.alive) if alive)
+        for m, level in enumerate(self.taylor(zleft, z.vertex, q - min_order)):
+            bucket = self.raw.setdefault(q - m, [])
             for tc, tprims, tvertex in level:
                 bucket.append((
                     coef * tc,
                     tprims + rest_prims,
                     rest_pfs,
-                    tvertex if tvertex is not None else wvertex,
+                    tvertex if tvertex is not None else w.vertex,
                 ))
-
-    def stage_two(widx: int) -> None:
-        # optional contractions of the z vertex with surviving scalar legs
-        if zvertex is None or widx == len(witems):
-            emit()
-            return
-        item = witems[widx]
-        stage_two(widx + 1)
-        if item.alive and item.kind == _WPRIM and item.prim[0] == PHI:
-            ker = vertex_kernel_w(zvertex, item.prim)
-            if ker is not None:
-                item.alive = False
-                contractions.append(ker)
-                stage_two(widx + 1)
-                contractions.pop()
-                item.alive = True
-
-    def walk(iz: int) -> None:
-        if iz == len(zprims):
-            stage_two(0)
-            return
-        zp = zprims[iz]
-        # leave the factor for Taylor expansion
-        walk(iz + 1)
-        zalive[iz] = False
-        for pos, item in enumerate(witems):
-            if not item.alive:
-                continue
-            if item.kind == _WPRIM:
-                ker = run.kernel(zp, item.prim)
-                if ker is None:
-                    continue
-                # both contracted factors are odd or both even; an odd pair
-                # picks up a sign from every odd factor crossed in between
-                sgn = -1 if (prim_parity(zp) and crossing_parity(iz, pos)) else 1
-                item.alive = False
-                contractions.append((ker[0], ker[1] * sgn))
-                walk(iz + 1)
-                contractions.pop()
-                item.alive = True
-            elif item.kind == _WPF:
-                for order, coef, remainder, gpar in run.pf_channels(item.base, zp):
-                    sgn = 1
-                    if prim_parity(zp) and crossing_parity(iz, pos):
-                        sgn = -1
-                    pval = item.exp.as_ratfunc(ctx.hvee)
-                    old_exp = item.exp
-                    item.exp = old_exp - 1
-                    dropped = item.exp.is_const and item.exp.v == 0
-                    if dropped:
-                        item.alive = False
-                    inserted = [_WItem(_WPRIM, prim=p) for p in remainder]
-                    for off, it in enumerate(inserted):
-                        witems.insert(pos + off, it)
-                    contractions.append((order, coef * pval * sgn))
-                    walk(iz + 1)
-                    contractions.pop()
-                    del witems[pos: pos + len(inserted)]
-                    item.exp = old_exp
-                    item.alive = True
-            else:  # vertex
-                ker = vertex_kernel_z(wvertex, zp)
-                if ker is not None:
-                    contractions.append(ker)
-                    walk(iz + 1)
-                    contractions.pop()
-        zalive[iz] = True
-
-    walk(0)
 
 
 def _level(expr: FieldExpr, fact: int) -> list:
     """Terms of ``expr`` divided by ``fact`` as (coef, prims, vertex) triples."""
     inv = Fraction(1, fact)
-    return [(c * inv, prims, vertex) for (prims, _, vertex), c in expr.terms.items()]
+    return [
+        (c.plain() * inv if fact > 1 else c.plain(), prims, vertex)
+        for (prims, _, vertex), c in expr.terms.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,18 @@ from fractions import Fraction
 
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.diffop import DiffOp
-from wakimoto.fields import FieldExpr, base_expr
+from wakimoto.fields import (
+    BETA,
+    BGH,
+    CGH,
+    GAMMA,
+    PHI,
+    FieldExpr,
+    UnsupportedContraction,
+    _base_sort_key,
+    base_expr,
+    prim_parity,
+)
 from wakimoto.liealg import Label, RootSystem, StructureTable
 from wakimoto.polymat import Poly, RealizationPolys, _mat_mul
 from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
@@ -524,3 +535,254 @@ def ratfuncs_equal_by_evaluation(x: RatFunc, y: RatFunc) -> bool:
     pairs = [(a, b) for a, b in zip(ratfunc_values(x), ratfunc_values(y)) if None not in (a, b)]
     assert len(pairs) >= 3, "too many sample points hit a pole"
     return all(a == b for a, b in pairs)
+
+
+# ---------------------------------------------------------------------------
+# Wick engine over RatFunc coefficients
+# ---------------------------------------------------------------------------
+#
+# The Wick engine as it stood before plain rationals were carried through
+# it: every kernel, product and sum is a RatFunc, every term pair builds its
+# own w-side items, the crossing sign is rescanned at each contraction, and
+# terms are canonicalized by a RatFunc-only copy of the canonicalization.
+
+_REF_FACT = [1]
+for _i in range(1, 40):
+    _REF_FACT.append(_REF_FACT[-1] * _i)
+
+
+def from_raw_reference(raw) -> FieldExpr:
+    """Canonical form of raw (RatFunc coef, prims, pfs, vertex) terms, summed as RatFuncs."""
+    out = {}
+    stack = [(RatFunc.of(c), p, f, v) for c, p, f, v in raw]
+    while stack:
+        coef, prims, pfs, vertex = stack.pop()
+        if coef.is_zero:
+            continue
+        lst = list(prims)
+        sign = 1
+        for i in range(1, len(lst)):
+            j = i
+            while j > 0 and lst[j - 1] > lst[j]:
+                if prim_parity(lst[j - 1]) and prim_parity(lst[j]):
+                    sign = -sign
+                lst[j - 1], lst[j] = lst[j], lst[j - 1]
+                j -= 1
+        if any(a == b and prim_parity(a) for a, b in zip(lst, lst[1:])):
+            continue
+        sp = tuple(lst)
+        if sign < 0:
+            coef = -coef
+        grouped = {}
+        for key, exp in pfs:
+            grouped[key] = grouped[key] + exp if key in grouped else exp
+        kept = []
+        expand = None
+        for key in sorted(grouped, key=_base_sort_key):
+            exp = grouped[key]
+            if exp.is_const:
+                if exp.v == 0:
+                    continue
+                if exp.v.denominator == 1 and exp.v > 0:
+                    expand = (key, int(exp.v))
+                    continue
+            kept.append((key, exp))
+        if expand is not None:
+            key, power = expand
+            rest = tuple(kept + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0))
+            for bprims, bcoef in key:
+                stack.append((coef * bcoef, sp + bprims, rest, vertex))
+            continue
+        term = (sp, tuple(kept), vertex)
+        cur = out.get(term)
+        if cur is None:
+            out[term] = coef
+        else:
+            cur = cur + coef
+            if cur.is_zero:
+                del out[term]
+            else:
+                out[term] = cur
+    return FieldExpr(out)
+
+
+def _derivative_reference(ctx, expr: FieldExpr) -> FieldExpr:
+    """d(expr) for an expression without power factors (a z-side part)."""
+    raw = []
+    for (prims, pfs, vertex), coef in expr.terms.items():
+        assert not pfs
+        for i, p in enumerate(prims):
+            raw.append((coef, prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:], (), vertex))
+        if vertex is not None:
+            for j, nu in enumerate(ctx.vertex_phi_coupling(vertex)):
+                if not nu.is_zero:
+                    raw.append((coef * nu, prims + ((PHI, j, 0),), (), vertex))
+    return from_raw_reference(raw)
+
+
+def _pair_kernel_reference(ctx, zp, wp):
+    kz, lz, m = zp
+    kw, lw, l = wp
+    if kz == BETA and kw == GAMMA and lz == lw:
+        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _REF_FACT[m + l]))
+    if kz == GAMMA and kw == BETA and lz == lw:
+        return m + l + 1, RatFunc.of(Fraction(-((-1) ** m) * _REF_FACT[m + l]))
+    if kz == BGH and kw == CGH and lz == lw:
+        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _REF_FACT[m + l]))
+    if kz == CGH and kw == BGH and lz == lw:
+        return m + l + 1, RatFunc.of(Fraction((-1) ** m * _REF_FACT[m + l]))
+    if kz == PHI and kw == PHI:
+        g = ctx.G[lz][lw]
+        if not g:
+            return None
+        return m + l + 2, ctx.t() * Fraction(g * (-1) ** m * _REF_FACT[m + l + 1])
+    return None
+
+
+def _vertex_kernel_reference(momentum, prim, z_side: bool):
+    kind, label, m = prim
+    if kind != PHI or momentum[label].is_zero:
+        return None
+    mu = momentum[label]
+    if z_side:
+        return m + 1, mu * Fraction((-1) ** m * _REF_FACT[m])
+    return m + 1, -mu * Fraction(_REF_FACT[m])
+
+
+class _RefItem:
+    def __init__(self, kind, prim=None, base=None, exp=None):
+        self.kind = kind  # "prim", "pf" or "vertex"
+        self.prim = prim
+        self.base = base
+        self.exp = exp
+        self.alive = True
+        self.parity = prim_parity(prim) if kind == "prim" else 0
+
+
+def _taylor_reference(ctx, prims, vertex, top):
+    """Levels m = 0..top of d^m/m! of :prims vertex: as (RatFunc, prims, vertex)
+    triples, up to and including the first (empty) level that vanishes."""
+    expr = from_raw_reference([(RatFunc.one(), prims, (), vertex)])
+    levels = []
+    for m in range(top + 1):
+        inv = Fraction(1, _REF_FACT[m])
+        levels.append([(c * inv, p, v) for (p, _, v), c in expr.terms.items()])
+        if expr.is_structurally_zero:
+            break
+        expr = _derivative_reference(ctx, expr)
+    return levels
+
+
+def contract_reference(ctx, A: FieldExpr, B: FieldExpr, *, min_order: int = 1) -> dict:
+    """{pole order: FieldExpr} of A(z)B(w) for the orders >= min_order."""
+    raw = {}
+    for ta, ca in A.terms.items():
+        if ta[1]:
+            raise UnsupportedContraction("symbolic power factors on the left operand are not supported")
+        for tb, cb in B.terms.items():
+            if ta[2] is not None and tb[2] is not None:
+                raise UnsupportedContraction("vertex-vertex contraction is out of scope")
+            _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb)
+    poles = {}
+    for q, terms in raw.items():
+        expr = from_raw_reference(terms)
+        if not expr.is_structurally_zero:
+            poles[q] = expr
+    return poles
+
+
+def _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb):
+    zprims, _, zvertex = ta
+    wprims, wpfs, wvertex = tb
+    zalive = [True] * len(zprims)
+    witems = [_RefItem("prim", prim=p) for p in wprims]
+    witems += [_RefItem("pf", base=key, exp=exp) for key, exp in wpfs]
+    if wvertex is not None:
+        witems.append(_RefItem("vertex"))
+    contractions = []
+
+    def crossing_parity(iz, pos):
+        odd = sum(prim_parity(zprims[j]) for j in range(iz + 1, len(zprims)) if zalive[j])
+        odd += sum(item.parity for item in witems[:pos] if item.alive)
+        return odd % 2
+
+    def emit():
+        q = sum(o for o, _ in contractions)
+        if q < min_order:
+            return
+        coef = ca * cb
+        for _, c in contractions:
+            coef = coef * c
+        wleft = [item for item in witems if item.alive]
+        rest_prims = tuple(item.prim for item in wleft if item.kind == "prim")
+        rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == "pf")
+        zleft = tuple(p for p, alive in zip(zprims, zalive) if alive)
+        for m, level in enumerate(_taylor_reference(ctx, zleft, zvertex, q - min_order)):
+            bucket = raw.setdefault(q - m, [])
+            for tc, tprims, tvertex in level:
+                bucket.append((coef * tc, tprims + rest_prims, rest_pfs, tvertex if tvertex is not None else wvertex))
+
+    def stage_two(widx):
+        if zvertex is None or widx == len(witems):
+            emit()
+            return
+        item = witems[widx]
+        stage_two(widx + 1)
+        if item.alive and item.kind == "prim":
+            ker = _vertex_kernel_reference(zvertex, item.prim, z_side=False)
+            if ker is not None:
+                item.alive = False
+                contractions.append(ker)
+                stage_two(widx + 1)
+                contractions.pop()
+                item.alive = True
+
+    def walk(iz):
+        if iz == len(zprims):
+            stage_two(0)
+            return
+        zp = zprims[iz]
+        walk(iz + 1)
+        zalive[iz] = False
+        for pos, item in enumerate(witems):
+            if not item.alive:
+                continue
+            sgn = -1 if (prim_parity(zp) and crossing_parity(iz, pos)) else 1
+            if item.kind == "prim":
+                ker = _pair_kernel_reference(ctx, zp, item.prim)
+                if ker is None:
+                    continue
+                item.alive = False
+                contractions.append((ker[0], ker[1] * sgn))
+                walk(iz + 1)
+                contractions.pop()
+                item.alive = True
+            elif item.kind == "pf":
+                for bprims, bcoef in item.base:
+                    for i, g in enumerate(bprims):
+                        ker = _pair_kernel_reference(ctx, zp, g)
+                        if ker is None:
+                            continue
+                        gsgn = -1 if prim_parity(g) and sum(map(prim_parity, bprims[:i])) % 2 else 1
+                        pval = item.exp.as_ratfunc(ctx.hvee)
+                        old_exp = item.exp
+                        item.exp = old_exp - 1
+                        if item.exp.is_const and item.exp.v == 0:
+                            item.alive = False
+                        remainder = bprims[:i] + bprims[i + 1:]
+                        witems[pos:pos] = [_RefItem("prim", prim=p) for p in remainder]
+                        contractions.append((ker[0], ker[1] * bcoef * gsgn * pval * sgn))
+                        walk(iz + 1)
+                        contractions.pop()
+                        del witems[pos: pos + len(remainder)]
+                        item.exp = old_exp
+                        item.alive = True
+            else:
+                ker = _vertex_kernel_reference(wvertex, zp, z_side=True)
+                if ker is not None:
+                    contractions.append(ker)
+                    walk(iz + 1)
+                    contractions.pop()
+        zalive[iz] = True
+
+    walk(0)

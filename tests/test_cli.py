@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,16 +285,17 @@ def test_bad_jobs_is_usage_error(monkeypatch, capsys, env, argv):
     assert "--jobs: expected a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
-def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, jobs, cpus, workers):
-    """The pool is replaced by an in-process stand-in, so no process starts."""
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the sweep's process pool by an in-process stand-in, so no
+    process starts; returns the pool sizes started and the chunks mapped."""
     import concurrent.futures
 
-    started = []
+    record = {"started": [], "chunks": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record["started"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -300,12 +304,66 @@ def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, jobs, cpu
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            record["chunks"].extend(chunk for _, chunk in items)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return record
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
+def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, in_process_pool, jobs, cpus, workers):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert cli._sweep_pairs(_load("A1"), jobs, "A1") == []  # A1 has 9 ordered pairs
-    assert started == ([] if workers is None else [workers])
+    assert in_process_pool["started"] == ([] if workers is None else [workers])
+
+
+def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsys, in_process_pool):
+    """A planted wrong A3 current, e_alpha1 + beta_theta: --jobs 2 reports the
+    same violations, in the same order, as one process; the chunks are
+    balanced by cost to within the costliest pair."""
+    load = cli._load
+
+    def planted(selector):
+        cs = load(selector)
+        e1 = ("e", (1, 0, 0))
+        theta = cs.rs.root_index(cs.rs.theta)
+        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(theta), theta)
+        return cs
+
+    monkeypatch.setattr(cli, "_load", planted)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--algebra", "A3", "--suite", "currents"]
+    one = run(capsys, *argv)
+    two = run(capsys, *argv, "--jobs", "2")
+    assert one == two and one[0] == EXIT_VERIFICATION
+    bad = json.loads(one[1])["suites"]["currents"]["details"]["violations"]
+    assert len({v["pair"] for v in bad}) > 1
+    cs = planted("A3")
+    chunks = in_process_pool["chunks"]
+    assert in_process_pool["started"] == [2] and len(chunks) == 2
+    assert sorted(i for chunk in chunks for i, _ in chunk) == list(range(len(cs.labels()) ** 2))
+    cost = [sum(len(cs[a].terms) * len(cs[b].terms) for _, (a, b) in chunk) for chunk in chunks]
+    top = max(len(J.terms) for J in cs.currents.values()) ** 2
+    assert abs(cost[0] - cost[1]) <= top
+
+
+def test_closed_stdout_is_not_an_input_error():
+    """`realize ... | head -c 10`: no error line, and neither exit 1 nor 2."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wakimoto.cli", "realize", "--algebra", "G2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()  # far less than the output, which overflows the pipe buffer
+    err = proc.stderr.read()
+    proc.wait(timeout=120)
+    proc.stderr.close()
+    assert err == b""
+    assert proc.returncode in (EXIT_OK, cli.EXIT_BROKEN_PIPE)
 
 
 def test_verify_jobs_matches_one_process(capsys):

@@ -1,9 +1,14 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import contract_reference
 from wakimoto.coeffs import Exp, RatFunc
+from wakimoto.currents import build_wakimoto
 from wakimoto.fields import (
     BETA,
     BGH,
@@ -13,8 +18,9 @@ from wakimoto.fields import (
     FieldContext,
     FieldExpr,
     UnsupportedContraction,
+    base_key_of,
 )
-from wakimoto.liealg import build_root_system, osp22_fixture
+from wakimoto.liealg import build_root_system, get_algebra, osp22_fixture
 from wakimoto.ope import (
     OpeResult,
     betagamma_tensor,
@@ -351,3 +357,99 @@ def test_fermionic_pairs_keep_signs():
     assert res.nonzero_orders() == [2, 1]
     assert res.order(2) == FieldExpr.const(-1)
     assert res.order(1) == (b[1] * c[1] + b[2] * c[2]).scale(-1)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the RatFunc reference engine
+# ---------------------------------------------------------------------------
+
+_OSP_CTX = FieldContext.from_algebra(osp22_fixture()[0])
+_K, _N = RatFunc.k(), RatFunc.n()
+_nonzero = st.integers(-3, 3).filter(bool)
+_coefs = st.one_of(
+    st.builds(lambda a, b: RatFunc.of(Fraction(a, b)), _nonzero, st.integers(1, 3)),
+    st.builds(lambda a, b: _K * a + b, _nonzero, st.integers(-3, 3)),
+    st.builds(
+        lambda a, den: RatFunc.of(a) / den,
+        _nonzero,
+        st.sampled_from([_K + _N + 1, _K * 2 + _N * 2 + 1, _N + 1, _K + 3]),
+    ),
+)
+# osp(2|2): position 0 is a bosonic ghost pair, positions 1 and 2 fermionic
+_prims = st.builds(
+    lambda kl, d: (kl[0], kl[1], d),
+    st.sampled_from([(GAMMA, 0), (BETA, 0), (CGH, 1), (BGH, 1), (CGH, 2), (BGH, 2), (PHI, 0), (PHI, 1)]),
+    st.integers(0, 1),
+)
+_momenta = st.sampled_from([
+    (RatFunc.of(1), RatFunc.of(-1)),
+    (RatFunc.of(Fraction(1, 2)), RatFunc.zero()),
+    (_K + 1, RatFunc.of(2)),
+])
+_bases = st.sampled_from([
+    (((BETA, 0, 0),),),
+    (((GAMMA, 0, 0), (BETA, 0, 0)), ((PHI, 0, 0),)),
+    (((CGH, 1, 0), (BGH, 2, 0)), ((BETA, 0, 0),), ((PHI, 1, 1),)),
+])
+_exps = st.builds(
+    Exp,
+    st.sampled_from([0, 1, -1]),
+    st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+    st.sampled_from([0, 1]),
+)
+
+
+@st.composite
+def _power_factors(draw):
+    monomials = draw(_bases)
+    base = FieldExpr._from_raw([(draw(_coefs), prims, (), None) for prims in monomials])
+    return ((base_key_of(base), draw(_exps)),)
+
+
+@st.composite
+def _operands(draw, powers: bool, vertex: bool):
+    raw = []
+    for _ in range(draw(st.integers(1, 3))):
+        prims = tuple(draw(st.lists(_prims, max_size=3)))
+        pfs = draw(_power_factors()) if powers and draw(st.booleans()) else ()
+        mom = draw(_momenta) if vertex and draw(st.booleans()) else None
+        raw.append((draw(_coefs), prims, pfs, mom))
+    return FieldExpr._from_raw(raw)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Left operands without power factors; a vertex on at most one side."""
+    side = draw(st.sampled_from(["none", "z", "w"]))
+    return draw(_operands(False, side == "z")), draw(_operands(True, side == "w"))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_operand_pairs())
+def test_contract_matches_the_ratfunc_reference(pair):
+    A, B = pair
+    for min_order in (0, 1):
+        got = contract(_OSP_CTX, A, B, min_order=min_order).poles
+        want = contract_reference(_OSP_CTX, A, B, min_order=min_order)
+        assert list(got) == list(want)
+        for q, expr in want.items():
+            assert list(got[q].terms.items()) == list(expr.terms.items()), q
+            for c in got[q].terms.values():
+                assert type(c) is RatFunc
+                assert all(type(v) is Fraction for v in c.num.terms.values())
+
+
+def test_contract_leaves_no_cyclic_garbage():
+    """A contract() call and a canonicalization free everything by reference counting."""
+    rs, tab = get_algebra("B3")
+    cs = build_wakimoto(rs, tab)
+    F, E = cs[("f", rs.theta)], cs[("e", rs.theta)]
+    gc.collect()
+    gc.disable()
+    try:
+        res = contract(cs.ctx, F, E)
+        FieldExpr._from_raw([(c, p, f, v) for (p, f, v), c in F.terms.items()])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.nonzero_orders() == [2, 1]
