@@ -233,11 +233,12 @@ def parse_expression(cs: CurrentSet, text: str) -> FieldExpr:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
+def _sweep_pairs(cs: CurrentSet, jobs: int):
     """Violations of every ordered pair, in pair order whatever the number of workers.
 
     Pairs go to workers greedily, costliest first, each to the least-loaded
-    worker; a pair costs the product of its two currents' term counts.
+    worker; a pair costs the product of its two currents' term counts.  Every
+    worker checks ``cs`` itself: inherited under fork, pickled under spawn.
     """
     labels = cs.labels()
     pairs = [(a, b) for a in labels for b in labels]
@@ -254,20 +255,26 @@ def _sweep_pairs(cs: CurrentSet, jobs: int, selector: str):
         chunks[w].append((i, pairs[i]))
         load[w] += cost[i]
     found: dict[int, list] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep_worker, [(selector, c) for c in chunks]):
+    with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init, initargs=(cs,)) as pool:
+        for part in pool.map(_sweep_worker, chunks):
             found.update(part)
     return [v for i in sorted(found) for v in found[i]]
 
 
-def _sweep_worker(args):
+_sweep_cs: Optional[CurrentSet] = None  # the current set a sweep worker process checks
+
+
+def _sweep_init(cs: CurrentSet) -> None:
+    global _sweep_cs
+    _sweep_cs = cs
+
+
+def _sweep_worker(items):
     """{pair index: violations} for one chunk of (index, pair) items."""
-    selector, items = args
-    cs = _load(selector)
-    return {i: check_pair(cs, a, b) for i, (a, b) in items}
+    return {i: check_pair(_sweep_cs, a, b) for i, (a, b) in items}
 
 
-def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, selector: str = "B2"):
+def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int):
     """Returns (ok, details dict)."""
     rs = cs.rs
     if suite == "jacobi":
@@ -279,7 +286,7 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int, s
         bad = verify_realization(cs.ops, cs.tab)
         return not bad, {"pairs": len(cs.ops) ** 2, "violations": [str(t) for t in bad]}
     if suite == "currents":
-        bad = _sweep_pairs(cs, jobs, selector)
+        bad = _sweep_pairs(cs, jobs)
         det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]
         return not det, {"violations": det}
     if suite == "sugawara":
@@ -436,7 +443,7 @@ def cmd_verify(args) -> int:
     report = {}
     ok = True
     for suite in suites:
-        sok, details = run_suite(cs, suite, direction, args.jobs, args.algebra)
+        sok, details = run_suite(cs, suite, direction, args.jobs)
         report[suite] = {"status": "pass" if sok else "fail", "details": details}
         ok = ok and sok
     out = {"schema": SCHEMA_REPORT, "algebra": cs.rs.name, "suites": report}

@@ -444,6 +444,10 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for int and Fraction, which coefficients mix with."""
+        return not self.num.is_zero
+
     @property
     def is_rational(self) -> bool:
         return self.num.is_const and not self.den

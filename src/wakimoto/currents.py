@@ -118,9 +118,12 @@ def expected_ope(cs: CurrentSet, a: Label, b: Label) -> dict[int, FieldExpr]:
     kap = cs.tab.kappa_of(a, b)
     if kap:
         out[2] = FieldExpr.const(k * kap)
-    first = FieldExpr.zero()
-    for c, v in cs.tab.bracket(a, b).items():
-        first = first + cs.currents[c].scale(v)
+    # one canonicalization over plain coefficients: no constant RatFunc products
+    first = FieldExpr._from_raw(
+        (coef.plain() * v, *term)
+        for c, v in cs.tab.bracket(a, b).items()
+        for term, coef in cs.currents[c].terms.items()
+    )
     if not first.is_structurally_zero:
         out[1] = first
     return out

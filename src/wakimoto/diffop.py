@@ -6,24 +6,22 @@ of coefficients over the slots (d_beta..., L_j...); since no derivative
 touches an L_j, the commutator of two such operators is first order again
 and acts on every slot alike, so the whole realization lives in this class.
 
-Brackets are taken over the integers: coefficients and structure constants
-are scaled by their common denominator D, and an exponent tuple e is packed
-into the int sum_sig e_sig B^sig with base B = 2 emax + 1 (emax the largest
-single exponent), so a product of two coefficients never carries.  Each
-operator's partial derivatives d_sig(coeff_i) are tabulated once; one slot
-kernel serves ``commutator`` and ``verify_realization``.
+Brackets are taken over the integers in one ``polymat.Packing`` of all
+operators involved: coefficients and structure constants are scaled by their
+common denominator D, and an exponent tuple e is packed into one int with
+base B = 2 emax + 1 (emax the largest single exponent), so a product of two
+coefficients never carries.  Each operator's partial derivatives
+d_sig(coeff_i) are tabulated once; one slot kernel serves ``commutator`` and
+``verify_realization``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .liealg import Label, RootSystem, StructureTable
-from .polymat import Poly, RealizationPolys, realization_polynomials
+from .polymat import Packing, Poly, RealizationPolys, realization_polynomials
 
 
 @dataclass
@@ -64,24 +62,18 @@ class DiffOp:
         return f"DiffOp({self.text()})"
 
 
-def _packed(ops: list[DiffOp], consts=()) -> tuple[int, int, list]:
-    """Pack ``ops`` over the integers: (D, B, [(coeffs, jac) per operator]).
+def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
+    """Pack ``ops`` over the integers: (packing, [(coeffs, jac) per operator]).
 
-    D is the common denominator of every coefficient and constant, B = 2 emax + 1, the
-    coefficients are D-scaled, and jac[i] lists (sig, d_sig coeffs[i]) for each nonzero one."""
-    terms = [t for op in ops for p in op.coeffs for t in p.terms.items()]
-    D = math.lcm(*(c.denominator for _, c in terms), *(c.denominator for c in consts))
-    B = 2 * max((x for e, _ in terms for x in e), default=0) + 1
-    powers = [B**s for s in range(ops[0].rs.n_pos if ops else 0)]
-
-    def pack(p: Poly) -> dict[int, int]:
-        return {sum(map(mul, e, powers)): c.numerator * (D // c.denominator) for e, c in p.terms.items()}
-
-    return D, B, [
-        ([pack(p) for p in op.coeffs],
-         [[(s, pack(d)) for s in range(len(powers)) if not (d := p.deriv(s)).is_zero] for p in op.coeffs])
-        for op in ops
-    ]
+    The packing's denominator D is common to every coefficient and constant,
+    the coefficients are D-scaled, and jac[i] lists (sig, d_sig coeffs[i]) for
+    each nonzero one."""
+    pk = Packing.fit(ops[0].rs.n_pos if ops else 0, [p for op in ops for p in op.coeffs], consts)
+    out = []
+    for op in ops:
+        coeffs = [pk.pack(p) for p in op.coeffs]
+        out.append((coeffs, [[(s, d) for s in range(pk.nvars) if (d := pk.deriv(p, s))] for p in coeffs]))
+    return pk, out
 
 
 def _bracket_slot(a: tuple, b: tuple, i: int, acc: dict[int, int]) -> dict[int, int]:
@@ -98,13 +90,8 @@ def _bracket_slot(a: tuple, b: tuple, i: int, acc: dict[int, int]) -> dict[int, 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b]: out_i = a^sig d_sig b_i - b^sig d_sig a_i on every slot i (the L_j are central)."""
-    D, B, (pa, pb) = _packed([a, b])
-    powers = [B**s for s in range(a.rs.n_pos)]
-
-    def unpack(acc: dict[int, int]) -> Poly:
-        return Poly(len(powers), {tuple(m // w % B for w in powers): Fraction(c, D * D) for m, c in acc.items() if c})
-
-    return DiffOp(a.rs, [unpack(_bracket_slot(pa, pb, i, {})) for i in range(len(a.coeffs))])
+    pk, (pa, pb) = _packed([a, b])
+    return DiffOp(a.rs, [pk.unpack(_bracket_slot(pa, pb, i, {}), pk.denom**2) for i in range(len(a.coeffs))])
 
 
 def build_differential_realization(
@@ -128,7 +115,8 @@ def build_differential_realization(
 
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
     """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures."""
-    D, _, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
+    pk, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
+    D = pk.denom
     packed = dict(zip(ops, packed))
     bad = []
     for a, pa in packed.items():

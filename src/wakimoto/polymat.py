@@ -1,4 +1,4 @@
-"""Polynomials in triangular coordinates and the nilpotent-matrix machinery.
+"""Polynomials in triangular coordinates and the realization polynomial families.
 
 The adjoint matrix C(x)_a^b = -x^beta f_{beta a}^b of a generic nilpotent
 element is nilpotent, so every power series applied to it truncates.  The
@@ -13,12 +13,19 @@ function applied to C:
     S    = -B(-C)         (screening polynomials)
 
 plus the k-free part F of the quantum correction supplying the
-normal-ordering terms of the lowering currents.  C is raised to its powers
-once (``nilpotent_powers``) and every series is summed over that one list
-(``matrix_function``); B(-C) is the Bernoulli series with its odd
-coefficients negated.  The construction is over Q:
-every coefficient is a ``Fraction``; the level k enters only in
-``currents.build_wakimoto``.
+normal-ordering terms of the lowering currents.  B(-C) is the Bernoulli
+series with its odd coefficients negated.
+
+Only the blocks the families read are computed.  A positive row of C has
+only positive columns, so (C^m)[+][+] = (C_++)^m, and the lowering rows
+R_m = (C^m)[-] satisfy R_m = R_{m-1} C with R_0 = I[-]; each of the two is
+raised to its powers once.  That matrix algebra, V_- and ``anomalous_term``
+run over the integers in a ``Packing``: coefficients are scaled by a common
+denominator and each exponent tuple is one int.  Each series is an integer
+combination of the powers over the LCM of its coefficients' denominators.
+The families leave as ``Poly`` over ``Fraction``, each entry converted
+once; the level k enters only in ``currents.build_wakimoto``.  ``diffop``
+packs its operators with the same ``Packing``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .coeffs import SparsePoly
 from .liealg import RootSystem, StructureTable
@@ -110,7 +118,7 @@ class Poly(SparsePoly):
 
 
 # ---------------------------------------------------------------------------
-# matrices of Poly over the full basis (+ roots, Cartan, - roots)
+# the adjoint matrix over the full basis (+ roots, Cartan, - roots)
 # ---------------------------------------------------------------------------
 
 def adjoint_matrix(tab: StructureTable) -> list[list[Poly]]:
@@ -133,62 +141,127 @@ def adjoint_matrix(tab: StructureTable) -> list[list[Poly]]:
     return entries
 
 
-def _mat_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
-    n = len(A)
-    m = len(B[0])
-    kk = len(B)
-    out = [[None] * m for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            acc = None
-            for l in range(kk):
-                if Ai[l].is_zero or B[l][j].is_zero:
-                    continue
-                p = Ai[l] * B[l][j]
-                acc = p if acc is None else acc + p
-            out[i][j] = acc if acc is not None else Poly.zero(Ai[0].nvars if Ai else 0)
-    return out  # type: ignore[return-value]
+# ---------------------------------------------------------------------------
+# packed polynomials over the integers
+# ---------------------------------------------------------------------------
+
+Packed = dict[int, int]  # packed exponent -> integer coefficient
+Mat = list[dict[int, Packed]]  # sparse rows: column -> nonzero packed entry
 
 
-def _mat_is_zero(A: list[list[Poly]]) -> bool:
-    return all(p.is_zero for row in A for p in row)
+class Packing:
+    """Polynomials over the integers, each exponent tuple packed into one int.
 
-
-def nilpotent_powers(M: list[list[Poly]], bound: Optional[int] = None) -> list[list[list[Poly]]]:
-    """[I, M, M^2, ...] through the last nonzero power of the nilpotent M.
-
-    A nonzero M^m with m > ``bound`` (default: the dimension) raises
-    NilpotencyError, since the block structure guarantees truncation.
+    The tuple e becomes sum_s e_s base^s and a coefficient c becomes the int
+    c * denom, so multiplying two monomials adds their packed exponents.
+    That is exact as long as no exponent of a product reaches ``base``: the
+    base must exceed every single exponent the packing's products can have.
     """
-    d = len(M)
-    nv = M[0][0].nvars if d else 0
-    bound = bound if bound is not None else d
-    powers = [[[Poly.const(nv, 1) if i == j else Poly.zero(nv) for j in range(d)] for i in range(d)]]
-    power = M
-    while not _mat_is_zero(power):
+
+    __slots__ = ("nvars", "base", "denom", "weights", "_expos")
+
+    def __init__(self, nvars: int, base: int, denom: int):
+        self.nvars = nvars
+        self.base = base
+        self.denom = denom
+        self.weights = [base**s for s in range(nvars)]
+        self._expos: dict[int, Expo] = {}
+
+    @classmethod
+    def fit(cls, nvars: int, polys: Iterable[Poly], consts=(), factors: int = 2) -> "Packing":
+        """The packing of ``polys`` over the common denominator of their
+        coefficients and of the rationals ``consts``, with base
+        factors * emax + 1 (emax the largest single exponent), so that a
+        product of ``factors`` of them, or of their derivatives, never carries."""
+        terms = [t for p in polys for t in p.terms.items()]
+        denom = math.lcm(*(c.denominator for _, c in terms), *(c.denominator for c in consts))
+        emax = max((x for e, _ in terms for x in e), default=0)
+        return cls(nvars, factors * emax + 1, denom)
+
+    def pack(self, p: Poly) -> Packed:
+        D, w = self.denom, self.weights
+        return {sum(map(mul, e, w)): c.numerator * (D // c.denominator) for e, c in p.terms.items()}
+
+    def unpack(self, p: Packed, denom: int) -> Poly:
+        """The Poly p / denom; each packed exponent is unpacked once per packing."""
+        B, w, expos = self.base, self.weights, self._expos
+        terms = {}
+        for m, c in p.items():
+            if c:
+                e = expos.get(m)
+                if e is None:
+                    e = expos[m] = tuple(m // x % B for x in w)
+                terms[e] = Fraction(c, denom)
+        return Poly(self.nvars, terms)
+
+    def deriv(self, p: Packed, s: int) -> Packed:
+        """d p / d x_s."""
+        w, B = self.weights[s], self.base
+        return {m - w: c * e for m, c in p.items() if (e := m // w % B)}
+
+
+def mul_into(acc: Packed, p: Packed, q: Packed, c: int = 1) -> Packed:
+    """Add c p q to acc and return it; a cancelled coefficient stays as a 0."""
+    for m1, c1 in p.items():
+        c1 *= c
+        for m2, c2 in q.items():
+            m = m1 + m2
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
+def _nonzero(p: Packed) -> Packed:
+    return {m: c for m, c in p.items() if c}
+
+
+def mat_mul(A: Mat, B: Mat) -> Mat:
+    """A B over sparse rows; B has a row for every column that A uses."""
+    out = []
+    for row in A:
+        acc: dict[int, Packed] = {}
+        for l, p in row.items():
+            for j, q in B[l].items():
+                mul_into(acc.setdefault(j, {}), p, q)
+        out.append({j: t for j, s in acc.items() if (t := _nonzero(s))})
+    return out
+
+
+def matrix_powers(first: Mat, M: Mat, bound: int) -> list[Mat]:
+    """[first, first M, first M^2, ...] through the last nonzero product.
+
+    A nonzero first M^m with m > ``bound`` raises NilpotencyError, since the
+    block structure guarantees truncation.
+    """
+    powers = [first]
+    power = mat_mul(first, M)
+    while any(power):
         if len(powers) > bound:
             raise NilpotencyError("matrix is not nilpotent within the bound")
         powers.append(power)
-        power = _mat_mul(power, M)
+        power = mat_mul(power, M)
     return powers
 
 
-def matrix_function(
-    series: Sequence[Fraction], powers: list[list[list[Poly]]]
-) -> list[list[Poly]]:
-    """Sum series[m] * M^m over the power sequence of ``nilpotent_powers``."""
+def matrix_series(series: Sequence[Fraction], powers: list[Mat], denom: int) -> tuple[Mat, int]:
+    """(N, L) with N / L = sum_m series[m] powers[m] / denom^m.
+
+    ``powers[m]`` is denom^m times the m-th power, as ``matrix_powers`` gives
+    it for a matrix scaled by denom; L is the LCM of the denominators of the
+    weights series[m] / denom^m.
+    """
     if len(series) < len(powers):
         raise NilpotencyError("series truncated before the matrix power vanished")
-    d = len(powers[0])
-    out = [[p.scale(series[0]) for p in row] for row in powers[0]]
-    for c, power in zip(series[1:], powers[1:]):
-        if c:
-            for i in range(d):
-                for j in range(d):
-                    if not power[i][j].is_zero:
-                        out[i][j] = out[i][j] + power[i][j].scale(c)
-    return out
+    weights = [Fraction(c) / denom**m for m, c in enumerate(series[: len(powers)])]
+    L = math.lcm(*(w.denominator for w in weights))
+    out: list[dict[int, Packed]] = [{} for _ in powers[0]]
+    for w, power in zip(weights, powers):
+        if not w:
+            continue
+        w = w.numerator * (L // w.denominator)
+        for acc, row in zip(out, power):
+            for j, p in row.items():
+                mul_into(acc.setdefault(j, {}), p, {0: 1}, w)
+    return [{j: t for j, s in row.items() if (t := _nonzero(s))} for row in out], L
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +317,34 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
     bser_neg = [-c if m % 2 else c for m, c in enumerate(bser)]
     exp_neg = [Fraction((-1) ** m, math.factorial(m)) for m in range(depth + 1)]
 
-    powers = nilpotent_powers(C, height_bound)
-    BC = matrix_function(bser, powers)
-    Bneg = matrix_function(bser_neg, powers)
-    Eneg = matrix_function(exp_neg, powers)
-    Binv = matrix_function(binv, powers)
-
-    pos, cartan, neg = slice(0, np_), slice(np_, np_ + r), slice(np_ + r, None)
-    lower = Eneg[neg]  # rows -alpha of e^{-C}
-    V_plus = [row[pos] for row in BC[pos]]
-    V_cartan = [[-p for p in row[pos]] for row in C[cartan]]
+    # an entry of C^m is homogeneous of degree m; powers are kept through
+    # m = height_bound, so no exponent of V_- = e^{-C} B(-C) reaches the base
+    D = math.lcm(*(c.denominator for row in C for p in row for c in p.terms.values()))
+    pk = Packing(np_, 2 * height_bound + 1, D)
+    N = [{j: pk.pack(p) for j, p in enumerate(row) if not p.is_zero} for row in C]
+    pos_powers = matrix_powers([{i: {0: 1}} for i in range(np_)], N[:np_], height_bound)
+    neg_powers = matrix_powers([{np_ + r + i: {0: 1}} for i in range(np_)], N, height_bound)
+    BC, l_bc = matrix_series(bser, pos_powers, D)
+    Bneg, l_bneg = matrix_series(bser_neg, pos_powers, D)
+    Binv, l_binv = matrix_series(binv, pos_powers, D)
+    lower, l_lower = matrix_series(exp_neg, neg_powers, D)  # rows -alpha of e^{-C}
     # V_minus = (e^{-C})_-^gamma B(-C)_gamma^beta, gamma over positive roots
-    V_minus = _mat_mul([row[pos] for row in lower], [row[pos] for row in Bneg[pos]])
-    P = [row[cartan] for row in lower]
-    Q = [row[neg] for row in lower]
-    S = [[-p for p in row[pos]] for row in Bneg[pos]]
-    V_plus_inv = [row[pos] for row in Binv[pos]]
-    return RealizationPolys(rs, V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
+    V_minus = mat_mul([{j: p for j, p in row.items() if j < np_} for row in lower], Bneg)
+
+    def family(rows: Mat, cols: range, denom: int) -> list[list[Poly]]:
+        return [[pk.unpack(row.get(j, {}), denom) for j in cols] for row in rows]
+
+    pos, cartan, neg = range(np_), range(np_, np_ + r), range(np_ + r, d)
+    return RealizationPolys(
+        rs,
+        V_plus=family(BC, pos, l_bc),
+        V_cartan=[[-p for p in row[:np_]] for row in C[np_:np_ + r]],
+        V_minus=family(V_minus, pos, l_lower * l_bneg),
+        P=family(lower, cartan, l_lower),
+        Q=family(lower, neg, l_lower),
+        S=family(Bneg, pos, -l_bneg),
+        V_plus_inv=family(Binv, pos, l_binv),
+    )
 
 
 def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
@@ -268,38 +352,36 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
 
     F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
     the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
-    coefficient is added by ``currents.build_wakimoto``.
+    coefficient is added by ``currents.build_wakimoto``.  The inner sum over
+    (sigma, gamma) is formed once per (alpha, mu), over the integers.
     """
     np_ = rs.n_pos
-    # precompute derivative tables
+    fams = (polys.V_plus, polys.V_minus, polys.V_plus_inv)
+    pk = Packing.fit(np_, (p for fam in fams for row in fam for p in row), factors=3)
+    V_plus, V_minus, V_plus_inv = ([[pk.pack(p) for p in row] for row in fam] for fam in fams)
+    # d_s V_+[mu][g] as [(g, poly)] per (mu, s); d_g V_-[a][s] as {g: poly} per (a, s)
     dV_plus = [
-        [[polys.V_plus[mu][g].deriv(s) for g in range(np_)] for s in range(np_)]
-        for mu in range(np_)
+        [[(g, t) for g, p in enumerate(row) if (t := pk.deriv(p, s))] for s in range(np_)]
+        for row in V_plus
     ]
-    dV_minus = [
-        [[polys.V_minus[a][s].deriv(g) for s in range(np_)] for g in range(np_)]
-        for a in range(np_)
-    ]
+    dV_minus = [[{g: t for g in range(np_) if (t := pk.deriv(p, g))} for p in row] for row in V_minus]
     out: list[list[Poly]] = []
-    for a in range(np_):
-        row: list[Poly] = []
-        for b in range(np_):
-            acc = Poly.zero(np_)
-            for mu in range(np_):
-                if polys.V_plus_inv[b][mu].is_zero:
-                    continue
-                inner = Poly.zero(np_)
-                for s in range(np_):
-                    for g in range(np_):
-                        p1 = dV_plus[mu][s][g]
-                        if p1.is_zero:
-                            continue
-                        p2 = dV_minus[a][g][s]
-                        if p2.is_zero:
-                            continue
-                        inner = inner + p1 * p2
-                if not inner.is_zero:
-                    acc = acc + polys.V_plus_inv[b][mu] * inner
-            row.append(acc)
-        out.append(row)
+    for dm in dV_minus:
+        inner: dict[int, Packed] = {}
+        for mu, dp in enumerate(dV_plus):
+            acc: Packed = {}
+            for s, terms in enumerate(dp):
+                for g, p1 in terms:
+                    p2 = dm[s].get(g)
+                    if p2:
+                        mul_into(acc, p1, p2)
+            if acc := _nonzero(acc):
+                inner[mu] = acc
+        row_out = []
+        for row in V_plus_inv:
+            acc = {}
+            for mu, t in inner.items():
+                mul_into(acc, row[mu], t)
+            row_out.append(pk.unpack(acc, pk.denom**3))
+        out.append(row_out)
     return out

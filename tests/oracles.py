@@ -8,7 +8,9 @@ checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.diffop import DiffOp
@@ -25,7 +27,13 @@ from wakimoto.fields import (
     prim_parity,
 )
 from wakimoto.liealg import Label, RootSystem, StructureTable
-from wakimoto.polymat import Poly, RealizationPolys, _mat_mul
+from wakimoto.polymat import (
+    NilpotencyError,
+    Poly,
+    RealizationPolys,
+    adjoint_matrix,
+    bernoulli_series,
+)
 from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
 
 
@@ -49,6 +57,144 @@ def eval_zero(p: Poly) -> Fraction:
     return p.terms.get((0,) * p.nvars, Fraction(0))
 
 
+# ---------------------------------------------------------------------------
+# Poly-matrix construction of the realization polynomials (the reference for
+# polymat's packed block construction)
+# ---------------------------------------------------------------------------
+
+def mat_mul(A: list[list[Poly]], B: list[list[Poly]]) -> list[list[Poly]]:
+    n = len(A)
+    m = len(B[0])
+    kk = len(B)
+    out = [[None] * m for _ in range(n)]  # type: ignore[list-item]
+    for i in range(n):
+        Ai = A[i]
+        for j in range(m):
+            acc = None
+            for l in range(kk):
+                if Ai[l].is_zero or B[l][j].is_zero:
+                    continue
+                p = Ai[l] * B[l][j]
+                acc = p if acc is None else acc + p
+            out[i][j] = acc if acc is not None else Poly.zero(Ai[0].nvars if Ai else 0)
+    return out  # type: ignore[return-value]
+
+
+def mat_is_zero(A: list[list[Poly]]) -> bool:
+    return all(p.is_zero for row in A for p in row)
+
+
+def nilpotent_powers(M: list[list[Poly]], bound: Optional[int] = None) -> list[list[list[Poly]]]:
+    """[I, M, M^2, ...] through the last nonzero power of the nilpotent M.
+
+    A nonzero M^m with m > ``bound`` (default: the dimension) raises
+    NilpotencyError, since the block structure guarantees truncation.
+    """
+    d = len(M)
+    nv = M[0][0].nvars if d else 0
+    bound = bound if bound is not None else d
+    powers = [[[Poly.const(nv, 1) if i == j else Poly.zero(nv) for j in range(d)] for i in range(d)]]
+    power = M
+    while not mat_is_zero(power):
+        if len(powers) > bound:
+            raise NilpotencyError("matrix is not nilpotent within the bound")
+        powers.append(power)
+        power = mat_mul(power, M)
+    return powers
+
+
+def matrix_function(
+    series: Sequence[Fraction], powers: list[list[list[Poly]]]
+) -> list[list[Poly]]:
+    """Sum series[m] * M^m over the power sequence of ``nilpotent_powers``."""
+    if len(series) < len(powers):
+        raise NilpotencyError("series truncated before the matrix power vanished")
+    d = len(powers[0])
+    out = [[p.scale(series[0]) for p in row] for row in powers[0]]
+    for c, power in zip(series[1:], powers[1:]):
+        if c:
+            for i in range(d):
+                for j in range(d):
+                    if not power[i][j].is_zero:
+                        out[i][j] = out[i][j] + power[i][j].scale(c)
+    return out
+
+
+def realization_polynomials_fraction(rs: RootSystem, tab: StructureTable) -> RealizationPolys:
+    """The realization families from full d x d matrices of Poly, the parent of
+    ``polymat.realization_polynomials``."""
+    C = adjoint_matrix(tab)
+    np_ = rs.n_pos
+    r = rs.rank
+    d = len(C)
+    height_bound = sum(rs.theta) * 2 + 2
+    depth = min(d, 2 * sum(rs.theta) + 1) + 1
+
+    bser, binv = bernoulli_series(depth)
+    bser_neg = [-c if m % 2 else c for m, c in enumerate(bser)]
+    exp_neg = [Fraction((-1) ** m, math.factorial(m)) for m in range(depth + 1)]
+
+    powers = nilpotent_powers(C, height_bound)
+    BC = matrix_function(bser, powers)
+    Bneg = matrix_function(bser_neg, powers)
+    Eneg = matrix_function(exp_neg, powers)
+    Binv = matrix_function(binv, powers)
+
+    pos, cartan, neg = slice(0, np_), slice(np_, np_ + r), slice(np_ + r, None)
+    lower = Eneg[neg]  # rows -alpha of e^{-C}
+    V_plus = [row[pos] for row in BC[pos]]
+    V_cartan = [[-p for p in row[pos]] for row in C[cartan]]
+    # V_minus = (e^{-C})_-^gamma B(-C)_gamma^beta, gamma over positive roots
+    V_minus = mat_mul([row[pos] for row in lower], [row[pos] for row in Bneg[pos]])
+    P = [row[cartan] for row in lower]
+    Q = [row[neg] for row in lower]
+    S = [[-p for p in row[pos]] for row in Bneg[pos]]
+    V_plus_inv = [row[pos] for row in Binv[pos]]
+    return RealizationPolys(rs, V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
+
+
+def anomalous_term_fraction(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
+    """The k-free part of the normal-ordering corrections, one Poly product at a time.
+
+    F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
+    the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
+    coefficient is added by ``currents.build_wakimoto``.
+    """
+    np_ = rs.n_pos
+    # precompute derivative tables
+    dV_plus = [
+        [[polys.V_plus[mu][g].deriv(s) for g in range(np_)] for s in range(np_)]
+        for mu in range(np_)
+    ]
+    dV_minus = [
+        [[polys.V_minus[a][s].deriv(g) for s in range(np_)] for g in range(np_)]
+        for a in range(np_)
+    ]
+    out: list[list[Poly]] = []
+    for a in range(np_):
+        row: list[Poly] = []
+        for b in range(np_):
+            acc = Poly.zero(np_)
+            for mu in range(np_):
+                if polys.V_plus_inv[b][mu].is_zero:
+                    continue
+                inner = Poly.zero(np_)
+                for s in range(np_):
+                    for g in range(np_):
+                        p1 = dV_plus[mu][s][g]
+                        if p1.is_zero:
+                            continue
+                        p2 = dV_minus[a][g][s]
+                        if p2.is_zero:
+                            continue
+                        inner = inner + p1 * p2
+                if not inner.is_zero:
+                    acc = acc + polys.V_plus_inv[b][mu] * inner
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 class DualMat:
     """Pair (A0, A1) representing A0 + s A1 with s^2 = 0, entries Poly."""
 
@@ -67,10 +213,10 @@ class DualMat:
 
     def __mul__(self, other):
         return DualMat(
-            _mat_mul(self.a0, other.a0),
+            mat_mul(self.a0, other.a0),
             [
                 [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(_mat_mul(self.a0, other.a1), _mat_mul(self.a1, other.a0))
+                for r1, r2 in zip(mat_mul(self.a0, other.a1), mat_mul(self.a1, other.a0))
             ],
         )
 
@@ -226,6 +372,20 @@ def check_gauss_decomposition(rs: RootSystem, tab: StructureTable, polys: Realiz
 # ---------------------------------------------------------------------------
 # Fraction bracket-table oracles: the structure checks over Q, term by term
 # ---------------------------------------------------------------------------
+
+def expected_ope_reference(cs, a: Label, b: Label) -> dict:
+    """``currents.expected_ope`` built with ``FieldExpr.scale`` and ``+``."""
+    out = {}
+    kap = cs.tab.kappa_of(a, b)
+    if kap:
+        out[2] = FieldExpr.const(RatFunc.k() * kap)
+    first = FieldExpr.zero()
+    for c, v in cs.tab.bracket(a, b).items():
+        first = first + cs.currents[c].scale(v)
+    if not first.is_structurally_zero:
+        out[1] = first
+    return out
+
 
 def commutator_fraction(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b] slot by slot in ``Poly`` arithmetic, re-deriving every partial."""

@@ -294,8 +294,10 @@ def in_process_pool(monkeypatch):
     record = {"started": [], "chunks": []}
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             record["started"].append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -305,17 +307,18 @@ def in_process_pool(monkeypatch):
 
         def map(self, fn, items):
             items = list(items)
-            record["chunks"].extend(chunk for _, chunk in items)
+            record["chunks"].extend(items)
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_sweep_cs", None)  # the stand-in's initializer sets it here
     return record
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
 def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, in_process_pool, jobs, cpus, workers):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._sweep_pairs(_load("A1"), jobs, "A1") == []  # A1 has 9 ordered pairs
+    assert cli._sweep_pairs(_load("A1"), jobs) == []  # A1 has 9 ordered pairs
     assert in_process_pool["started"] == ([] if workers is None else [workers])
 
 
@@ -347,6 +350,21 @@ def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsy
     cost = [sum(len(cs[a].terms) * len(cs[b].terms) for _, (a, b) in chunk) for chunk in chunks]
     top = max(len(J.terms) for J in cs.currents.values()) ** 2
     assert abs(cost[0] - cost[1]) <= top
+
+
+def test_jobs_check_the_current_set_they_were_given(monkeypatch):
+    """A2 with e_alpha1 perturbed by 2 beta_1: two worker processes check the
+    perturbed set, not a freshly built A2 (or B2), so they find every violation
+    one process finds."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cs = _load("A2")
+    e1 = ("e", (1, 0))
+    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(0), 0, coef=2)
+    one = cli._sweep_pairs(cs, 1)
+    assert len(one) == 14
+    assert cli._sweep_pairs(cs, 2) == one
+    ok, details = cli.run_suite(cs, "currents", None, 2)
+    assert not ok and len(details["violations"]) == len(one)
 
 
 def test_closed_stdout_is_not_an_input_error():

@@ -179,3 +179,14 @@ def test_equal_polys_hash_equal():
     b = Poly.const(2, h) + Poly.var(2, 0, Fraction(5, 6))  # other insertion order
     assert a == b and hash(a) == hash(b)
     assert a != b + Poly.const(2, 1)
+
+
+@pytest.mark.parametrize("value", [0, 3, -1, Fraction(0), Fraction(-2, 3), Fraction(5, 7)])
+def test_truthiness_agrees_across_int_fraction_and_ratfunc(value):
+    """A coefficient is falsy exactly when it is zero, whichever type carries it."""
+    k = RatFunc.k()
+    assert bool(RatFunc.of(value)) is bool(value) is (value != 0)
+    assert bool(RatFunc.of(value).plain()) is bool(value)
+    assert bool(k * value) is bool(value)
+    assert bool(RatFunc.of(value) / (k + 1)) is bool(value)
+    assert bool(k - k + value) is bool(value)

@@ -4,6 +4,7 @@ from wakimoto.coeffs import RatFunc
 from wakimoto.fields import BETA, GAMMA, PHI, FieldExpr
 from wakimoto.currents import (
     build_wakimoto,
+    expected_ope,
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
@@ -12,7 +13,7 @@ from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
-from oracles import vacuum_two_point, engine_vacuum_series
+from oracles import engine_vacuum_series, expected_ope_reference, vacuum_two_point
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +111,20 @@ def test_sweep_detects_wrong_current(b2cs):
 
     cs2 = CurrentSet(b2cs.rs, b2cs.tab, b2cs.ctx, broken)
     assert verify_current_algebra(cs2, pairs=[(("e", (1, 0)), ("f", (1, 2)))]) != []
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "OSP22"])
+def test_expected_ope_matches_the_scale_and_add_construction(label):
+    if label == "OSP22":
+        cs = osp22_currents()
+    else:
+        rs = build_root_system(label)
+        cs = build_wakimoto(rs, build_structure_table(rs))
+    for a in cs.labels():
+        for b in cs.labels():
+            got, want = expected_ope(cs, a, b), expected_ope_reference(cs, a, b)
+            assert got.keys() == want.keys(), (a, b)
+            assert all(got[q].terms == want[q].terms for q in got), (a, b)
 
 
 def test_sugawara_equals_free_tensor(a1cs, b2cs):

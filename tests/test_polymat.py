@@ -5,22 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_zero
+from oracles import (
+    anomalous_term_fraction,
+    eval_zero,
+    mat_mul,
+    matrix_function,
+    nilpotent_powers,
+    realization_polynomials_fraction,
+)
 from wakimoto.coeffs import RatFunc
 from wakimoto.currents import build_wakimoto
 from wakimoto.fields import GAMMA
 from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.polymat import (
     NilpotencyError,
+    Packing,
     Poly,
     adjoint_matrix,
     anomalous_term,
     bernoulli_series,
-    matrix_function,
-    nilpotent_powers,
+    matrix_powers,
+    matrix_series,
+    mul_into,
     realization_polynomials,
-    _mat_mul,
 )
+from wakimoto.polymat import mat_mul as packed_mat_mul
 
 
 def b2():
@@ -94,62 +103,106 @@ def test_adjoint_matrix_vanishes_at_zero():
             assert eval_zero(p) == 0
 
 
+def identity(d):
+    return [{i: {0: 1}} for i in range(d)]
+
+
+def packed(pk, M):
+    """A Poly matrix as sparse packed rows."""
+    return [{j: pk.pack(p) for j, p in enumerate(row) if not p.is_zero} for row in M]
+
+
+def unpacked(pk, M, denom):
+    return [[pk.unpack(row.get(j, {}), denom) for j in range(len(M))] for row in M]
+
+
 def test_matrix_function_identity_at_zero_argument():
     rs, tab = b2()
-    M = [[Poly.zero(rs.n_pos) for _ in range(3)] for _ in range(3)]
+    pk = Packing(rs.n_pos, 3, 1)
     series = [Fraction(7), Fraction(1), Fraction(1, 2)]
-    out = matrix_function(series, nilpotent_powers(M))
+    powers = matrix_powers(identity(3), [{}, {}, {}], bound=3)
+    out = unpacked(pk, *matrix_series(series, powers, 1))
     for i in range(3):
         for j in range(3):
             assert out[i][j] == (Poly.const(rs.n_pos, 7) if i == j else Poly.zero(rs.n_pos))
 
 
 def test_matrix_function_rejects_non_nilpotent():
-    one = Poly.const(1, 1)
-    M = [[one]]
     with pytest.raises(NilpotencyError):
-        nilpotent_powers(M, bound=5)
+        matrix_powers(identity(1), [{0: {0: 1}}], bound=5)
 
 
 def shift_matrix(d):
     """The d x d nilpotent shift: N^(d-1) != 0, N^d = 0."""
-    return [
-        [Poly.const(1, 1) if j == i + 1 else Poly.zero(1) for j in range(d)] for i in range(d)
-    ]
+    return [{i + 1: {0: 1}} if i + 1 < d else {} for i in range(d)]
 
 
 def test_nilpotent_powers_raises_past_its_bound():
     N = shift_matrix(3)
-    assert len(nilpotent_powers(N)) == 3
-    assert len(nilpotent_powers(N, bound=2)) == 3
+    assert len(matrix_powers(identity(3), N, bound=3)) == 3
+    assert len(matrix_powers(identity(3), N, bound=2)) == 3
     with pytest.raises(NilpotencyError):
-        nilpotent_powers(N, bound=1)
+        matrix_powers(identity(3), N, bound=1)
 
 
 def test_matrix_function_refuses_short_series():
-    powers = nilpotent_powers(shift_matrix(3))
-    assert matrix_function([Fraction(1)] * 3, powers)[0][2] == Poly.const(1, 1)
+    powers = matrix_powers(identity(3), shift_matrix(3), bound=3)
+    assert matrix_series([Fraction(1)] * 3, powers, 1) == ([{0: {0: 1}, 1: {0: 1}, 2: {0: 1}},
+                                                            {1: {0: 1}, 2: {0: 1}}, {2: {0: 1}}], 1)
     with pytest.raises(NilpotencyError):
-        matrix_function([Fraction(1)] * 2, powers)
+        matrix_series([Fraction(1)] * 2, powers, 1)
 
 
 def test_exp_inverse_on_b2():
     rs, tab = b2()
     C = adjoint_matrix(tab)
+    d = len(C)
     depth = 12
     fact = [Fraction(1)]
     for m in range(1, depth + 1):
         fact.append(fact[-1] * m)
     exp_p = [Fraction(1) / fact[m] for m in range(depth)]
     exp_m = [Fraction(-1) ** m / fact[m] for m in range(depth)]
-    powers = nilpotent_powers(C)
-    E = matrix_function(exp_p, powers)
-    Einv = matrix_function(exp_m, powers)
-    prod = _mat_mul(E, Einv)
-    for i in range(len(C)):
-        for j in range(len(C)):
+    pk = Packing.fit(rs.n_pos, [p for row in C for p in row], factors=2 * depth)
+    powers = matrix_powers(identity(d), packed(pk, C), bound=depth - 1)
+    E, l_e = matrix_series(exp_p, powers, pk.denom)
+    Einv, l_einv = matrix_series(exp_m, powers, pk.denom)
+    prod = unpacked(pk, packed_mat_mul(E, Einv), l_e * l_einv)
+    for i in range(d):
+        for j in range(d):
             expected = Poly.const(rs.n_pos, 1) if i == j else Poly.zero(rs.n_pos)
             assert prod[i][j] == expected
+
+
+def test_matrix_series_over_a_denominator_matches_the_poly_oracle():
+    # M = (2/3) C packs over D = 3, so the m-th packed power is 3^m M^m
+    rs, tab = b2()
+    M = [[p.scale(Fraction(2, 3)) for p in row] for row in adjoint_matrix(tab)]
+    d = len(M)
+    series = [Fraction(1, m + 1) for m in range(d)]
+    pk = Packing.fit(rs.n_pos, [p for row in M for p in row], factors=d)
+    assert pk.denom == 3
+    powers = matrix_powers(identity(d), packed(pk, M), bound=d)
+    assert unpacked(pk, *matrix_series(series, powers, pk.denom)) == matrix_function(series, nilpotent_powers(M))
+
+
+def test_packing_does_not_carry_at_the_base_boundary():
+    # emax = 5, so two-factor products reach x0^10: base 11 keeps the top
+    # digit at base - 1, and base 10 would carry x0^10 into x1
+    p = Poly(2, {(5, 5): Fraction(1, 2), (0, 1): Fraction(3)})
+    q = Poly(2, {(5, 0): Fraction(-2, 3), (4, 5): Fraction(1)})
+    pk = Packing.fit(2, [p, q])
+    assert (pk.base, pk.denom) == (11, 6)
+    prod = mul_into({}, pk.pack(p), pk.pack(q))
+    assert pk.unpack(prod, pk.denom**2) == p * q
+    assert pk.unpack(pk.deriv(prod, 0), pk.denom**2) == (p * q).deriv(0)
+    tight = Packing(2, 10, 6)
+    assert tight.unpack(mul_into({}, tight.pack(p), tight.pack(q)), 36) != p * q
+    # three factors, as in anomalous_term: base 3 emax + 1 = 16 reaches x1^15
+    pk3 = Packing.fit(2, [p, q], factors=3)
+    assert pk3.base == 16
+    prod3 = mul_into({}, mul_into({}, pk3.pack(p), pk3.pack(q)), pk3.pack(p))
+    assert pk3.unpack(prod3, pk3.denom**3) == p * q * p
 
 
 def test_realization_polynomials_b2_reference_values():
@@ -190,7 +243,7 @@ def test_v_plus_inverse_is_inverse():
         rs = build_root_system(label)
         tab = build_structure_table(rs)
         polys = realization_polynomials(rs, tab)
-        prod = _mat_mul(polys.V_plus, polys.V_plus_inv)
+        prod = mat_mul(polys.V_plus, polys.V_plus_inv)
         for a in range(rs.n_pos):
             for b in range(rs.n_pos):
                 expected = Poly.const(rs.n_pos, 1) if a == b else Poly.zero(rs.n_pos)
@@ -263,6 +316,30 @@ def test_anomalous_term_values():
     assert anomalous_term(rs1, polys1)[0][0].is_zero
     cs1 = build_wakimoto(rs1, tab1, polys1)
     assert _dgamma_terms(cs1[("f", (1,))], 0) == {(((GAMMA, 0, 1),), (), None): k}
+
+
+_FAMILIES = ("V_plus", "V_cartan", "V_minus", "P", "Q", "S", "V_plus_inv")
+_SIGNED = {label: build_root_system(label) for label in ("B2", "G2", "A3", "C3", "A4")}
+
+
+@st.composite
+def _signed_algebra(draw):
+    """One of B2, G2, A3, C3, A4 with the extraspecial sign of every non-simple
+    positive root drawn at random, as the benchmark's realization workload draws them."""
+    rs = _SIGNED[draw(st.sampled_from(sorted(_SIGNED)))]
+    signs = {a: draw(st.sampled_from((-1, 1))) for a in rs.pos_roots if sum(a) > 1}
+    return rs, build_structure_table(rs, signs)
+
+
+@settings(deadline=None, max_examples=25)
+@given(_signed_algebra())
+def test_realization_polynomials_match_the_fraction_oracle(alg):
+    rs, tab = alg
+    polys = realization_polynomials(rs, tab)
+    want = realization_polynomials_fraction(rs, tab)
+    for name in _FAMILIES:
+        assert getattr(polys, name) == getattr(want, name), name
+    assert anomalous_term(rs, polys) == anomalous_term_fraction(rs, want)
 
 
 def test_poly_rejects_ratfunc_coefficients():
