@@ -4,7 +4,8 @@ Subcommands: realize (emit the differential and free-field realization),
 verify (run verification suites), screen (build and check screening
 currents), ope (ad-hoc operator products in a small expression grammar).
 
-Exit codes: 0 all checks pass, 1 a mathematical verification failed,
+Exit codes: 0 every check run passed (a suite that could not run a requested
+check reports "incomplete"), 1 a mathematical verification failed,
 2 input or configuration error, 141 (128 + SIGPIPE) the reader of stdout
 went away before the output was written.
 """
@@ -329,6 +330,16 @@ def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int):
     raise InputError(f"unknown suite {suite!r}")
 
 
+def _suite_status(ok: bool, details: dict) -> str:
+    """"fail" if a check failed; "incomplete" if every check passed but a
+    requested one was unavailable; "pass" otherwise."""
+    if not ok:
+        return "fail"
+    if any(isinstance(v, dict) and v.get("status") == "unavailable" for v in details.values()):
+        return "incomplete"
+    return "pass"
+
+
 def _second_kind_suite(cs: CurrentSet, direction: Optional[int]):
     rs = cs.rs
     if not cs.ctx.bosonic:
@@ -444,7 +455,7 @@ def cmd_verify(args) -> int:
     ok = True
     for suite in suites:
         sok, details = run_suite(cs, suite, direction, args.jobs)
-        report[suite] = {"status": "pass" if sok else "fail", "details": details}
+        report[suite] = {"status": _suite_status(sok, details), "details": details}
         ok = ok and sok
     out = {"schema": SCHEMA_REPORT, "algebra": cs.rs.name, "suites": report}
     if args.format == "json":

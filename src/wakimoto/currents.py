@@ -68,7 +68,7 @@ def free_field_image(
             gammas = tuple(
                 (ctx.gamma_kind(pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
             )
-            raw.append((RatFunc.of(c) * w, gammas + slot, (), None))
+            raw.append((c * w, gammas + slot, (), None))
     return FieldExpr._from_raw(raw)
 
 

@@ -1,9 +1,13 @@
 """Root systems and Cartan-Weyl structure constants for simple Lie algebras.
 
 Positive roots are generated from the Cartan matrix by root-string closure.
-Structure constants are fixed in a Chevalley-type basis: for each non-simple
-positive root the bracket along its extraspecial pair is set to +(p+1), and
-every remaining constant follows from antisymmetry, the sign-flip convention
+Structure constants are fixed in a Chevalley-type basis and stored once, in a
+``StructureTable`` whose one writer ``set_pair(a, b, out)`` sets [a, b] and,
+by graded antisymmetry, [b, a].  Root-root brackets are filled one non-simple
+positive root gamma at a time, in height order: the extraspecial pair of gamma
+gets +(p+1), and every other pair a + b = gamma follows from the Jacobi
+identity, reading the mixed constants [e_x, f_y] of lower roots back from the
+table.  Each pair fixes six brackets at once, through the sign-flip convention
 f_{-a,-b}^{-c} = -f_{a,b}^c and invariance of the Killing form.  The choice
 is deterministic (ordering below) and a per-root sign override is accepted
 for users who want a different convention.
@@ -375,7 +379,8 @@ class StructureTable:
 
     ``f[(la, lb)]`` maps a pair of basis labels to a dict {lc: coefficient}.
     ``kappa[(la, lb)]`` holds the Killing form.  ``parity`` marks odd basis
-    elements (only the osp fixture uses it).
+    elements (only the osp fixture uses it).  Every bracket is written
+    through ``set_pair``, together with its graded-antisymmetric partner.
     """
 
     def __init__(self, rs: RootSystem):
@@ -403,112 +408,33 @@ class StructureTable:
     def fconst(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.f.get((a, b), {}).get(c, Fraction(0))
 
-    def _set(self, a: Label, b: Label, out: dict[Label, Fraction]) -> None:
+    def set_pair(self, a: Label, b: Label, out: dict[Label, Fraction]) -> None:
+        """Set [a, b] = out and, by graded antisymmetry, [b, a] = -(-1)^{|a||b|} out."""
         out = {c: v for c, v in out.items() if v}
         if out:
+            s = 1 if self.label_parity(a) and self.label_parity(b) else -1
             self.f[(a, b)] = out
+            self.f[(b, a)] = {c: s * v for c, v in out.items()}
 
     def kappa_of(self, a: Label, b: Label) -> Fraction:
         return self.kappa.get((a, b), Fraction(0))
 
 
-def _pair_sign_table(rs: RootSystem, overrides: Optional[dict[Root, int]]) -> dict[tuple[Root, Root], Fraction]:
-    """N_{a,b} for ordered pairs of positive roots with a+b a root."""
-    pos = rs.pos_roots
-    pos_set = set(pos)
-    order = {a: i for i, a in enumerate(pos)}
-    N: dict[tuple[Root, Root], Fraction] = {}
-
-    def add(a: Root, b: Root, val: Fraction) -> None:
-        N[(a, b)] = val
-        N[(b, a)] = -val
-
-    def p_string(a: Root, b: Root) -> int:
-        """Largest m with b - m a a root."""
-        m = 0
-        cur = tuple(b[j] - a[j] for j in range(rs.rank))
-        while rs.is_root(cur):
-            m += 1
-            cur = tuple(cur[j] - a[j] for j in range(rs.rank))
-        return m
-
-    def n_pos(a: Root, b: Root) -> Fraction:
-        """N for positive roots a, b (0 when a+b not a root)."""
-        s = tuple(a[j] + b[j] for j in range(rs.rank))
-        if s not in pos_set:
-            return Fraction(0)
-        return N[(a, b)]
-
-    def n_mixed(a_sign: int, a: Root, b_sign: int, b: Root) -> Fraction:
-        """N for e/f labels: sign -1 means the negative root."""
-        if a_sign > 0 and b_sign > 0:
-            return n_pos(a, b)
-        if a_sign < 0 and b_sign < 0:
-            return -n_pos(a, b)
-        if a_sign > 0:  # (a, -b)
-            diff = tuple(a[j] - b[j] for j in range(rs.rank))
-            if all(c >= 0 for c in diff) and diff in pos_set:
-                # a = b + d: N_{a,-b} = -N_{b,d} d^2 / a^2
-                d = diff
-                return -n_pos(b, d) * rs.root_norm2(d) / rs.root_norm2(a)
-            neg = tuple(-c for c in diff)
-            if all(c >= 0 for c in neg) and neg in pos_set:
-                # b = a + d: N_{a,-b} = N_{d,a} d^2 / b^2
-                d = neg
-                return n_pos(d, a) * rs.root_norm2(d) / rs.root_norm2(b)
-            return Fraction(0)
-        # (-a, b) = -N_{b, -a}
-        return -n_mixed(1, b, -1, a)
-
-    for gamma in pos:
-        if sum(gamma) == 1:
-            continue
-        pairs = []
-        for a in pos:
-            if order[a] >= order[gamma]:
-                continue
-            b = tuple(gamma[j] - a[j] for j in range(rs.rank))
-            if all(c >= 0 for c in b) and b in pos_set and order[a] < order[b]:
-                pairs.append((a, b))
-        pairs.sort(key=lambda ab: order[ab[0]])
-        a1, b1 = pairs[0]  # extraspecial pair
-        sign = Fraction((overrides or {}).get(gamma, 1))
-        add(a1, b1, sign * (p_string(a1, b1) + 1))
-        g2 = rs.root_norm2(gamma)
-        for a, b in pairs[1:]:
-            # Jacobi on the quadruple (b1, a1, -a, -b), all sums known already
-            term = Fraction(0)
-            d1 = tuple(a1[j] - a[j] for j in range(rs.rank))
-            if rs.is_root(d1):
-                term += (
-                    n_mixed(1, a1, -1, a) * n_mixed(1, b1, -1, b) / rs.root_norm2(_abs_root(d1))
-                )
-            d2 = tuple(b1[j] - a[j] for j in range(rs.rank))
-            if rs.is_root(d2):
-                term += (
-                    n_mixed(-1, a, 1, b1) * n_mixed(1, a1, -1, b) / rs.root_norm2(_abs_root(d2))
-                )
-            val = -g2 / N[(a1, b1)] * term
-            add(a, b, val)
-    return N
-
-
-def _abs_root(v: Root) -> Root:
-    return v if all(c >= 0 for c in v) else tuple(-c for c in v)
-
-
 def build_structure_table(
     rs: RootSystem, sign_overrides: Optional[dict[Root, int]] = None
 ) -> StructureTable:
-    """Full Cartan-Weyl table: kappa plus every bracket coefficient."""
+    """Full Cartan-Weyl table: kappa plus every bracket coefficient.
+
+    Root-root brackets are filled one non-simple positive root gamma at a
+    time, in height order.  The extraspecial pair of gamma gets
+    (p+1) times its sign (+1 unless overridden); every other pair a + b = gamma follows from the Jacobi
+    identity, whose mixed constants [e_x, f_y] belong to lower roots and are
+    read back from the table.
+    """
     tab = StructureTable(rs)
     r = rs.rank
-    N = _pair_sign_table(rs, sign_overrides)
     pos = rs.pos_roots
-    pos_set = set(pos)
-
-    def n_pos(a, b):
-        return N.get((a, b), Fraction(0))
+    order = {a: i for i, a in enumerate(pos)}
 
     # kappa
     for a in pos:
@@ -524,43 +450,59 @@ def build_structure_table(
     for i in range(r):
         for a in pos:
             lab = rs.root_labels(a)[i]
-            if lab:
-                tab._set(("h", i), ("e", a), {("e", a): lab})
-                tab._set(("e", a), ("h", i), {("e", a): -lab})
-                tab._set(("h", i), ("f", a), {("f", a): -lab})
-                tab._set(("f", a), ("h", i), {("f", a): lab})
+            tab.set_pair(("h", i), ("e", a), {("e", a): lab})
+            tab.set_pair(("h", i), ("f", a), {("f", a): -lab})
 
     # [e_a, f_a] = h_a expanded on the h_i
     for a in pos:
         covee = [Fraction(2) * lab / rs.root_norm2(a) for lab in rs.root_labels(a)]
-        coeffs = {}
-        for j in range(r):
-            v = sum(rs.Ginv[j][i] * covee[i] for i in range(r))
-            if v:
-                coeffs[("h", j)] = v
-        tab._set(("e", a), ("f", a), coeffs)
-        tab._set(("f", a), ("e", a), {c: -v for c, v in coeffs.items()})
+        h_a = {("h", j): sum(rs.Ginv[j][i] * covee[i] for i in range(r)) for j in range(r)}
+        tab.set_pair(("e", a), ("f", a), h_a)
 
-    # root-root brackets
-    for a in pos:
-        for b in pos:
-            if a == b:
-                continue
-            s = tuple(a[j] + b[j] for j in range(r))
-            if s in pos_set:
-                v = n_pos(a, b)
-                tab._set(("e", a), ("e", b), {("e", s): v})
-                tab._set(("f", a), ("f", b), {("f", s): -v})
-            d = tuple(a[j] - b[j] for j in range(r))
-            if all(c >= 0 for c in d) and d in pos_set:
-                # [e_a, f_b] with a = b + d
-                v = -n_pos(b, d) * rs.root_norm2(d) / rs.root_norm2(a)
-                tab._set(("e", a), ("f", b), {("e", d): v})
-                tab._set(("f", b), ("e", a), {("e", d): -v})
-                # mirrored bracket [f_a, e_b]
-                tab._set(("f", a), ("e", b), {("f", d): -v})
-                tab._set(("e", b), ("f", a), {("f", d): v})
+    def coef(x: Label, y: Label) -> Fraction:
+        """The one coefficient of [x, y] for root labels of two different roots."""
+        return next(iter(tab.bracket(x, y).values()), Fraction(0))
+
+    def set_root_pair(a: Root, b: Root, gamma: Root, n: Fraction) -> None:
+        """The six brackets fixed by [e_a, e_b] = n e_gamma for a + b = gamma."""
+        va = n * rs.root_norm2(a) / rs.root_norm2(gamma)
+        vb = n * rs.root_norm2(b) / rs.root_norm2(gamma)
+        tab.set_pair(("e", a), ("e", b), {("e", gamma): n})
+        tab.set_pair(("f", a), ("f", b), {("f", gamma): -n})
+        tab.set_pair(("e", gamma), ("f", b), {("e", a): va})
+        tab.set_pair(("f", gamma), ("e", b), {("f", a): -va})
+        tab.set_pair(("e", gamma), ("f", a), {("e", b): -vb})
+        tab.set_pair(("f", gamma), ("e", a), {("f", b): vb})
+
+    for gamma in pos:
+        if sum(gamma) == 1:
+            continue
+        pairs = []
+        for a in pos[: order[gamma]]:
+            b = tuple(gamma[j] - a[j] for j in range(r))
+            if order.get(b, -1) > order[a]:
+                pairs.append((a, b))
+        (a1, b1), rest = pairs[0], pairs[1:]  # extraspecial pair first
+        p = 0  # largest p with b1 - p a1 a root
+        while rs.is_root(tuple(b1[j] - (p + 1) * a1[j] for j in range(r))):
+            p += 1
+        n1 = Fraction((sign_overrides or {}).get(gamma, 1)) * (p + 1)
+        set_root_pair(a1, b1, gamma, n1)
+        for a, b in rest:
+            # Jacobi on the quadruple (b1, a1, -a, -b)
+            term = Fraction(0)
+            d1 = tuple(a1[j] - a[j] for j in range(r))
+            if rs.is_root(d1):
+                term += coef(("e", a1), ("f", a)) * coef(("e", b1), ("f", b)) / rs.root_norm2(_abs_root(d1))
+            d2 = tuple(b1[j] - a[j] for j in range(r))
+            if rs.is_root(d2):
+                term += coef(("f", a), ("e", b1)) * coef(("e", a1), ("f", b)) / rs.root_norm2(_abs_root(d2))
+            set_root_pair(a, b, gamma, -rs.root_norm2(gamma) / n1 * term)
     return tab
+
+
+def _abs_root(v: Root) -> Root:
+    return v if all(c >= 0 for c in v) else tuple(-c for c in v)
 
 
 # ---------------------------------------------------------------------------
@@ -644,27 +586,18 @@ def osp22_fixture() -> tuple[RootSystem, StructureTable]:
     labels = {a1: (G[0][0], G[1][0]), a2: (G[0][1], G[1][1]), a12: (G[0][0] + G[0][1], G[1][0] + G[1][1])}
     for a, labs in labels.items():
         for i in range(2):
-            if labs[i]:
-                tab._set(("h", i), ("e", a), {("e", a): labs[i]})
-                tab._set(("e", a), ("h", i), {("e", a): -labs[i]})
-                tab._set(("h", i), ("f", a), {("f", a): -labs[i]})
-                tab._set(("f", a), ("h", i), {("f", a): labs[i]})
+            tab.set_pair(("h", i), ("e", a), {("e", a): labs[i]})
+            tab.set_pair(("h", i), ("f", a), {("f", a): -labs[i]})
 
-    def setpair(a: Label, b: Label, out: dict[Label, Fraction]) -> None:
-        tab._set(a, b, out)
-        # graded antisymmetry: [b,a] = -(-1)^{|a||b|}[a,b]
-        s = -1 if not (tab.label_parity(a) and tab.label_parity(b)) else 1
-        tab._set(b, a, {c: s * v for c, v in out.items()})
-
-    setpair(("e", a1), ("f", a1), {("h", 0): one})
-    setpair(("e", a2), ("f", a2), {("h", 1): one})
-    setpair(("e", a12), ("f", a12), {("h", 0): one, ("h", 1): one})
-    setpair(("e", a1), ("e", a2), {("e", a12): one})
-    setpair(("f", a1), ("f", a2), {("f", a12): -one})
-    setpair(("e", a2), ("f", a12), {("f", a1): one})
-    setpair(("f", a2), ("e", a12), {("e", a1): one})
-    setpair(("e", a1), ("f", a12), {("f", a2): -one})
-    setpair(("f", a1), ("e", a12), {("e", a2): one})
+    tab.set_pair(("e", a1), ("f", a1), {("h", 0): one})
+    tab.set_pair(("e", a2), ("f", a2), {("h", 1): one})
+    tab.set_pair(("e", a12), ("f", a12), {("h", 0): one, ("h", 1): one})
+    tab.set_pair(("e", a1), ("e", a2), {("e", a12): one})
+    tab.set_pair(("f", a1), ("f", a2), {("f", a12): -one})
+    tab.set_pair(("e", a2), ("f", a12), {("f", a1): one})
+    tab.set_pair(("f", a2), ("e", a12), {("e", a1): one})
+    tab.set_pair(("e", a1), ("f", a12), {("f", a2): -one})
+    tab.set_pair(("f", a1), ("e", a12), {("e", a2): one})
     return rs, tab
 
 

@@ -434,6 +434,48 @@ def test_custom_b2_series_needs_the_builtin_signs(tmp_path, capsys, signs, code)
 
 
 @pytest.mark.parametrize(
+    "algebra, signs, status, checked",
+    [
+        ("G2", None, "incomplete", []),
+        ("B2", {"1,1": -1, "1,2": -1}, "incomplete", ["1"]),
+        ("B2", None, "pass", ["1", "2"]),
+    ],
+    ids=["G2", "B2-sign-flipped", "B2"],
+)
+def test_second_kind_suite_with_an_unavailable_direction_is_incomplete(
+    tmp_path, capsys, algebra, signs, status, checked
+):
+    """A pass needs every requested direction checked; an unavailable one makes it incomplete, exit 0."""
+    if signs is not None:
+        p = tmp_path / "b2.json"
+        p.write_text(json.dumps({"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": signs}))
+        algebra = str(p)
+    code, out, err = run(capsys, "verify", "--algebra", algebra, "--suite", "screening-second")
+    suite = json.loads(out)["suites"]["screening-second"]
+    assert code == EXIT_OK and err == ""
+    assert suite["status"] == status
+    assert [d for d, v in suite["details"].items() if v.get("status") != "unavailable"] == checked
+
+
+def test_a_failing_direction_fails_even_beside_an_unavailable_one(tmp_path, capsys, monkeypatch):
+    """Sign-flipped B2 with its one checked direction made to fail: fail and exit 1, not incomplete."""
+    real_verify = cli.verify
+
+    def failing_verify(cs, s):
+        rep = real_verify(cs, s)
+        rep.checks[0].ok = False
+        return rep
+
+    monkeypatch.setattr(cli, "verify", failing_verify)
+    p = tmp_path / "b2.json"
+    p.write_text(json.dumps({"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"1,1": -1, "1,2": -1}}))
+    code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "screening-second")
+    suite = json.loads(out)["suites"]["screening-second"]
+    assert code == EXIT_VERIFICATION
+    assert suite["status"] == "fail" and suite["details"]["2"]["status"] == "unavailable"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": {"a,b": -1}}',

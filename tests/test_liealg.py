@@ -1,5 +1,8 @@
 import copy
+import hashlib
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -215,3 +218,33 @@ def test_get_algebra_selectors(tmp_path):
     rs3, tab3 = get_algebra(str(p))
     assert rs3.pos_roots == rs.pos_roots
     assert verify_jacobi(tab3) == []
+
+
+_PINNED = [f"A{r}" for r in range(1, 7)] + [f"B{r}" for r in range(2, 7)] + [f"C{r}" for r in range(3, 7)]
+_PINNED += ["D4", "D5", "D6", "E6", "F4", "G2", "OSP22"]
+
+
+def _table_digest(tab):
+    """sha256 of the sorted f and kappa items, each Fraction written with ``str``."""
+    f = sorted((key, sorted((c, str(v)) for c, v in out.items())) for key, out in tab.f.items())
+    kappa = sorted((key, str(v)) for key, v in tab.kappa.items())
+    return hashlib.sha256(repr((f, kappa)).encode()).hexdigest()
+
+
+def _flipped_table(label):
+    """The table with the extraspecial sign flipped on a seeded nonempty set of non-simple roots."""
+    rs = build_root_system(label)
+    nonsimple = [a for a in rs.pos_roots if sum(a) > 1]
+    rng = random.Random(label)
+    flipped = rng.sample(nonsimple, rng.randint(1, len(nonsimple)))
+    return build_structure_table(rs, {a: -1 for a in flipped})
+
+
+def test_every_structure_table_is_pinned():
+    """Each built-in table, and a sign-flipped one per algebra of rank 2 to 4, hashes as stored."""
+    digests = {label: _table_digest(get_algebra(label)[1]) for label in _PINNED}
+    for label in _PINNED:
+        if label != "OSP22" and 2 <= int(label[1:]) <= 4:
+            digests[f"{label}-flipped"] = _table_digest(_flipped_table(label))
+    lines = (Path(__file__).parent / "golden" / "structure-tables.sha256").read_text().splitlines()
+    assert digests == {name: digest for digest, name in (line.split() for line in lines)}
