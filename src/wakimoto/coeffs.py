@@ -107,6 +107,10 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """Nonzero, as for int, Fraction and ``RatFunc``."""
+        return bool(self.terms)
+
     def frozen(self) -> tuple:
         return tuple(sorted(self.terms.items()))
 

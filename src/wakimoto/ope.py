@@ -10,9 +10,12 @@ fields at the factor's position.  Fermionic crossings contribute signs.
 A term pair in which no z-side factor has a contraction partner on the w
 side (matching ghost pairs, scalar legs, legs against a vertex, primitives
 inside a power-factor base) has only a regular part, so it is skipped unless
-the regular part is asked for.  Each Wick pattern is appended as a raw term
-to its pole order, and every order is canonicalized once at the end.  Pair
-kernels and the Taylor towers of the surviving z parts are tabulated per
+the regular part is asked for.  Otherwise the walk visits only the z-side
+factors that have a partner on the w side; the others can only survive.
+Each Wick pattern is appended as a raw term to its pole order, and every
+order is canonicalized once at the end.  A pattern at the lowest order asked
+for is appended as it stands; only higher ones read the Taylor tower of
+their surviving z part.  Pair kernels and Taylor towers are tabulated per
 call, and each w term's items are built once per call: every walk restores
 them.  The walk passes its running pole order and coefficient product down,
 and holds no closures, so a call leaves no reference cycles behind.
@@ -135,15 +138,15 @@ class _WItem:
 
 
 class _ZTerm:
-    """A left-hand term: its factors, which of them are still uncontracted,
-    and the parity of the odd factors to the right of each one."""
+    """A left-hand term: its factors and their partner keys, which of them are
+    still uncontracted, and the parity of the odd factors to the right of each one."""
 
     __slots__ = ("prims", "vertex", "coef", "keys", "alive", "odd_after")
 
     def __init__(self, term: Term, coef: RatFunc):
         self.prims, _, self.vertex = term
         self.coef = coef.plain()
-        self.keys = _z_keys(term)
+        self.keys = [_LEG if kind == PHI else (kind, label) for kind, label, _ in self.prims]
         self.alive = [True] * len(self.prims)
         self.odd_after = [
             sum(map(prim_parity, self.prims[i + 1:])) & 1 for i in range(len(self.prims))
@@ -202,14 +205,6 @@ class _Table(dict):
         return value
 
 
-def _z_keys(term: Term) -> set:
-    prims, _, vertex = term
-    keys = {_LEG if kind == PHI else (kind, label) for kind, label, _ in prims}
-    if vertex is not None:
-        keys.add(_VERTEX)
-    return keys
-
-
 def _w_partners(term: Term) -> set:
     prims, pfs, vertex = term
     out = set()
@@ -250,10 +245,12 @@ def contract(
         for w in w_terms:
             if z.vertex is not None and w.vertex is not None:
                 raise UnsupportedContraction("vertex-vertex contraction is out of scope")
+            # only factors with a partner can contract; the others survive
+            walked = tuple(i for i, key in enumerate(z.keys) if key in w.partners)
             # with no contraction possible the pair only has an order-0 part
-            if min_order >= 1 and z.keys.isdisjoint(w.partners):
+            if min_order >= 1 and not walked and (z.vertex is None or _VERTEX not in w.partners):
                 continue
-            run.walk(z, w, 0, 0, z.coef * w.coef)
+            run.walk(z, w, walked, 0, 0, z.coef * w.coef)
     poles = {}
     for q, raw in run.raw.items():
         expr = FieldExpr._from_raw(raw)
@@ -271,9 +268,12 @@ class _Contraction:
     """One contract() call: lookup tables, the Wick walk, raw terms per pole order.
 
     The walk of a term pair is a depth-first search over the contractions of
-    the z factors, in order.  Each step passes the running pole order ``q``
-    and coefficient product ``coef`` down, so a leaf emits without
-    multiplying the contractions out again.
+    the z factors that have a partner on the w side, in order; the others can
+    only survive.  Each step passes the running pole order ``q`` and
+    coefficient product ``coef`` down, so a leaf emits without multiplying
+    the contractions out again.  A pattern at the lowest order asked for
+    needs only the surviving z part itself, so it is emitted without a
+    Taylor tower.
     """
 
     def __init__(self, ctx: FieldContext, min_order: int):
@@ -287,28 +287,34 @@ class _Contraction:
 
     def taylor(self, prims: tuple[Prim, ...], vertex, top: int) -> list[list]:
         """Levels m = 0..top of the Taylor tower d^m/m! of :prims vertex: as
-        (coef, prims, vertex) triples; shorter once a derivative vanishes."""
+        (coef, prims) pairs; shorter once a derivative vanishes."""
         tower = self.towers.get((prims, vertex))
         if tower is None:
-            expr = FieldExpr._from_raw([(ONE, prims, (), vertex)])
-            tower = self.towers[(prims, vertex)] = ([expr], [_level(expr, 1)])
+            # a sub-tuple of a canonical term's factors is canonical
+            tower = self.towers[(prims, vertex)] = (
+                [FieldExpr({(prims, (), vertex): ONE})],
+                [[(1, prims)]],
+            )
         exprs, levels = tower
         while len(levels) <= top and not exprs[-1].is_structurally_zero:
             exprs.append(exprs[-1].derivative(self.ctx))
             levels.append(_level(exprs[-1], _FACT[len(levels)]))
         return levels[: top + 1]
 
-    def walk(self, z: _ZTerm, w: _WTerm, iz: int, q: int, coef: Scalar) -> None:
-        """Contract z factor ``iz`` and the ones after it in every way."""
-        if iz == len(z.prims):
+    def walk(
+        self, z: _ZTerm, w: _WTerm, walked: tuple[int, ...], j: int, q: int, coef: Scalar
+    ) -> None:
+        """Contract z factor ``walked[j]`` and the walked ones after it in every way."""
+        if j == len(walked):
             if z.vertex is None:
                 self.emit(z, w, q, coef)
             else:
                 self.vertex_legs(z, w, 0, q, coef)
             return
+        iz = walked[j]
         zp = z.prims[iz]
         # leave the factor for Taylor expansion
-        self.walk(z, w, iz + 1, q, coef)
+        self.walk(z, w, walked, j + 1, q, coef)
         z.alive[iz] = False
         # both contracted factors are odd or both even; an odd pair picks up
         # a sign from every odd factor crossed in between
@@ -324,7 +330,7 @@ class _Contraction:
                 if ker is not None:
                     item.alive = False
                     kc = -ker[1] if odd and crossed else ker[1]
-                    self.walk(z, w, iz + 1, q + ker[0], coef * kc)
+                    self.walk(z, w, walked, j + 1, q + ker[0], coef * kc)
                     item.alive = True
                 crossed ^= item.parity
             elif item.kind == _WPF:
@@ -339,14 +345,14 @@ class _Contraction:
                 item.alive = not (item.exp.is_const and item.exp.v == 0)
                 for order, kc, remainder in channels:
                     items[pos:pos] = [_WItem(_WPRIM, prim=p) for p in remainder]
-                    self.walk(z, w, iz + 1, q + order, coef * (kc * pval))
+                    self.walk(z, w, walked, j + 1, q + order, coef * (kc * pval))
                     del items[pos: pos + len(remainder)]
                 item.exp = old_exp
                 item.alive = True
             else:  # vertex
                 ker = vertex_kernel_z(w.vertex, zp)
                 if ker is not None:
-                    self.walk(z, w, iz + 1, q + ker[0], coef * ker[1])
+                    self.walk(z, w, walked, j + 1, q + ker[0], coef * ker[1])
         z.alive[iz] = True
 
     def vertex_legs(self, z: _ZTerm, w: _WTerm, widx: int, q: int, coef: Scalar) -> None:
@@ -373,23 +379,22 @@ class _Contraction:
         rest_prims = tuple(item.prim for item in wleft if item.kind == _WPRIM)
         rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == _WPF)
         zleft = tuple(p for p, alive in zip(z.prims, z.alive) if alive)
+        vertex = z.vertex if z.vertex is not None else w.vertex
+        if q == min_order:
+            self.raw.setdefault(q, []).append((coef, zleft + rest_prims, rest_pfs, vertex))
+            return
         for m, level in enumerate(self.taylor(zleft, z.vertex, q - min_order)):
             bucket = self.raw.setdefault(q - m, [])
-            for tc, tprims, tvertex in level:
-                bucket.append((
-                    coef * tc,
-                    tprims + rest_prims,
-                    rest_pfs,
-                    tvertex if tvertex is not None else w.vertex,
-                ))
+            for tc, tprims in level:
+                bucket.append((coef * tc, tprims + rest_prims, rest_pfs, vertex))
 
 
 def _level(expr: FieldExpr, fact: int) -> list:
-    """Terms of ``expr`` divided by ``fact`` as (coef, prims, vertex) triples."""
+    """Terms of ``expr`` divided by ``fact`` as (coef, prims) pairs."""
     inv = Fraction(1, fact)
     return [
-        (c.plain() * inv if fact > 1 else c.plain(), prims, vertex)
-        for (prims, _, vertex), c in expr.terms.items()
+        (c.plain() * inv if fact > 1 else c.plain(), prims)
+        for (prims, _, _), c in expr.terms.items()
     ]
 
 

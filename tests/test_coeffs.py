@@ -190,3 +190,9 @@ def test_truthiness_agrees_across_int_fraction_and_ratfunc(value):
     assert bool(k * value) is bool(value)
     assert bool(RatFunc.of(value) / (k + 1)) is bool(value)
     assert bool(k - k + value) is bool(value)
+    # the polynomial rings under RatFunc and the realization
+    assert bool(Pol.const(value)) is bool(Pol.k().scale(value)) is bool(value)
+    assert bool(Pol.n() - Pol.n() + Pol.const(value)) is bool(value)
+    assert bool(Poly.const(2, value)) is bool(Poly.var(2, 1, value)) is bool(value)
+    assert bool(Poly.var(2, 0) - Poly.var(2, 0) + Poly.const(2, value)) is bool(value)
+    assert not Pol() and not Poly.zero(2)

@@ -1,6 +1,9 @@
 import gc
+import hashlib
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import contract_reference
 from wakimoto.coeffs import Exp, RatFunc
-from wakimoto.currents import build_wakimoto
+from wakimoto.currents import build_wakimoto, osp22_currents, sugawara_tensor
 from wakimoto.fields import (
     BETA,
     BGH,
@@ -19,6 +22,7 @@ from wakimoto.fields import (
     FieldExpr,
     UnsupportedContraction,
     base_key_of,
+    prim_parity,
 )
 from wakimoto.liealg import build_root_system, get_algebra, osp22_fixture
 from wakimoto.ope import (
@@ -31,6 +35,7 @@ from wakimoto.ope import (
     regularized_product,
     scalar_tensor,
 )
+from wakimoto.screening import first_kind
 
 
 @pytest.fixture(scope="module")
@@ -424,10 +429,8 @@ def _operand_pairs(draw):
     return draw(_operands(False, side == "z")), draw(_operands(True, side == "w"))
 
 
-@settings(deadline=None, max_examples=200)
-@given(_operand_pairs())
-def test_contract_matches_the_ratfunc_reference(pair):
-    A, B = pair
+def _assert_matches_reference(A, B):
+    """contract() equals the reference engine: orders, terms and insertion order."""
     for min_order in (0, 1):
         got = contract(_OSP_CTX, A, B, min_order=min_order).poles
         want = contract_reference(_OSP_CTX, A, B, min_order=min_order)
@@ -437,6 +440,52 @@ def test_contract_matches_the_ratfunc_reference(pair):
             for c in got[q].terms.values():
                 assert type(c) is RatFunc
                 assert all(type(v) is Fraction for v in c.num.terms.values())
+
+
+@settings(deadline=None, max_examples=200)
+@given(_operand_pairs())
+def test_contract_matches_the_ratfunc_reference(pair):
+    _assert_matches_reference(*pair)
+
+
+def test_crossing_signs_through_partnerless_factors():
+    """Odd ghosts of label 1 have no partner on the w side and are not walked,
+    yet they sit between and after contracting factors and must flip signs."""
+    def p(kind, label, d=0):
+        return FieldExpr.prim(kind, label, d)
+
+    c1, b1, c2, b2 = p(CGH, 1), p(BGH, 1), p(CGH, 2), p(BGH, 2)
+    g0, beta0, phi0 = p(GAMMA, 0), p(BETA, 0), p(PHI, 0)
+    A = (
+        c2 * b1 * b2 * phi0
+        + (g0 * c1 * c2 * b1 * beta0).scale(_K + 1)
+        + (p(CGH, 1, 1) * b2 * p(BGH, 1) * p(PHI, 1)).scale(Fraction(-2, 3))
+        + c1 * b1
+    )
+    # the base holds partners of b2, gamma_0 and the scalar legs, never of label 1
+    X = beta0 + (c2 * b2).scale(Fraction(1, 2)) + p(PHI, 0, 1)
+    B = (
+        c2 * FieldExpr.power(X, Exp(-1, Fraction(1, 2), 0))
+        + (b2 * p(GAMMA, 0, 1) * p(PHI, 1)).scale(_N + 1)
+        + p(CGH, 2, 1)
+    )
+    _assert_matches_reference(A, B)
+    assert contract(_OSP_CTX, A, B).nonzero_orders() == [4, 3, 2, 1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_prims, max_size=5), st.one_of(st.none(), _momenta))
+def test_subsequences_of_a_canonical_term_are_canonical(prims, vertex):
+    """The lowest-order shortcut of contract(): a surviving sub-tuple of a
+    canonical term's factors is itself a canonical term with coefficient 1."""
+    expr = FieldExpr._from_raw([(1, tuple(prims), (), vertex)])
+    odd = [q for q in prims if prim_parity(q)]
+    assert expr.is_structurally_zero is (len(set(odd)) < len(odd))
+    for (factors, _, v) in expr.terms:
+        for size in range(len(factors) + 1):
+            for sub in itertools.combinations(factors, size):
+                got = FieldExpr._from_raw([(1, sub, (), v)]).terms
+                assert got == {(sub, (), v): RatFunc.one()}
 
 
 def test_contract_leaves_no_cyclic_garbage():
@@ -453,3 +502,30 @@ def test_contract_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert res.nonzero_orders() == [2, 1]
+
+
+def _pole_lines(name, ctx, A, B):
+    return [f"{name} {q}: {expr.text(ctx)}" for q, expr in contract(ctx, A, B).poles.items()]
+
+
+def _contract_pole_digest():
+    """sha256 of the sorted pole texts of the A3 and OSP22 current tables, B2's
+    TT for both tensors and B2's first-kind contracts."""
+    lines = []
+    for cs in (build_wakimoto(*get_algebra("A3")), osp22_currents()):
+        for a in cs.labels():
+            for b in cs.labels():
+                lines += _pole_lines(f"{cs.rs.name} {a} {b}", cs.ctx, cs[a], cs[b])
+    b2 = build_wakimoto(*get_algebra("B2"))
+    for name, T in (("sugawara", sugawara_tensor(b2)), ("free", free_field_tensor(b2.ctx))):
+        lines += _pole_lines(f"B2 T-{name}", b2.ctx, T, T)
+    for j in range(b2.rs.rank):
+        body = first_kind(b2, j).body
+        for a in b2.labels():
+            lines += _pole_lines(f"B2 S{j} {a}", b2.ctx, b2[a], body)
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def test_contract_poles_are_pinned():
+    stored = (Path(__file__).parent / "golden" / "contract-poles.sha256").read_text().split()
+    assert [_contract_pole_digest(), "contract-poles"] == stored
