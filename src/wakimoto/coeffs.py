@@ -22,6 +22,15 @@ equal exactly when their numerators and denominators are; equality and
 hashing are structural, and division by a factor of degree above 1 raises
 ``ValueError``.
 
+Cancellation is tried only where it can happen.  In a product of canonical
+values only one operand's denominator can cancel against the other's
+numerator; a sum over an equal denominator only needs cancelling.  Each
+factor is divided out by synthetic division (``_divide_linear``, Horner's
+rule in the factor's leading variable), and ``_cancel`` divides by each
+factor as often as it goes.  Generic long division is kept as the test
+oracle (``tests/oracles.py``), with the merge-and-divide route every product
+and sum took before.
+
 Every stored coefficient is a RatFunc, but rational values may travel as
 plain ints and Fractions in between: ``RatFunc.plain`` unwraps them for the
 Wick engine (``ope.contract``) and for canonicalization
@@ -218,43 +227,15 @@ class Pol(SparsePoly):
         """Substitute n -> n + delta."""
         if delta == 0:
             return self
-        out = Pol()
+        out: dict[Monomial, Fraction] = {}
         for (a, b), c in self.terms.items():
             # binomial expansion of (n + delta)^b
-            row: dict[Monomial, Fraction] = {}
             binom = 1
             for j in range(b + 1):
-                row[(a, b - j)] = c * Fraction(binom) * Fraction(delta) ** j
+                m = (a, b - j)
+                out[m] = out.get(m, 0) + c * binom * delta ** j
                 binom = binom * (b - j) // (j + 1)
-            out = out + Pol(row)
-        return out
-
-    # -- exact division ----------------------------------------------------
-
-    def divide_exact(self, divisor: "Pol") -> Optional["Pol"]:
-        """Return self / divisor when it divides exactly, else None."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Pol()
-        if divisor.is_const:
-            inv = 1 / divisor.const_value()
-            return self.scale(inv)
-        rem = Pol(dict(self.terms))
-        quo: dict[Monomial, Fraction] = {}
-        lead = max(divisor.terms)  # lex on (k-power, n-power)
-        lead_c = divisor.terms[lead]
-        # each step removes the lex-leading monomial of rem, and lex order
-        # well-orders N^2, so the loop ends
-        while not rem.is_zero:
-            m = max(rem.terms)
-            qm = (m[0] - lead[0], m[1] - lead[1])
-            if qm[0] < 0 or qm[1] < 0:
-                return None
-            qc = rem.terms[m] / lead_c
-            quo[qm] = quo.get(qm, Fraction(0)) + qc
-            rem = rem - Pol({qm: qc}) * divisor
-        return Pol({m: c for m, c in quo.items() if c})
+        return Pol({m: c for m, c in out.items() if c})
 
     # -- presentation ------------------------------------------------------
 
@@ -289,6 +270,70 @@ class Pol(SparsePoly):
 
     def __repr__(self) -> str:
         return f"Pol({self.text()})"
+
+
+# ---------------------------------------------------------------------------
+# cancellation of monic linear factors
+# ---------------------------------------------------------------------------
+
+def _divide_linear(num: Pol, p: Pol) -> Optional[Pol]:
+    """num / p for a monic linear p, or None when p leaves a remainder.
+
+    Synthetic division (Horner's rule) in the leading variable x of
+    p = x + a y + b, over Q[y]: x = k and y = n when p involves k; otherwise
+    x = n with a = 0, which divides the polynomial in n at each power of k.
+    """
+    t = p.terms
+    x = 0 if (1, 0) in t else 1
+    a = t.get((0, 1), 0) if x == 0 else 0
+    b = t.get((0, 0), 0)
+    rows: dict[int, dict[int, Fraction]] = {}  # power of x -> {power of y: coefficient}
+    for m, c in num.terms.items():
+        rows.setdefault(m[x], {})[m[1 - x]] = c
+    out: dict[Monomial, Fraction] = {}
+    carry: dict[int, Fraction] = {}
+    for i in range(max(rows, default=0), -1, -1):
+        cur = dict(rows.get(i, ()))
+        for j, c in carry.items():  # cur -= (a y + b) * carry
+            if a:
+                cur[j + 1] = cur.get(j + 1, 0) - a * c
+            if b:
+                cur[j] = cur.get(j, 0) - b * c
+        carry = {j: c for j, c in cur.items() if c}
+        if i:
+            for j, c in carry.items():
+                out[(i - 1, j) if x == 0 else (j, i - 1)] = c
+    # the last carry is the remainder
+    return None if carry else Pol(out)
+
+
+def _cancel(num: Pol, den) -> tuple[Pol, tuple[tuple[Pol, int], ...]]:
+    """Divide ``num`` by each factor of ``den`` (monic linear, with its power)
+    as often as it divides; the quotient and the factors left over."""
+    left = []
+    for p, e in den:
+        while e:
+            q = _divide_linear(num, p)
+            if q is None:
+                break
+            num, e = q, e - 1
+        if e:
+            left.append((p, e))
+    return num, tuple(left)
+
+
+def _factor_order(factor: tuple[Pol, int]) -> tuple:
+    return factor[0].frozen()
+
+
+def _merge_den(d1: tuple, d2: tuple) -> tuple:
+    """The factor list of the product of two canonical denominators."""
+    if not d1 or not d2:
+        return d1 or d2
+    merged = dict(d1)
+    for p, e in d2:
+        merged[p] = merged.get(p, 0) + e
+    return tuple(sorted(merged.items(), key=_factor_order))
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +408,7 @@ class RatFunc:
             merged[p] = merged.get(p, 0) + e
         if scale != 1:
             num = num.scale(1 / scale)
-        # cancel factors dividing the numerator
-        out_den: list[tuple[Pol, int]] = []
-        for p in sorted(merged, key=Pol.frozen):
-            e = merged[p]
-            while e > 0:
-                q = num.divide_exact(p)
-                if q is None:
-                    break
-                num = q
-                e -= 1
-            if e > 0:
-                out_den.append((p, e))
-        return RatFunc(num, tuple(out_den))
+        return RatFunc(*_cancel(num, sorted(merged.items(), key=_factor_order)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -386,7 +419,8 @@ class RatFunc:
         if other.num.is_zero:
             return self
         if self.den == other.den:
-            return RatFunc._make(self.num + other.num, self.den)
+            # the denominator is canonical already: only cancellation is left
+            return RatFunc(*_cancel(self.num + other.num, self.den))
         sden, oden = dict(self.den), dict(other.den)
         common: list[tuple[Pol, int]] = []
         lh = Pol.const(1)
@@ -413,6 +447,8 @@ class RatFunc:
         return RatFunc.of(other) + (-self)
 
     def __mul__(self, other) -> "RatFunc":
+        if type(other) is int or type(other) is Fraction:
+            return self._scaled(other)
         other = RatFunc.of(other)
         if self.num.is_zero or other.num.is_zero:
             return RatFunc(Pol())
@@ -421,11 +457,17 @@ class RatFunc:
             return self._scaled(other.num.terms[(0, 0)])
         if self.is_rational:
             return other._scaled(self.num.terms[(0, 0)])
-        return RatFunc._make(self.num * other.num, self.den + other.den)
+        # both operands are canonical and linear factors are prime, so only
+        # one operand's denominator can cancel against the other's numerator
+        num, oden = _cancel(self.num, other.den)
+        onum, den = _cancel(other.num, self.den)
+        return RatFunc(num * onum, _merge_den(den, oden))
 
-    def _scaled(self, c: Fraction) -> "RatFunc":
+    def _scaled(self, c) -> "RatFunc":
         if c == 1:
             return self
+        if not c:
+            return RatFunc(Pol())
         return RatFunc(self.num.scale(c), self.den)
 
     __rmul__ = __mul__
@@ -530,16 +572,30 @@ ONE = RatFunc.one()
 # affine exponents  u*t + v + w*n
 # ---------------------------------------------------------------------------
 
-class Exp:
-    """Exponent of a symbolic power factor: u*t + v + w*n with rational u, v, w."""
+def _lean(c) -> Union[int, Fraction]:
+    """A rational as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    __slots__ = ("u", "v", "w", "_hash")
+
+class Exp:
+    """Exponent of a symbolic power factor: u*t + v + w*n with rational u, v, w.
+
+    Integral components are ints, as in ``RatFunc.plain``, and the key and
+    hash are computed once: exponents are compared and hashed on every term
+    lookup of the field layer.
+    """
+
+    __slots__ = ("u", "v", "w", "_key", "_hash")
 
     def __init__(self, u=0, v=0, w=0):
-        self.u = Fraction(u)
-        self.v = Fraction(v)
-        self.w = Fraction(w)
-        self._hash: Optional[int] = None
+        self.u = u = _lean(u)
+        self.v = v = _lean(v)
+        self.w = w = _lean(w)
+        self._key = (u, v, w)
+        self._hash = hash(self._key)
 
     @staticmethod
     def const(v) -> "Exp":
@@ -548,19 +604,20 @@ class Exp:
     def __add__(self, other) -> "Exp":
         if isinstance(other, Exp):
             return Exp(self.u + other.u, self.v + other.v, self.w + other.w)
-        return Exp(self.u, self.v + Fraction(other), self.w)
+        return Exp(self.u, self.v + other, self.w)
 
     def __sub__(self, other) -> "Exp":
         if isinstance(other, Exp):
             return Exp(self.u - other.u, self.v - other.v, self.w - other.w)
-        return Exp(self.u, self.v - Fraction(other), self.w)
+        return Exp(self.u, self.v - other, self.w)
 
     def shift_n(self, delta: int) -> "Exp":
         return Exp(self.u, self.v + self.w * delta, self.w)
 
     def as_ratfunc(self, hvee: int) -> RatFunc:
-        p = Pol.t(hvee).scale(self.u) + Pol.const(self.v) + Pol.n().scale(self.w)
-        return RatFunc(p)
+        u = Fraction(self.u)
+        terms = (((1, 0), u), ((0, 0), u * hvee + self.v), ((0, 1), Fraction(self.w)))
+        return RatFunc(Pol({m: c for m, c in terms if c}))
 
     def subs_t(self, value) -> Optional[Fraction]:
         """Numeric value at t = value; None when n still appears."""
@@ -570,17 +627,15 @@ class Exp:
 
     @property
     def is_const(self) -> bool:
-        return self.u == 0 and self.w == 0
+        return not self.u and not self.w
 
     def key(self) -> tuple:
-        return (self.u, self.v, self.w)
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Exp) and self.key() == other.key()
+        return type(other) is Exp and self._key == other._key
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.key())
         return self._hash
 
     def text(self) -> str:

@@ -17,6 +17,10 @@ nonnegative-integer constant powers expanded.  Zero-testing expands power
 factors of a common base to the least constant offset present, after which
 distinct factor structures are linearly independent.
 
+A base is an interned ``BaseKey``: equal bases are one object, so they
+compare and hash by identity, and the key carries its sort key and the
+memoized monomials of its derivative and powers.
+
 Raw terms handed to ``FieldExpr._from_raw`` may carry int, Fraction or
 RatFunc coefficients.  Rational ones are summed as plain numbers, and each
 output coefficient is wrapped as a RatFunc once, so every coefficient
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
+from weakref import WeakValueDictionary
 
 from .coeffs import Exp, RatFunc, Scalar
 from .liealg import RootSystem
@@ -39,8 +45,7 @@ KIND_WEIGHT = (0, 0, 1, 1, 1)
 KIND_NAMES = ("gamma", "c", "b", "beta", "dphi")
 
 Prim = tuple[int, int, int]          # (kind, label, deriv)
-BaseKey = tuple                      # sorted tuple of (prims, RatFunc)
-PF = tuple[BaseKey, Exp]
+PF = tuple["BaseKey", Exp]
 Momentum = tuple[RatFunc, ...]
 Term = tuple[tuple[Prim, ...], tuple[PF, ...], Optional[Momentum]]
 
@@ -246,7 +251,7 @@ class FieldExpr:
                     kept
                     + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0)
                 )
-                for bprims, bcoef in key:
+                for bprims, bcoef in key.items:
                     stack.append((coef * bcoef, sp + bprims, tuple(rest), vertex))
                 continue
             term: Term = (sp, tuple(kept), vertex)
@@ -398,6 +403,43 @@ class FieldExpr:
 # base handling
 # ---------------------------------------------------------------------------
 
+class BaseKey:
+    """The base of a power factor, interned: one object per base.
+
+    ``items`` is the sorted tuple of the base's (prims, RatFunc) monomials,
+    and iterating a key yields them.  ``base_key_of`` builds every key
+    through ``_intern``, so equal bases are the same object: equality and
+    hashing are by identity, which a term lookup pays once per key instead
+    of once per monomial coefficient.  The sort key and the monomials of the
+    base's derivative and powers are kept on the key.  The table holds keys
+    weakly, and unpickling (``--jobs`` under spawn) interns again.
+    """
+
+    __slots__ = ("items", "sort_key", "derivative", "powers", "__weakref__")
+
+    def __init__(self, items: tuple):
+        self.items = items
+        self.sort_key = tuple((prims, coef.key()) for prims, coef in items)
+        self.derivative: Optional[list] = None
+        self.powers: list = []
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __reduce__(self):
+        return _intern, (self.items,)
+
+
+_BASES: WeakValueDictionary = WeakValueDictionary()
+
+
+def _intern(items: tuple) -> BaseKey:
+    key = _BASES.get(items)
+    if key is None:
+        key = _BASES[items] = BaseKey(items)
+    return key
+
+
 def base_key_of(base: FieldExpr) -> BaseKey:
     """Freeze an even, vertex- and power-free expression as a power base."""
     items = []
@@ -409,52 +451,38 @@ def base_key_of(base: FieldExpr) -> BaseKey:
         items.append((prims, coef))
     if not items:
         raise UnsupportedContraction("cannot raise the zero expression to a symbolic power")
-    return tuple(sorted(items, key=lambda it: it[0]))
+    return _intern(tuple(sorted(items, key=lambda it: it[0])))
 
 
 def base_expr(key: BaseKey) -> FieldExpr:
     return FieldExpr._from_raw([(coef, prims, (), None) for prims, coef in key])
 
 
-def _base_sort_key(key: BaseKey):
-    return tuple((prims, coef.key()) for prims, coef in key)
-
-
-_base_derivative_cache: dict = {}
+_base_sort_key = attrgetter("sort_key")
 
 
 def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], RatFunc]]:
     """The monomials of d(base) as (sorted prims, coefficient) pairs."""
-    cached = _base_derivative_cache.get(key)
-    if cached is None:
+    if key.derivative is None:
         raw = []
         for prims, coef in key:
             for i, p in enumerate(prims):
                 bumped = prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:]
                 raw.append((coef, bumped, (), None))
-        cached = _plain_monomials(FieldExpr._from_raw(raw))
-        _base_derivative_cache[key] = cached
-    return cached
-
-
-_base_power_cache: dict = {}
+        key.derivative = _plain_monomials(FieldExpr._from_raw(raw))
+    return key.derivative
 
 
 def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], RatFunc]]:
     """The monomials of :base^m: (m >= 1) as (sorted prims, coefficient) pairs."""
-    cached = _base_power_cache.get((key, m))
-    if cached is None:
-        if m == 1:
-            raw = [(coef, prims, (), None) for prims, coef in key]
+    powers = key.powers
+    while len(powers) < m:
+        if powers:
+            raw = [(c1 * c2, p1 + p2, (), None) for p1, c1 in powers[-1] for p2, c2 in key]
         else:
-            raw = [
-                (c1 * c2, p1 + p2, (), None)
-                for p1, c1 in _base_power(key, m - 1)
-                for p2, c2 in key
-            ]
-        cached = _plain_monomials(FieldExpr._from_raw(raw))
-        _base_power_cache[(key, m)] = cached
-    return cached
+            raw = [(coef, prims, (), None) for prims, coef in key]
+        powers.append(_plain_monomials(FieldExpr._from_raw(raw)))
+    return powers[m - 1]
 
 
 def _plain_monomials(expr: FieldExpr) -> list[tuple[tuple[Prim, ...], RatFunc]]:

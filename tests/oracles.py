@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from wakimoto.coeffs import Exp, RatFunc
+from wakimoto.coeffs import Exp, Pol, RatFunc
 from wakimoto.diffop import DiffOp
 from wakimoto.fields import (
     BETA,
@@ -695,6 +695,81 @@ def ratfuncs_equal_by_evaluation(x: RatFunc, y: RatFunc) -> bool:
     pairs = [(a, b) for a, b in zip(ratfunc_values(x), ratfunc_values(y)) if None not in (a, b)]
     assert len(pairs) >= 3, "too many sample points hit a pole"
     return all(a == b for a, b in pairs)
+
+
+def divide_exact(num: Pol, divisor: Pol) -> Optional[Pol]:
+    """num / divisor when it divides exactly, else None.
+
+    Generic long division on the lex-leading monomial (k-power, n-power),
+    for any nonzero divisor; ``coeffs`` divides by its monic linear factors
+    with Horner's rule instead.
+    """
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if num.is_zero:
+        return Pol()
+    if divisor.is_const:
+        return num.scale(1 / divisor.const_value())
+    rem = Pol(dict(num.terms))
+    quo: dict = {}
+    lead = max(divisor.terms)
+    lead_c = divisor.terms[lead]
+    # each step removes the lex-leading monomial of rem, and lex order
+    # well-orders N^2, so the loop ends
+    while not rem.is_zero:
+        m = max(rem.terms)
+        qm = (m[0] - lead[0], m[1] - lead[1])
+        if qm[0] < 0 or qm[1] < 0:
+            return None
+        qc = rem.terms[m] / lead_c
+        quo[qm] = quo.get(qm, Fraction(0)) + qc
+        rem = rem - Pol({qm: qc}) * divisor
+    return Pol({m: c for m, c in quo.items() if c})
+
+
+def make_reference(num: Pol, den) -> RatFunc:
+    """The canonical num / prod(p^e for p, e in den), the one route every
+    product and sum took before cancellation across operands: the factors
+    are merged, made monic and sorted, and each is cancelled by long division."""
+    if num.is_zero:
+        return RatFunc(Pol())
+    scale = Fraction(1)
+    merged: dict = {}
+    for p, e in den:
+        if p.is_const:
+            scale *= p.const_value() ** e
+            continue
+        lc = p.leading_coeff()
+        if lc != 1:
+            scale *= lc**e
+            p = p.scale(1 / lc)
+        merged[p] = merged.get(p, 0) + e
+    if scale != 1:
+        num = num.scale(1 / scale)
+    out = []
+    for p in sorted(merged, key=Pol.frozen):
+        e = merged[p]
+        while e > 0 and (q := divide_exact(num, p)) is not None:
+            num, e = q, e - 1
+        if e > 0:
+            out.append((p, e))
+    return RatFunc(num, tuple(out))
+
+
+def mul_reference(x: RatFunc, y: RatFunc) -> RatFunc:
+    return make_reference(x.num * y.num, x.den + y.den)
+
+
+def add_reference(x: RatFunc, y: RatFunc) -> RatFunc:
+    """x + y over the least common denominator, through ``make_reference``."""
+    xd, yd = dict(x.den), dict(y.den)
+    common, xh, yh = [], Pol.const(1), Pol.const(1)
+    for p in sorted(xd.keys() | yd.keys(), key=Pol.frozen):
+        e = max(xd.get(p, 0), yd.get(p, 0))
+        common.append((p, e))
+        xh = xh * p ** (e - xd.get(p, 0))
+        yh = yh * p ** (e - yd.get(p, 0))
+    return make_reference(x.num * xh + y.num * yh, common)
 
 
 # ---------------------------------------------------------------------------

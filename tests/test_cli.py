@@ -525,3 +525,29 @@ def test_realize_output_is_pinned(capsys, algebra, fmt):
         assert out == (GOLDEN / f"realize-{algebra}.tex").read_text()
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == _JSON_SHA256[f"realize-{algebra}.json"]
+
+
+_SCREEN_COMMANDS = {
+    f"screen-{algebra}-{kind}-{direction}": (
+        f"screen --algebra {algebra} --direction {direction} --kind {kind} --verify --format json"
+    )
+    for algebra, kind, direction in (
+        ("B2", "first", 1), ("B2", "first", 2), ("B2", "second", 1), ("B2", "second", 2),
+        ("OSP22", "second", 1), ("OSP22", "second", 2), ("A3", "first", 2), ("G2", "first", 1),
+    )
+}
+_SCREEN_COMMANDS["verify-B2-screening-second"] = "verify --algebra B2 --suite screening-second"
+
+
+@pytest.mark.parametrize("name", sorted(_SCREEN_COMMANDS))
+def test_screening_output_is_pinned(capsys, name):
+    """The screening checks print the stored JSON and exit code, byte for byte.
+
+    ``tests/golden/screen-json.sha256`` holds one sha256 of "<exit code>\\n<stdout>"
+    per command; the bilateral B2 series of the second kind is the costliest.
+    """
+    stored = dict(
+        reversed(line.split()) for line in (GOLDEN / "screen-json.sha256").read_text().splitlines()
+    )
+    code, out, err = run(capsys, *_SCREEN_COMMANDS[name].split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == stored[name]

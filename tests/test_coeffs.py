@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ratfunc_values, ratfuncs_equal_by_evaluation
-from wakimoto.coeffs import Exp, Pol, RatFunc
+from oracles import (
+    add_reference,
+    divide_exact,
+    make_reference,
+    mul_reference,
+    ratfunc_values,
+    ratfuncs_equal_by_evaluation,
+)
+from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel
 from wakimoto.fields import BETA, GAMMA, FieldExpr
 from wakimoto.polymat import Poly
 
@@ -22,10 +29,13 @@ def test_pol_ring_basics():
 def test_pol_exact_division():
     k = Pol.k()
     n = Pol.n()
-    p = (k + Pol.const(1)) * (n + Pol.const(2)) * (n + Pol.const(2))
-    q = p.divide_exact(n + Pol.const(2))
-    assert q == (k + Pol.const(1)) * (n + Pol.const(2))
-    assert p.divide_exact(n + Pol.const(3)) is None
+    f = n + Pol.const(2)
+    p = (k + Pol.const(1)) * f * f
+    assert _cancel(p, ((f, 1),)) == ((k + Pol.const(1)) * f, ())
+    assert _cancel(p, ((f, 3),)) == (k + Pol.const(1), ((f, 1),))
+    g = n + Pol.const(3)
+    assert _cancel(p, ((g, 1),)) == (p, ((g, 1),))
+    assert _cancel(p, ((k + n + Pol.const(1), 1), (f, 2))) == (k + Pol.const(1), ((k + n + Pol.const(1), 1),))
 
 
 def test_pol_shift_n_roundtrip():
@@ -125,7 +135,7 @@ def _assert_canonical(x):
     for p, e in x.den:
         assert e > 0 and p.leading_coeff() == 1
         assert not p.is_const and all(a + b <= 1 for a, b in p.terms)
-        assert x.num.divide_exact(p) is None
+        assert divide_exact(x.num, p) is None
 
 
 @settings(deadline=None, max_examples=150)
@@ -196,3 +206,71 @@ def test_truthiness_agrees_across_int_fraction_and_ratfunc(value):
     assert bool(Poly.const(2, value)) is bool(Poly.var(2, 1, value)) is bool(value)
     assert bool(Poly.var(2, 0) - Poly.var(2, 0) + Poly.const(2, value)) is bool(value)
     assert not Pol() and not Poly.zero(2)
+
+
+# -- the division kernel and cancellation across operands ----------------------
+
+_monomials4 = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda m: sum(m) <= 4)
+_pols4 = st.dictionaries(_monomials4, _small, max_size=6).map(
+    lambda d: Pol({m: c for m, c in d.items() if c})
+)
+_monic_linear = st.one_of(
+    st.builds(lambda a, b: Pol({(1, 0): Fraction(1)}) + Pol.n().scale(a) + Pol.const(b), _small, _small),
+    st.builds(lambda b: Pol.n() + Pol.const(b), _small),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_pols4, _pols4, _monic_linear, st.integers(1, 3))
+def test_horner_kernel_matches_long_division(q, r, p, e):
+    """``_cancel`` undoes a product exactly, and refuses a division exactly
+    when the long-division oracle finds a remainder."""
+    assert _cancel(q * p**e, ((p, e),)) == (q, ())
+    want = divide_exact(r, p)
+    num, left = _cancel(r, ((p, 1),))
+    if want is None:
+        assert num is r and left == ((p, 1),)
+    else:
+        assert num == want and left == ()
+        assert all(type(c) is Fraction for c in num.terms.values())
+
+
+_den_factors = [
+    Pol.k() + Pol.n() + Pol.const(1),
+    Pol.k().scale(2) + Pol.n().scale(2) + Pol.const(1),
+    Pol.n() + Pol.const(1),
+    Pol.k() + Pol.const(3),
+    Pol.t(4),
+]
+
+
+def _exponents(top):
+    return st.lists(st.integers(0, top), min_size=len(_den_factors), max_size=len(_den_factors))
+
+
+@st.composite
+def _canonical(draw):
+    """A canonical RatFunc whose numerator often shares factors with the denominators."""
+    num = draw(_pols.filter(bool))
+    for f, a in zip(_den_factors, draw(_exponents(1))):
+        num = num * f**a
+    den = [(f, e) for f, e in zip(_den_factors, draw(_exponents(2))) if e]
+    return RatFunc._make(num, den)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_canonical(), _canonical(), _small)
+def test_products_and_sums_match_the_cancel_route(a, b, c):
+    """``a*b``, ``a+b`` and ``a*c`` equal, structurally, the canonical form the
+    merge-and-divide route builds, and agree with pointwise evaluation."""
+    for got, want in ((a * b, mul_reference(a, b)), (a + b, add_reference(a, b)),
+                      (a * c, make_reference(a.num * Pol.const(c), a.den)),
+                      (c * a, make_reference(a.num * Pol.const(c), a.den))):
+        assert got.num == want.num and got.den == want.den
+        assert ratfuncs_equal_by_evaluation(got, want)
+        assert all(type(v) is Fraction for v in got.num.terms.values())
+        _assert_canonical(got)
+    for got, op in ((a * b, Fraction.__mul__), (a + b, Fraction.__add__)):
+        for g, u, v in zip(ratfunc_values(got), ratfunc_values(a), ratfunc_values(b)):
+            if None not in (g, u, v):
+                assert g == op(u, v)

@@ -131,3 +131,72 @@ def test_series_shift_roundtrip(ctx):
     )
     assert expr.shift_n(1).shift_n(-1).equals(expr)
     assert not expr.shift_n(1).equals(expr)
+
+
+# -- interned power-factor bases ------------------------------------------------
+
+def _b2_like_base(order):
+    """beta[0] + (1/(k+3)) gamma[1] beta[2], its terms added in the given order."""
+    k = RatFunc.k()
+    parts = [
+        FieldExpr.prim(BETA, 0),
+        FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 2, coef=1 / (k + 3)),
+    ]
+    out = FieldExpr.zero()
+    for i in order:
+        out = out + parts[i]
+    return out
+
+
+def test_equal_bases_are_one_object():
+    k = RatFunc.k()
+    a = base_key_of(_b2_like_base((0, 1)))
+    b = base_key_of(_b2_like_base((1, 0)))
+    # a third route: scaled twice, and a coefficient rebuilt from (k+3)/(k+3)^2
+    c = base_key_of(
+        _b2_like_base((0, 1)).scale(2).scale(Fraction(1, 2))
+        + FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 2, coef=(k + 3) / (k + 3) / (k + 3))
+        - FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 2, coef=1 / (k + 3))
+    )
+    assert a is b is c
+    assert list(a) == list(a.items) and len(a.items) == 2
+    other = base_key_of(FieldExpr.prim(BETA, 0) + FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 2))
+    assert other is not a and other != a
+
+
+def test_pickle_reinterns_power_bases():
+    import pickle
+
+    X = _b2_like_base((0, 1))
+    P = FieldExpr.power(X, Exp(-1, Fraction(1, 2), 1)) * FieldExpr.prim(GAMMA, 1)
+    Q = pickle.loads(pickle.dumps(P))
+    ((_, (pf,), _),) = P.terms
+    ((_, (qf,), _),) = Q.terms
+    assert qf[0] is pf[0] is base_key_of(X)
+    assert qf[1] == pf[1] and hash(qf[1]) == hash(pf[1])
+    assert Q == P and (Q - P).is_structurally_zero
+
+
+def test_exp_components_are_lean():
+    a = Exp(-2, Fraction(1, 2), 1)
+    b = Exp(Fraction(-2), Fraction(1, 2), Fraction(1))
+    assert a == b and hash(a) == hash(b) and a.key() == b.key()
+    assert type(b.u) is int and type(b.w) is int and type(b.v) is Fraction
+    assert type((Exp(0, Fraction(1, 2), 0) + Fraction(1, 2)).v) is int
+    assert Exp(0, 2, 0) == Exp.const(Fraction(4, 2)) and Exp(0, 2, 0) != Exp(0, 2, 1)
+
+
+def test_exponent_json_is_unchanged():
+    from wakimoto.render import exp_from_json, exp_to_json, fieldexpr_from_json, fieldexpr_to_json
+
+    for e, want in (
+        (Exp(Fraction(-2), Fraction(0), Fraction(-2)), ["-2", "0", "-2"]),
+        (Exp(-2, Fraction(1, 2), 1), ["-2", "1/2", "1"]),
+        (Exp(Fraction(-2, 3), -1, 0), ["-2/3", "-1", "0"]),
+    ):
+        assert exp_to_json(e) == want and exp_from_json(want) == e
+    P = FieldExpr.power(_b2_like_base((0, 1)), Exp(-2, -1, -2))
+    data = fieldexpr_to_json(P)
+    assert data["terms"][0]["powers"][0]["exp"] == ["-2", "-1", "-2"]
+    back = fieldexpr_from_json(data)
+    assert back == P and list(back.terms) == list(P.terms)
