@@ -12,7 +12,9 @@ common denominator D, and an exponent tuple e is packed into one int with
 base B = 2 emax + 1 (emax the largest single exponent), so a product of two
 coefficients never carries.  Each operator's partial derivatives
 d_sig(coeff_i) are tabulated once; one slot kernel serves ``commutator`` and
-``verify_realization``.
+``verify_realization``.  Its a^sig d_sig b_i - b^sig d_sig a_i is antisymmetric
+term by term, so the bracket of (b, a) is exactly minus that of (a, b), and
+``verify_realization`` forms one per unordered pair for both ordered checks.
 """
 
 from __future__ import annotations
@@ -114,20 +116,32 @@ def build_differential_realization(
 
 
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
-    """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures."""
+    """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures.
+
+    The slot kernel is antisymmetric term by term, so each unordered pair's
+    bracket L is formed once: (a, b) checks L - R_ab = 0 and (b, a) checks
+    L + R_ba = 0, each R from its own table entry (the table's antisymmetry is
+    under test); [J_a, J_a] = 0 leaves R_aa alone.  Failures are row-major."""
     pk, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
-    D = pk.denom
-    packed = dict(zip(ops, packed))
+    D, labels = pk.denom, list(ops)
+    rows = {lab: coeffs for lab, (coeffs, _) in zip(labels, packed)}
     bad = []
-    for a, pa in packed.items():
-        for b, pb in packed.items():
-            rhs = [(packed[c][0], int(D * v)) for c, v in tab.bracket(a, b).items()]
+    for j, pa in enumerate(packed):
+        for k in range(j, len(packed)):
+            # each ordered pair not yet refuted (one key on the diagonal) -> its signed right-hand side
+            todo = {(x, y): [(rows[c], s * D // v.denominator * v.numerator)
+                             for c, v in tab.bracket(labels[x], labels[y]).items()]
+                    for x, y, s in ((j, k, -1), (k, j, 1))}
             for i in range(len(pa[0])):
-                acc: dict[int, int] = {}
-                for coeffs, v in rhs:
-                    for m, c in coeffs[i].items():
-                        acc[m] = acc.get(m, 0) - v * c
-                if any(_bracket_slot(pa, pb, i, acc).values()):
-                    bad.append((a, b))
+                L = _bracket_slot(pa, packed[k], i, {}) if k > j else {}
+                for pair, rhs in list(todo.items()):
+                    acc = dict(L) if rhs else L
+                    for coeffs, v in rhs:
+                        for m, c in coeffs[i].items():
+                            acc[m] = acc.get(m, 0) + v * c
+                    if any(acc.values()):
+                        bad.append(pair)
+                        del todo[pair]
+                if not todo:
                     break
-    return bad
+    return [(labels[j], labels[k]) for j, k in sorted(bad)]

@@ -551,3 +551,44 @@ def test_screening_output_is_pinned(capsys, name):
     )
     code, out, err = run(capsys, *_SCREEN_COMMANDS[name].split())
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == stored[name]
+
+
+# sign-flipped algebras: the A4 and C3 files of the benchmark's realization
+# workload at seed 1, each drawing the extraspecial sign of every non-simple root
+_FLIPPED_JSON = {
+    "A4": {
+        "name": "A4",
+        "cartan_matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+        "extraspecial_signs": {
+            "1,1,0,0": -1, "0,1,1,0": -1, "0,0,1,1": 1, "1,1,1,0": -1, "0,1,1,1": 1, "1,1,1,1": 1,
+        },
+    },
+    "C3": {
+        "name": "C3",
+        "cartan_matrix": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+        "extraspecial_signs": {"1,1,0": 1, "0,1,1": 1, "1,1,1": -1, "0,2,1": -1, "1,2,1": 1, "2,2,1": -1},
+    },
+}
+_VERIFY_JSON_CASES = [
+    (f"verify-{algebra}-{suite}", algebra, suite)
+    for algebra in ("G2", "A3", "B3", "C3", "A4", "D4", "flipped-A4", "flipped-C3")
+    for suite in ("realization", "jacobi")
+]
+
+
+@pytest.mark.parametrize("name, algebra, suite", _VERIFY_JSON_CASES, ids=[c[0] for c in _VERIFY_JSON_CASES])
+def test_verify_json_is_pinned(capsys, tmp_path, name, algebra, suite):
+    """``verify --suite realization`` and ``--suite jacobi`` print the stored JSON and exit code.
+
+    ``tests/golden/verify-json.sha256`` holds one sha256 of "<exit code>\\n<stdout>"
+    per command; a ``flipped-`` algebra is read from its embedded JSON file.
+    """
+    stored = dict(
+        reversed(line.split()) for line in (GOLDEN / "verify-json.sha256").read_text().splitlines()
+    )
+    if algebra.startswith("flipped-"):
+        path = tmp_path / f"{algebra}.json"
+        path.write_text(json.dumps(_FLIPPED_JSON[algebra.removeprefix("flipped-")]))
+        algebra = str(path)
+    code, out, err = run(capsys, "verify", "--algebra", algebra, "--suite", suite, "--format", "json")
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == stored[name]

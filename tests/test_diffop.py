@@ -1,3 +1,4 @@
+import copy
 import os
 import sys
 from fractions import Fraction
@@ -210,3 +211,41 @@ def test_verify_realization_matches_fraction_oracle(case):
     bad = verify_realization(ops, tab)
     assert bad == realization_failures_fraction(ops, tab)
     assert bad
+
+
+_TABLE_DEFECT_REALIZATIONS = {label: _realization(label) for label in ("B2", "G2", "A3")}
+
+
+def _with_bracket(tab, pair, out):
+    """A deep copy of ``tab`` whose f[pair] alone is replaced by ``out``."""
+    tab = copy.deepcopy(tab)
+    tab.f[pair] = out
+    return tab
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(sorted(_TABLE_DEFECT_REALIZATIONS)), st.data())
+def test_one_sided_table_defects_fail_only_their_ordered_pair(label, data):
+    # the table's antisymmetry is data under test: a defect in f[(b, a)] alone
+    # must fail (b, a) and nothing else, whatever f[(a, b)] says
+    rs, tab, ops = _TABLE_DEFECT_REALIZATIONS[label]
+    basis = list(ops)
+    a, b = data.draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2, unique=True))
+    c = data.draw(st.sampled_from(basis))
+    delta = data.draw(_coef)
+    for pair in ((a, b), (b, a), (a, a)):
+        out = dict(tab.bracket(*pair))
+        out[c] = out.get(c, 0) + delta
+        broken = _with_bracket(tab, pair, {k: v for k, v in out.items() if v})
+        bad = verify_realization(ops, broken)
+        assert bad == realization_failures_fraction(ops, broken) == [pair]
+
+
+@pytest.mark.parametrize("lab", list(_REALIZATIONS["B2"][2]), ids=str)
+def test_b2_scaled_operator_failures_match_fraction_oracle(lab):
+    # the realization workload's canary: one B2 operator scaled by 2
+    rs, tab, ops = _REALIZATIONS["B2"]
+    scaled = {**ops, lab: ops[lab].scale(2)}
+    bad = verify_realization(scaled, tab)
+    assert bad == realization_failures_fraction(scaled, tab)
+    assert len(bad) in (8, 14, 18)
