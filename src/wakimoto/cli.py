@@ -275,59 +275,98 @@ def _sweep_worker(items):
     return {i: check_pair(_sweep_cs, a, b) for i, (a, b) in items}
 
 
+def _jacobi_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    bad = verify_jacobi(cs.tab)
+    return not bad, {"triples": len(cs.tab.basis()) ** 3, "violations": [str(t) for t in bad]}
+
+
+def _realization_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    if cs.ops is None:
+        return True, {"skipped": "differential realization covers the bosonic algebras"}
+    bad = verify_realization(cs.ops, cs.tab)
+    return not bad, {"pairs": len(cs.ops) ** 2, "violations": [str(t) for t in bad]}
+
+
+def _currents_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    bad = _sweep_pairs(cs, jobs)
+    det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]
+    return not det, {"violations": det}
+
+
+def _sugawara_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    T = sugawara_tensor(cs)
+    Tfree = free_field_tensor(cs.ctx)
+    ok = T.equals(Tfree)
+    c_got = central_charge(cs.ctx, Tfree)
+    details = {"sugawara_equals_free": ok, "central_charge": c_got.text()}
+    if cs.ctx.bosonic:
+        c_want = RatFunc.k() * cs.rs.dim / cs.ctx.t()
+        details["central_charge_ok"] = c_got == c_want
+        ok = ok and c_got == c_want
+    return ok, details
+
+
+def _screening_suite(cs: CurrentSet, directions, construct):
+    """Verify the current ``construct(cs, j)`` of each direction j; a
+    direction without a construction is reported "unavailable"."""
+    results = {}
+    ok = True
+    for j in directions:
+        try:
+            rep = verify(cs, construct(cs, j))
+        except DirectionError:
+            results[str(j + 1)] = {
+                "status": "unavailable",
+                "reason": f"multiplicity {cs.rs.theta[j]} direction without a series construction",
+            }
+            continue
+        results[str(j + 1)] = _report_json(cs, rep)
+        ok = ok and rep.ok
+    return ok, results
+
+
+def _screening_first_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    if not cs.ctx.bosonic:
+        return True, {"skipped": "first-kind suite covers the bosonic algebras"}
+    return _screening_suite(cs, [direction] if direction is not None else range(cs.rs.rank), first_kind)
+
+
+def _screening_second_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    if not cs.ctx.bosonic:
+        return _screening_suite(cs, [0], second_kind)  # the one current of the osp(2|2) fixture
+    return _screening_suite(cs, [direction] if direction is not None else range(cs.rs.rank), second_kind)
+
+
+def _naive_second_kind_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+    fail = naive_second_kind_failure(cs, direction if direction is not None else 1)
+    return (
+        fail.nonvanishing and fail.matches_expected_shape,
+        {
+            "third_order_pole": fail.third_order_pole.text(cs.ctx),
+            "matches_expected_shape": fail.matches_expected_shape,
+            "note": "a nonvanishing third-order pole is the expected outcome",
+        },
+    )
+
+
+# `--suite all` runs them in this order, all but the negative control naive-second-kind
+SUITES = {
+    "jacobi": _jacobi_suite,
+    "realization": _realization_suite,
+    "currents": _currents_suite,
+    "sugawara": _sugawara_suite,
+    "screening-first": _screening_first_suite,
+    "screening-second": _screening_second_suite,
+    "naive-second-kind": _naive_second_kind_suite,
+}
+ALL_SUITES = [name for name in SUITES if name != "naive-second-kind"]
+
+
 def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int):
     """Returns (ok, details dict)."""
-    rs = cs.rs
-    if suite == "jacobi":
-        bad = verify_jacobi(cs.tab)
-        return not bad, {"triples": len(cs.tab.basis()) ** 3, "violations": [str(t) for t in bad]}
-    if suite == "realization":
-        if cs.ops is None:
-            return True, {"skipped": "differential realization covers the bosonic algebras"}
-        bad = verify_realization(cs.ops, cs.tab)
-        return not bad, {"pairs": len(cs.ops) ** 2, "violations": [str(t) for t in bad]}
-    if suite == "currents":
-        bad = _sweep_pairs(cs, jobs)
-        det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]
-        return not det, {"violations": det}
-    if suite == "sugawara":
-        T = sugawara_tensor(cs)
-        Tfree = free_field_tensor(cs.ctx)
-        ok = T.equals(Tfree)
-        k = RatFunc.k()
-        t = cs.ctx.t()
-        c_got = central_charge(cs.ctx, Tfree)
-        c_want = k * rs.dim / t if cs.ctx.bosonic else None
-        details = {"sugawara_equals_free": ok, "central_charge": c_got.text()}
-        if c_want is not None:
-            details["central_charge_ok"] = c_got == c_want
-            ok = ok and c_got == c_want
-        return ok, details
-    if suite == "screening-first":
-        directions = [direction] if direction is not None else list(range(rs.rank))
-        if not cs.ctx.bosonic:
-            return True, {"skipped": "first-kind suite covers the bosonic algebras"}
-        results = {}
-        ok = True
-        for j in directions:
-            rep = verify(cs, first_kind(cs, j))
-            results[str(j + 1)] = _report_json(cs, rep)
-            ok = ok and rep.ok
-        return ok, results
-    if suite == "screening-second":
-        return _second_kind_suite(cs, direction)
-    if suite == "naive-second-kind":
-        j = direction if direction is not None else 1
-        fail = naive_second_kind_failure(cs, j)
-        return (
-            fail.nonvanishing and fail.matches_expected_shape,
-            {
-                "third_order_pole": fail.third_order_pole.text(cs.ctx),
-                "matches_expected_shape": fail.matches_expected_shape,
-                "note": "a nonvanishing third-order pole is the expected outcome",
-            },
-        )
-    raise InputError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise InputError(f"unknown suite {suite!r}")
+    return SUITES[suite](cs, direction, jobs)
 
 
 def _suite_status(ok: bool, details: dict) -> str:
@@ -338,28 +377,6 @@ def _suite_status(ok: bool, details: dict) -> str:
     if any(isinstance(v, dict) and v.get("status") == "unavailable" for v in details.values()):
         return "incomplete"
     return "pass"
-
-
-def _second_kind_suite(cs: CurrentSet, direction: Optional[int]):
-    rs = cs.rs
-    if not cs.ctx.bosonic:
-        directions = [0]  # the one current of the osp(2|2) fixture
-    else:
-        directions = [direction] if direction is not None else list(range(rs.rank))
-    results = {}
-    ok = True
-    for j in directions:
-        try:
-            rep = verify(cs, second_kind(cs, j))
-        except DirectionError:
-            results[str(j + 1)] = {
-                "status": "unavailable",
-                "reason": f"multiplicity {rs.theta[j]} direction without a series construction",
-            }
-            continue
-        results[str(j + 1)] = _report_json(cs, rep)
-        ok = ok and rep.ok
-    return ok, results
 
 
 def _label_name(cs: CurrentSet, label) -> str:
@@ -445,11 +462,7 @@ def cmd_realize(args) -> int:
 
 def cmd_verify(args) -> int:
     cs = _load(args.algebra)
-    suites = (
-        ["jacobi", "realization", "currents", "sugawara", "screening-first", "screening-second"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = ALL_SUITES if args.suite == "all" else [args.suite]
     direction = _direction_index(cs, args.direction) if args.direction is not None else None
     report = {}
     ok = True
@@ -539,20 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p)
-    p.add_argument(
-        "--suite",
-        default="all",
-        choices=(
-            "all",
-            "jacobi",
-            "realization",
-            "currents",
-            "sugawara",
-            "screening-first",
-            "screening-second",
-            "naive-second-kind",
-        ),
-    )
+    p.add_argument("--suite", default="all", choices=("all", *SUITES))
     p.add_argument("--direction", type=int, default=None, help="simple-root index (1-based)")
     p.add_argument(
         "--jobs",

@@ -192,36 +192,19 @@ class Pol(SparsePoly):
     # -- substitutions -----------------------------------------------------
 
     def subs_k(self, value) -> "Pol":
-        value = Fraction(value)
-        out: dict[Monomial, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            v = c * value ** a
-            if v:
-                m = (0, b)
-                s = out.get(m)
-                if s is None:
-                    out[m] = v
-                elif s + v:
-                    out[m] = s + v
-                else:
-                    del out[m]
-        return Pol(out)
+        return self._subs(0, value)
 
     def subs_n(self, value) -> "Pol":
+        return self._subs(1, value)
+
+    def _subs(self, var: int, value) -> "Pol":
+        """Substitute ``value`` for k (var 0) or n (var 1)."""
         value = Fraction(value)
         out: dict[Monomial, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            v = c * value ** b
-            if v:
-                m = (a, 0)
-                s = out.get(m)
-                if s is None:
-                    out[m] = v
-                elif s + v:
-                    out[m] = s + v
-                else:
-                    del out[m]
-        return Pol(out)
+        for m, c in self.terms.items():
+            rest = (0, m[1]) if var == 0 else (m[0], 0)
+            out[rest] = out.get(rest, 0) + c * value ** m[var]
+        return Pol({m: c for m, c in out.items() if c})
 
     def shift_n(self, delta: int) -> "Pol":
         """Substitute n -> n + delta."""

@@ -54,15 +54,6 @@ class DiffOp:
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.coeffs)
 
-    def text(self) -> str:
-        names = [self.rs.root_name(a) for a in self.rs.pos_roots]
-        slots = [f"d_{n}" for n in names] + [f"L{j + 1}" for j in range(self.rs.rank)]
-        bits = [f"({p.text(names)})*{s}" for p, s in zip(self.coeffs, slots) if not p.is_zero]
-        return " + ".join(bits) if bits else "0"
-
-    def __repr__(self) -> str:
-        return f"DiffOp({self.text()})"
-
 
 def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
     """Pack ``ops`` over the integers: (packing, [(coeffs, jac) per operator]).

@@ -390,9 +390,7 @@ class FieldExpr:
     def text(self, ctx: Optional[FieldContext] = None) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for term, coef in sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])):
-            bits.append(_term_text(term, coef, ctx))
+        bits = [_term_text(term, self.terms[term], ctx) for term in sorted(self.terms, key=term_order)]
         return " + ".join(bits).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -563,12 +561,22 @@ def expand_power_levels(expr: FieldExpr) -> FieldExpr:
 
 
 # ---------------------------------------------------------------------------
-# text rendering
+# output order and text rendering
 # ---------------------------------------------------------------------------
 
-def _term_sort_key(term: Term):
+def term_order(term: Term) -> tuple:
+    """The one output order of terms: factor count, factors, each power
+    factor's base key and exponent, then the vertex momentum, no vertex first.
+
+    Each part is a structural key, equal exactly when its values are, so no
+    two terms tie and equal expressions print alike in every format."""
     prims, pfs, vertex = term
-    return (len(prims), prims, tuple((_base_sort_key(k), e.key()) for k, e in pfs), vertex is not None)
+    return (
+        len(prims),
+        prims,
+        tuple((key.sort_key, exp.key()) for key, exp in pfs),
+        () if vertex is None else tuple(c.key() for c in vertex),
+    )
 
 
 def prim_text(p: Prim, ctx: Optional[FieldContext] = None) -> str:

@@ -96,25 +96,8 @@ class Poly(SparsePoly):
         """Graded-lex order over the fixed positive-root variable order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-v for v in t[0])))
 
-    def text(self, var_names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (f"x{var_names[i]}" if p == 1 else f"x{var_names[i]}^{p}")
-                for i, p in enumerate(e)
-                if p
-            )
-            cs = str(c)
-            if mono:
-                bits.append(mono if cs == "1" else ("-" + mono if cs == "-1" else f"({cs})*{mono}"))
-            else:
-                bits.append(cs)
-        return " + ".join(bits).replace("+ -", "- ")
-
     def __repr__(self) -> str:
-        return f"Poly({self.text([str(i) for i in range(self.nvars)])})"
+        return f"Poly({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from .fields import (
     FieldContext,
     FieldExpr,
     base_expr,
+    base_key_of,
+    term_order,
 )
 from .ope import OpeResult
 from .polymat import Poly
@@ -33,6 +35,13 @@ SCHEMA_REPORT = "wakimoto/report-v1"
 # LaTeX
 # ---------------------------------------------------------------------------
 
+def _signed_sum(bits: list[str]) -> str:
+    """Join summands that carry their own leading minus sign; "0" when empty."""
+    if not bits:
+        return "0"
+    return bits[0] + "".join(b if b.startswith("-") else "+" + b for b in bits[1:])
+
+
 def _frac(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
@@ -41,8 +50,6 @@ def _frac(f: Fraction) -> str:
 
 
 def latex_pol(p: Pol) -> str:
-    if p.is_zero:
-        return "0"
     bits = []
     for (ek, en), c in sorted(p.terms.items(), reverse=True):
         body = ""
@@ -59,10 +66,7 @@ def latex_pol(p: Pol) -> str:
         else:
             piece = _frac(c) + body
         bits.append(piece)
-    out = bits[0]
-    for b in bits[1:]:
-        out += b if b.startswith("-") else "+" + b
-    return out
+    return _signed_sum(bits)
 
 
 def latex_ratfunc(c: RatFunc) -> str:
@@ -91,8 +95,6 @@ def _root_tex(name: str) -> str:
 
 
 def latex_poly(p: Poly, names) -> str:
-    if p.is_zero:
-        return "0"
     bits = []
     for expo, c in p.sorted_terms():
         coef = RatFunc.of(c)
@@ -102,42 +104,24 @@ def latex_poly(p: Poly, names) -> str:
         pref = _coef_prefix(coef)
         piece = (pref + mono) if mono else latex_ratfunc(coef)
         bits.append(piece if piece else "1")
-    out = bits[0]
-    for b in bits[1:]:
-        out += b if b.startswith("-") else "+" + b
-    return out
+    return _signed_sum(bits)
 
 
 def latex_diffop(op: DiffOp) -> str:
     names = [op.rs.root_name(a) for a in op.rs.pos_roots]
+    slots = [f"\\partial_{{{_root_tex(name)}}}" for name in names]
+    slots += [f"\\Lambda_{{{j + 1}}}" for j in range(op.rs.rank)]
     bits = []
-    for b, p in enumerate(op.dpart):
+    for p, slot in zip(op.coeffs, slots):
         if p.is_zero:
             continue
         body = latex_poly(p, names)
-        if body == "1":
-            body = ""
-        elif body == "-1":
-            body = "-"
+        if body in ("1", "-1"):
+            body = body[:-1]
         elif "+" in body[1:] or "-" in body[1:]:
             body = f"\\left({body}\\right)"
-        bits.append(f"{body}\\partial_{{{_root_tex(names[b])}}}")
-    for j, p in enumerate(op.lpart):
-        if p.is_zero:
-            continue
-        body = latex_poly(p, names)
-        if body == "1":
-            bits.append(f"\\Lambda_{{{j + 1}}}")
-            continue
-        if "+" in body[1:] or "-" in body[1:]:
-            body = f"\\left({body}\\right)"
-        bits.append(f"{body}\\Lambda_{{{j + 1}}}")
-    if not bits:
-        return "0"
-    out = bits[0]
-    for b in bits[1:]:
-        out += b if b.startswith("-") else "+" + b
-    return out
+        bits.append(body + slot)
+    return _signed_sum(bits)
 
 
 _TEX_KIND = {0: "\\gamma^{%s}", 1: "c^{%s}", 2: "b_{%s}", 3: "\\beta_{%s}"}
@@ -153,11 +137,9 @@ def latex_prim(prim, ctx: FieldContext) -> str:
 
 
 def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
-    if expr.is_structurally_zero:
-        return "0"
     bits = []
-    for term, coef in sorted(expr.terms.items(), key=_term_order):
-        prims, pfs, vertex = term
+    for term in sorted(expr.terms, key=term_order):
+        (prims, pfs, vertex), coef = term, expr.terms[term]
         body = "".join(latex_prim(p, ctx) + "\\," for p in prims)
         for key, e in pfs:
             inner = latex_fieldexpr(base_expr(key), ctx)
@@ -172,16 +154,7 @@ def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
             )
         piece = _coef_prefix(coef) + (body if body else latex_ratfunc(coef))
         bits.append(piece)
-    out = bits[0]
-    for b in bits[1:]:
-        out += b if b.startswith("-") else "+" + b
-    return out
-
-
-def _term_order(kv):
-    term, _ = kv
-    prims, pfs, vertex = term
-    return (len(prims), prims, tuple(x[1].key() for x in pfs))
+    return _signed_sum(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +171,15 @@ def ratfunc_to_json(c: RatFunc):
     }
 
 
+def _pol_from_json(data) -> Pol:
+    return Pol({(ek, en): Fraction(v) for ek, en, v in data})
+
+
 def ratfunc_from_json(data) -> RatFunc:
-    num = Pol({(ek, en): Fraction(v) for ek, en, v in data["num"]})
-    out = RatFunc(num)
-    for d in data.get("den", []):
-        p = Pol({(ek, en): Fraction(v) for ek, en, v in d["factor"]})
-        for _ in range(d["power"]):
-            out = out / RatFunc(p)
-    return out
+    den = [(_pol_from_json(d["factor"]), d["power"]) for d in data.get("den", [])]
+    if any(type(e) is not int or e < 1 for _, e in den):
+        raise ValueError("a denominator power must be a positive integer")
+    return RatFunc._make(_pol_from_json(data["num"]), den)
 
 
 def exp_to_json(e: Exp):
@@ -218,7 +192,8 @@ def exp_from_json(data) -> Exp:
 
 def fieldexpr_to_json(expr: FieldExpr):
     terms = []
-    for (prims, pfs, vertex), coef in sorted(expr.terms.items(), key=_term_order):
+    for term in sorted(expr.terms, key=term_order):
+        (prims, pfs, vertex), coef = term, expr.terms[term]
         entry = {
             "coef": ratfunc_to_json(coef),
             "factors": [list(p) for p in prims],
@@ -240,26 +215,24 @@ def fieldexpr_to_json(expr: FieldExpr):
     return {"schema": SCHEMA_EXPR, "terms": terms}
 
 
-def fieldexpr_from_json(data) -> FieldExpr:
-    from .fields import base_key_of
+def _prims_from_json(data) -> tuple:
+    return tuple(tuple(p) for p in data)
 
-    out = FieldExpr.zero()
+
+def fieldexpr_from_json(data) -> FieldExpr:
+    raw = []
     for entry in data["terms"]:
-        coef = ratfunc_from_json(entry["coef"])
-        prims = tuple(tuple(p) for p in entry["factors"])
         pfs = []
         for pw in entry.get("powers", []):
-            base = FieldExpr.zero()
-            for b in pw["base"]:
-                base = base + FieldExpr._from_raw(
-                    [(ratfunc_from_json(b["coef"]), tuple(tuple(p) for p in b["factors"]), (), None)]
-                )
+            base = FieldExpr._from_raw(
+                [(ratfunc_from_json(b["coef"]), _prims_from_json(b["factors"]), (), None) for b in pw["base"]]
+            )
             pfs.append((base_key_of(base), exp_from_json(pw["exp"])))
         vertex = None
         if "vertex" in entry:
             vertex = tuple(ratfunc_from_json(c) for c in entry["vertex"])
-        out = out + FieldExpr._from_raw([(coef, prims, tuple(pfs), vertex)])
-    return out
+        raw.append((ratfunc_from_json(entry["coef"]), _prims_from_json(entry["factors"]), tuple(pfs), vertex))
+    return FieldExpr._from_raw(raw)
 
 
 def ope_to_json(res: OpeResult, ctx: Optional[FieldContext] = None):

@@ -65,6 +65,16 @@ def test_ope_max_order_flag_removed(capsys):
     assert code == EXIT_OK and "pole 2: k" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
+def test_ope_output_does_not_depend_on_the_order_of_summands(capsys, fmt):
+    outs = [
+        run(capsys, "ope", "--algebra", "A2", "--format", fmt, "F[1]", right)
+        for right in ("stilde[1] + stilde[2]", "stilde[2] + stilde[1]")
+    ]
+    assert outs[0][0] == EXIT_OK and "pole" in outs[0][1]
+    assert outs[0] == outs[1]
+
+
 def test_ope_expression_arithmetic():
     cs = _load("B2")
     e = parse_expression(cs, "2*gamma[1]*beta[1] - d(gamma[1])*1/2")
@@ -83,6 +93,16 @@ def test_verify_a1_all(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert all(v["status"] == "pass" for v in data["suites"].values())
+
+
+def test_verify_all_runs_every_suite_but_the_negative_control_in_order(capsys):
+    code, out, err = run(capsys, "verify", "--algebra", "A1", "--suite", "all", "--format", "text")
+    assert code == EXIT_OK
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "jacobi", "realization", "currents", "sugawara", "screening-first", "screening-second"
+    ]
+    with pytest.raises(cli.InputError, match="unknown suite 'nope'"):
+        cli.run_suite(_load("A1"), "nope", None, 1)
 
 
 def test_verify_a1_all_says_what_the_structure_suites_checked(capsys):
