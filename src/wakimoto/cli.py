@@ -21,14 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coeffs import RatFunc
-from .currents import (
-    CurrentSet,
-    build_wakimoto,
-    check_pair,
-    osp22_currents,
-    sugawara_tensor,
-    verify_current_algebra,
-)
+from .currents import CurrentSet, check_pair, sugawara_tensor, verify_current_algebra
 from .diffop import verify_realization
 from .fields import PHI, FieldExpr, UnsupportedContraction
 from .liealg import CartanTypeError, get_algebra, verify_jacobi
@@ -63,10 +56,8 @@ class InputError(ValueError):
 
 
 def _load(selector: str) -> CurrentSet:
-    if selector.strip().upper() == "OSP22":
-        return osp22_currents()
-    rs, tab = get_algebra(selector)
-    return build_wakimoto(rs, tab)
+    """The algebra of ``selector``; each suite builds the stages it reads."""
+    return CurrentSet(*get_algebra(selector))
 
 
 def _direction_index(cs: CurrentSet, direction: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -26,16 +27,68 @@ from .ope import contract, regularized_product
 from .polymat import Poly, RealizationPolys, anomalous_term, realization_polynomials
 
 
-@dataclass
 class CurrentSet:
-    """All currents of one affine algebra, fully expanded and canonical."""
+    """All currents of one affine algebra; each stage of the construction is built on first read.
 
-    rs: RootSystem
-    tab: StructureTable
-    ctx: FieldContext
-    currents: dict[Label, FieldExpr]
-    polys: Optional[RealizationPolys] = None
-    ops: Optional[dict[Label, DiffOp]] = None  # the differential operators the currents realize
+    The stages are the realization polynomials ``polys``, the differential
+    operators ``ops`` and the free-field ``currents``, each built from the one
+    before it and the structure table ``tab``.  A stage passed in is kept as
+    given, and a built one lives in the instance ``__dict__``, so a pickle
+    carries exactly the built stages.  A graded algebra has no ``polys`` or
+    ``ops``; its currents are the osp(2|2) closed form.
+    """
+
+    def __init__(self, rs: RootSystem, tab: StructureTable, ctx=None, currents=None, polys=None, ops=None):
+        self.rs, self.tab = rs, tab
+        given = {"ctx": ctx, "currents": currents, "polys": polys, "ops": ops}
+        self.__dict__.update((name, stage) for name, stage in given.items() if stage is not None)
+
+    @cached_property
+    def ctx(self) -> FieldContext:
+        return FieldContext.from_algebra(self.rs)
+
+    @cached_property
+    def polys(self) -> Optional[RealizationPolys]:
+        return realization_polynomials(self.rs, self.tab) if self.ctx.bosonic else None
+
+    @cached_property
+    def ops(self) -> Optional[dict[Label, DiffOp]]:
+        """The differential operators the currents realize."""
+        return None if self.polys is None else build_differential_realization(self.rs, self.tab, self.polys)
+
+    @cached_property
+    def currents(self) -> dict[Label, FieldExpr]:
+        """The free-field image of the operators, plus the d gamma corrections.
+
+        The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
+        """
+        if self.ops is None:
+            return _osp22_currents(self.ctx)
+        rs, ctx, polys = self.rs, self.ctx, self.polys
+        F_anom = anomalous_term(rs, polys)
+        k = RatFunc.k()
+        np_ = rs.n_pos
+        slots = operator_slots(ctx)
+        dgamma = [((ctx.gamma_kind(b), b, 1),) for b in range(np_)]
+        currents: dict[Label, FieldExpr] = {}
+        for lab, op in self.ops.items():
+            if lab[0] != "f":
+                currents[lab] = free_field_image(ctx, op.coeffs, slots)
+                continue
+            a = rs.root_index(lab[1])
+            level = k * (2 / rs.root_norm2(lab[1]))
+            currents[lab] = free_field_image(
+                ctx,
+                op.coeffs + [polys.V_plus_inv[b][a] for b in range(np_)] + F_anom[a],
+                slots + dgamma + dgamma,
+                [1] * len(slots) + [level] * np_ + [1] * np_,
+            )
+        return currents
+
+    def built(self) -> "CurrentSet":
+        """This set with every stage built: the currents read all the others."""
+        self.currents
+        return self
 
     def labels(self) -> list[Label]:
         return list(self.currents)
@@ -75,33 +128,8 @@ def free_field_image(
 def build_wakimoto(
     rs: RootSystem, tab: StructureTable, polys: Optional[RealizationPolys] = None
 ) -> CurrentSet:
-    """The free-field image of the differential realization, plus the d gamma corrections.
-
-    The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
-    """
-    if polys is None:
-        polys = realization_polynomials(rs, tab)
-    ctx = FieldContext.from_algebra(rs)
-    ops = build_differential_realization(rs, tab, polys)
-    F_anom = anomalous_term(rs, polys)
-    k = RatFunc.k()
-    np_ = rs.n_pos
-    slots = operator_slots(ctx)
-    dgamma = [((ctx.gamma_kind(b), b, 1),) for b in range(np_)]
-    currents: dict[Label, FieldExpr] = {}
-    for lab, op in ops.items():
-        if lab[0] != "f":
-            currents[lab] = free_field_image(ctx, op.coeffs, slots)
-            continue
-        a = rs.root_index(lab[1])
-        level = k * (2 / rs.root_norm2(lab[1]))
-        currents[lab] = free_field_image(
-            ctx,
-            op.coeffs + [polys.V_plus_inv[b][a] for b in range(np_)] + F_anom[a],
-            slots + dgamma + dgamma,
-            [1] * len(slots) + [level] * np_ + [1] * np_,
-        )
-    return CurrentSet(rs, tab, ctx, currents, polys, ops)
+    """``CurrentSet(rs, tab)`` with every stage built now, from ``polys`` if given."""
+    return CurrentSet(rs, tab, polys=polys).built()
 
 
 @dataclass
@@ -178,32 +206,20 @@ def sugawara_tensor(cs: CurrentSet) -> FieldExpr:
 # ---------------------------------------------------------------------------
 
 def osp22_currents() -> CurrentSet:
-    rs, tab = osp22_fixture()
-    ctx = FieldContext.from_algebra(rs)
+    """The osp(2|2) fixture with every stage built now."""
+    return CurrentSet(*osp22_fixture()).built()
+
+
+def _osp22_currents(ctx: FieldContext) -> dict[Label, FieldExpr]:
     k = RatFunc.k()
     half = Fraction(1, 2)
 
-    i1 = 0   # even root alpha_1: (beta, gamma)
-    i2 = 1   # odd root alpha_2: (b, c)
-    i12 = 2  # odd root alpha_1 + alpha_2: (B, C)
+    def ghost(kind, pos):  # c d^d of the ghost at root position pos
+        return lambda d=0, c=1: FieldExpr.prim(kind(pos), pos, d, coef=c)
 
-    def gam(d=0, c=1):
-        return FieldExpr.prim(ctx.gamma_kind(i1), i1, d, coef=c)
-
-    def bet(d=0, c=1):
-        return FieldExpr.prim(ctx.beta_kind(i1), i1, d, coef=c)
-
-    def cf(d=0, c=1):
-        return FieldExpr.prim(ctx.gamma_kind(i2), i2, d, coef=c)
-
-    def bf(d=0, c=1):
-        return FieldExpr.prim(ctx.beta_kind(i2), i2, d, coef=c)
-
-    def Cf(d=0, c=1):
-        return FieldExpr.prim(ctx.gamma_kind(i12), i12, d, coef=c)
-
-    def Bf(d=0, c=1):
-        return FieldExpr.prim(ctx.beta_kind(i12), i12, d, coef=c)
+    # root positions: alpha_1 even (beta, gamma), alpha_2 odd (b, c), alpha_1 + alpha_2 odd (B, C)
+    gam, cf, Cf = (ghost(ctx.gamma_kind, pos) for pos in range(3))
+    bet, bf, Bf = (ghost(ctx.beta_kind, pos) for pos in range(3))
 
     P1 = FieldExpr.prim(PHI, 0)
     P2 = FieldExpr.prim(PHI, 1)
@@ -236,4 +252,4 @@ def osp22_currents() -> CurrentSet:
         - (cf(1) * gam()).scale((k + 1) * half)
         + Cf(1, k)
     )
-    return CurrentSet(rs, tab, ctx, cur)
+    return cur

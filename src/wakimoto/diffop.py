@@ -20,10 +20,9 @@ term by term, so the bracket of (b, a) is exactly minus that of (a, b), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .liealg import Label, RootSystem, StructureTable
-from .polymat import Packing, Poly, RealizationPolys, realization_polynomials
+from .polymat import Packing, Poly, RealizationPolys
 
 
 @dataclass
@@ -88,11 +87,9 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def build_differential_realization(
-    rs: RootSystem, tab: StructureTable, polys: Optional[RealizationPolys] = None
+    rs: RootSystem, tab: StructureTable, polys: RealizationPolys
 ) -> dict[Label, DiffOp]:
-    """Assemble E_alpha, H_i, F_alpha from the realization polynomials."""
-    if polys is None:
-        polys = realization_polynomials(rs, tab)
+    """Assemble E_alpha, H_i, F_alpha from the realization polynomials of ``tab``."""
     np_, r = rs.n_pos, rs.rank
     no_weight = [Poly.zero(np_)] * r
     ops: dict[Label, DiffOp] = {}

@@ -24,7 +24,7 @@ run over the integers in a ``Packing``: coefficients are scaled by a common
 denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
 The families leave as ``Poly`` over ``Fraction``, each entry converted
-once; the level k enters only in ``currents.build_wakimoto``.  ``diffop``
+once; the level k enters only in ``currents.CurrentSet.currents``.  ``diffop``
 packs its operators with the same ``Packing``.
 """
 
@@ -278,7 +278,6 @@ def bernoulli_series(depth: int) -> tuple[list[Fraction], list[Fraction]]:
 class RealizationPolys:
     """The six polynomial families of the differential/free-field realization."""
 
-    rs: RootSystem
     V_plus: list[list[Poly]]      # [alpha][beta]
     V_cartan: list[list[Poly]]    # [i][beta]
     V_minus: list[list[Poly]]     # [alpha][beta]
@@ -319,7 +318,6 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
 
     pos, cartan, neg = range(np_), range(np_, np_ + r), range(np_ + r, d)
     return RealizationPolys(
-        rs,
         V_plus=family(BC, pos, l_bc),
         V_cartan=[[-p for p in row[:np_]] for row in C[np_:np_ + r]],
         V_minus=family(V_minus, pos, l_lower * l_bneg),
@@ -335,7 +333,7 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
 
     F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
     the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
-    coefficient is added by ``currents.build_wakimoto``.  The inner sum over
+    coefficient is added by ``currents.CurrentSet.currents``.  The inner sum over
     (sigma, gamma) is formed once per (alpha, mu), over the integers.
     """
     np_ = rs.n_pos

@@ -228,9 +228,10 @@ def fieldexpr_from_json(data) -> FieldExpr:
                 [(ratfunc_from_json(b["coef"]), _prims_from_json(b["factors"]), (), None) for b in pw["base"]]
             )
             pfs.append((base_key_of(base), exp_from_json(pw["exp"])))
-        vertex = None
-        if "vertex" in entry:
-            vertex = tuple(ratfunc_from_json(c) for c in entry["vertex"])
+        # an all-zero momentum is no vertex, as in ``FieldExpr.vertex``
+        vertex = tuple(ratfunc_from_json(c) for c in entry.get("vertex", ()))
+        if all(c.is_zero for c in vertex):
+            vertex = None
         raw.append((ratfunc_from_json(entry["coef"]), _prims_from_json(entry["factors"]), tuple(pfs), vertex))
     return FieldExpr._from_raw(raw)
 

@@ -225,17 +225,10 @@ def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> F
 
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
-    """R_{-alpha} = -(2t/a_j^2) Q_{-alpha}^{-alpha_j} X^{-2t/a_j^2 - 1}."""
-    polys = _polys(cs)
+    """R_{-alpha}: the first-kind witness times X^{-2t/a_j^2 - 1}."""
     j = s.direction
-    q = polys.Q[alpha_pos][j]
-    if q.is_zero:
-        return FieldExpr.zero()
-    aj2 = cs.rs.root_norm2(_simple(cs.rs, j))
-    base = screening_composite(cs, j)
-    pref = RatFunc.of(-2) * cs.ctx.t() / aj2
-    power = FieldExpr.power(base, Exp(-Fraction(2) / aj2, -1, 0))
-    return free_field_image(cs.ctx, [q], [()], [pref]) * power * FieldExpr.vertex(s.momentum)
+    power = Exp(-Fraction(2) / cs.rs.root_norm2(_simple(cs.rs, j)), -1, 0)
+    return first_kind_witness(cs, s, alpha_pos) * FieldExpr.power(screening_composite(cs, j), power)
 
 
 def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> ScreeningReport:

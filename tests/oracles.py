@@ -150,7 +150,7 @@ def realization_polynomials_fraction(rs: RootSystem, tab: StructureTable) -> Rea
     Q = [row[neg] for row in lower]
     S = [[-p for p in row[pos]] for row in Bneg[pos]]
     V_plus_inv = [row[pos] for row in Binv[pos]]
-    return RealizationPolys(rs, V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
+    return RealizationPolys(V_plus, V_cartan, V_minus, P, Q, S, V_plus_inv)
 
 
 def anomalous_term_fraction(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
@@ -158,7 +158,7 @@ def anomalous_term_fraction(rs: RootSystem, polys: RealizationPolys) -> list[lis
 
     F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
     the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
-    coefficient is added by ``currents.build_wakimoto``.
+    coefficient is added by ``currents.CurrentSet.currents``.
     """
     np_ = rs.n_pos
     # precompute derivative tables

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from wakimoto.coeffs import Exp, RatFunc
-from wakimoto.currents import build_wakimoto, osp22_currents, sugawara_tensor
-from wakimoto.diffop import build_differential_realization, verify_realization
+from wakimoto.currents import CurrentSet, build_wakimoto, osp22_currents, sugawara_tensor
+from wakimoto.diffop import verify_realization
 from wakimoto.fields import BETA, BGH, CGH, GAMMA, FieldExpr
 from wakimoto.liealg import (
     build_root_system,
@@ -112,7 +112,7 @@ def test_criterion_2_structure_constants(b2):
 def test_criterion_3_differential_realization(b2):
     with criterion(3, "differential realization and bracket tables", 10.0):
         rs, tab = b2
-        ops = build_differential_realization(rs, tab)
+        ops = CurrentSet(rs, tab).ops
         from test_diffop import make_op
 
         for lab, (dspec, lspec) in B2_DIFFOPS.items():
@@ -120,7 +120,7 @@ def test_criterion_3_differential_realization(b2):
         for label in ("A1", "A2", "B2"):
             r = build_root_system(label)
             t = build_structure_table(r)
-            assert verify_realization(build_differential_realization(r, t), t) == []
+            assert verify_realization(CurrentSet(r, t).ops, t) == []
 
 
 def test_criterion_4_wakimoto_currents(b2cs):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wakimoto import cli
+from wakimoto import cli, currents
 from wakimoto.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main, parse_expression, _load
 from wakimoto.fields import FieldExpr
 from wakimoto.ope import contract
@@ -370,6 +370,26 @@ def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsy
     cost = [sum(len(cs[a].terms) * len(cs[b].terms) for _, (a, b) in chunk) for chunk in chunks]
     top = max(len(J.terms) for J in cs.currents.values()) ** 2
     assert abs(cost[0] - cost[1]) <= top
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a stage the suite does not read was built")
+
+
+def test_jacobi_suite_builds_only_the_table(monkeypatch, capsys):
+    monkeypatch.setattr(currents, "realization_polynomials", _refuse)
+    code, out, err = run(capsys, "verify", "--algebra", "F4", "--suite", "jacobi")
+    assert code == EXIT_OK and json.loads(out)["suites"]["jacobi"]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--algebra", "G2", "--suite", "realization"),
+             ("--algebra", "B2", "--suite", "naive-second-kind", "--direction", "2")],
+)
+def test_operator_and_polynomial_suites_build_no_current(monkeypatch, capsys, argv):
+    monkeypatch.setattr(currents, "anomalous_term", _refuse)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_OK and json.loads(out)["suites"][argv[3]]["status"] == "pass"
 
 
 def test_jobs_check_the_current_set_they_were_given(monkeypatch):

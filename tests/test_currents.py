@@ -1,15 +1,19 @@
+import pickle
+
 import pytest
 
+from wakimoto import currents
 from wakimoto.coeffs import RatFunc
 from wakimoto.fields import BETA, GAMMA, PHI, FieldExpr
 from wakimoto.currents import (
+    CurrentSet,
     build_wakimoto,
     expected_ope,
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
 )
-from wakimoto.liealg import build_root_system, build_structure_table
+from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
@@ -107,10 +111,27 @@ def test_b2_full_sweep(b2cs):
 def test_sweep_detects_wrong_current(b2cs):
     broken = dict(b2cs.currents)
     broken[("e", (1, 0))] = broken[("e", (1, 0))] + FieldExpr.prim(BETA, 3)
-    from wakimoto.currents import CurrentSet
-
     cs2 = CurrentSet(b2cs.rs, b2cs.tab, b2cs.ctx, broken)
     assert verify_current_algebra(cs2, pairs=[(("e", (1, 0)), ("f", (1, 2)))]) != []
+
+
+def test_an_unbuilt_current_set_pickles_without_stages():
+    cs = pickle.loads(pickle.dumps(CurrentSet(*get_algebra("B2"))))
+    assert set(vars(cs)) == {"rs", "tab"}
+
+
+def test_a_built_current_set_unpickles_without_rebuilding(b2cs, monkeypatch):
+    data = pickle.dumps(b2cs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pickled stage was built again")
+
+    for name in ("realization_polynomials", "build_differential_realization", "anomalous_term"):
+        monkeypatch.setattr(currents, name, refuse)
+    monkeypatch.setattr(currents.FieldContext, "from_algebra", refuse)
+    cs = pickle.loads(data)
+    assert cs.currents == b2cs.currents and cs.ops.keys() == b2cs.ops.keys() and cs.ctx == b2cs.ctx
+    assert cs.polys.V_plus == b2cs.polys.V_plus
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "OSP22"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wakimoto.currents import CurrentSet
 from wakimoto.diffop import (
     DiffOp,
     build_differential_realization,
@@ -43,7 +44,7 @@ def make_op(rs, dspec, lspec):
 def b2_setup():
     rs = build_root_system("B2")
     tab = build_structure_table(rs)
-    ops = build_differential_realization(rs, tab)
+    ops = build_differential_realization(rs, tab, realization_polynomials(rs, tab))
     return rs, tab, ops
 
 
@@ -83,7 +84,7 @@ def test_commutator_basics(b2_setup):
 def test_full_bracket_table(label):
     rs = build_root_system(label)
     tab = build_structure_table(rs)
-    ops = build_differential_realization(rs, tab)
+    ops = build_differential_realization(rs, tab, realization_polynomials(rs, tab))
     assert verify_realization(ops, tab) == []
 
 
@@ -94,7 +95,7 @@ def test_full_bracket_table_on_sign_flipped_json_algebras(tmp_path, seed):
     workloads.build("realization", seed, str(tmp_path))
     for alg in ("A4", "C3"):
         rs, tab = get_algebra(str(tmp_path / f"{alg}.json"))
-        assert verify_realization(build_differential_realization(rs, tab), tab) == []
+        assert verify_realization(CurrentSet(rs, tab).ops, tab) == []
 
 
 def test_verify_detects_broken_operator(b2_setup):
@@ -180,7 +181,7 @@ def test_commutator_packs_without_carrying():
 
 def _realization(label):
     rs, tab = get_algebra(label)
-    return rs, tab, build_differential_realization(rs, tab)
+    return rs, tab, CurrentSet(rs, tab).ops
 
 
 _REALIZATIONS = {label: _realization(label) for label in ("B2", "G2")}

@@ -9,6 +9,7 @@ from wakimoto.currents import build_wakimoto
 from wakimoto.diffop import build_differential_realization
 from wakimoto.fields import BETA, GAMMA, PHI, FieldContext, FieldExpr, base_key_of
 from wakimoto.liealg import build_root_system, build_structure_table
+from wakimoto.polymat import realization_polynomials
 from wakimoto.render import (
     diffop_to_json,
     fieldexpr_from_json,
@@ -35,7 +36,7 @@ def test_latex_ratfunc():
 
 def test_latex_diffop_matches_expected_form():
     rs, tab = b2_setup()
-    ops = build_differential_realization(rs, tab)
+    ops = build_differential_realization(rs, tab, realization_polynomials(rs, tab))
     tex = latex_diffop(ops[("e", (1, 0))])
     assert tex == (
         "\\partial_{1}"
@@ -68,11 +69,17 @@ def test_ratfunc_json_roundtrip():
 
 def test_diffop_json_shape():
     rs, tab = b2_setup()
-    ops = build_differential_realization(rs, tab)
+    ops = build_differential_realization(rs, tab, realization_polynomials(rs, tab))
     data = diffop_to_json(ops[("f", (1, 2))])
     assert set(data) == {"derivatives", "weights"}
     assert set(data["weights"]) == {"1", "2"}
     assert "theta" in data["derivatives"]
+
+
+def test_a_zero_vertex_in_json_is_no_vertex():
+    data = fieldexpr_to_json(FieldExpr.const(1))
+    data["terms"][0]["vertex"] = [ratfunc_to_json(RatFunc.zero())] * 2
+    assert fieldexpr_from_json(data) == FieldExpr.const(1)
 
 
 # Small pools, so that drawn terms often share their factors and differ only
