@@ -165,9 +165,8 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
     for q in sorted(orders, reverse=True):
         got = res.order(q)
         expect = want.get(q, FieldExpr.zero())
-        diff = got - expect
-        if not diff.is_zero:
-            bad.append(SweepViolation((a, b), q, diff.text(cs.ctx)))
+        if not got.equals(expect):
+            bad.append(SweepViolation((a, b), q, (got - expect).text(cs.ctx)))
     return bad
 
 

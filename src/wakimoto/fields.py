@@ -22,9 +22,10 @@ compare and hash by identity, and the key carries its sort key and the
 memoized monomials of its derivative and powers.
 
 Raw terms handed to ``FieldExpr._from_raw`` may carry int, Fraction or
-RatFunc coefficients.  Rational ones are summed as plain numbers, and each
-output coefficient is wrapped as a RatFunc once, so every coefficient
-stored in a FieldExpr is a RatFunc.
+RatFunc coefficients, all over one common denominator.  Rational ones are
+summed as plain numbers, and each output coefficient is divided by that
+denominator and wrapped as a RatFunc once, so every coefficient stored in a
+FieldExpr is a RatFunc.
 """
 
 from __future__ import annotations
@@ -204,13 +205,16 @@ class FieldExpr:
 
     @staticmethod
     def _from_raw(
-        raw: Iterable[tuple[Scalar, Sequence[Prim], Sequence[PF], Optional[Momentum]]]
+        raw: Iterable[tuple[Scalar, Sequence[Prim], Sequence[PF], Optional[Momentum]]],
+        denom: int = 1,
     ) -> "FieldExpr":
-        """The canonical sum of raw (coef, prims, pfs, vertex) terms.
+        """The canonical sum of raw (coef, prims, pfs, vertex) terms, divided
+        by ``denom``.
 
         A raw coefficient is an int, a Fraction or a RatFunc.  Rational
         values are carried as plain numbers, so equal terms are summed as
-        numbers, and each output coefficient is wrapped as a RatFunc once.
+        numbers, and each output coefficient is divided by ``denom`` and
+        wrapped as a RatFunc once.
         """
         out: dict[Term, Scalar] = {}
         stack = list(raw)
@@ -227,34 +231,37 @@ class FieldExpr:
             sign, sp = sorted_
             if sign < 0:
                 coef = -coef
-            # merge power factors sharing a base; expand nonneg integer powers
-            grouped: dict[BaseKey, Exp] = {}
-            for key, exp in pfs:
-                if key in grouped:
-                    grouped[key] = grouped[key] + exp
-                else:
-                    grouped[key] = exp
-            kept: list[PF] = []
-            expand: Optional[tuple[BaseKey, int]] = None
-            for key in sorted(grouped, key=_base_sort_key):
-                exp = grouped[key]
-                if exp.is_const:
-                    if exp.v == 0:
-                        continue
-                    if exp.v.denominator == 1 and exp.v > 0:
-                        expand = (key, int(exp.v))
-                        continue
-                kept.append((key, exp))
-            if expand is not None:
-                key, power = expand
-                rest = (
-                    kept
-                    + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0)
-                )
-                for bprims, bcoef in key.items:
-                    stack.append((coef * bcoef, sp + bprims, tuple(rest), vertex))
-                continue
-            term: Term = (sp, tuple(kept), vertex)
+            kept: tuple[PF, ...] = ()
+            if pfs:
+                # merge power factors sharing a base; expand nonneg integer powers
+                grouped: dict[BaseKey, Exp] = {}
+                for key, exp in pfs:
+                    if key in grouped:
+                        grouped[key] = grouped[key] + exp
+                    else:
+                        grouped[key] = exp
+                merged: list[PF] = []
+                expand: Optional[tuple[BaseKey, int]] = None
+                for key in sorted(grouped, key=_base_sort_key):
+                    exp = grouped[key]
+                    if exp.is_const:
+                        if exp.v == 0:
+                            continue
+                        if exp.v.denominator == 1 and exp.v > 0:
+                            expand = (key, int(exp.v))
+                            continue
+                    merged.append((key, exp))
+                if expand is not None:
+                    key, power = expand
+                    rest = (
+                        merged
+                        + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0)
+                    )
+                    for bprims, bcoef in key.items:
+                        stack.append((coef * bcoef, sp + bprims, tuple(rest), vertex))
+                    continue
+                kept = tuple(merged)
+            term: Term = (sp, kept, vertex)
             cur = out.get(term)
             if cur is None:
                 out[term] = coef
@@ -266,7 +273,12 @@ class FieldExpr:
                     out[term] = cur
                 else:
                     del out[term]
-        return FieldExpr({t: RatFunc.of(c) for t, c in out.items()})
+        inv = Fraction(1, denom)
+        return FieldExpr({
+            t: c._scaled(inv) if type(c) is RatFunc
+            else RatFunc.of(c if denom == 1 else Fraction(c, denom))
+            for t, c in out.items()
+        })
 
     # -- ring operations ---------------------------------------------------
 
@@ -338,7 +350,9 @@ class FieldExpr:
         return expand_power_levels(self).is_structurally_zero
 
     def equals(self, other: "FieldExpr") -> bool:
-        return (self - other).is_zero
+        """Equal term dicts are equal values.  Other pairs are zero-tested,
+        which expands power factors of a common base to one offset."""
+        return self.terms == other.terms or (self - other).is_zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldExpr):

@@ -20,13 +20,17 @@ call, and each w term's items are built once per call: every walk restores
 them.  The walk passes its running pole order and coefficient product down,
 and holds no closures, so a call leaves no reference cycles behind.
 
-Plain rationals travel as ints and Fractions: ghost kernels are ints, and
-the coefficients of the operands' terms and of the Taylor levels are
-unwrapped once per call (``RatFunc.plain``).  Only symbolic values stay
-``RatFunc``: the t of scalar-leg kernels, vertex momenta, power-factor
-bases and exponents.  Python's operator dispatch mixes the two, so there
-is one code path.  Canonicalization wraps every output coefficient, so
-every coefficient of the result is a ``RatFunc``.
+Plain rationals travel as ints: each operand's coefficients are unwrapped
+once per call (``RatFunc.plain``) and scaled by the least common multiple
+D of their denominators, so a plain operand coefficient is an int, and a
+symbolic one a ``RatFunc`` times D.  Ghost kernels and Taylor levels 0 and
+1 are ints; Taylor levels m >= 2 carry the Fractions 1/m!, and power-factor
+channels their base's coefficients.  Only symbolic values stay ``RatFunc``:
+the t of scalar-leg kernels, vertex momenta, power-factor bases and exponents.
+Python's operator dispatch mixes the kinds, so there is one code path.
+Every Wick pattern is linear in the two operand coefficients, so
+canonicalization divides each merged output coefficient by D_A * D_B once,
+as it wraps it; every coefficient of the result is a ``RatFunc``.
 
 The result maps pole orders to expressions at w; order 0 (the point-split
 normal product) is used for the Sugawara construction.
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Optional
 
 from .coeffs import ONE, RatFunc, Scalar
@@ -139,32 +144,40 @@ class _WItem:
 
 class _ZTerm:
     """A left-hand term: its factors and their partner keys, which of them are
-    still uncontracted, and the parity of the odd factors to the right of each one."""
+    still uncontracted, and the parity of the odd factors to the right of each one.
+
+    ``coef`` is the term's coefficient times the left operand's common
+    denominator (``_scaled_coefs``): an int when the coefficient is rational.
+    """
 
     __slots__ = ("prims", "vertex", "coef", "keys", "alive", "odd_after")
 
-    def __init__(self, term: Term, coef: RatFunc):
+    def __init__(self, term: Term, coef: Scalar):
         self.prims, _, self.vertex = term
-        self.coef = coef.plain()
+        self.coef = coef
         self.keys = [_LEG if kind == PHI else (kind, label) for kind, label, _ in self.prims]
         self.alive = [True] * len(self.prims)
-        self.odd_after = [
-            sum(map(prim_parity, self.prims[i + 1:])) & 1 for i in range(len(self.prims))
-        ]
+        self.odd_after = odd_after = [0] * len(self.prims)
+        parity = 0
+        for i in range(len(self.prims) - 1, -1, -1):
+            odd_after[i] = parity
+            parity ^= prim_parity(self.prims[i])
 
 
 class _WTerm:
     """A right-hand term and its w-side items, built once per contract() call.
 
+    ``coef`` is the term's coefficient times the right operand's common
+    denominator (``_scaled_coefs``): an int when the coefficient is rational.
     A walk leaves ``items`` as it found them: every item alive, every
     exponent restored and every inserted remainder removed again.
     """
 
     __slots__ = ("vertex", "coef", "partners", "items")
 
-    def __init__(self, term: Term, coef: RatFunc):
+    def __init__(self, term: Term, coef: Scalar):
         prims, pfs, self.vertex = term
-        self.coef = coef.plain()
+        self.coef = coef
         self.partners = _w_partners(term)
         self.items = [_WItem(_WPRIM, prim=p) for p in prims]
         self.items += [_WItem(_WPF, base=key, exp=exp) for key, exp in pfs]
@@ -222,6 +235,16 @@ def _w_partners(term: Term) -> set:
     return out
 
 
+def _scaled_coefs(expr: FieldExpr) -> tuple[int, list[Scalar]]:
+    """D, the LCM of the denominators of ``expr``'s rational coefficients, and
+    every coefficient times D: an int when it is rational, else a RatFunc."""
+    coefs = [c.plain() for c in expr.terms.values()]
+    D = lcm(*(c.denominator for c in coefs if type(c) is not RatFunc))
+    return D, [
+        c._scaled(D) if type(c) is RatFunc else c.numerator * (D // c.denominator) for c in coefs
+    ]
+
+
 def contract(
     ctx: FieldContext,
     A: FieldExpr,
@@ -235,8 +258,10 @@ def contract(
     included as order 0.
     """
     run = _Contraction(ctx, min_order)
-    w_terms = [_WTerm(tb, cb) for tb, cb in B.terms.items()]
-    for ta, ca in A.terms.items():
+    da, a_coefs = _scaled_coefs(A)
+    db, b_coefs = _scaled_coefs(B)
+    w_terms = [_WTerm(tb, cb) for tb, cb in zip(B.terms, b_coefs)]
+    for ta, ca in zip(A.terms, a_coefs):
         if ta[1]:
             raise UnsupportedContraction(
                 "symbolic power factors on the left operand are not supported"
@@ -253,7 +278,7 @@ def contract(
             run.walk(z, w, walked, 0, 0, z.coef * w.coef)
     poles = {}
     for q, raw in run.raw.items():
-        expr = FieldExpr._from_raw(raw)
+        expr = FieldExpr._from_raw(raw, da * db)
         if not expr.is_structurally_zero:
             poles[q] = expr
     return OpeResult(poles)

@@ -58,12 +58,12 @@ class ScreeningCurrent:
         For a series current both sides are summands and the difference is
         tested as a series; its text is the series residual.
         """
-        diff = got - want
         if self.is_series:
-            res = SeriesExpr(diff).residual(ctx)
+            res = SeriesExpr(got - want).residual(ctx)
             return res.is_structurally_zero, res.text(ctx)
-        ok = diff.is_zero
-        return ok, "" if ok else diff.text(ctx)
+        if got.equals(want):
+            return True, ""
+        return False, (got - want).text(ctx)
 
 
 @dataclass

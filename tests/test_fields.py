@@ -89,6 +89,10 @@ def test_zero_test_across_power_levels(ctx):
     rhs = FieldExpr.power(X, Exp(-1, 0, 0))
     assert (lhs - rhs).is_zero
     assert not (lhs - rhs.scale(2)).is_zero
+    # structurally different, equal only once the power levels are expanded
+    assert lhs.terms != rhs.terms
+    assert lhs.equals(rhs)
+    assert not lhs.equals(rhs.scale(2))
 
 
 def test_derivative_leibniz(ctx):

@@ -373,6 +373,10 @@ _K, _N = RatFunc.k(), RatFunc.n()
 _nonzero = st.integers(-3, 3).filter(bool)
 _coefs = st.one_of(
     st.builds(lambda a, b: RatFunc.of(Fraction(a, b)), _nonzero, st.integers(1, 3)),
+    # coprime and large denominators: operand LCMs well above 1
+    st.builds(
+        lambda a, b: RatFunc.of(Fraction(a, b)), _nonzero, st.sampled_from([4, 5, 7, 9, 43200])
+    ),
     st.builds(lambda a, b: _K * a + b, _nonzero, st.integers(-3, 3)),
     st.builds(
         lambda a, den: RatFunc.of(a) / den,
@@ -509,10 +513,11 @@ def _pole_lines(name, ctx, A, B):
 
 
 def _contract_pole_digest():
-    """sha256 of the sorted pole texts of the A3 and OSP22 current tables, B2's
-    TT for both tensors and B2's first-kind contracts."""
+    """sha256 of the sorted pole texts of the A3, G2 and OSP22 current tables,
+    B2's TT for both tensors and B2's first-kind contracts."""
     lines = []
-    for cs in (build_wakimoto(*get_algebra("A3")), osp22_currents()):
+    tables = [build_wakimoto(*get_algebra(name)) for name in ("A3", "G2")]
+    for cs in tables + [osp22_currents()]:
         for a in cs.labels():
             for b in cs.labels():
                 lines += _pole_lines(f"{cs.rs.name} {a} {b}", cs.ctx, cs[a], cs[b])
