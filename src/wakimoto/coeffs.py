@@ -31,9 +31,14 @@ factor as often as it goes.  Generic long division is kept as the test
 oracle (``tests/oracles.py``), with the merge-and-divide route every product
 and sum took before.
 
-Every stored coefficient is a RatFunc, but rational values may travel as
-plain ints and Fractions in between: ``RatFunc.plain`` unwraps them for the
-Wick engine (``ope.contract``) and for canonicalization
+A polynomial coefficient is an int when integral, else a Fraction with a
+denominator above 1: integral coefficients multiply and add as ints, and as
+``3 == Fraction(3)`` (equal hash and text) no comparison or output changes.
+A float is refused (``TypeError``); coefficient division is ``Fraction(a, b)``.
+
+Every field coefficient is stored as a RatFunc, but rational values may
+travel as plain ints and Fractions in between: ``RatFunc.plain`` unwraps them
+for the Wick engine (``ope.contract``) and for canonicalization
 (``fields.FieldExpr._from_raw``), which wraps each result once.  A RatFunc
 mixes with an int or a Fraction in every arithmetic operation.
 """
@@ -53,8 +58,29 @@ Scalar = Union[int, Fraction, "RatFunc"]
 # sparse polynomials over Q
 # ---------------------------------------------------------------------------
 
+def _lean(c) -> Union[int, Fraction]:
+    """A rational as an int when it is integral, else as a Fraction; a float
+    is inexact and refused with ``TypeError``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}: use an int or a Fraction")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _lean_terms(terms: dict) -> dict:
+    """``terms`` with each integral Fraction replaced by its int, in place:
+    one pass per result instead of one check per product."""
+    for m, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
 class SparsePoly:
-    """Sparse polynomial over Q: exponent tuples mapped to nonzero Fractions.
+    """Sparse polynomial over Q: exponent tuples mapped to nonzero canonical coefficients.
 
     The one implementation of the ring arithmetic shared by ``Pol`` (in k and
     n) and ``polymat.Poly`` (in the triangular coordinates).  No coefficient
@@ -78,7 +104,7 @@ class SparsePoly:
                     out[m] = s
                 else:
                     del out[m]
-        return self._like(out)
+        return self._like(_lean_terms(out))
 
     def __neg__(self):
         return self._like({m: -c for m, c in self.terms.items()})
@@ -103,14 +129,14 @@ class SparsePoly:
                         out[m] = s
                     else:
                         del out[m]
-        return self._like(out)
+        return self._like(_lean_terms(out))
 
     def scale(self, c):
-        """Multiply by a rational; a ``RatFunc`` is refused with ``TypeError``."""
-        c = Fraction(c)
+        """Multiply by a rational; a ``RatFunc`` or a float is refused with ``TypeError``."""
+        c = _lean(c)
         if not c:
             return self._like({})
-        return self._like({m: v * c for m, v in self.terms.items()})
+        return self._like(_lean_terms({m: v * c for m, v in self.terms.items()}))
 
     @property
     def is_zero(self) -> bool:
@@ -135,15 +161,15 @@ class SparsePoly:
 
 
 class Pol(SparsePoly):
-    """Sparse bivariate polynomial in the symbols k and n with Fraction coefficients."""
+    """Sparse bivariate polynomial in the symbols k and n over Q (``SparsePoly``)."""
 
     __slots__ = ()
 
-    def __init__(self, terms: Optional[dict[Monomial, Fraction]] = None):
-        self.terms: dict[Monomial, Fraction] = terms if terms is not None else {}
+    def __init__(self, terms: Optional[dict[Monomial, Union[int, Fraction]]] = None):
+        self.terms: dict[Monomial, Union[int, Fraction]] = terms if terms is not None else {}
         self._hash: Optional[int] = None
 
-    def _like(self, terms: dict[Monomial, Fraction]) -> "Pol":
+    def _like(self, terms: dict) -> "Pol":
         return Pol(terms)
 
     __mul__ = SparsePoly.__mul__
@@ -152,21 +178,21 @@ class Pol(SparsePoly):
 
     @staticmethod
     def const(c) -> "Pol":
-        c = Fraction(c)
+        c = _lean(c)
         return Pol({(0, 0): c} if c else {})
 
     @staticmethod
     def k(power: int = 1) -> "Pol":
-        return Pol({(power, 0): Fraction(1)})
+        return Pol({(power, 0): 1})
 
     @staticmethod
     def n(power: int = 1) -> "Pol":
-        return Pol({(0, power): Fraction(1)})
+        return Pol({(0, power): 1})
 
     @staticmethod
     def t(hvee: int) -> "Pol":
         """The shifted level t = k + h_vee."""
-        return Pol({(1, 0): Fraction(1), (0, 0): Fraction(hvee)})
+        return Pol({(1, 0): 1, (0, 0): _lean(hvee)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -182,9 +208,9 @@ class Pol(SparsePoly):
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Union[int, Fraction]:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_const:
             raise ValueError("polynomial is not constant: %s" % self)
         return self.terms[(0, 0)]
@@ -199,18 +225,18 @@ class Pol(SparsePoly):
 
     def _subs(self, var: int, value) -> "Pol":
         """Substitute ``value`` for k (var 0) or n (var 1)."""
-        value = Fraction(value)
-        out: dict[Monomial, Fraction] = {}
+        value = _lean(value)
+        out: dict = {}
         for m, c in self.terms.items():
             rest = (0, m[1]) if var == 0 else (m[0], 0)
             out[rest] = out.get(rest, 0) + c * value ** m[var]
-        return Pol({m: c for m, c in out.items() if c})
+        return Pol(_lean_terms({m: c for m, c in out.items() if c}))
 
     def shift_n(self, delta: int) -> "Pol":
         """Substitute n -> n + delta."""
         if delta == 0:
             return self
-        out: dict[Monomial, Fraction] = {}
+        out: dict = {}
         for (a, b), c in self.terms.items():
             # binomial expansion of (n + delta)^b
             binom = 1
@@ -218,13 +244,13 @@ class Pol(SparsePoly):
                 m = (a, b - j)
                 out[m] = out.get(m, 0) + c * binom * delta ** j
                 binom = binom * (b - j) // (j + 1)
-        return Pol({m: c for m, c in out.items() if c})
+        return Pol(_lean_terms({m: c for m, c in out.items() if c}))
 
     # -- presentation ------------------------------------------------------
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Union[int, Fraction]:
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[max(self.terms)]
 
     def text(self, k_name: str = "k", n_name: str = "n") -> str:
@@ -270,11 +296,11 @@ def _divide_linear(num: Pol, p: Pol) -> Optional[Pol]:
     x = 0 if (1, 0) in t else 1
     a = t.get((0, 1), 0) if x == 0 else 0
     b = t.get((0, 0), 0)
-    rows: dict[int, dict[int, Fraction]] = {}  # power of x -> {power of y: coefficient}
+    rows: dict[int, dict] = {}  # power of x -> {power of y: coefficient}
     for m, c in num.terms.items():
         rows.setdefault(m[x], {})[m[1 - x]] = c
-    out: dict[Monomial, Fraction] = {}
-    carry: dict[int, Fraction] = {}
+    out: dict = {}
+    carry: dict = {}
     for i in range(max(rows, default=0), -1, -1):
         cur = dict(rows.get(i, ()))
         for j, c in carry.items():  # cur -= (a y + b) * carry
@@ -287,7 +313,7 @@ def _divide_linear(num: Pol, p: Pol) -> Optional[Pol]:
             for j, c in carry.items():
                 out[(i - 1, j) if x == 0 else (j, i - 1)] = c
     # the last carry is the remainder
-    return None if carry else Pol(out)
+    return None if carry else Pol(_lean_terms(out))
 
 
 def _cancel(num: Pol, den) -> tuple[Pol, tuple[tuple[Pol, int], ...]]:
@@ -344,8 +370,6 @@ class RatFunc:
     def of(value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
-        if type(value) is Fraction:
-            return RatFunc(Pol({(0, 0): value} if value else {}))
         if isinstance(value, Pol):
             return RatFunc(value)
         return RatFunc(Pol.const(value))
@@ -374,7 +398,7 @@ class RatFunc:
     def _make(num: Pol, den: Iterable[tuple[Pol, int]]) -> "RatFunc":
         if num.is_zero:
             return RatFunc(Pol())
-        scale = Fraction(1)
+        scale = 1
         merged: dict[Pol, int] = {}
         for p, e in den:
             if e == 0:
@@ -387,10 +411,10 @@ class RatFunc:
             lc = p.leading_coeff()
             if lc != 1:
                 scale *= lc ** e
-                p = p.scale(1 / lc)
+                p = p.scale(Fraction(1, lc))
             merged[p] = merged.get(p, 0) + e
         if scale != 1:
-            num = num.scale(1 / scale)
+            num = num.scale(Fraction(1, scale))
         return RatFunc(*_cancel(num, sorted(merged.items(), key=_factor_order)))
 
     # -- arithmetic --------------------------------------------------------
@@ -487,8 +511,7 @@ class RatFunc:
         terms = self.num.terms
         if self.den or len(terms) > 1 or (terms and (0, 0) not in terms):
             return self
-        c = terms.get((0, 0), 0)
-        return c.numerator if c.denominator == 1 else c
+        return terms.get((0, 0), 0)
 
     def key(self) -> tuple:
         """Sortable structural key; equal exactly when the values are equal."""
@@ -555,14 +578,6 @@ ONE = RatFunc.one()
 # affine exponents  u*t + v + w*n
 # ---------------------------------------------------------------------------
 
-def _lean(c) -> Union[int, Fraction]:
-    """A rational as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class Exp:
     """Exponent of a symbolic power factor: u*t + v + w*n with rational u, v, w.
 
@@ -598,8 +613,7 @@ class Exp:
         return Exp(self.u, self.v + self.w * delta, self.w)
 
     def as_ratfunc(self, hvee: int) -> RatFunc:
-        u = Fraction(self.u)
-        terms = (((1, 0), u), ((0, 0), u * hvee + self.v), ((0, 1), Fraction(self.w)))
+        terms = (((1, 0), self.u), ((0, 0), _lean(self.u * hvee + self.v)), ((0, 1), self.w))
         return RatFunc(Pol({m: c for m, c in terms if c}))
 
     def subs_t(self, value) -> Optional[Fraction]:

@@ -23,9 +23,10 @@ raised to its powers once.  That matrix algebra, V_- and ``anomalous_term``
 run over the integers in a ``Packing``: coefficients are scaled by a common
 denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
-The families leave as ``Poly`` over ``Fraction``, each entry converted
-once; the level k enters only in ``currents.CurrentSet.currents``.  ``diffop``
-packs its operators with the same ``Packing``.
+The families leave as ``Poly``, each coefficient converted once to an int
+or a Fraction (the canonical form of ``coeffs``); the level k enters only in
+``currents.CurrentSet.currents``.  ``diffop`` packs its operators with the
+same ``Packing``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-from .coeffs import SparsePoly
+from .coeffs import SparsePoly, _lean_terms
 from .liealg import RootSystem, StructureTable
 
 Expo = tuple[int, ...]  # one slot per positive root
@@ -54,17 +55,17 @@ class Poly(SparsePoly):
     """Multivariate polynomial over Q in the triangular coordinates x^alpha.
 
     Terms map exponent tuples (indexed by the fixed positive-root order) to
-    Fraction coefficients; the arithmetic is the shared ``SparsePoly`` one.
+    coefficients in the canonical form and with the arithmetic of ``SparsePoly``.
     """
 
     __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, terms: Optional[dict[Expo, Fraction]] = None):
+    def __init__(self, nvars: int, terms: Optional[dict[Expo, Union[int, Fraction]]] = None):
         self.nvars = nvars
-        self.terms: dict[Expo, Fraction] = terms if terms is not None else {}
+        self.terms: dict[Expo, Union[int, Fraction]] = terms if terms is not None else {}
         self._hash: Optional[int] = None
 
-    def _like(self, terms: dict[Expo, Fraction]) -> "Poly":
+    def _like(self, terms: dict) -> "Poly":
         return Poly(self.nvars, terms)
 
     __mul__ = SparsePoly.__mul__
@@ -75,24 +76,24 @@ class Poly(SparsePoly):
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(1)}).scale(c)
+        return Poly(nvars, {(0,) * nvars: 1}).scale(c)
 
     @staticmethod
     def var(nvars: int, idx: int, c=1) -> "Poly":
         e = tuple(1 if j == idx else 0 for j in range(nvars))
-        return Poly(nvars, {e: Fraction(1)}).scale(c)
+        return Poly(nvars, {e: 1}).scale(c)
 
     def deriv(self, idx: int) -> "Poly":
         # e -> e - unit(idx) is injective on the terms it keeps, so no two
         # terms collect and no coefficient cancels
-        out: dict[Expo, Fraction] = {}
+        out: dict = {}
         for e, c in self.terms.items():
             p = e[idx]
             if p:
                 out[e[:idx] + (p - 1,) + e[idx + 1:]] = c * p
-        return Poly(self.nvars, out)
+        return Poly(self.nvars, _lean_terms(out))
 
-    def sorted_terms(self) -> list[tuple[Expo, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Expo, Union[int, Fraction]]]:
         """Graded-lex order over the fixed positive-root variable order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-v for v in t[0])))
 
@@ -174,7 +175,7 @@ class Packing:
                 e = expos.get(m)
                 if e is None:
                     e = expos[m] = tuple(m // x % B for x in w)
-                terms[e] = Fraction(c, denom)
+                terms[e] = c // denom if not c % denom else Fraction(c, denom)
         return Poly(self.nvars, terms)
 
     def deriv(self, p: Packed, s: int) -> Packed:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import Exp, Pol, RatFunc
+from .coeffs import Exp, Pol, RatFunc, _lean
 from .diffop import DiffOp
 from .fields import (
     PHI,
@@ -172,7 +172,7 @@ def ratfunc_to_json(c: RatFunc):
 
 
 def _pol_from_json(data) -> Pol:
-    return Pol({(ek, en): Fraction(v) for ek, en, v in data})
+    return Pol({(ek, en): c for ek, en, v in data if (c := _lean(Fraction(v)))})
 
 
 def ratfunc_from_json(data) -> RatFunc:

@@ -685,6 +685,15 @@ def ratfunc_value(x: RatFunc, k: Fraction, n: Fraction):
     return None if den == 0 else pol(x.num) / den
 
 
+def assert_canonical_coefficients(x) -> None:
+    """Each coefficient of x is an int, or a Fraction whose denominator is not
+    1: no integral Fraction and no float.  x is a ``Pol``, a ``Poly`` or a
+    ``RatFunc``, whose numerator and denominator factors are checked."""
+    for p in [x.num, *(f for f, _ in x.den)] if isinstance(x, RatFunc) else [x]:
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, p)
+
+
 def ratfunc_values(x: RatFunc) -> list:
     """The values of x at the sample points (None at a pole)."""
     return [ratfunc_value(x, k, n) for k, n in _SAMPLE_POINTS]
@@ -709,7 +718,7 @@ def divide_exact(num: Pol, divisor: Pol) -> Optional[Pol]:
     if num.is_zero:
         return Pol()
     if divisor.is_const:
-        return num.scale(1 / divisor.const_value())
+        return num.scale(Fraction(1, divisor.const_value()))
     rem = Pol(dict(num.terms))
     quo: dict = {}
     lead = max(divisor.terms)
@@ -721,7 +730,7 @@ def divide_exact(num: Pol, divisor: Pol) -> Optional[Pol]:
         qm = (m[0] - lead[0], m[1] - lead[1])
         if qm[0] < 0 or qm[1] < 0:
             return None
-        qc = rem.terms[m] / lead_c
+        qc = Fraction(rem.terms[m], lead_c)
         quo[qm] = quo.get(qm, Fraction(0)) + qc
         rem = rem - Pol({qm: qc}) * divisor
     return Pol({m: c for m, c in quo.items() if c})
@@ -742,10 +751,10 @@ def make_reference(num: Pol, den) -> RatFunc:
         lc = p.leading_coeff()
         if lc != 1:
             scale *= lc**e
-            p = p.scale(1 / lc)
+            p = p.scale(Fraction(1, lc))
         merged[p] = merged.get(p, 0) + e
     if scale != 1:
-        num = num.scale(1 / scale)
+        num = num.scale(Fraction(1, scale))
     out = []
     for p in sorted(merged, key=Pol.frozen):
         e = merged[p]

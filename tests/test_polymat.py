@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     anomalous_term_fraction,
+    assert_canonical_coefficients,
     eval_zero,
     mat_mul,
     matrix_function,
@@ -339,6 +340,9 @@ def test_realization_polynomials_match_the_fraction_oracle(alg):
     want = realization_polynomials_fraction(rs, tab)
     for name in _FAMILIES:
         assert getattr(polys, name) == getattr(want, name), name
+        for row in getattr(polys, name):
+            for p in row:
+                assert_canonical_coefficients(p)
     assert anomalous_term(rs, polys) == anomalous_term_fraction(rs, want)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_canonical_coefficients
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.currents import build_wakimoto
 from wakimoto.diffop import build_differential_realization
@@ -61,6 +62,11 @@ def test_ratfunc_json_roundtrip():
     f = (RatFunc.k() * RatFunc.n() + 5) / (RatFunc.n() + 1) / (RatFunc.k() + 3)
     data = json.loads(json.dumps(ratfunc_to_json(f)))
     assert ratfunc_from_json(data) == f
+    assert_canonical_coefficients(ratfunc_from_json(data))
+    # a zero coefficient is dropped, so the value is zero as it prints
+    assert ratfunc_from_json({"num": [[1, 0, "0"]], "den": []}) == RatFunc.zero()
+    factor = {"factor": [[1, 0, "1"], [0, 0, "0"]], "power": 1}
+    assert ratfunc_from_json({"num": [[0, 0, "1"]], "den": [factor]}) == 1 / RatFunc.k()
     for power in (0, -1, 1.5):
         data["den"][0]["power"] = power
         with pytest.raises(ValueError, match="positive integer"):
