@@ -616,11 +616,11 @@ class Exp:
         terms = (((1, 0), self.u), ((0, 0), _lean(self.u * hvee + self.v)), ((0, 1), self.w))
         return RatFunc(Pol({m: c for m, c in terms if c}))
 
-    def subs_t(self, value) -> Optional[Fraction]:
+    def subs_t(self, value) -> Optional[Union[int, Fraction]]:
         """Numeric value at t = value; None when n still appears."""
         if self.w != 0:
             return None
-        return self.u * Fraction(value) + self.v
+        return self.u * _lean(value) + self.v
 
     @property
     def is_const(self) -> bool:

@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 from weakref import WeakValueDictionary
 
-from .coeffs import Exp, RatFunc, Scalar
+from .coeffs import Exp, RatFunc, Scalar, _lean
 from .liealg import RootSystem
 
 # primitive kinds, in canonical factor order
@@ -392,7 +392,7 @@ class FieldExpr:
 
     def subs_t(self, ctx: FieldContext, tval) -> "FieldExpr":
         """Specialize t = tval (so k = tval - hvee); integer powers expand."""
-        tval = Fraction(tval)
+        tval = _lean(tval)
         kval = tval - ctx.hvee
         raw = []
         for (prims, pfs, vertex), coef in self.terms.items():

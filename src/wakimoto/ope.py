@@ -9,16 +9,19 @@ fields at the factor's position.  Fermionic crossings contribute signs.
 
 A term pair in which no z-side factor has a contraction partner on the w
 side (matching ghost pairs, scalar legs, legs against a vertex, primitives
-inside a power-factor base) has only a regular part, so it is skipped unless
-the regular part is asked for.  Otherwise the walk visits only the z-side
-factors that have a partner on the w side; the others can only survive.
-Each Wick pattern is appended as a raw term to its pole order, and every
-order is canonicalized once at the end.  A pattern at the lowest order asked
-for is appended as it stands; only higher ones read the Taylor tower of
-their surviving z part.  Pair kernels and Taylor towers are tabulated per
-call, and each w term's items are built once per call: every walk restores
-them.  The walk passes its running pole order and coefficient product down,
-and holds no closures, so a call leaves no reference cycles behind.
+inside a power-factor base; one set test) has only a regular part, so only
+pairs with a partner are walked, unless the regular part is asked for or a
+z-side vertex meets a w-side scalar leg.  The walk visits only the z-side
+factors with a partner; the others can only survive.  The last walked factor
+is not left uncontracted where that pattern stays below the lowest order
+asked for with no z-side vertex to raise it.  Each Wick pattern is appended
+as a raw term to its pole order, and every order is canonicalized once at
+the end.  A pattern at the lowest order asked for is appended as it stands;
+only higher ones read the Taylor tower of their surviving z part.  Pair
+kernels and Taylor towers are tabulated per call, and each w term's items
+are built once per call: every walk restores them.  The walk passes its
+running pole order and coefficient product down, and holds no closures, so a
+call leaves no reference cycles behind.
 
 Plain rationals travel as ints: each operand's coefficients are unwrapped
 once per call (``RatFunc.plain``) and scaled by the least common multiple
@@ -150,12 +153,13 @@ class _ZTerm:
     denominator (``_scaled_coefs``): an int when the coefficient is rational.
     """
 
-    __slots__ = ("prims", "vertex", "coef", "keys", "alive", "odd_after")
+    __slots__ = ("prims", "vertex", "coef", "keys", "keyset", "alive", "odd_after")
 
     def __init__(self, term: Term, coef: Scalar):
         self.prims, _, self.vertex = term
         self.coef = coef
         self.keys = [_LEG if kind == PHI else (kind, label) for kind, label, _ in self.prims]
+        self.keyset = frozenset(self.keys)
         self.alive = [True] * len(self.prims)
         self.odd_after = odd_after = [0] * len(self.prims)
         parity = 0
@@ -271,7 +275,9 @@ def contract(
             if z.vertex is not None and w.vertex is not None:
                 raise UnsupportedContraction("vertex-vertex contraction is out of scope")
             # only factors with a partner can contract; the others survive
-            walked = tuple(i for i, key in enumerate(z.keys) if key in w.partners)
+            walked = () if z.keyset.isdisjoint(w.partners) else tuple(
+                i for i, key in enumerate(z.keys) if key in w.partners
+            )
             # with no contraction possible the pair only has an order-0 part
             if min_order >= 1 and not walked and (z.vertex is None or _VERTEX not in w.partners):
                 continue
@@ -338,8 +344,9 @@ class _Contraction:
             return
         iz = walked[j]
         zp = z.prims[iz]
-        # leave the factor for Taylor expansion
-        self.walk(z, w, walked, j + 1, q, coef)
+        # leave the factor for Taylor expansion, unless that leaf would fall below min_order
+        if j + 1 < len(walked) or q >= self.min_order or z.vertex is not None:
+            self.walk(z, w, walked, j + 1, q, coef)
         z.alive[iz] = False
         # both contracted factors are odd or both even; an odd pair picks up
         # a sign from every odd factor crossed in between
@@ -400,9 +407,14 @@ class _Contraction:
         min_order = self.min_order
         if q < min_order:
             return
-        wleft = [item for item in w.items if item.alive]
-        rest_prims = tuple(item.prim for item in wleft if item.kind == _WPRIM)
-        rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == _WPF)
+        rest_prims, rest_pfs = [], []
+        for item in w.items:
+            if item.alive:
+                if item.kind == _WPRIM:
+                    rest_prims.append(item.prim)
+                elif item.kind == _WPF:
+                    rest_pfs.append((item.base, item.exp))
+        rest_prims, rest_pfs = tuple(rest_prims), tuple(rest_pfs)
         zleft = tuple(p for p, alive in zip(z.prims, z.alive) if alive)
         vertex = z.vertex if z.vertex is not None else w.vertex
         if q == min_order:

@@ -172,7 +172,10 @@ def ratfunc_to_json(c: RatFunc):
 
 
 def _pol_from_json(data) -> Pol:
-    return Pol({(ek, en): c for ek, en, v in data if (c := _lean(Fraction(v)))})
+    terms = {(ek, en): c for ek, en, v in data if (c := _lean(Fraction(v)))}
+    if len({(ek, en) for ek, en, _ in data}) < len(data):
+        raise ValueError("a monomial is repeated")
+    return Pol(terms)
 
 
 def ratfunc_from_json(data) -> RatFunc:

@@ -14,7 +14,8 @@ from oracles import (
     ratfuncs_equal_by_evaluation,
 )
 from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel
-from wakimoto.fields import BETA, GAMMA, FieldExpr
+from wakimoto.fields import BETA, GAMMA, FieldContext, FieldExpr
+from wakimoto.liealg import build_root_system
 from wakimoto.polymat import Poly
 
 
@@ -80,6 +81,11 @@ def test_floats_are_refused():
         Pol.k().scale(1 / 3)
     with pytest.raises(TypeError, match="inexact"):
         Exp(0.5)
+    with pytest.raises(TypeError, match="inexact"):
+        Exp(1, 0, 0).subs_t(0.1)
+    ctx = FieldContext.from_algebra(build_root_system("A1"))
+    with pytest.raises(TypeError, match="inexact"):
+        FieldExpr.prim(BETA, 0).subs_t(ctx, 0.1)
 
 
 def test_exp_affine():

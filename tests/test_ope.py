@@ -477,6 +477,25 @@ def test_crossing_signs_through_partnerless_factors():
     assert contract(_OSP_CTX, A, B).nonzero_orders() == [4, 3, 2, 1]
 
 
+def test_uncontracted_patterns_that_can_still_pole_are_kept():
+    """The walk skips leaving its last factor uncontracted only where that
+    pattern stays below min_order: a z-side vertex can still pole against a
+    w-side scalar leg (walked empty and walked with one factor), and at
+    min_order 0 the pattern is the normal product itself."""
+    g0, beta0, phi0 = FieldExpr.prim(GAMMA, 0), FieldExpr.prim(BETA, 0), FieldExpr.prim(PHI, 0)
+    V = FieldExpr.vertex((_K + 1, RatFunc.of(2)))
+    # gamma_0 has no partner in phi_0 c_1, and meets beta_0 in phi_0 beta_0
+    for rest in (FieldExpr.prim(CGH, 1, 1), beta0):
+        _assert_matches_reference(g0 * V, phi0 * rest)
+        # V meets phi_0 and gamma_0 survives
+        (key,) = (g0 * rest * V).terms
+        assert contract(_OSP_CTX, g0 * V, phi0 * rest).order(1).terms[key] == -(_K + 1)
+    _assert_matches_reference(g0 * V + g0.scale(Fraction(1, 2)), phi0 * beta0 + phi0)
+    (key,) = (g0 * phi0 * beta0).terms
+    assert regularized_product(_OSP_CTX, g0, phi0 * beta0).terms[key] == 1
+    assert contract(_OSP_CTX, g0, phi0 * beta0).order(1) == phi0.scale(-1)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.lists(_prims, max_size=5), st.one_of(st.none(), _momenta))
 def test_subsequences_of_a_canonical_term_are_canonical(prims, vertex):

@@ -71,6 +71,11 @@ def test_ratfunc_json_roundtrip():
         data["den"][0]["power"] = power
         with pytest.raises(ValueError, match="positive integer"):
             ratfunc_from_json(data)
+    # the writer never repeats a monomial; a repeated one is not summed or overwritten
+    with pytest.raises(ValueError, match="repeated"):
+        ratfunc_from_json({"num": [[1, 0, "1"], [1, 0, "2"]], "den": []})
+    with pytest.raises(ValueError, match="repeated"):
+        ratfunc_from_json({"num": [[0, 0, "1"]], "den": [{"factor": [[1, 0, "1"], [1, 0, "1"]], "power": 1}]})
 
 
 def test_diffop_json_shape():
