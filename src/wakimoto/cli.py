@@ -213,7 +213,9 @@ class _Parser:
         if name == "s":
             return first_kind(cs, _index(cs, name, label)).expr
         if name == "stilde":
-            return second_kind_mult_one(cs, _index(cs, name, label)).expr
+            j = _index(cs, name, label)
+            # a series current is no expression: second_kind_mult_one refuses its direction
+            return (second_kind if cs.rs.theta[j] == 1 else second_kind_mult_one)(cs, j).expr
         raise InputError(f"unknown generator {name!r}")
 
 
@@ -305,11 +307,9 @@ def _screening_suite(cs: CurrentSet, directions, construct):
     for j in directions:
         try:
             rep = verify(cs, construct(cs, j))
-        except DirectionError:
-            results[str(j + 1)] = {
-                "status": "unavailable",
-                "reason": f"multiplicity {cs.rs.theta[j]} direction without a series construction",
-            }
+        except DirectionError as exc:
+            reason = f"multiplicity {cs.rs.theta[j]} direction without a series construction"
+            results[str(j + 1)] = {"status": "unavailable", "reason": reason if cs.ctx.bosonic else str(exc)}
             continue
         results[str(j + 1)] = _report_json(cs, rep)
         ok = ok and rep.ok
@@ -323,9 +323,9 @@ def _screening_first_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
 
 
 def _screening_second_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
-    if not cs.ctx.bosonic:
-        return _screening_suite(cs, [0], second_kind)  # the one current of the osp(2|2) fixture
-    return _screening_suite(cs, [direction] if direction is not None else range(cs.rs.rank), second_kind)
+    # the osp(2|2) fixture has its one current in direction 1
+    every = range(cs.rs.rank) if cs.ctx.bosonic else [0]
+    return _screening_suite(cs, [direction] if direction is not None else every, second_kind)
 
 
 def _naive_second_kind_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=_positive_int,
-        default=os.environ.get("WAKIMOTO_JOBS", "1"),
+        default=1,
         help="parallel workers for the OPE sweep (at most one per CPU and pair)",
     )
     p.set_defaults(fn=cmd_verify)

@@ -36,11 +36,11 @@ denominator above 1: integral coefficients multiply and add as ints, and as
 ``3 == Fraction(3)`` (equal hash and text) no comparison or output changes.
 A float is refused (``TypeError``); coefficient division is ``Fraction(a, b)``.
 
-Every field coefficient is stored as a RatFunc, but rational values may
-travel as plain ints and Fractions in between: ``RatFunc.plain`` unwraps them
-for the Wick engine (``ope.contract``) and for canonicalization
-(``fields.FieldExpr._from_raw``), which wraps each result once.  A RatFunc
-mixes with an int or a Fraction in every arithmetic operation.
+A field coefficient has one stored form (``canonical``): a rational value
+is an int or a Fraction, as a polynomial coefficient is, and a RatFunc only
+stores a value in which k or n appears.  A RatFunc mixes with an int or a
+Fraction in every arithmetic operation, and a rational RatFunc compares and
+hashes as its number, so the two spellings of one value are one dict key.
 """
 
 from __future__ import annotations
@@ -253,16 +253,16 @@ class Pol(SparsePoly):
             return 0
         return self.terms[max(self.terms)]
 
-    def text(self, k_name: str = "k", n_name: str = "n") -> str:
+    def text(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for (a, b), c in sorted(self.terms.items(), reverse=True):
             factors = []
             if a:
-                factors.append(k_name if a == 1 else f"{k_name}^{a}")
+                factors.append("k" if a == 1 else f"k^{a}")
             if b:
-                factors.append(n_name if b == 1 else f"{n_name}^{b}")
+                factors.append("n" if b == 1 else f"n^{b}")
             if not factors:
                 body = str(c)
             elif c == 1:
@@ -505,14 +505,6 @@ class RatFunc:
     def is_rational(self) -> bool:
         return self.num.is_const and not self.den
 
-    def plain(self) -> Scalar:
-        """The value as an int (when integral, for C-speed arithmetic) or a
-        Fraction when it is a plain rational, else self."""
-        terms = self.num.terms
-        if self.den or len(terms) > 1 or (terms and (0, 0) not in terms):
-            return self
-        return terms.get((0, 0), 0)
-
     def key(self) -> tuple:
         """Sortable structural key; equal exactly when the values are equal."""
         return (self.num.frozen(), tuple((p.frozen(), e) for p, e in self.den))
@@ -524,8 +516,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        """A rational value hashes as its int or Fraction, which it equals."""
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash(canonical(self) if self.is_rational else self.key())
         return self._hash
 
     # -- substitutions -----------------------------------------------------
@@ -570,8 +563,16 @@ class RatFunc:
         return f"RatFunc({self.text()})"
 
 
-ZERO = RatFunc.zero()
-ONE = RatFunc.one()
+def canonical(c) -> Scalar:
+    """The stored form of a field coefficient: an int when integral, a
+    Fraction with a denominator above 1 when rational, else a RatFunc; a
+    float is refused with ``TypeError``."""
+    if type(c) is not RatFunc:
+        return _lean(c)
+    terms = c.num.terms
+    if c.den or len(terms) > 1 or (terms and (0, 0) not in terms):
+        return c
+    return terms.get((0, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +582,7 @@ ONE = RatFunc.one()
 class Exp:
     """Exponent of a symbolic power factor: u*t + v + w*n with rational u, v, w.
 
-    Integral components are ints, as in ``RatFunc.plain``, and the key and
+    Integral components are ints, as in ``canonical``, and the key and
     hash are computed once: exponents are compared and hashed on every term
     lookup of the field layer.
     """

@@ -32,15 +32,16 @@ class CurrentSet:
 
     The stages are the realization polynomials ``polys``, the differential
     operators ``ops`` and the free-field ``currents``, each built from the one
-    before it and the structure table ``tab``.  A stage passed in is kept as
-    given, and a built one lives in the instance ``__dict__``, so a pickle
-    carries exactly the built stages.  A graded algebra has no ``polys`` or
-    ``ops``; its currents are the osp(2|2) closed form.
+    before it and the structure table ``tab``.  A ``ctx``, ``polys`` or
+    ``currents`` passed in is kept as given, and a built stage lives in the
+    instance ``__dict__``, so a pickle carries exactly the built stages.  A
+    graded algebra has no ``polys`` or ``ops``; its currents are the
+    osp(2|2) closed form.
     """
 
-    def __init__(self, rs: RootSystem, tab: StructureTable, ctx=None, currents=None, polys=None, ops=None):
+    def __init__(self, rs: RootSystem, tab: StructureTable, ctx=None, currents=None, polys=None):
         self.rs, self.tab = rs, tab
-        given = {"ctx": ctx, "currents": currents, "polys": polys, "ops": ops}
+        given = {"ctx": ctx, "currents": currents, "polys": polys}
         self.__dict__.update((name, stage) for name, stage in given.items() if stage is not None)
 
     @cached_property
@@ -146,9 +147,9 @@ def expected_ope(cs: CurrentSet, a: Label, b: Label) -> dict[int, FieldExpr]:
     kap = cs.tab.kappa_of(a, b)
     if kap:
         out[2] = FieldExpr.const(k * kap)
-    # one canonicalization over plain coefficients: no constant RatFunc products
+    # one canonicalization over the stored coefficients
     first = FieldExpr._from_raw(
-        (coef.plain() * v, *term)
+        (coef * v, *term)
         for c, v in cs.tab.bracket(a, b).items()
         for term, coef in cs.currents[c].terms.items()
     )

@@ -21,11 +21,11 @@ A base is an interned ``BaseKey``: equal bases are one object, so they
 compare and hash by identity, and the key carries its sort key and the
 memoized monomials of its derivative and powers.
 
-Raw terms handed to ``FieldExpr._from_raw`` may carry int, Fraction or
-RatFunc coefficients, all over one common denominator.  Rational ones are
-summed as plain numbers, and each output coefficient is divided by that
-denominator and wrapped as a RatFunc once, so every coefficient stored in a
-FieldExpr is a RatFunc.
+Every coefficient stored in a FieldExpr is in the one form of
+``coeffs.canonical``: an int or a Fraction when it is rational, a RatFunc
+only when k or n appears.  Raw terms handed to ``FieldExpr._from_raw`` may
+carry any of the three, all over one common denominator; equal terms are
+summed as they come and each result is divided by that denominator once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 from weakref import WeakValueDictionary
 
-from .coeffs import Exp, RatFunc, Scalar, _lean
+from .coeffs import Exp, RatFunc, Scalar, _lean, canonical
 from .liealg import RootSystem
 
 # primitive kinds, in canonical factor order
@@ -95,7 +95,7 @@ class FieldContext:
     def gamma_kind(self, pos: int) -> int:
         return CGH if self.root_parity[pos] else GAMMA
 
-    def weight_inner(self, lam: Sequence[RatFunc], mu: Sequence[RatFunc]) -> RatFunc:
+    def weight_inner(self, lam: Sequence[RatFunc], mu: Sequence[Scalar]) -> RatFunc:
         total = RatFunc.zero()
         for i in range(self.rank):
             for j in range(self.rank):
@@ -105,9 +105,8 @@ class FieldContext:
 
     def vertex_weight(self, momentum: Momentum) -> RatFunc:
         """Delta = (mu, mu + 2 rho) / 2t for a scaled momentum mu."""
-        rho = tuple(RatFunc.of(x) for x in self.rho)
         mu2 = self.weight_inner(momentum, momentum)
-        murho = self.weight_inner(momentum, rho)
+        murho = self.weight_inner(momentum, self.rho)
         return (mu2 + 2 * murho) / (2 * self.t())
 
     def vertex_phi_coupling(self, momentum: Momentum) -> list[RatFunc]:
@@ -162,12 +161,12 @@ def _merge_momenta(moms: Sequence[Momentum]) -> Optional[Momentum]:
 
 
 class FieldExpr:
-    """A finite sum of canonical terms with RatFunc coefficients."""
+    """A finite sum of canonical terms with ``coeffs.canonical`` coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict[Term, RatFunc]] = None):
-        self.terms: dict[Term, RatFunc] = terms or {}
+    def __init__(self, terms: Optional[dict[Term, Scalar]] = None):
+        self.terms: dict[Term, Scalar] = terms or {}
 
     # -- constructors ------------------------------------------------------
 
@@ -177,15 +176,15 @@ class FieldExpr:
 
     @staticmethod
     def const(c) -> "FieldExpr":
-        c = RatFunc.of(c)
-        if c.is_zero:
+        c = canonical(c)
+        if not c:
             return FieldExpr()
         return FieldExpr({((), (), None): c})
 
     @staticmethod
     def prim(kind: int, label: int, deriv: int = 0, coef=1) -> "FieldExpr":
-        c = RatFunc.of(coef)
-        if c.is_zero:
+        c = canonical(coef)
+        if not c:
             return FieldExpr()
         return FieldExpr({(((kind, label, deriv),), (), None): c})
 
@@ -194,12 +193,12 @@ class FieldExpr:
         mom = tuple(RatFunc.of(c) for c in momentum)
         if all(c.is_zero for c in mom):
             return FieldExpr.const(1)
-        return FieldExpr({((), (), mom): RatFunc.one()})
+        return FieldExpr({((), (), mom): 1})
 
     @staticmethod
     def power(base: "FieldExpr", exp: Exp) -> "FieldExpr":
         key = base_key_of(base)
-        return FieldExpr._from_raw([(RatFunc.one(), (), ((key, exp),), None)])
+        return FieldExpr._from_raw([(1, (), ((key, exp),), None)])
 
     # -- canonicalization --------------------------------------------------
 
@@ -211,18 +210,18 @@ class FieldExpr:
         """The canonical sum of raw (coef, prims, pfs, vertex) terms, divided
         by ``denom``.
 
-        A raw coefficient is an int, a Fraction or a RatFunc.  Rational
-        values are carried as plain numbers, so equal terms are summed as
-        numbers, and each output coefficient is divided by ``denom`` and
-        wrapped as a RatFunc once.
+        A raw coefficient is an int, a Fraction or a RatFunc; a constant
+        RatFunc is unwrapped, so equal terms are summed as numbers where
+        they are rational, and each output coefficient is divided by
+        ``denom`` once.  A float is refused with ``TypeError``.
         """
         out: dict[Term, Scalar] = {}
         stack = list(raw)
         while stack:
             coef, prims, pfs, vertex = stack.pop()
             if type(coef) is RatFunc:
-                coef = coef.plain()
-            # a RatFunc left by plain() is not constant, hence not zero
+                coef = canonical(coef)
+            # a RatFunc left by canonical() is not constant, hence not zero
             if not coef:
                 continue
             sorted_ = _sort_prims(prims)
@@ -268,15 +267,14 @@ class FieldExpr:
             else:
                 cur = cur + coef
                 if type(cur) is RatFunc:
-                    cur = cur.plain()
+                    cur = canonical(cur)
                 if cur:
                     out[term] = cur
                 else:
                     del out[term]
         inv = Fraction(1, denom)
         return FieldExpr({
-            t: c._scaled(inv) if type(c) is RatFunc
-            else RatFunc.of(c if denom == 1 else Fraction(c, denom))
+            t: c._scaled(inv) if type(c) is RatFunc else _lean(c * inv if denom > 1 else c)
             for t, c in out.items()
         })
 
@@ -289,11 +287,11 @@ class FieldExpr:
             if cur is None:
                 out[t] = c
             else:
-                cur = cur + c
-                if cur.is_zero:
-                    del out[t]
-                else:
+                cur = canonical(cur + c)
+                if cur:
                     out[t] = cur
+                else:
+                    del out[t]
         return FieldExpr(out)
 
     def __neg__(self) -> "FieldExpr":
@@ -303,10 +301,10 @@ class FieldExpr:
         return self + (-other)
 
     def scale(self, c) -> "FieldExpr":
-        c = RatFunc.of(c)
-        if c.is_zero:
+        c = canonical(c)
+        if not c:
             return FieldExpr()
-        return FieldExpr({t: v * c for t, v in self.terms.items()})
+        return FieldExpr({t: canonical(v * c) for t, v in self.terms.items()})
 
     def __mul__(self, other: "FieldExpr") -> "FieldExpr":
         """Normal-ordered (Wick) product: no contractions, graded reordering."""
@@ -366,9 +364,7 @@ class FieldExpr:
         """Conformal weight when every term agrees, else None."""
         seen: Optional[RatFunc] = None
         for (prims, pfs, vertex), _ in self.terms.items():
-            w = RatFunc.zero()
-            for kind, label, deriv in prims:
-                w = w + RatFunc.of(KIND_WEIGHT[kind] + deriv)
+            w = RatFunc.of(sum(KIND_WEIGHT[kind] + deriv for kind, _, deriv in prims))
             for key, exp in pfs:
                 bw = _base_weight(key)
                 if bw is None:
@@ -387,7 +383,7 @@ class FieldExpr:
         for (prims, pfs, vertex), coef in self.terms.items():
             npfs = tuple((key, exp.shift_n(delta)) for key, exp in pfs)
             nv = tuple(c.shift_n(delta) for c in vertex) if vertex is not None else None
-            raw.append((coef.shift_n(delta), prims, npfs, nv))
+            raw.append((RatFunc.of(coef).shift_n(delta), prims, npfs, nv))
         return FieldExpr._from_raw(raw)
 
     def subs_t(self, ctx: FieldContext, tval) -> "FieldExpr":
@@ -398,7 +394,7 @@ class FieldExpr:
         for (prims, pfs, vertex), coef in self.terms.items():
             npfs = tuple((key, Exp(0, exp.u * tval + exp.v, exp.w)) for key, exp in pfs)
             nv = tuple(c.subs_k(kval) for c in vertex) if vertex is not None else None
-            raw.append((coef.subs_k(kval), prims, npfs, nv))
+            raw.append((RatFunc.of(coef).subs_k(kval), prims, npfs, nv))
         return FieldExpr._from_raw(raw)
 
     def text(self, ctx: Optional[FieldContext] = None) -> str:
@@ -418,7 +414,7 @@ class FieldExpr:
 class BaseKey:
     """The base of a power factor, interned: one object per base.
 
-    ``items`` is the sorted tuple of the base's (prims, RatFunc) monomials,
+    ``items`` is the sorted tuple of the base's (prims, coefficient) monomials,
     and iterating a key yields them.  ``base_key_of`` builds every key
     through ``_intern``, so equal bases are the same object: equality and
     hashing are by identity, which a term lookup pays once per key instead
@@ -431,7 +427,7 @@ class BaseKey:
 
     def __init__(self, items: tuple):
         self.items = items
-        self.sort_key = tuple((prims, coef.key()) for prims, coef in items)
+        self.sort_key = tuple((prims, RatFunc.of(coef).key()) for prims, coef in items)
         self.derivative: Optional[list] = None
         self.powers: list = []
 
@@ -473,7 +469,7 @@ def base_expr(key: BaseKey) -> FieldExpr:
 _base_sort_key = attrgetter("sort_key")
 
 
-def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], Scalar]]:
     """The monomials of d(base) as (sorted prims, coefficient) pairs."""
     if key.derivative is None:
         raw = []
@@ -485,7 +481,7 @@ def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], RatFunc]]:
     return key.derivative
 
 
-def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], Scalar]]:
     """The monomials of :base^m: (m >= 1) as (sorted prims, coefficient) pairs."""
     powers = key.powers
     while len(powers) < m:
@@ -497,7 +493,7 @@ def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], RatFunc]]:
     return powers[m - 1]
 
 
-def _plain_monomials(expr: FieldExpr) -> list[tuple[tuple[Prim, ...], RatFunc]]:
+def _plain_monomials(expr: FieldExpr) -> list[tuple[tuple[Prim, ...], Scalar]]:
     return [(prims, coef) for (prims, _, _), coef in expr.terms.items()]
 
 
@@ -531,7 +527,7 @@ def power_floors(expr: FieldExpr) -> dict[PowerClass, Fraction]:
     return floors
 
 
-def lower_to_floors(terms: Iterable[tuple[Term, RatFunc]], floors: dict[PowerClass, Fraction]) -> list:
+def lower_to_floors(terms: Iterable[tuple[Term, Scalar]], floors: dict[PowerClass, Fraction]) -> list:
     """Raw terms of ``terms`` with every power factor lowered to its class floor.
 
     X^(e+s) = :X^s X^e: for a nonnegative integer surplus s, so a term with
@@ -603,7 +599,7 @@ def prim_text(p: Prim, ctx: Optional[FieldContext] = None) -> str:
     return ("d" * deriv) + (f"({name})" if deriv and kind != PHI else name)
 
 
-def _term_text(term: Term, coef: RatFunc, ctx: Optional[FieldContext]) -> str:
+def _term_text(term: Term, coef: Scalar, ctx: Optional[FieldContext]) -> str:
     prims, pfs, vertex = term
     bits = []
     for p in prims:
@@ -621,7 +617,7 @@ def _term_text(term: Term, coef: RatFunc, ctx: Optional[FieldContext]) -> str:
                 comps.append(f"{cs}*phi{i + 1}")
         bits.append("V[" + " + ".join(comps) + "]")
     body = " ".join(bits) if bits else "1"
-    cs = coef.text()
+    cs = RatFunc.of(coef).text()
     if cs == "1":
         return body
     if cs == "-1":

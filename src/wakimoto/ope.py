@@ -23,17 +23,17 @@ are built once per call: every walk restores them.  The walk passes its
 running pole order and coefficient product down, and holds no closures, so a
 call leaves no reference cycles behind.
 
-Plain rationals travel as ints: each operand's coefficients are unwrapped
-once per call (``RatFunc.plain``) and scaled by the least common multiple
-D of their denominators, so a plain operand coefficient is an int, and a
-symbolic one a ``RatFunc`` times D.  Ghost kernels and Taylor levels 0 and
-1 are ints; Taylor levels m >= 2 carry the Fractions 1/m!, and power-factor
-channels their base's coefficients.  Only symbolic values stay ``RatFunc``:
-the t of scalar-leg kernels, vertex momenta, power-factor bases and exponents.
-Python's operator dispatch mixes the kinds, so there is one code path.
-Every Wick pattern is linear in the two operand coefficients, so
-canonicalization divides each merged output coefficient by D_A * D_B once,
-as it wraps it; every coefficient of the result is a ``RatFunc``.
+Plain rationals travel as ints: each operand's coefficients, stored as
+ints and Fractions where they are rational, are scaled by the least common
+multiple D of their denominators, so a plain operand coefficient is an int,
+and a symbolic one a ``RatFunc`` times D.  Ghost kernels and Taylor levels 0
+and 1 are ints; Taylor levels m >= 2 carry the Fractions 1/m!, and
+power-factor channels their base's coefficients.  Only symbolic values are
+``RatFunc``: the t of scalar-leg kernels, vertex momenta, symbolic
+coefficients and exponents.  Python's operator dispatch mixes the kinds, so
+there is one code path.  Every Wick pattern is linear in the two operand
+coefficients, so canonicalization divides each merged output coefficient by
+D_A * D_B once.
 
 The result maps pole orders to expressions at w; order 0 (the point-split
 normal product) is used for the Sugawara construction.
@@ -47,7 +47,7 @@ from functools import partial
 from math import lcm
 from typing import Optional
 
-from .coeffs import ONE, RatFunc, Scalar
+from .coeffs import RatFunc, Scalar
 from .fields import (
     BETA,
     BGH,
@@ -204,7 +204,7 @@ def _pf_channels(kernels: "_Table", base: BaseKey, zp: Prim):
                     if prim_parity(h):
                         sgn = -sgn
             remainder = prims[:i] + prims[i + 1:]
-            out.append((ker[0], ker[1] * bcoef.plain() * sgn, remainder))
+            out.append((ker[0], ker[1] * bcoef * sgn, remainder))
     return out
 
 
@@ -242,7 +242,7 @@ def _w_partners(term: Term) -> set:
 def _scaled_coefs(expr: FieldExpr) -> tuple[int, list[Scalar]]:
     """D, the LCM of the denominators of ``expr``'s rational coefficients, and
     every coefficient times D: an int when it is rational, else a RatFunc."""
-    coefs = [c.plain() for c in expr.terms.values()]
+    coefs = expr.terms.values()
     D = lcm(*(c.denominator for c in coefs if type(c) is not RatFunc))
     return D, [
         c._scaled(D) if type(c) is RatFunc else c.numerator * (D // c.denominator) for c in coefs
@@ -323,7 +323,7 @@ class _Contraction:
         if tower is None:
             # a sub-tuple of a canonical term's factors is canonical
             tower = self.towers[(prims, vertex)] = (
-                [FieldExpr({(prims, (), vertex): ONE})],
+                [FieldExpr({(prims, (), vertex): 1})],
                 [[(1, prims)]],
             )
         exprs, levels = tower
@@ -429,10 +429,7 @@ class _Contraction:
 def _level(expr: FieldExpr, fact: int) -> list:
     """Terms of ``expr`` divided by ``fact`` as (coef, prims) pairs."""
     inv = Fraction(1, fact)
-    return [
-        (c.plain() * inv if fact > 1 else c.plain(), prims)
-        for (prims, _, _), c in expr.terms.items()
-    ]
+    return [(c * inv if fact > 1 else c, prims) for (prims, _, _), c in expr.terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +471,12 @@ def scalar_tensor(ctx: FieldContext) -> FieldExpr:
 def central_charge(ctx: FieldContext, T: FieldExpr) -> RatFunc:
     """c from the fourth-order pole of T(z)T(w)."""
     four = contract(ctx, T, T).order(4)
-    c = RatFunc.zero()
+    c = 0
     for term, coef in four.terms.items():
         if term[0] or term[1] or term[2] is not None:
             raise AssertionError("fourth-order pole of TT is not a scalar")
         c = coef
-    return c * 2
+    return RatFunc.of(c * 2)
 
 
 def conformal_weight(ctx: FieldContext, T: FieldExpr, A: FieldExpr):
@@ -498,7 +495,7 @@ def conformal_weight(ctx: FieldContext, T: FieldExpr, A: FieldExpr):
     for term, coef in A.terms.items():
         got = pole2.terms.get(term)
         if got is not None:
-            h = got / coef
+            h = RatFunc.of(got) / coef
             if pole2.equals(A.scale(h)):
                 return h, None
             return None, (2, pole2 - A.scale(h))

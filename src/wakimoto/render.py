@@ -69,7 +69,8 @@ def latex_pol(p: Pol) -> str:
     return _signed_sum(bits)
 
 
-def latex_ratfunc(c: RatFunc) -> str:
+def latex_ratfunc(c) -> str:
+    c = RatFunc.of(c)  # a coefficient in any of its forms
     num = latex_pol(c.num)
     if not c.den:
         return num
@@ -79,7 +80,7 @@ def latex_ratfunc(c: RatFunc) -> str:
     return f"\\frac{{{num}}}{{{den}}}"
 
 
-def _coef_prefix(c: RatFunc) -> str:
+def _coef_prefix(c) -> str:
     s = latex_ratfunc(c)
     if s == "1":
         return ""
@@ -97,12 +98,11 @@ def _root_tex(name: str) -> str:
 def latex_poly(p: Poly, names) -> str:
     bits = []
     for expo, c in p.sorted_terms():
-        coef = RatFunc.of(c)
         mono = "".join(
             f"x^{{{_root_tex(names[i])}}}" * m for i, m in enumerate(expo)
         )
-        pref = _coef_prefix(coef)
-        piece = (pref + mono) if mono else latex_ratfunc(coef)
+        pref = _coef_prefix(c)
+        piece = (pref + mono) if mono else latex_ratfunc(c)
         bits.append(piece if piece else "1")
     return _signed_sum(bits)
 
@@ -161,7 +161,8 @@ def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-def ratfunc_to_json(c: RatFunc):
+def ratfunc_to_json(c):
+    c = RatFunc.of(c)  # a coefficient in any of its forms
     return {
         "num": [[ek, en, str(v)] for (ek, en), v in sorted(c.num.terms.items())],
         "den": [
@@ -256,7 +257,7 @@ def ope_from_json(data) -> OpeResult:
 
 def poly_to_json(p: Poly):
     return [
-        {"expo": list(expo), "coef": ratfunc_to_json(RatFunc.of(c))} for expo, c in p.sorted_terms()
+        {"expo": list(expo), "coef": ratfunc_to_json(c)} for expo, c in p.sorted_terms()
     ]
 
 

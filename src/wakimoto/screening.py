@@ -147,10 +147,12 @@ def _prop1_form(cs: CurrentSet, j: int) -> ScreeningCurrent:
 def second_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
     """The second-kind current of direction j.
 
-    The osp(2|2) fixture has its one bosonic-direction current; otherwise
-    a^j = 1 gives the power construction and a^j = 2 the B2 series.
+    The osp(2|2) fixture has its one current, in the bosonic direction 1;
+    otherwise a^j = 1 gives the power construction and a^j = 2 the B2 series.
     """
     if not cs.ctx.bosonic:
+        if j:
+            raise DirectionError(f"{cs.rs.name} has a second-kind current in direction 1 only")
         return second_kind_osp22(cs)
     if cs.rs.theta[j] == 1:
         return second_kind_mult_one(cs, j)

@@ -110,7 +110,7 @@ class SeriesExpr:
                 pfs = tuple((key, e.shift_n(-j)) for key, e in pfs)
                 if vertex is not None:
                     vertex = tuple(c.shift_n(-j) for c in vertex)
-                coef = coef.shift_n(-j) * _cn_shift_factor(ctx.hvee, j)
+                coef = RatFunc.of(coef).shift_n(-j) * _cn_shift_factor(ctx.hvee, j)
             raw.append((coef, prims, pfs, vertex))
         return SeriesExpr(FieldExpr._from_raw(raw))
 
@@ -218,7 +218,7 @@ def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
             return body
         term = min(pending, key=lambda t: pending[t][0])
         _, key, pivot, rest = pending[term]
-        lam = body.terms[term] / dict(key)[pivot]
+        lam = RatFunc.of(body.terms[term]) / dict(key)[pivot]
         prims, pfs, vertex = term
         removal = FieldExpr._from_raw(
             [(lam * ctau, rest + tau, pfs, vertex) for tau, ctau in key]

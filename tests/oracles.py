@@ -694,6 +694,26 @@ def assert_canonical_coefficients(x) -> None:
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, p)
 
 
+def assert_one_form(c) -> None:
+    """c is a stored field coefficient in its one form: an int, a Fraction
+    whose denominator is not 1, or a ``RatFunc`` in which k or n appears,
+    with canonical polynomial coefficients."""
+    if type(c) is RatFunc:
+        assert not c.is_rational, c
+        assert_canonical_coefficients(c)
+    else:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def assert_one_form_terms(expr) -> None:
+    """``assert_one_form`` for every coefficient of a ``FieldExpr``, power bases included."""
+    for (_, pfs, _), c in expr.terms.items():
+        assert_one_form(c)
+        for key, _ in pfs:
+            for _, bc in key:
+                assert_one_form(bc)
+
+
 def ratfunc_values(x: RatFunc) -> list:
     """The values of x at the sample points (None at a pole)."""
     return [ratfunc_value(x, k, n) for k, n in _SAMPLE_POINTS]

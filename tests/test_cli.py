@@ -294,15 +294,23 @@ def test_jobs_only_on_verify(argv):
     assert exc.value.code == EXIT_INPUT
 
 
-@pytest.mark.parametrize("env, argv", [
+@pytest.mark.parametrize("first, argv", [
     ("abc", []), ("0", []), ("-2", []), ("1", ["--jobs", "0"]), ("1", ["--jobs", "x"]),
 ])
-def test_bad_jobs_is_usage_error(monkeypatch, capsys, env, argv):
-    monkeypatch.setenv("WAKIMOTO_JOBS", env)
+def test_bad_jobs_is_usage_error(capsys, first, argv):
+    """Every --jobs value is checked, also one given after a good one."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--algebra", "A1", "--suite", "jacobi", *argv])
+        main(["verify", "--algebra", "A1", "--suite", "jacobi", "--jobs", first, *argv])
     assert exc.value.code == EXIT_INPUT
     assert "--jobs: expected a positive integer" in capsys.readouterr().err
+
+
+def test_jobs_reads_no_environment(monkeypatch, capsys):
+    """--jobs defaults to 1 whatever the environment holds."""
+    monkeypatch.setenv("WAKIMOTO_JOBS", "abc")
+    code, out, err = run(capsys, "verify", "--algebra", "A1", "--suite", "jacobi")
+    assert code == 0 and err == ""
+    assert cli.build_parser().parse_args(["verify"]).jobs == 1
 
 
 @pytest.fixture
@@ -459,9 +467,26 @@ def assert_screen_matches_suite(capsys, algebra, direction, key):
 
 @pytest.mark.parametrize("algebra, direction", SECOND_KIND_DIRECTIONS)
 def test_screen_and_suite_pick_the_same_second_kind_current(capsys, algebra, direction):
-    # the osp(2|2) fixture has one second-kind current, reported as direction 1
-    key = "1" if algebra == "OSP22" else str(direction)
-    assert_screen_matches_suite(capsys, algebra, direction, key)
+    assert_screen_matches_suite(capsys, algebra, direction, str(direction))
+
+
+def test_osp22_second_kind_has_direction_one_only(capsys):
+    """OSP22's one second-kind current is in direction 1: direction 2 is
+    refused by `screen`, reported unavailable for that reason by the suite,
+    and `stilde[2]` is refused by `ope` while `stilde[1]` is its current."""
+    code, out, err = run(capsys, "screen", "--algebra", "OSP22", "--direction", "2", "--kind", "second")
+    assert code == EXIT_INPUT and out == "" and err.count("\n") == 1
+    vcode, vout, _ = run(
+        capsys, "verify", "--algebra", "OSP22", "--suite", "screening-second", "--direction", "2"
+    )
+    suite = json.loads(vout)["suites"]["screening-second"]
+    assert vcode == EXIT_OK and suite["status"] == "incomplete"
+    assert suite["details"] == {"2": {"status": "unavailable", "reason": err[len("error: "):-1]}}
+    code, out, _ = run(capsys, "ope", "--algebra", "OSP22", "--format", "text", "F[1]", "stilde[1]")
+    assert code == EXIT_OK and out.startswith("pole 2: ")
+    assert run(capsys, "ope", "--algebra", "OSP22", "F[1]", "stilde[2]")[0] == EXIT_INPUT
+    # a series current is no expression
+    assert run(capsys, "ope", "--algebra", "B2", "F[1]", "stilde[2]")[0] == EXIT_INPUT
 
 
 @pytest.mark.parametrize("signs, code", [({}, EXIT_OK), ({"1,1": -1, "1,2": -1}, EXIT_INPUT)])

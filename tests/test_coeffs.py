@@ -13,8 +13,8 @@ from oracles import (
     ratfunc_values,
     ratfuncs_equal_by_evaluation,
 )
-from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel
-from wakimoto.fields import BETA, GAMMA, FieldContext, FieldExpr
+from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel, canonical
+from wakimoto.fields import BETA, GAMMA, FieldContext, FieldExpr, base_key_of
 from wakimoto.liealg import build_root_system
 from wakimoto.polymat import Poly
 
@@ -211,12 +211,36 @@ def test_equal_polys_hash_equal():
     assert a != b + Poly.const(2, 1)
 
 
+@settings(deadline=None)
+@given(st.lists(_small, max_size=6), _ratfuncs)
+def test_rational_values_hash_equal_in_either_form(values, x):
+    """A rational RatFunc equals its int or Fraction and hashes alike, so a
+    set or dict built from one form finds the other."""
+    wrapped = [RatFunc.of(v) for v in values]
+    assert all(w == v and hash(w) == hash(v) for w, v in zip(wrapped, values))
+    assert {*values, *wrapped} == set(values) == set(wrapped)
+    assert len({*values, *wrapped}) == len(set(values))
+    table = {v: i for i, v in enumerate(values)}
+    assert all(table[w] == table[v] for w, v in zip(wrapped, values))
+    # a value in which k or n appears equals no number
+    assert x in {x} and (x.is_rational or x not in {*values, *wrapped})
+
+
+def test_wrapped_and_plain_bases_intern_to_one_key():
+    """A power base built from wrapped constants is the key of the same base
+    built from plain numbers: one object."""
+    plain = FieldExpr.prim(BETA, 0) + FieldExpr.prim(GAMMA, 1, coef=Fraction(1, 2))
+    wrapped = FieldExpr({t: RatFunc.of(c) for t, c in plain.terms.items()})
+    assert base_key_of(plain) is base_key_of(wrapped)
+    assert FieldExpr.power(plain, Exp(-1, 0, 0)).terms == FieldExpr.power(wrapped, Exp(-1, 0, 0)).terms
+
+
 @pytest.mark.parametrize("value", [0, 3, -1, Fraction(0), Fraction(-2, 3), Fraction(5, 7)])
 def test_truthiness_agrees_across_int_fraction_and_ratfunc(value):
     """A coefficient is falsy exactly when it is zero, whichever type carries it."""
     k = RatFunc.k()
     assert bool(RatFunc.of(value)) is bool(value) is (value != 0)
-    assert bool(RatFunc.of(value).plain()) is bool(value)
+    assert bool(canonical(RatFunc.of(value))) is bool(value)
     assert bool(k * value) is bool(value)
     assert bool(RatFunc.of(value) / (k + 1)) is bool(value)
     assert bool(k - k + value) is bool(value)

@@ -17,7 +17,12 @@ from wakimoto.liealg import build_root_system, build_structure_table, get_algebr
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
-from oracles import engine_vacuum_series, expected_ope_reference, vacuum_two_point
+from oracles import (
+    assert_one_form_terms,
+    engine_vacuum_series,
+    expected_ope_reference,
+    vacuum_two_point,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,16 @@ def test_a_built_current_set_unpickles_without_rebuilding(b2cs, monkeypatch):
     cs = pickle.loads(data)
     assert cs.currents == b2cs.currents and cs.ops.keys() == b2cs.ops.keys() and cs.ctx == b2cs.ctx
     assert cs.polys.V_plus == b2cs.polys.V_plus
+
+
+@pytest.mark.parametrize("label", ["A3", "G2", "OSP22"])
+def test_current_coefficients_have_one_form(label):
+    """Every stored coefficient is an int, a Fraction with a denominator
+    above 1, or a RatFunc in which k appears."""
+    cs = osp22_currents() if label == "OSP22" else build_wakimoto(*get_algebra(label))
+    for expr in cs.currents.values():
+        assert_one_form_terms(expr)
+    assert any(type(c) is RatFunc for expr in cs.currents.values() for c in expr.terms.values())
 
 
 @pytest.mark.parametrize("label", ["B2", "G2", "OSP22"])

@@ -204,3 +204,41 @@ def test_exponent_json_is_unchanged():
     assert data["terms"][0]["powers"][0]["exp"] == ["-2", "-1", "-2"]
     back = fieldexpr_from_json(data)
     assert back == P and list(back.terms) == list(P.terms)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FieldExpr.const(0.5),
+        lambda: FieldExpr.prim(BETA, 0, coef=0.5),
+        lambda: FieldExpr.prim(BETA, 0).scale(0.5),
+        lambda: FieldExpr._from_raw([(0.5, ((BETA, 0, 0),), (), None)]),
+        lambda: FieldExpr._from_raw([(0.5, ((BETA, 0, 0),), (), None)], 3),
+    ],
+    ids=["const", "prim", "scale", "from_raw", "from_raw-denom"],
+)
+def test_float_coefficients_are_refused(build):
+    """A float is inexact: no constructor stores one."""
+    with pytest.raises(TypeError, match="inexact|Rational"):
+        build()
+
+
+def test_stored_coefficients_have_one_form():
+    """Rational coefficients are stored as ints and Fractions, whatever form
+    they are given in; only a value in which k or n appears is a RatFunc."""
+    k = RatFunc.k()
+    b = FieldExpr.prim(BETA, 0)
+    half = Fraction(1, 2)
+    cases = [
+        (FieldExpr.const(RatFunc.of(3)), 3),
+        (FieldExpr.prim(BETA, 0, coef=Fraction(4, 2)), 2),
+        (b.scale(RatFunc.of(half)).scale(2), 1),
+        (b.scale(k + 1) + b.scale(-k), 1),
+        (b.scale(k / (k + 1)).scale((k + 1) / k), 1),
+        (FieldExpr._from_raw([(half, ((BETA, 0, 0),), (), None)] * 2), 1),
+        (FieldExpr._from_raw([(3, ((BETA, 0, 0),), (), None)], 6), half),
+        (FieldExpr._from_raw([(k * 3, ((BETA, 0, 0),), (), None)], 6), k * half),
+    ]
+    for expr, want in cases:
+        (c,) = expr.terms.values()
+        assert c == want and type(c) is type(want), (c, want)

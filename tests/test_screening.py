@@ -28,7 +28,7 @@ def _subs_k(expr, kval):
     raw = []
     for (prims, pfs, vertex), coef in expr.terms.items():
         nv = tuple(c.subs_k(kval) for c in vertex) if vertex is not None else None
-        raw.append((coef.subs_k(kval), prims, pfs, nv))
+        raw.append((RatFunc.of(coef).subs_k(kval), prims, pfs, nv))
     return FieldExpr._from_raw(raw)
 
 
@@ -296,7 +296,7 @@ def test_series_ope_specializes_to_integer_powers(b2cs):
         out = FieldExpr.zero()
         for (prims, pfs, vert), coef in e.terms.items():
             npfs = tuple((key, Exp(x.u, x.v + x.w * n0, 0)) for key, x in pfs)
-            out = out + FieldExpr._from_raw([(coef.subs_n(n0), prims, npfs, vert)])
+            out = out + FieldExpr._from_raw([(RatFunc.of(coef).subs_n(n0), prims, npfs, vert)])
         return out
 
     for n0 in (0, 1, 2):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expand_power_levels_termwise, series_residual_rescan
+from oracles import assert_one_form_terms, expand_power_levels_termwise, series_residual_rescan
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.currents import build_wakimoto
 from wakimoto.fields import GAMMA, FieldExpr, expand_power_levels
@@ -161,6 +161,7 @@ def test_double_copy_residual_matches_rescan_reference(setup, a_off, b_off):
     s = series_term(cs, RatFunc.n() + 1, a_off, b_off, A * A)
     got = s.residual(cs.ctx)
     assert got.terms == series_residual_rescan(cs.ctx, s).terms
+    assert_one_form_terms(got)
 
 
 # larger sums grow residuals of hundreds of terms, which the reference
@@ -173,3 +174,4 @@ def test_series_residual_matches_rescan_reference(case):
     want = series_residual_rescan(cs.ctx, SeriesExpr(body))
     assert got.terms == want.terms
     assert got.text(cs.ctx) == want.text(cs.ctx)
+    assert_one_form_terms(got)
