@@ -75,6 +75,19 @@ def test_ope_output_does_not_depend_on_the_order_of_summands(capsys, fmt):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_ope_prints_level_expanded_poles(capsys, fmt):
+    """OSP22 F[1] stilde[1]: (beta[1])^(-t-1) and beta[1] (beta[1])^(-t-2) are
+    one power class, so the poles print 2 and 6 terms, not 5 and 18."""
+    code, out, err = run(capsys, "ope", "--algebra", "OSP22", "--format", fmt, "F[1]", "stilde[1]")
+    assert code == EXIT_OK
+    if fmt == "json":
+        counts = {q: len(p["terms"]) for q, p in json.loads(out)["poles"].items()}
+    else:
+        counts = {line[5]: line.count(" V[") for line in out.splitlines()}
+    assert counts == {"2": 2, "1": 6}
+
+
 def test_ope_expression_arithmetic():
     cs = _load("B2")
     e = parse_expression(cs, "2*gamma[1]*beta[1] - d(gamma[1])*1/2")
@@ -343,37 +356,51 @@ def in_process_pool(monkeypatch):
     return record
 
 
+def _graded_three():
+    """OSP22 cut down to h_1, h_2 and e_alpha1, a subalgebra: a graded set with 9 ordered pairs."""
+    cs = _load("OSP22")
+    keep = [("h", 0), ("h", 1), ("e", (1, 0))]
+    return currents.CurrentSet(cs.rs, cs.tab, cs.ctx, {lab: cs.currents[lab] for lab in keep})
+
+
 @pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
 def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, in_process_pool, jobs, cpus, workers):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._sweep_pairs(_load("A1"), jobs) == []  # A1 has 9 ordered pairs
+    assert cli._sweep_pairs(_graded_three(), jobs) == []
+    assert in_process_pool["started"] == ([] if workers is None else [workers])
+    # a bosonic set is swept in this process, whatever --jobs says
+    assert cli._sweep_pairs(_load("A1"), jobs) == []
     assert in_process_pool["started"] == ([] if workers is None else [workers])
 
 
+def _planted(selector):
+    """The algebra of ``selector`` with one wrong current: A3's e_alpha1 + beta_theta,
+    or OSP22's e_alpha1 + 2 beta_alpha1."""
+    cs = _load(selector)
+    e1 = ("e", tuple(int(i == 0) for i in range(cs.rs.rank)))
+    pos, coef = (cs.rs.root_index(cs.rs.theta), 1) if cs.ctx.bosonic else (0, 2)
+    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(pos), pos, coef=coef)
+    return cs
+
+
 def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsys, in_process_pool):
-    """A planted wrong A3 current, e_alpha1 + beta_theta: --jobs 2 reports the
-    same violations, in the same order, as one process; the chunks are
-    balanced by cost to within the costliest pair."""
-    load = cli._load
-
-    def planted(selector):
-        cs = load(selector)
-        e1 = ("e", (1, 0, 0))
-        theta = cs.rs.root_index(cs.rs.theta)
-        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(theta), theta)
-        return cs
-
-    monkeypatch.setattr(cli, "_load", planted)
+    """A planted wrong current, in A3 and in OSP22: --jobs 2 reports the same
+    violations, in the same order, as one process.  Only the graded OSP22
+    starts the pool, and its chunks are balanced by cost to within the
+    costliest pair."""
+    monkeypatch.setattr(cli, "_load", _planted)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    argv = ["verify", "--algebra", "A3", "--suite", "currents"]
-    one = run(capsys, *argv)
-    two = run(capsys, *argv, "--jobs", "2")
-    assert one == two and one[0] == EXIT_VERIFICATION
-    bad = json.loads(one[1])["suites"]["currents"]["details"]["violations"]
-    assert len({v["pair"] for v in bad}) > 1
-    cs = planted("A3")
+    for algebra, started in (("A3", []), ("OSP22", [2])):
+        argv = ["verify", "--algebra", algebra, "--suite", "currents"]
+        one = run(capsys, *argv)
+        two = run(capsys, *argv, "--jobs", "2")
+        assert one == two and one[0] == EXIT_VERIFICATION
+        bad = json.loads(one[1])["suites"]["currents"]["details"]["violations"]
+        assert len({v["pair"] for v in bad}) > 1
+        assert in_process_pool["started"] == started
+    cs = _planted("OSP22")
     chunks = in_process_pool["chunks"]
-    assert in_process_pool["started"] == [2] and len(chunks) == 2
+    assert len(chunks) == 2
     assert sorted(i for chunk in chunks for i, _ in chunk) == list(range(len(cs.labels()) ** 2))
     cost = [sum(len(cs[a].terms) * len(cs[b].terms) for _, (a, b) in chunk) for chunk in chunks]
     top = max(len(J.terms) for J in cs.currents.values()) ** 2
@@ -401,18 +428,20 @@ def test_operator_and_polynomial_suites_build_no_current(monkeypatch, capsys, ar
 
 
 def test_jobs_check_the_current_set_they_were_given(monkeypatch):
-    """A2 with e_alpha1 perturbed by 2 beta_1: two worker processes check the
-    perturbed set, not a freshly built A2 (or B2), so they find every violation
-    one process finds."""
+    """A perturbed current set: two worker processes check the perturbed set,
+    not a freshly built one, so they find every violation one process finds.
+    OSP22 with e_alpha1 + 2 beta_alpha1 goes to the pool; A2 with the same
+    perturbation is swept in this process."""
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    cs = _load("A2")
-    e1 = ("e", (1, 0))
-    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(0), 0, coef=2)
-    one = cli._sweep_pairs(cs, 1)
-    assert len(one) == 14
-    assert cli._sweep_pairs(cs, 2) == one
-    ok, details = cli.run_suite(cs, "currents", None, 2)
-    assert not ok and len(details["violations"]) == len(one)
+    for algebra, count in (("OSP22", 14), ("A2", 14)):
+        cs = _load(algebra)
+        e1 = ("e", (1, 0))
+        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(0), 0, coef=2)
+        one = cli._sweep_pairs(cs, 1)
+        assert len(one) == count
+        assert cli._sweep_pairs(cs, 2) == one
+        ok, details = cli.run_suite(cs, "currents", None, 2)
+        assert not ok and len(details["violations"]) == len(one)
 
 
 def test_closed_stdout_is_not_an_input_error():

@@ -1,13 +1,17 @@
 import pickle
+import random
 
 import pytest
 
 from wakimoto import currents
+from wakimoto.cli import run_suite
 from wakimoto.coeffs import RatFunc
-from wakimoto.fields import BETA, GAMMA, PHI, FieldExpr
+from wakimoto.fields import BETA, GAMMA, PHI, FieldExpr, term_order
 from wakimoto.currents import (
     CurrentSet,
+    PackedCurrents,
     build_wakimoto,
+    check_pair,
     expected_ope,
     osp22_currents,
     sugawara_tensor,
@@ -17,6 +21,7 @@ from wakimoto.liealg import build_root_system, build_structure_table, get_algebr
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
+from test_cli import _FLIPPED_JSON
 from oracles import (
     assert_one_form_terms,
     engine_vacuum_series,
@@ -118,6 +123,101 @@ def test_sweep_detects_wrong_current(b2cs):
     broken[("e", (1, 0))] = broken[("e", (1, 0))] + FieldExpr.prim(BETA, 3)
     cs2 = CurrentSet(b2cs.rs, b2cs.tab, b2cs.ctx, broken)
     assert verify_current_algebra(cs2, pairs=[(("e", (1, 0)), ("f", (1, 2)))]) != []
+
+
+def _all_pairs(cs):
+    return [(a, b) for a in cs.labels() for b in cs.labels()]
+
+
+def _both_routes(cs, pairs):
+    """The (a, b, order) refuted by the closed-form poles, and Wick's violations in pair order."""
+    packed = PackedCurrents.of(cs)
+    assert packed is not None
+    by_packed = {(a, b, q) for a, b in pairs for q in packed.refuted_orders(a, b)}
+    return by_packed, [v for a, b in pairs for v in check_pair(cs, a, b)]
+
+
+def _orders(violations):
+    return {(*v.pair, v.order) for v in violations}
+
+
+def _planted(cs, defect):
+    """``cs`` with one wrong current: "canary" adds beta_theta to e_alpha1,
+    "drop" drops the first d gamma term of f_theta, "level" doubles the
+    level part of f_theta's d gamma terms."""
+    rs, cur = cs.rs, dict(cs.currents)
+    if defect == "canary":
+        e1, th = ("e", rs.pos_roots[0]), rs.root_index(rs.theta)
+        cur[e1] = cur[e1] + FieldExpr.prim(BETA, th)
+    else:
+        f = ("f", rs.theta)
+        dgamma = {t: c for t, c in cur[f].terms.items() if any(d for _, _, d in t[0])}
+        if defect == "drop":
+            first = min(dgamma, key=term_order)
+            cur[f] = FieldExpr({t: c for t, c in cur[f].terms.items() if t != first})
+        else:
+            level = [(RatFunc.of(c) - RatFunc.of(c).subs_k(0), *t) for t, c in dgamma.items()]
+            cur[f] = cur[f] + FieldExpr._from_raw(level)
+    return CurrentSet(rs, cs.tab, cs.ctx, cur)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_packed_and_wick_refute_the_same_pairs(label):
+    cs = build_wakimoto(*get_algebra(label))
+    assert _both_routes(cs, _all_pairs(cs)) == (set(), [])
+
+
+@pytest.mark.parametrize("label", ["A4", "C3"])
+def test_packed_and_wick_agree_on_sign_flipped_tables(label):
+    """A seeded sample of 40 pairs of each sign-flipped table, as built and
+    with the level part of f_theta doubled; the sample holds refuted pairs."""
+    data = _FLIPPED_JSON[label]
+    rs = build_root_system(data["cartan_matrix"], name=label)
+    signs = {tuple(map(int, key.split(","))): v for key, v in data["extraspecial_signs"].items()}
+    cs = build_wakimoto(rs, build_structure_table(rs, signs))
+    pairs = random.Random(1).sample(_all_pairs(cs), 40)
+    assert _both_routes(cs, pairs) == (set(), [])
+    by_packed, wick = _both_routes(_planted(cs, "level"), pairs)
+    assert by_packed == _orders(wick) and wick
+
+
+@pytest.mark.parametrize(
+    "label, defect, count",
+    [("A3", "canary", 20), ("A3", "drop", 31), ("A3", "level", 31),
+     ("G2", "drop", 29), ("G2", "level", 29)],
+)
+def test_planted_defects_fail_the_same_pairs_on_both_routes(label, defect, count):
+    """The sweep reports Wick's violations, in pair order, for exactly the
+    pairs the closed-form poles refute."""
+    cs = _planted(build_wakimoto(*get_algebra(label)), defect)
+    by_packed, wick = _both_routes(cs, _all_pairs(cs))
+    assert verify_current_algebra(cs) == wick
+    assert by_packed == _orders(wick)
+    assert len({v.pair for v in wick}) == count
+
+
+def test_a_pair_refuted_in_closed_form_fails_even_when_wick_passes_it(monkeypatch):
+    cs = _planted(build_wakimoto(*get_algebra("A3")), "canary")
+    monkeypatch.setattr(currents, "check_pair", lambda cs, a, b: [])
+    bad = verify_current_algebra(cs)
+    assert len(bad) == 20 and all("Wick" in v.detail for v in bad)
+    ok, details = run_suite(cs, "currents", None, 1)
+    assert not ok and len(details["violations"]) == 20
+
+
+def test_a_term_of_another_shape_goes_to_wick():
+    """A bare gamma in e_alpha1 has no beta, dphi or d gamma factor: the
+    set is swept by Wick, and the term is not dropped."""
+    cs = build_wakimoto(*get_algebra("A1"))
+    broken = dict(cs.currents)
+    broken[("e", (1,))] = broken[("e", (1,))] + FieldExpr.prim(GAMMA, 0)
+    cs2 = CurrentSet(cs.rs, cs.tab, cs.ctx, broken)
+    assert PackedCurrents.of(cs2) is None
+    ok, details = run_suite(cs2, "currents", None, 1)
+    assert not ok and details["route"] == "wick" and details["pairs"] == 9
+    wick = [v for a, b in _all_pairs(cs2) for v in check_pair(cs2, a, b)]
+    assert wick and len(details["violations"]) == len(wick)
+    assert run_suite(cs, "currents", None, 1) == (True, {"pairs": 9, "route": "packed", "violations": []})
 
 
 def test_an_unbuilt_current_set_pickles_without_stages():
