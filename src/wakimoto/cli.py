@@ -463,7 +463,8 @@ def cmd_verify(args) -> int:
         sok, details = run_suite(cs, suite, direction, args.jobs)
         report[suite] = {"status": _suite_status(sok, details), "details": details}
         ok = ok and sok
-    out = {"schema": SCHEMA_REPORT, "algebra": cs.rs.name, "suites": report}
+    signs = {",".join(map(str, root)): sign for root, sign in cs.tab.signs.items()}
+    out = {"schema": SCHEMA_REPORT, "algebra": cs.rs.name, "extraspecial_signs": signs, "suites": report}
     if args.format == "json":
         print(json.dumps(out, indent=2, sort_keys=True))
     else:

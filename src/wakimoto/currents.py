@@ -12,7 +12,8 @@ substitution.  The osp(2|2) current set is entered from its closed form.
 The current-algebra sweep decides a generated (bosonic) set from the
 closed-form poles of ``PackedCurrents`` and runs Wick's theorem
 (``check_pair``) on the pairs they refute; the osp(2|2) set goes pair by
-pair through Wick's theorem.
+pair through Wick's theorem.  The same packing, ``CurrentSet.packed``,
+decides the first-kind screening contracts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Optional, Sequence
 
-from .coeffs import RatFunc
+from .coeffs import RatFunc, canonical
 from .diffop import DiffOp, _bracket_slot, build_differential_realization
 from .fields import GAMMA, PHI, FieldContext, FieldExpr, Prim
 from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
@@ -90,6 +91,11 @@ class CurrentSet:
                 [1] * len(slots) + [level] * np_ + [1] * np_,
             )
         return currents
+
+    @cached_property
+    def packed(self) -> Optional["PackedCurrents"]:
+        """``PackedCurrents.of`` this set: built on first read, never by ``built()``."""
+        return PackedCurrents.of(self)
 
     def built(self) -> "CurrentSet":
         """This set with every stage built: the currents read all the others."""
@@ -179,15 +185,15 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
 def verify_current_algebra(cs: CurrentSet, pairs=None) -> list[SweepViolation]:
     """Pairwise OPE sweep against the structure table, in pair order.
 
-    A set that ``PackedCurrents.of`` accepts is decided by the closed-form
-    poles, and ``check_pair`` reports each pair they refute; a refuted pair
-    that Wick passes is a violation too, since the two routes disagree.  Any
-    other set goes pair by pair through ``check_pair``.
+    A set with ``packed`` currents is decided by the closed-form poles, and
+    ``check_pair`` reports each pair they refute; a refuted pair that Wick
+    passes is a violation too, since the two routes disagree.  Any other set
+    goes pair by pair through ``check_pair``.
     """
     labels = cs.labels()
     if pairs is None:
         pairs = [(a, b) for a in labels for b in labels]
-    packed = PackedCurrents.of(cs)
+    packed = cs.packed
     if packed is None:
         return [v for a, b in pairs for v in check_pair(cs, a, b)]
     bad: list[SweepViolation] = []
@@ -202,7 +208,7 @@ def verify_current_algebra(cs: CurrentSet, pairs=None) -> list[SweepViolation]:
 
 def sweep_route(cs: CurrentSet) -> str:
     """"packed" when ``verify_current_algebra`` decides ``cs`` in closed form, else "wick"."""
-    return "wick" if PackedCurrents._split(cs) is None else "packed"
+    return "wick" if cs.packed is None else "packed"
 
 
 # ---------------------------------------------------------------------------
@@ -223,133 +229,247 @@ class PackedCurrents:
       (``diffop._bracket_slot``), plus, in slot d gamma_d, the pole-2
       integrand with d_d applied to its z-side factor (the Taylor step).
 
+    A w-side operand B V_mu with a rational momentum mu (a first-kind
+    screening current) adds the vertex channel dphi_i(z) V(w) ~ mu_i/(z-w).
+    With M = sum_i mu_i P_{dphi_i} it adds M Q_Y to pole 1 in every slot Y;
+    together with one gamma-beta pair it adds -sum_c d_c M Q_{beta_c} to pole
+    2, and that term's Taylor step -sum_c d_d d_c M Q_{beta_c} to pole 1 in
+    slot d gamma_d.  Against a witness R(gamma, k) V_mu the poles must be R
+    and dR: d_d R in slot d gamma_d, R nu^j in slot dphi_j with nu the
+    ``FieldContext.vertex_phi_coupling`` of mu, and 0 in the beta slots.
+    Since t nu^j is rational, pole 1 in the dphi slots is multiplied by t.
+
     k is one more packed variable that is never differentiated, so
     t = k + h_vee is a packed polynomial.  The packing's denominator D is
-    common to every coefficient and to the table's f and kappa, and g is the
-    LCM of the denominators of G: each pole is formed as g D^2 times its
-    value, k kappa_ab and sum_c f_ab^c J_c are subtracted in place, and a
-    pole holds when every entry is 0.
+    common to every coefficient, to the table's f and kappa and to the
+    realization families S and Q the first-kind witnesses come from, and g
+    is the LCM of the denominators of G.  Each pole is formed as e D^2 times
+    its value, e = g m with m the LCM of the denominators of mu and t nu (1
+    without a vertex); the wanted poles are subtracted in place, and a pole
+    holds when every entry is 0.
     """
 
     def __init__(self, cs: CurrentSet, rows: dict[Label, list[dict]]):
         ctx = self.ctx = cs.ctx
         self.tab, np_ = cs.tab, ctx.n_pos
         terms = [t for comps in rows.values() for comp in comps for t in comp.items()]
+        fams = [t for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row for t in p.terms.items()]
         consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
-        denom = math.lcm(*(c.denominator for _, c in terms), *(c.denominator for c in consts))
-        emax = max((x for e, _ in terms for x in e[:np_]), default=0)
-        kmax = max((e[np_] for e, _ in terms), default=0)
+        denom = math.lcm(*(c.denominator for _, c in terms + fams), *(c.denominator for c in consts))
+        self.emax = max((x for e, _ in terms + fams for x in e[:np_]), default=0)
+        self.kmax = max((e[np_] for e, _ in terms), default=0)
         # no gamma exponent of a product exceeds 2 emax, and no k exponent 2 kmax + 1 (t)
-        pk = self.pk = Packing(np_ + 1, max(2 * emax, 2 * kmax + 1) + 1, denom)
+        pk = self.pk = Packing(np_ + 1, max(2 * self.emax, 2 * self.kmax + 1) + 1, denom)
         g = self.g = math.lcm(*(x.denominator for row in ctx.G for x in row))
         G = [[int(x * g) for x in row] for row in ctx.G]
-        t = {pk.weights[np_]: 1, 0: ctx.hvee}
-        self.cur = {lab: self._current([pk.pack(Poly(np_ + 1, comp)) for comp in comps], G, t)
+        self.t = {pk.weights[np_]: 1, 0: ctx.hvee}
+        self.cur = {lab: self._current(self._operand([pk.pack(Poly(np_ + 1, comp)) for comp in comps]), G)
                     for lab, comps in rows.items()}
 
     @classmethod
     def of(cls, cs: CurrentSet) -> Optional["PackedCurrents"]:
         """The packed currents of ``cs``; None for a graded set or one with a
         term of another shape, which Wick's theorem decides instead."""
-        rows = cls._split(cs)
-        return None if rows is None else cls(cs, rows)
+        rows: dict[Label, list[dict]] = {}
+        for lab, expr in cs.currents.items():
+            parts = cls.split(cs.ctx, expr)
+            if parts is None or parts[1] is not None or parts[0][-1]:
+                return None
+            rows[lab] = parts[0][:-1]
+        return cls(cs, rows)
 
     @staticmethod
-    def _split(cs: CurrentSet) -> Optional[dict[Label, list[dict]]]:
-        """Each current's P_X as {gamma exponents + (k power,): rational} per
-        slot X, in the order beta_b, dphi_j, d gamma_b; None where
-        ``PackedCurrents.of`` is."""
-        ctx = cs.ctx
+    def split(ctx: FieldContext, expr: FieldExpr) -> Optional[tuple[list[dict], Optional[tuple]]]:
+        """``expr`` as sum_X P_X(gamma, k) X V_mu: ([P_X per slot X, then P without a slot], mu).
+
+        Each P_X is {gamma exponents + (k power,): rational}, the slots X in
+        the order beta_b, dphi_j, d gamma_b; mu is the vertex momentum of
+        every term, None for none.  None on a graded context and for any other
+        shape: a power factor, a factor besides the gammas and one slot, a
+        coefficient with n or a denominator, two momenta, or one that is not
+        rational."""
         if not ctx.bosonic:
             return None
         np_ = ctx.n_pos
         slots = [slot for slot, in operator_slots(ctx)] + [(GAMMA, b, 1) for b in range(np_)]
         index = {slot: y for y, slot in enumerate(slots)}
-        rows: dict[Label, list[dict]] = {}
-        for lab, expr in cs.currents.items():
-            comps: list[dict] = [{} for _ in slots]
-            for (prims, pfs, vertex), coef in expr.terms.items():
-                if pfs or vertex is not None:
-                    return None
-                expo = [0] * (np_ + 1)
-                y = None
-                for p in prims:
-                    if p[0] == GAMMA and not p[2]:
-                        expo[p[1]] += 1
-                    elif y is None and p in index:
-                        y = index[p]
-                    else:
-                        return None
-                if y is None:
-                    return None
-                if type(coef) is RatFunc:
-                    if coef.den or any(n for _, n in coef.num.terms):
-                        return None
-                    parts = [(kp, c) for (kp, _), c in coef.num.terms.items()]
+        comps: list[dict] = [{} for _ in range(len(slots) + 1)]
+        moms = {vertex for _, _, vertex in expr.terms}
+        if len(moms) > 1:
+            return None
+        mu = moms.pop() if moms else None
+        if mu is not None and any(type(canonical(c)) is RatFunc for c in mu):
+            return None
+        for (prims, pfs, _), coef in expr.terms.items():
+            if pfs:
+                return None
+            expo = [0] * (np_ + 1)
+            y = None
+            for p in prims:
+                if p[0] == GAMMA and not p[2]:
+                    expo[p[1]] += 1
+                elif y is None and p in index:
+                    y = index[p]
                 else:
-                    parts = [(0, coef)]
-                for kp, c in parts:
-                    expo[np_] = kp
-                    comps[y][tuple(expo)] = c
-            rows[lab] = comps
-        return rows
+                    return None
+            if type(coef) is RatFunc:
+                if coef.den or any(n for _, n in coef.num.terms):
+                    return None
+                parts = [(kp, c) for (kp, _), c in coef.num.terms.items()]
+            else:
+                parts = [(0, coef)]
+            for kp, c in parts:
+                expo[np_] = kp
+                comps[len(slots) if y is None else y][tuple(expo)] = c
+        return comps, mu
 
-    def _current(self, co: list[Packed], G: list[list[int]], t: Packed) -> "_Current":
-        pk, g, np_, r = self.pk, self.g, self.ctx.n_pos, self.ctx.rank
+    def _fit(self, comps: list[dict]) -> Optional[list[Packed]]:
+        """``comps`` packed, or None when an exponent or a denominator lies outside the packing."""
+        np_, D = self.ctx.n_pos, self.pk.denom
+        if any(D % c.denominator or e[np_] > self.kmax or max(e[:np_], default=0) > self.emax
+               for comp in comps for e, c in comp.items()):
+            return None
+        return [self.pk.pack(Poly(np_ + 1, comp)) for comp in comps]
+
+    def _operand(self, co: list[Packed]) -> "_Current":
+        """What a w-side operand's poles read of it: co, jac and jd."""
+        np_ = self.ctx.n_pos
         cur = _Current()
         cur.co = co
-        cur.jac = [[(s, d) for s in range(np_) if (d := pk.deriv(p, s))] if p else [] for p in co]
+        cur.jac = [self.pk.partials(p, np_) for p in co]
         cur.jd = [dict(row) for row in cur.jac[:np_]]
+        return cur
+
+    def _current(self, cur: "_Current", G: list[list[int]]) -> "_Current":
+        """``cur`` with its z-side tables added."""
+        pk, g, np_, r = self.pk, self.g, self.ctx.n_pos, self.ctx.rank
+        co = cur.co
         phi = []
         for j in range(r):
             acc: Packed = {}
             for i in range(r):
                 if G[i][j]:
                     mul_into(acc, co[np_ + i], {0: 1}, G[i][j])
-            phi.append(mul_into({}, acc, t))
+            phi.append(mul_into({}, acc, self.t))
         zside = [{m: g * c for m, c in p.items()} for p in co[np_ + r:]] + phi
         zside += [{m: g * c for m, c in p.items()} for p in co[:np_]]
         cur.zside = [(y, p) for y, p in enumerate(zside) if any(p.values())]
         cur.taylor = {}
-        for d in range(np_):
-            dz = [(y, q) for y, p in cur.zside if (q := pk.deriv(p, d))]
-            ddp = [(b, c, q) for b in range(np_) for c, p in cur.jac[b] if (q := pk.deriv(p, d))]
-            if dz or ddp:
-                cur.taylor[np_ + r + d] = dz, ddp
+        for y, p in cur.zside:
+            for d, q in pk.partials(p, np_):
+                cur.taylor.setdefault(np_ + r + d, []).append((y, q))
+        cur.hess = {}
         return cur
+
+    def _hessian(self, A: "_Current", s: int, c: int) -> list[tuple[int, Packed]]:
+        """(slot of d gamma_d, d_d d_c P_{beta_s}) for each nonzero one of A, tabulated on first use."""
+        out = A.hess.get((s, c))
+        if out is None:
+            np_, r = self.ctx.n_pos, self.ctx.rank
+            p = A.jd[s].get(c)
+            out = A.hess[s, c] = [(np_ + r + d, q) for d, q in self.pk.partials(p, np_)] if p else []
+        return out
 
     def refuted_orders(self, a: Label, b: Label) -> list[int]:
         """The pole orders, highest first, at which J_a(z) J_b(w) differs from
         k kappa_ab at order 2 and sum_c f_ab^c J_c at order 1."""
-        A, B = self.cur[a], self.cur[b]
         g, D, np_ = self.g, self.pk.denom, self.ctx.n_pos
+        kap = self.tab.kappa_of(a, b)
+        want2 = {self.pk.weights[np_]: kap.numerator * (D // kap.denominator) * D * g} if kap else {}
+        rhs = [(self.cur[c].co, v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
+        return self._refuted(self.cur[a], self.cur[b], want2, rhs)
+
+    def refuted_labels(self, body: tuple[list[dict], tuple], witnesses: dict) -> dict[Label, list[int]]:
+        """For each current J_a whose witness R = ``witnesses.get(a, 0)`` is
+        sum P(gamma, k) V_mu and fits the packing: the pole orders, highest
+        first, at which J_a(z) s(w) differs from R at order 2 and dR at order
+        1.  ``body`` is the ``split`` of s = sum_Y Q_Y Y V_mu, every term with
+        a slot and mu; {} when it does not fit the packing."""
+        (*comps, _), mu = body
+        co = self._fit(comps)
+        if co is None:
+            return {}
+        B, ctx, pk = self._operand(co), self.ctx, self.pk
+        np_, r, D, g = ctx.n_pos, ctx.rank, pk.denom, self.g
+        mus = [canonical(c) for c in mu]
+        tnu = [canonical(x * ctx.t()) for x in ctx.vertex_phi_coupling(mu)]
+        m = math.lcm(*(Fraction(x).denominator for x in mus + tnu))
+        mus, tnu = [int(x * g * m) for x in mus], [int(x * m) for x in tnu]
+        out: dict[Label, list[int]] = {}
+        for lab, A in self.cur.items():
+            parts = self.split(ctx, witnesses[lab]) if lab in witnesses else ([{}], None)
+            if parts is None or any(parts[0][:-1]) or (parts[0][-1] and parts[1] != mu):
+                continue
+            R = self._fit(parts[0][-1:])
+            if R is None:
+                continue
+            # pole 2 = R, pole 1 = dR: d_d R at d gamma_d and (t nu^j) R at dphi_j, times t
+            dR = [{} for _ in A.co]
+            for j in range(r):
+                dR[np_ + j] = {mono: c * D * g * tnu[j] for mono, c in R[0].items()}
+            R = {mono: c * D * g * m for mono, c in R[0].items()}
+            for d, q in pk.partials(R, np_):
+                dR[np_ + r + d] = q
+            M: Packed = {}
+            for i in range(r):
+                if mus[i]:
+                    mul_into(M, A.co[np_ + i], {0: 1}, mus[i])
+            dM, ddM = pk.partials(M, np_), {}
+            for c, q in dM:
+                for d, q2 in pk.partials(q, np_):
+                    ddM.setdefault(np_ + r + d, []).append((c, q2))
+            out[lab] = self._refuted(A, B, R, [(dR, 1)], (m, M, dM, ddM))
+        return out
+
+    def _refuted(self, A: "_Current", B: "_Current", want2: Packed, rhs: list,
+                 vertex: Optional[tuple] = None) -> list[int]:
+        """The pole orders, highest first, at which A(z) B(w) differs from the wanted poles.
+
+        Each pole is formed as e D^2 times its value, e = g m: ``want2`` is
+        pole 2 on that scale, and pole 1 in slot Y is sum_{(co, v) in rhs} v
+        co[Y].  ``vertex`` is given when B carries V_mu: (m, M, [(c, d_c M)],
+        {slot of d gamma_d: [(c, d_d d_c M)]}) with M = e sum_i mu_i
+        P_{dphi_i}; pole 1 in the dphi slots is then taken times t.  Without
+        it m = 1."""
+        np_, r = self.ctx.n_pos, self.ctx.rank
+        m, M, dM, ddM = vertex or (1, {}, (), {})
+        e = self.g * m
+        tslots = range(np_, np_ + r) if vertex else ()
         bad = []
         acc: Packed = {}
         for y, p in A.zside:
-            mul_into(acc, p, B.co[y])
+            mul_into(acc, p, B.co[y], m)
         for s in range(np_):
             for c, p in A.jac[s]:
                 if q := B.jd[c].get(s):
-                    mul_into(acc, p, q, -g)
-        kap = self.tab.kappa_of(a, b)
-        if kap:
-            w = self.pk.weights[np_]
-            acc[w] = acc.get(w, 0) - kap.numerator * (D // kap.denominator) * D * g
+                    mul_into(acc, p, q, -e)
+        for c, p in dM:
+            mul_into(acc, p, B.co[c], -1)
+        for mono, c in want2.items():
+            acc[mono] = acc.get(mono, 0) - c
         if any(acc.values()):
             bad.append(2)
-        rhs = [(self.cur[c].co, v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
+        # the Taylor step of the double contraction, slot by slot
+        ddp: dict[int, list] = {}
+        for c, row in enumerate(B.jd):
+            for s, q in row.items():
+                for y, p in self._hessian(A, s, c):
+                    ddp.setdefault(y, []).append((p, q))
         pa, pb = (A.co, A.jac), (B.co, B.jac)
         for y in range(len(A.co)):
             acc = _bracket_slot(pa, pb, y, {})
-            if g != 1:
-                acc = {m: g * c for m, c in acc.items()}
-            if y in A.taylor:
-                dz, ddp = A.taylor[y]
-                for y2, p in dz:
-                    mul_into(acc, p, B.co[y2])
-                for s, c, p in ddp:
-                    if q := B.jd[c].get(s):
-                        mul_into(acc, p, q, -g)
+            if e != 1:
+                acc = {mono: e * c for mono, c in acc.items()}
+            for y2, p in A.taylor.get(y, ()):
+                mul_into(acc, p, B.co[y2], m)
+            for p, q in ddp.get(y, ()):
+                mul_into(acc, p, q, -e)
+            if M:
+                mul_into(acc, M, B.co[y])
+                for c, p in ddM.get(y, ()):
+                    mul_into(acc, p, B.co[c], -1)
+            if y in tslots:
+                acc = mul_into({}, acc, self.t)
             for co, v in rhs:
                 mul_into(acc, co[y], {0: 1}, -v)
             if any(acc.values()):
@@ -366,10 +486,12 @@ class _Current:
     d_s P_{beta_c}.  zside lists (Y, R_Y), the g D-scaled z-side factor that
     meets w-side slot Y at pole 2: P_{dgamma_b} at beta_b, t G_ij P_{dphi_i}
     at dphi_j, P_{beta_b} at d gamma_b.  taylor maps the slot of d gamma_d
-    to d_d of those factors: (Y, d_d R_Y) and (b, c, d_d d_c P_{beta_b}).
+    to d_d of those factors, (Y, d_d R_Y), and hess[s, c] holds the second
+    derivatives d_d d_c P_{beta_s} that a w-side operand has asked for.  A
+    w-side operand that is not a current has co, jac and jd only.
     """
 
-    __slots__ = ("co", "jac", "jd", "zside", "taylor")
+    __slots__ = ("co", "jac", "jd", "zside", "taylor", "hess")
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
     out = []
     for op in ops:
         coeffs = [pk.pack(p) for p in op.coeffs]
-        out.append((coeffs, [[(s, d) for s in range(pk.nvars) if (d := pk.deriv(p, s))] for p in coeffs]))
+        out.append((coeffs, [pk.partials(p, pk.nvars) for p in coeffs]))
     return pk, out
 
 

@@ -379,8 +379,10 @@ class StructureTable:
 
     ``f[(la, lb)]`` maps a pair of basis labels to a dict {lc: coefficient}.
     ``kappa[(la, lb)]`` holds the Killing form.  ``parity`` marks odd basis
-    elements (only the osp fixture uses it).  Every bracket is written
-    through ``set_pair``, together with its graded-antisymmetric partner.
+    elements (only the osp fixture uses it).  ``signs`` maps each non-simple
+    positive root to the extraspecial sign ``build_structure_table`` used.
+    Every bracket is written through ``set_pair``, together with its
+    graded-antisymmetric partner.
     """
 
     def __init__(self, rs: RootSystem):
@@ -388,6 +390,7 @@ class StructureTable:
         self.f: dict[tuple[Label, Label], dict[Label, Fraction]] = {}
         self.kappa: dict[tuple[Label, Label], Fraction] = {}
         self.parity: dict[Label, int] = {}
+        self.signs: dict[Root, int] = {}
 
     # -- basis -----------------------------------------------------------
 
@@ -486,7 +489,8 @@ def build_structure_table(
         p = 0  # largest p with b1 - p a1 a root
         while rs.is_root(tuple(b1[j] - (p + 1) * a1[j] for j in range(r))):
             p += 1
-        n1 = Fraction((sign_overrides or {}).get(gamma, 1)) * (p + 1)
+        sign = tab.signs[gamma] = (sign_overrides or {}).get(gamma, 1)
+        n1 = Fraction(sign) * (p + 1)
         set_root_pair(a1, b1, gamma, n1)
         for a, b in rest:
             # Jacobi on the quadruple (b1, a1, -a, -b)

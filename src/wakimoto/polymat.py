@@ -183,6 +183,20 @@ class Packing:
         w, B = self.weights[s], self.base
         return {m - w: c * e for m, c in p.items() if (e := m // w % B)}
 
+    def partials(self, p: Packed, nvars: int) -> list[tuple[int, Packed]]:
+        """(s, d p / d x_s) for each s < nvars where p has x_s, in one pass over p."""
+        B, w = self.base, self.weights
+        top = w[nvars] if nvars < self.nvars else 0
+        out: dict[int, Packed] = {}
+        for m, c in p.items():
+            r, s = m % top if top else m, 0
+            while r:
+                r, e = divmod(r, B)
+                if e:
+                    out.setdefault(s, {})[m - w[s]] = c * e
+                s += 1
+        return sorted(out.items())
+
 
 def mul_into(acc: Packed, p: Packed, q: Packed, c: int = 1) -> Packed:
     """Add c p q to acc and return it; a cancelled coefficient stays as a 0."""

@@ -686,3 +686,28 @@ def test_verify_json_is_pinned(capsys, tmp_path, name, algebra, suite):
         algebra = str(path)
     code, out, err = run(capsys, "verify", "--algebra", algebra, "--suite", suite, "--format", "json")
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == stored[name]
+
+
+def test_sign_flipped_verify_reports_differ_from_the_builtin_ones():
+    """A report says which table it checked, so a flipped table's pin is its own."""
+    stored = dict(
+        reversed(line.split()) for line in (GOLDEN / "verify-json.sha256").read_text().splitlines()
+    )
+    for algebra in _FLIPPED_JSON:
+        for suite in ("realization", "jacobi"):
+            assert stored[f"verify-{algebra}-{suite}"] != stored[f"verify-flipped-{algebra}-{suite}"]
+
+
+@pytest.mark.parametrize("algebra", ["flipped-C3", "C3", "OSP22"])
+def test_verify_reports_the_extraspecial_signs_it_checked(capsys, tmp_path, algebra):
+    """Every non-simple positive root with its sign, keyed as in an algebra file; {} for OSP22."""
+    if algebra.startswith("flipped-"):
+        data = _FLIPPED_JSON[algebra.removeprefix("flipped-")]
+        path = tmp_path / "c3.json"
+        path.write_text(json.dumps(data))
+        want = data["extraspecial_signs"]
+        algebra = str(path)
+    else:
+        want = {} if algebra == "OSP22" else {key: 1 for key in _FLIPPED_JSON["C3"]["extraspecial_signs"]}
+    code, out, err = run(capsys, "verify", "--algebra", algebra, "--suite", "jacobi", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["extraspecial_signs"] == want

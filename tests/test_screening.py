@@ -1,17 +1,24 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wakimoto import screening
 from wakimoto.coeffs import Exp, RatFunc
-from wakimoto.currents import build_wakimoto, osp22_currents
+from wakimoto.currents import CurrentSet, PackedCurrents, build_wakimoto, osp22_currents
 from wakimoto.fields import BETA, GAMMA, FieldExpr
-from wakimoto.liealg import build_root_system, build_structure_table
+from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import contract
 from wakimoto.screening import (
     DirectionError,
+    ScreeningCurrent,
     b2_series_witnesses,
     first_kind,
+    first_kind_witness,
     naive_second_kind_failure,
+    screening_composite,
     second_kind_b2,
     second_kind_mult_one,
     second_kind_osp22,
@@ -21,6 +28,8 @@ from wakimoto.screening import (
     verify_second_kind_mult_one,
 )
 from wakimoto.series import SeriesExpr
+
+from test_cli import _FLIPPED_JSON
 
 
 def _subs_k(expr, kval):
@@ -354,3 +363,186 @@ def test_prop1_negative_control_shows_unexpanded_difference():
     detail = report.failures()[0].detail
     assert detail == "pole 2 mismatch: " + diff.text(cs.ctx)
     assert detail != "pole 2 mismatch: " + expand_power_levels(diff).text(cs.ctx)
+
+
+# ---------------------------------------------------------------------------
+# first-kind verdicts: closed-form poles against Wick's theorem
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _built(label):
+    """The built current set of a built-in algebra or of a sign-flipped JSON table."""
+    if label.startswith("flipped-"):
+        data = _FLIPPED_JSON[label.removeprefix("flipped-")]
+        rs = build_root_system(data["cartan_matrix"], name=data["name"])
+        signs = {tuple(map(int, key.split(","))): v for key, v in data["extraspecial_signs"].items()}
+        return build_wakimoto(rs, build_structure_table(rs, signs))
+    return build_wakimoto(*get_algebra(label))
+
+
+def _wick(cs):
+    """``cs`` without packed currents, so that Wick's theorem decides every label."""
+    out = CurrentSet(cs.rs, cs.tab, cs.ctx, cs.currents, cs.polys)
+    out.__dict__["packed"] = None
+    return out
+
+
+def _witnesses(cs, s, witness=first_kind_witness):
+    return {("f", al): w for a, al in enumerate(cs.rs.pos_roots) if not (w := witness(cs, s, a)).is_zero}
+
+
+def _closed(cs, s, wit):
+    """The labels the closed-form poles decide, with the pole orders they refute."""
+    return cs.packed.refuted_labels(PackedCurrents.split(cs.ctx, s.body), wit)
+
+
+def _both(cs, s, wit):
+    """The checks of the packed route, asserted equal to those of an all-Wick run."""
+    packed = verify_screening(cs, s, wit).checks
+    assert packed == verify_screening(_wick(cs), s, wit).checks
+    return packed
+
+
+def _failed(checks):
+    return [c.label for c in checks if not c.ok]
+
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "flipped-A4", "flipped-C3"]
+)
+def test_first_kind_verdicts_agree_with_wick_on_every_direction(label):
+    cs = _built(label)
+    for j in range(cs.rs.rank):
+        s = first_kind(cs, j)
+        wit = _witnesses(cs, s)
+        assert _closed(cs, s, wit) == {lab: [] for lab in cs.labels()}
+        checks = _both(cs, s, wit)
+        assert len(checks) == len(cs.labels()) + 1 and all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "A3"])
+def test_scaled_first_kind_witnesses_fail_the_same_labels_on_both_routes(label):
+    cs = _built(label)
+    for j in range(cs.rs.rank):
+        s = first_kind(cs, j)
+        wit = {lab: w.scale(2) for lab, w in _witnesses(cs, s).items()}
+        assert {lab for lab, orders in _closed(cs, s, wit).items() if orders} == set(wit)
+        checks = _both(cs, s, wit)
+        assert set(_failed(checks)) == set(wit)
+        assert all(c.detail.startswith("pole 2 mismatch: ") for c in checks if not c.ok)
+
+
+def test_a_witness_with_an_extra_term_fails_on_both_routes(b2cs):
+    s = first_kind(b2cs, 0)
+    wit = _witnesses(b2cs, s)
+    label = ("f", b2cs.rs.theta)
+    wit[label] = wit[label] + FieldExpr.prim(GAMMA, 1) * FieldExpr.vertex(s.momentum)
+    assert _closed(b2cs, s, wit)[label] == [2, 1]
+    assert _failed(_both(b2cs, s, wit)) == [label]
+
+
+def test_a_body_with_a_doubled_momentum_fails_on_both_routes(b2cs):
+    s = first_kind(b2cs, 1)
+    mom = tuple(c * 2 for c in s.momentum)
+    doubled = ScreeningCurrent("first", 1, screening_composite(b2cs, 1) * FieldExpr.vertex(mom), mom)
+    wit = _witnesses(b2cs, doubled)
+    closed = _closed(b2cs, doubled, wit)
+    assert closed.keys() == set(b2cs.labels())
+    failed = _failed(_both(b2cs, doubled, wit))
+    assert failed == [lab for lab, orders in closed.items() if orders] + [("T", 0)]
+    assert len(failed) > 2
+
+
+def test_a_label_refuted_in_closed_form_fails_even_when_wick_passes_it(b2cs, monkeypatch):
+    """Wick's theorem is made to pass doubled witnesses by doubling each current it contracts."""
+    s = first_kind(b2cs, 0)
+    wit = {lab: w.scale(2) for lab, w in _witnesses(b2cs, s).items()}
+    currents = [id(J) for J in b2cs.currents.values()]
+    real = screening.contract
+
+    def doubled(ctx, a, b, *args):
+        return real(ctx, a.scale(2) if id(a) in currents else a, b, *args)
+
+    monkeypatch.setattr(screening, "contract", doubled)
+    report = verify_screening(b2cs, s, wit)
+    assert set(_failed(report.checks)) == set(wit)
+    assert {c.detail for c in report.failures()} == {
+        "the closed-form poles refute this label and Wick's theorem does not"
+    }
+    assert verify_screening(_wick(b2cs), s, wit).ok
+
+
+def _contracted(monkeypatch, cs, s, wit):
+    """The checks of ``verify_screening`` and the labels it gave Wick's theorem ("T" for T)."""
+    names = {id(J): lab for lab, J in cs.currents.items()}
+    seen = []
+    real = screening.contract
+
+    def spy(ctx, a, b, *args):
+        seen.append(names.get(id(a), "T"))
+        return real(ctx, a, b, *args)
+
+    monkeypatch.setattr(screening, "contract", spy)
+    checks = verify_screening(cs, s, wit).checks
+    monkeypatch.undo()
+    assert checks == verify_screening(_wick(cs), s, wit).checks
+    return checks, seen
+
+
+def test_first_kind_bodies_of_another_shape_go_to_wick(b2cs, monkeypatch):
+    s = first_kind(b2cs, 0)
+    wit = _witnesses(b2cs, s)
+    V2 = FieldExpr.vertex(tuple(c * 2 for c in s.momentum))
+    bodies = {
+        "power factor": s.expr * FieldExpr.power(screening_composite(b2cs, 1), Exp(-1, 0, 0)),
+        "term without V": s.expr + FieldExpr.prim(BETA, 1),
+        "two momenta": s.expr + FieldExpr.prim(BETA, 1) * V2,
+    }
+    _, seen = _contracted(monkeypatch, b2cs, s, wit)
+    assert seen == ["T"]
+    for name, body in bodies.items():
+        other = ScreeningCurrent("first", 0, body, s.momentum)
+        checks, seen = _contracted(monkeypatch, b2cs, other, wit)
+        assert seen == b2cs.labels() + ["T"], name
+        assert _failed(checks), name
+
+
+def test_witnesses_of_another_shape_go_to_wick(b2cs, monkeypatch):
+    s = first_kind(b2cs, 0)
+    V = FieldExpr.vertex(s.momentum)
+    label = ("f", b2cs.rs.theta)
+    changes = {
+        "power factor": lambda w: w * FieldExpr.power(screening_composite(b2cs, 1), Exp(-1, 0, 0)),
+        "term without V": lambda w: w + FieldExpr.prim(GAMMA, 0),
+        "two momenta": lambda w: w + FieldExpr.prim(GAMMA, 0) * V * V,
+        "a slot factor": lambda w: w + FieldExpr.prim(BETA, 0) * V,
+        "denominator outside D": lambda w: w + FieldExpr.prim(GAMMA, 0, coef=Fraction(1, 101)) * V,
+    }
+    for name, change in changes.items():
+        wit = _witnesses(b2cs, s)
+        wit[label] = change(wit[label])
+        checks, seen = _contracted(monkeypatch, b2cs, s, wit)
+        assert seen == [label, "T"], name
+        assert _failed(checks) == [label], name
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.data(),
+    st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+)
+def test_routes_agree_on_perturbed_witnesses(data, expo, c):
+    """A witness plus c gamma^e V, with e and the denominator of c also
+    beyond what the packing covers: both routes give the same checks."""
+    cs = _built("B2")
+    j = data.draw(st.integers(0, 1))
+    s = first_kind(cs, j)
+    wit = _witnesses(cs, s)
+    label = data.draw(st.sampled_from(cs.labels()))
+    term = FieldExpr.const(c)
+    for pos, e in enumerate(expo):
+        for _ in range(e):
+            term = term * FieldExpr.prim(GAMMA, pos)
+    wit[label] = wit.get(label, FieldExpr.zero()) + term * FieldExpr.vertex(s.momentum)
+    assert _failed(_both(cs, s, wit)) == [label]
