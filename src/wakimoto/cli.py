@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .coeffs import RatFunc
-from .currents import CurrentSet, check_pair, sugawara_tensor, sweep_route, verify_current_algebra
+from .currents import CurrentSet, sugawara_tensor, sweep_route, verify_current_algebra
 from .diffop import verify_realization
 from .fields import PHI, FieldExpr, UnsupportedContraction, expand_power_levels
 from .liealg import CartanTypeError, get_algebra, verify_jacobi
@@ -120,11 +120,24 @@ def _index(cs: CurrentSet, name: str, label: str) -> int:
     return int(label) - 1
 
 
+MAX_NESTING = 100  # the deepest nesting of '(', 'd(' and unary '-' that `ope` parses
+
+
 class _Parser:
     def __init__(self, cs: CurrentSet, text: str):
         self.cs = cs
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse) -> FieldExpr:
+        """``parse()`` one nesting level deeper; refuses input nested beyond MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise InputError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -163,10 +176,10 @@ class _Parser:
         tok = self.peek()
         if tok == "-":
             self.take()
-            return self.factor().scale(-1)
+            return self.nested(self.factor).scale(-1)
         if tok == "(":
             self.take()
-            out = self.expr()
+            out = self.nested(self.expr)
             self.take(")")
             return out
         if tok is not None and tok.isdigit():
@@ -189,7 +202,7 @@ class _Parser:
         name = self.take()
         if name == "d":
             self.take("(")
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.take(")")
             return inner.derivative(cs.ctx)
         if name == "T":
@@ -227,68 +240,25 @@ def parse_expression(cs: CurrentSet, text: str) -> FieldExpr:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _sweep_pairs(cs: CurrentSet, jobs: int):
-    """Violations of every ordered pair, in pair order whatever the number of workers.
-
-    A bosonic set is swept by ``verify_current_algebra`` in this process,
-    which decides most sets in closed form.  A graded set's pairs go to
-    workers greedily, costliest first, each to the least-loaded worker; a
-    pair costs the product of its two currents' term counts.  Every worker
-    checks ``cs`` itself: inherited under fork, pickled under spawn.
-    """
-    labels = cs.labels()
-    pairs = [(a, b) for a in labels for b in labels]
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
-    if cs.ctx.bosonic or workers <= 1:
-        return verify_current_algebra(cs, pairs)
-    from concurrent.futures import ProcessPoolExecutor
-
-    cost = [len(cs[a].terms) * len(cs[b].terms) for a, b in pairs]
-    chunks: list[list] = [[] for _ in range(workers)]
-    load = [0] * workers
-    for i in sorted(range(len(pairs)), key=lambda i: -cost[i]):
-        w = load.index(min(load))
-        chunks[w].append((i, pairs[i]))
-        load[w] += cost[i]
-    found: dict[int, list] = {}
-    with ProcessPoolExecutor(max_workers=workers, initializer=_sweep_init, initargs=(cs,)) as pool:
-        for part in pool.map(_sweep_worker, chunks):
-            found.update(part)
-    return [v for i in sorted(found) for v in found[i]]
-
-
-_sweep_cs: Optional[CurrentSet] = None  # the current set a sweep worker process checks
-
-
-def _sweep_init(cs: CurrentSet) -> None:
-    global _sweep_cs
-    _sweep_cs = cs
-
-
-def _sweep_worker(items):
-    """{pair index: violations} for one chunk of (index, pair) items."""
-    return {i: check_pair(_sweep_cs, a, b) for i, (a, b) in items}
-
-
-def _jacobi_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _jacobi_suite(cs: CurrentSet, direction: Optional[int]):
     bad = verify_jacobi(cs.tab)
     return not bad, {"triples": len(cs.tab.basis()) ** 3, "violations": [str(t) for t in bad]}
 
 
-def _realization_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _realization_suite(cs: CurrentSet, direction: Optional[int]):
     if cs.ops is None:
         return True, {"skipped": "differential realization covers the bosonic algebras"}
     bad = verify_realization(cs.ops, cs.tab)
     return not bad, {"pairs": len(cs.ops) ** 2, "violations": [str(t) for t in bad]}
 
 
-def _currents_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
-    bad = _sweep_pairs(cs, jobs)
+def _currents_suite(cs: CurrentSet, direction: Optional[int]):
+    bad = verify_current_algebra(cs)
     det = [{"pair": str(v.pair), "order": v.order, "diff": v.detail} for v in bad]
     return not det, {"pairs": len(cs.labels()) ** 2, "route": sweep_route(cs), "violations": det}
 
 
-def _sugawara_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _sugawara_suite(cs: CurrentSet, direction: Optional[int]):
     T = sugawara_tensor(cs)
     Tfree = free_field_tensor(cs.ctx)
     ok = T.equals(Tfree)
@@ -318,19 +288,19 @@ def _screening_suite(cs: CurrentSet, directions, construct):
     return ok, results
 
 
-def _screening_first_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _screening_first_suite(cs: CurrentSet, direction: Optional[int]):
     if not cs.ctx.bosonic:
         return True, {"skipped": "first-kind suite covers the bosonic algebras"}
     return _screening_suite(cs, [direction] if direction is not None else range(cs.rs.rank), first_kind)
 
 
-def _screening_second_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _screening_second_suite(cs: CurrentSet, direction: Optional[int]):
     # the osp(2|2) fixture has its one current in direction 1
     every = range(cs.rs.rank) if cs.ctx.bosonic else [0]
     return _screening_suite(cs, [direction] if direction is not None else every, second_kind)
 
 
-def _naive_second_kind_suite(cs: CurrentSet, direction: Optional[int], jobs: int):
+def _naive_second_kind_suite(cs: CurrentSet, direction: Optional[int]):
     fail = naive_second_kind_failure(cs, direction if direction is not None else 1)
     return (
         fail.nonvanishing and fail.matches_expected_shape,
@@ -355,11 +325,11 @@ SUITES = {
 ALL_SUITES = [name for name in SUITES if name != "naive-second-kind"]
 
 
-def run_suite(cs: CurrentSet, suite: str, direction: Optional[int], jobs: int):
+def run_suite(cs: CurrentSet, suite: str, direction: Optional[int]):
     """Returns (ok, details dict)."""
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}")
-    return SUITES[suite](cs, direction, jobs)
+    return SUITES[suite](cs, direction)
 
 
 def _suite_status(ok: bool, details: dict) -> str:
@@ -460,7 +430,7 @@ def cmd_verify(args) -> int:
     report = {}
     ok = True
     for suite in suites:
-        sok, details = run_suite(cs, suite, direction, args.jobs)
+        sok, details = run_suite(cs, suite, direction)
         report[suite] = {"status": _suite_status(sok, details), "details": details}
         ok = ok and sok
     signs = {",".join(map(str, root)): sign for root, sign in cs.tab.signs.items()}
@@ -553,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="parallel workers for the graded OPE sweep (at most one per CPU and pair)",
+        help="accepted for compatibility and checked; every suite runs in one process",
     )
     p.set_defaults(fn=cmd_verify)
 

@@ -420,7 +420,7 @@ class BaseKey:
     hashing are by identity, which a term lookup pays once per key instead
     of once per monomial coefficient.  The sort key and the monomials of the
     base's derivative and powers are kept on the key.  The table holds keys
-    weakly, and unpickling (``--jobs`` under spawn) interns again.
+    weakly, and unpickling interns again.
     """
 
     __slots__ = ("items", "sort_key", "derivative", "powers", "__weakref__")

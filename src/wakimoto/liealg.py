@@ -613,8 +613,8 @@ def load_algebra_json(path: str) -> tuple[RootSystem, StructureTable]:
     """Read {"cartan_matrix": [[...]], "extraspecial_signs": {"<coeffs>": +-1}}.
 
     Malformed input raises ``CartanTypeError``: invalid JSON, a Cartan entry
-    that is not an integer, a sign other than +1 or -1, or a sign key that is
-    not a non-simple positive root.
+    that is not an integer, a ``name`` that is not a string, a sign other
+    than +1 or -1, or a sign key that is not a non-simple positive root.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -628,7 +628,10 @@ def load_algebra_json(path: str) -> tuple[RootSystem, StructureTable]:
         isinstance(row, list) and all(type(x) is int for x in row) for row in A
     ):
         raise CartanTypeError("'cartan_matrix' must be a list of rows of integers")
-    rs = build_root_system(A, name=data.get("name", "custom"))
+    name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise CartanTypeError(f"'name' must be a string, got {name!r}")
+    rs = build_root_system(A, name=name)
     signs = data.get("extraspecial_signs", {})
     if not isinstance(signs, dict):
         raise CartanTypeError("'extraspecial_signs' must map root keys to +1 or -1")

@@ -56,6 +56,27 @@ def test_ope_bad_fraction_is_input_error(capsys):
         assert err.count("\n") == 1 and why in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["(" * 400 + "E[1]" + ")" * 400, "d(" * 600 + "E[1]" + ")" * 600, "-" * 3000 + "E[1]"],
+    ids=["parens", "derivatives", "minus"],
+)
+def test_ope_deep_nesting_is_input_error(capsys, expr):
+    code, out, err = run(capsys, "ope", "--algebra", "B2", "--", expr, "F[1]")
+    assert code == EXIT_INPUT and out == ""
+    assert err.count("\n") == 1 and "nested deeper than" in err and "Traceback" not in err
+
+
+def test_ope_nesting_within_the_bound_parses():
+    cs = _load("B2")
+    E, g = parse_expression(cs, "E[1]"), parse_expression(cs, "gamma[1]")
+    assert parse_expression(cs, "(" * 50 + "E[1]" + ")" * 50).equals(E)
+    assert parse_expression(cs, "-" * 50 + "E[1]").equals(E)
+    d50 = parse_expression(cs, "d(" * 50 + "gamma[1]" + ")" * 50)
+    for _ in range(50):
+        g = g.derivative(cs.ctx)
+    assert d50.equals(g)
+
+
 def test_ope_max_order_flag_removed(capsys):
     # the flag never limited the poles; it is gone rather than ignored
     with pytest.raises(SystemExit) as exc:
@@ -115,7 +136,7 @@ def test_verify_all_runs_every_suite_but_the_negative_control_in_order(capsys):
         "jacobi", "realization", "currents", "sugawara", "screening-first", "screening-second"
     ]
     with pytest.raises(cli.InputError, match="unknown suite 'nope'"):
-        cli.run_suite(_load("A1"), "nope", None, 1)
+        cli.run_suite(_load("A1"), "nope", None)
 
 
 def test_verify_a1_all_says_what_the_structure_suites_checked(capsys):
@@ -326,53 +347,6 @@ def test_jobs_reads_no_environment(monkeypatch, capsys):
     assert cli.build_parser().parse_args(["verify"]).jobs == 1
 
 
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replace the sweep's process pool by an in-process stand-in, so no
-    process starts; returns the pool sizes started and the chunks mapped."""
-    import concurrent.futures
-
-    record = {"started": [], "chunks": []}
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            record["started"].append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            record["chunks"].extend(items)
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(cli, "_sweep_cs", None)  # the stand-in's initializer sets it here
-    return record
-
-
-def _graded_three():
-    """OSP22 cut down to h_1, h_2 and e_alpha1, a subalgebra: a graded set with 9 ordered pairs."""
-    cs = _load("OSP22")
-    keep = [("h", 0), ("h", 1), ("e", (1, 0))]
-    return currents.CurrentSet(cs.rs, cs.tab, cs.ctx, {lab: cs.currents[lab] for lab in keep})
-
-
-@pytest.mark.parametrize("jobs, cpus, workers", [(64, 2, 2), (3, 8, 3), (50, 64, 9), (1, 8, None)])
-def test_sweep_starts_at_most_one_worker_per_cpu_and_pair(monkeypatch, in_process_pool, jobs, cpus, workers):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._sweep_pairs(_graded_three(), jobs) == []
-    assert in_process_pool["started"] == ([] if workers is None else [workers])
-    # a bosonic set is swept in this process, whatever --jobs says
-    assert cli._sweep_pairs(_load("A1"), jobs) == []
-    assert in_process_pool["started"] == ([] if workers is None else [workers])
-
-
 def _planted(selector):
     """The algebra of ``selector`` with one wrong current: A3's e_alpha1 + beta_theta,
     or OSP22's e_alpha1 + 2 beta_alpha1."""
@@ -383,28 +357,33 @@ def _planted(selector):
     return cs
 
 
-def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsys, in_process_pool):
-    """A planted wrong current, in A3 and in OSP22: --jobs 2 reports the same
-    violations, in the same order, as one process.  Only the graded OSP22
-    starts the pool, and its chunks are balanced by cost to within the
-    costliest pair."""
+def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsys):
+    """A planted wrong current, in A3 and in OSP22: with and without --jobs 2
+    the report is byte for byte the same, and names more than one pair."""
     monkeypatch.setattr(cli, "_load", _planted)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for algebra, started in (("A3", []), ("OSP22", [2])):
+    for algebra in ("A3", "OSP22"):
         argv = ["verify", "--algebra", algebra, "--suite", "currents"]
         one = run(capsys, *argv)
         two = run(capsys, *argv, "--jobs", "2")
         assert one == two and one[0] == EXIT_VERIFICATION
         bad = json.loads(one[1])["suites"]["currents"]["details"]["violations"]
         assert len({v["pair"] for v in bad}) > 1
-        assert in_process_pool["started"] == started
-    cs = _planted("OSP22")
-    chunks = in_process_pool["chunks"]
-    assert len(chunks) == 2
-    assert sorted(i for chunk in chunks for i, _ in chunk) == list(range(len(cs.labels()) ** 2))
-    cost = [sum(len(cs[a].terms) * len(cs[b].terms) for _, (a, b) in chunk) for chunk in chunks]
-    top = max(len(J.terms) for J in cs.currents.values()) ** 2
-    assert abs(cost[0] - cost[1]) <= top
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
+
+
+def test_verify_starts_no_process(monkeypatch, capsys):
+    """Every suite runs in this process, whatever --jobs says."""
+    import concurrent.futures
+    import multiprocessing
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_process)
+    monkeypatch.setattr(multiprocessing.Process, "start", _no_process)
+    code, out, err = run(capsys, "verify", "--algebra", "OSP22", "--suite", "all", "--jobs", "2")
+    assert code == EXIT_OK and err == ""
+    assert all(entry["status"] == "pass" for entry in json.loads(out)["suites"].values())
 
 
 def _refuse(*args, **kwargs):
@@ -427,21 +406,15 @@ def test_operator_and_polynomial_suites_build_no_current(monkeypatch, capsys, ar
     assert code == EXIT_OK and json.loads(out)["suites"][argv[3]]["status"] == "pass"
 
 
-def test_jobs_check_the_current_set_they_were_given(monkeypatch):
-    """A perturbed current set: two worker processes check the perturbed set,
-    not a freshly built one, so they find every violation one process finds.
-    OSP22 with e_alpha1 + 2 beta_alpha1 goes to the pool; A2 with the same
-    perturbation is swept in this process."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for algebra, count in (("OSP22", 14), ("A2", 14)):
+def test_jobs_check_the_current_set_they_were_given():
+    """A perturbed current set, e_alpha1 + 2 beta_alpha1 in OSP22 and in A2:
+    the suite checks the perturbed set, not a freshly built one."""
+    for algebra in ("OSP22", "A2"):
         cs = _load(algebra)
         e1 = ("e", (1, 0))
         cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(0), 0, coef=2)
-        one = cli._sweep_pairs(cs, 1)
-        assert len(one) == count
-        assert cli._sweep_pairs(cs, 2) == one
-        ok, details = cli.run_suite(cs, "currents", None, 2)
-        assert not ok and len(details["violations"]) == len(one)
+        ok, details = cli.run_suite(cs, "currents", None)
+        assert not ok and len(details["violations"]) == 14
 
 
 def test_closed_stdout_is_not_an_input_error():
@@ -588,6 +561,18 @@ def test_malformed_algebra_json_is_input_error(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [5, [1], {"a": 1}, True, None, 0, "custom-a2"])
+def test_algebra_json_name_must_be_a_string(tmp_path, capsys, name):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps({"cartan_matrix": [[2, -1], [-1, 2]], "name": name}))
+    code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
+    if isinstance(name, str):
+        assert code == EXIT_OK and json.loads(out)["algebra"] == name
+    else:
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: 'name' must be a string") and err.count("\n") == 1
 
 
 def test_algebra_path_that_is_a_directory_is_input_error(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_a_pair_refuted_in_closed_form_fails_even_when_wick_passes_it(monkeypatc
     monkeypatch.setattr(currents, "check_pair", lambda cs, a, b: [])
     bad = verify_current_algebra(cs)
     assert len(bad) == 20 and all("Wick" in v.detail for v in bad)
-    ok, details = run_suite(cs, "currents", None, 1)
+    ok, details = run_suite(cs, "currents", None)
     assert not ok and len(details["violations"]) == 20
 
 
@@ -213,11 +213,11 @@ def test_a_term_of_another_shape_goes_to_wick():
     broken[("e", (1,))] = broken[("e", (1,))] + FieldExpr.prim(GAMMA, 0)
     cs2 = CurrentSet(cs.rs, cs.tab, cs.ctx, broken)
     assert PackedCurrents.of(cs2) is None
-    ok, details = run_suite(cs2, "currents", None, 1)
+    ok, details = run_suite(cs2, "currents", None)
     assert not ok and details["route"] == "wick" and details["pairs"] == 9
     wick = [v for a, b in _all_pairs(cs2) for v in check_pair(cs2, a, b)]
     assert wick and len(details["violations"]) == len(wick)
-    assert run_suite(cs, "currents", None, 1) == (True, {"pairs": 9, "route": "packed", "violations": []})
+    assert run_suite(cs, "currents", None) == (True, {"pairs": 9, "route": "packed", "violations": []})
 
 
 def test_an_unbuilt_current_set_pickles_without_stages():
