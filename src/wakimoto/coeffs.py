@@ -25,19 +25,21 @@ hashing are structural, and division by a factor of degree above 1 raises
 Cancellation is tried only where it can happen.  In a product of canonical
 values only one operand's denominator can cancel against the other's
 numerator; a sum over an equal denominator only needs cancelling.  Each
-factor is divided out by synthetic division (``_divide_linear``, Horner's
-rule in the factor's leading variable), and ``_cancel`` divides by each
-factor as often as it goes.  Generic long division is kept as the test
+factor is divided out by synthetic division over the ints (``_divide_linear``,
+Horner's rule in the factor's leading variable), and ``_cancel`` divides by
+each factor as often as it goes.  Generic long division is kept as the test
 oracle (``tests/oracles.py``), with the merge-and-divide route every product
 and sum took before.
 
-A polynomial coefficient is an int when integral, else a Fraction with a
-denominator above 1: integral coefficients multiply and add as ints, and as
-``3 == Fraction(3)`` (equal hash and text) no comparison or output changes.
-A float is refused (``TypeError``); coefficient division is ``Fraction(a, b)``.
+A polynomial is stored as its content and primitive part (Knuth, TAOCP
+vol. 2, 4.6.1): integer numerators over one ``den`` >= 1 sharing no factor
+with all of them, so equal values are structurally equal.  Ring operations
+run on ints with one gcd per result; scaling by p/q multiplies the
+numerators by p and ``den`` by q.  ``terms`` reads each coefficient as an
+int or a Fraction, for text, keys and hashes.  A float is refused.
 
 A field coefficient has one stored form (``canonical``): a rational value
-is an int or a Fraction, as a polynomial coefficient is, and a RatFunc only
+is an int when integral, else a Fraction, and a RatFunc only
 stores a value in which k or n appears.  A RatFunc mixes with an int or a
 Fraction in every arithmetic operation, and a rational RatFunc compares and
 hashes as its number, so the two spellings of one value are one dict key.
@@ -46,10 +48,10 @@ hashes as its number, so the two spellings of one value are one dict key.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Optional, Union
-
-Monomial = tuple[int, int]  # (power of k, power of n)
 
 Scalar = Union[int, Fraction, "RatFunc"]
 
@@ -70,81 +72,90 @@ def _lean(c) -> Union[int, Fraction]:
     return c.numerator if c.denominator == 1 else c
 
 
-def _lean_terms(terms: dict) -> dict:
-    """``terms`` with each integral Fraction replaced by its int, in place:
-    one pass per result instead of one check per product."""
-    for m, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
-            terms[m] = c.numerator
-    return terms
-
-
 class SparsePoly:
-    """Sparse polynomial over Q: exponent tuples mapped to nonzero canonical coefficients.
+    """Sparse polynomial over Q: the value num / den, never mutated.
 
-    The one implementation of the ring arithmetic shared by ``Pol`` (in k and
-    n) and ``polymat.Poly`` (in the triangular coordinates).  No coefficient
-    is ever zero, so equality and hashing are structural.  Values are never
-    mutated after construction.  Each subclass defines ``_like(terms)``, which
-    builds a value of its own shape, and names ``__mul__`` in its own
-    namespace, where ``perfbench/tracer.py`` wraps it as a separate span.
+    ``num`` maps exponent tuples to nonzero ints and the int ``den`` >= 1 has
+    gcd(den, *num.values()) == 1 (module docstring).  The one ring arithmetic
+    of ``Pol`` (in k and n) and ``polymat.Poly`` (in the triangular
+    coordinates); each subclass names ``__mul__`` in its own namespace, where
+    ``perfbench/tracer.py`` wraps it as a separate span.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("num", "den", "_terms", "_hash")
+
+    def __init__(self, terms: Optional[dict] = None):
+        """The polynomial with the rational coefficients ``terms``; a float raises TypeError."""
+        num = terms = {m: _lean(c) for m, c in (terms or {}).items() if c}  # and the terms view
+        den = 1
+        for c in terms.values():  # den: the lcm of reduced denominators, so gcd(den, *num) == 1
+            den = den if type(c) is int else lcm(den, c.denominator)
+        if den > 1:
+            num = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        self.num, self.den, self._terms, self._hash = num, den, terms, None
+
+    def _like(self, num: dict, den: int = 1):
+        """A value of this shape holding num / den, for ints num and den >= 1, in lowest terms."""
+        if den > 1 and (g := gcd(den, *num.values())) > 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+        out = object.__new__(type(self))
+        out.num, out.den, out._terms, out._hash = num, den, None, None
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """num / den as a read-only dict of ints and Fractions, built on first read."""
+        if self._terms is None:
+            d, num = self.den, self.num
+            self._terms = num if d == 1 else {m: Fraction(c, d) if c % d else c // d for m, c in num.items()}
+        return self._terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        out = dict(self.num) if den == d1 else {m: c * (den // d1) for m, c in self.num.items()}
+        f = den // d2
+        for m, c in other.num.items():
+            s = out.get(m, 0) + c * f
+            if s:
+                out[m] = s
             else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return self._like(_lean_terms(out))
+                del out[m]
+        return self._like(out, den)
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        return self._like({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
-            return self._like({})
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
                 m = tuple(map(add, m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
+                s = out.get(m, 0) + c1 * c2
+                if s:
+                    out[m] = s
                 else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return self._like(_lean_terms(out))
+                    del out[m]
+        return self._like(out, self.den * other.den)
 
     def scale(self, c):
-        """Multiply by a rational; a ``RatFunc`` or a float is refused with ``TypeError``."""
+        """Multiply by a rational p/q (num by p, den by q); a ``RatFunc`` or a float is refused."""
         c = _lean(c)
-        if not c:
-            return self._like({})
-        return self._like(_lean_terms({m: v * c for m, v in self.terms.items()}))
+        p = c.numerator
+        num = self.num if p == 1 else {m: v * p for m, v in self.num.items()} if p else {}
+        return self._like(num, self.den * c.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
         """Nonzero, as for int, Fraction and ``RatFunc``."""
-        return bool(self.terms)
+        return bool(self.num)
 
     def frozen(self) -> tuple:
         return tuple(sorted(self.terms.items()))
@@ -152,7 +163,7 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -161,16 +172,9 @@ class SparsePoly:
 
 
 class Pol(SparsePoly):
-    """Sparse bivariate polynomial in the symbols k and n over Q (``SparsePoly``)."""
+    """Sparse polynomial in k and n, over one content denominator (``SparsePoly``)."""
 
     __slots__ = ()
-
-    def __init__(self, terms: Optional[dict[Monomial, Union[int, Fraction]]] = None):
-        self.terms: dict[Monomial, Union[int, Fraction]] = terms if terms is not None else {}
-        self._hash: Optional[int] = None
-
-    def _like(self, terms: dict) -> "Pol":
-        return Pol(terms)
 
     __mul__ = SparsePoly.__mul__
 
@@ -178,8 +182,7 @@ class Pol(SparsePoly):
 
     @staticmethod
     def const(c) -> "Pol":
-        c = _lean(c)
-        return Pol({(0, 0): c} if c else {})
+        return Pol({(0, 0): c})
 
     @staticmethod
     def k(power: int = 1) -> "Pol":
@@ -192,28 +195,27 @@ class Pol(SparsePoly):
     @staticmethod
     def t(hvee: int) -> "Pol":
         """The shifted level t = k + h_vee."""
-        return Pol({(1, 0): 1, (0, 0): _lean(hvee)})
+        return Pol({(1, 0): 1, (0, 0): hvee})
 
     # -- ring operations ---------------------------------------------------
 
     def __pow__(self, e: int) -> "Pol":
-        out = Pol.const(1)
-        for _ in range(e):
-            out = out * self
-        return out
+        if type(e) is not int:
+            raise TypeError(f"polynomial exponent {e!r} is not an int")
+        if e < 0:
+            raise ValueError(f"negative power {e} of a polynomial")
+        return reduce(mul, [self] * e, Pol.const(1))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
+        return not self.num or (len(self.num) == 1 and (0, 0) in self.num)
 
     def const_value(self) -> Union[int, Fraction]:
-        if not self.terms:
-            return 0
         if not self.is_const:
             raise ValueError("polynomial is not constant: %s" % self)
-        return self.terms[(0, 0)]
+        return self.terms.get((0, 0), 0)
 
     # -- substitutions -----------------------------------------------------
 
@@ -224,34 +226,31 @@ class Pol(SparsePoly):
         return self._subs(1, value)
 
     def _subs(self, var: int, value) -> "Pol":
-        """Substitute ``value`` for k (var 0) or n (var 1)."""
+        """Substitute ``value`` = p/q for k (var 0) or n (var 1), over den q^(top power)."""
         value = _lean(value)
+        p, q = value.numerator, value.denominator
+        top = max((m[var] for m in self.num), default=0)
         out: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self.num.items():
             rest = (0, m[1]) if var == 0 else (m[0], 0)
-            out[rest] = out.get(rest, 0) + c * value ** m[var]
-        return Pol(_lean_terms({m: c for m, c in out.items() if c}))
+            out[rest] = out.get(rest, 0) + c * p ** m[var] * q ** (top - m[var])
+        return self._like({m: c for m, c in out.items() if c}, self.den * q**top)
 
     def shift_n(self, delta: int) -> "Pol":
         """Substitute n -> n + delta."""
         if delta == 0:
             return self
         out: dict = {}
-        for (a, b), c in self.terms.items():
+        for (a, b), c in self.num.items():
             # binomial expansion of (n + delta)^b
             binom = 1
             for j in range(b + 1):
                 m = (a, b - j)
                 out[m] = out.get(m, 0) + c * binom * delta ** j
                 binom = binom * (b - j) // (j + 1)
-        return Pol(_lean_terms({m: c for m, c in out.items() if c}))
+        return self._like({m: c for m, c in out.items() if c}, self.den)
 
     # -- presentation ------------------------------------------------------
-
-    def leading_coeff(self) -> Union[int, Fraction]:
-        if not self.terms:
-            return 0
-        return self.terms[max(self.terms)]
 
     def text(self) -> str:
         if not self.terms:
@@ -288,16 +287,17 @@ class Pol(SparsePoly):
 def _divide_linear(num: Pol, p: Pol) -> Optional[Pol]:
     """num / p for a monic linear p, or None when p leaves a remainder.
 
-    Synthetic division (Horner's rule) in the leading variable x of
-    p = x + a y + b, over Q[y]: x = k and y = n when p involves k; otherwise
-    x = n with a = 0, which divides the polynomial in n at each power of k.
+    Synthetic division (Horner's rule) over the ints, in the leading variable
+    x of d p = d x + a y + b (d = p.den): x = k and y = n when p involves k;
+    otherwise x = n with a = 0, at each power of k.  By Gauss's lemma an exact
+    quotient by the primitive d p is integral, so a row d does not divide is a remainder.
     """
-    t = p.terms
+    t, d = p.num, p.den
     x = 0 if (1, 0) in t else 1
     a = t.get((0, 1), 0) if x == 0 else 0
     b = t.get((0, 0), 0)
     rows: dict[int, dict] = {}  # power of x -> {power of y: coefficient}
-    for m, c in num.terms.items():
+    for m, c in num.num.items():
         rows.setdefault(m[x], {})[m[1 - x]] = c
     out: dict = {}
     carry: dict = {}
@@ -310,10 +310,13 @@ def _divide_linear(num: Pol, p: Pol) -> Optional[Pol]:
                 cur[j] = cur.get(j, 0) - b * c
         carry = {j: c for j, c in cur.items() if c}
         if i:
-            for j, c in carry.items():
+            if d > 1 and any(c % d for c in carry.values()):
+                return None
+            for j, c in carry.items():  # num / p = d (num / d p): the row itself
                 out[(i - 1, j) if x == 0 else (j, i - 1)] = c
+            carry = {j: c // d for j, c in carry.items()} if d > 1 else carry
     # the last carry is the remainder
-    return None if carry else Pol(_lean_terms(out))
+    return None if carry else num._like(out, num.den)
 
 
 def _cancel(num: Pol, den) -> tuple[Pol, tuple[tuple[Pol, int], ...]]:
@@ -406,12 +409,11 @@ class RatFunc:
             if p.is_const:
                 scale *= p.const_value() ** e
                 continue
-            if any(a + b > 1 for a, b in p.terms):
+            if any(a + b > 1 for a, b in p.num):
                 raise ValueError(f"denominator factor {p.text()} is not linear")
-            lc = p.leading_coeff()
-            if lc != 1:
-                scale *= lc ** e
-                p = p.scale(Fraction(1, lc))
+            if (lead := p.num[max(p.num)]) != p.den:  # a leading coefficient lead / den
+                scale *= Fraction(lead, p.den) ** e
+                p = p.scale(Fraction(p.den, lead))
             merged[p] = merged.get(p, 0) + e
         if scale != 1:
             num = num.scale(Fraction(1, scale))
@@ -436,10 +438,8 @@ class RatFunc:
             es, eo = sden.get(p, 0), oden.get(p, 0)
             e = max(es, eo)
             common.append((p, e))
-            for _ in range(e - es):
-                lh = lh * p
-            for _ in range(e - eo):
-                rh = rh * p
+            lh = lh * p ** (e - es) if e > es else lh
+            rh = rh * p ** (e - eo) if e > eo else rh
         return RatFunc._make(self.num * lh + other.num * rh, common)
 
     __radd__ = __add__
@@ -461,9 +461,9 @@ class RatFunc:
             return RatFunc(Pol())
         # scaling by a plain constant keeps the other operand canonical
         if other.is_rational:
-            return self._scaled(other.num.terms[(0, 0)])
+            return self._scaled(other.num.const_value())
         if self.is_rational:
-            return other._scaled(self.num.terms[(0, 0)])
+            return other._scaled(self.num.const_value())
         # both operands are canonical and linear factors are prime, so only
         # one operand's denominator can cancel against the other's numerator
         num, oden = _cancel(self.num, other.den)
@@ -555,7 +555,7 @@ class RatFunc:
         for p, e in self.den:
             f = "(" + p.text() + ")"
             bits.append(f if e == 1 else f + f"^{e}")
-        if len(self.num.terms) > 1:
+        if len(self.num.num) > 1:
             s = "(" + s + ")"
         return s + "/(" + "*".join(bits) + ")" if len(bits) > 1 else s + "/" + bits[0]
 
@@ -569,10 +569,7 @@ def canonical(c) -> Scalar:
     float is refused with ``TypeError``."""
     if type(c) is not RatFunc:
         return _lean(c)
-    terms = c.num.terms
-    if c.den or len(terms) > 1 or (terms and (0, 0) not in terms):
-        return c
-    return terms.get((0, 0), 0)
+    return c.num.const_value() if not c.den and c.num.is_const else c
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
     return bad
 
 
-def verify_current_algebra(cs: CurrentSet, pairs=None) -> list[SweepViolation]:
+def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:
     """Pairwise OPE sweep against the structure table, in pair order.
 
     A set with ``packed`` currents is decided by the closed-form poles, and
@@ -191,8 +191,7 @@ def verify_current_algebra(cs: CurrentSet, pairs=None) -> list[SweepViolation]:
     goes pair by pair through ``check_pair``.
     """
     labels = cs.labels()
-    if pairs is None:
-        pairs = [(a, b) for a in labels for b in labels]
+    pairs = [(a, b) for a in labels for b in labels]
     packed = cs.packed
     if packed is None:
         return [v for a, b in pairs for v in check_pair(cs, a, b)]
@@ -253,10 +252,11 @@ class PackedCurrents:
         ctx = self.ctx = cs.ctx
         self.tab, np_ = cs.tab, ctx.n_pos
         terms = [t for comps in rows.values() for comp in comps for t in comp.items()]
-        fams = [t for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row for t in p.terms.items()]
+        fams = [p for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row]
         consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
-        denom = math.lcm(*(c.denominator for _, c in terms + fams), *(c.denominator for c in consts))
-        self.emax = max((x for e, _ in terms + fams for x in e[:np_]), default=0)
+        denom = math.lcm(*(p.den for p in fams), *(c.denominator for c in [c for _, c in terms] + consts))
+        expos = [e for e, _ in terms] + [e for p in fams for e in p.num]
+        self.emax = max((x for e in expos for x in e[:np_]), default=0)
         self.kmax = max((e[np_] for e, _ in terms), default=0)
         # no gamma exponent of a product exceeds 2 emax, and no k exponent 2 kmax + 1 (t)
         pk = self.pk = Packing(np_ + 1, max(2 * self.emax, 2 * self.kmax + 1) + 1, denom)

@@ -27,9 +27,10 @@ Plain rationals travel as ints: each operand's coefficients, stored as
 ints and Fractions where they are rational, are scaled by the least common
 multiple D of their denominators, so a plain operand coefficient is an int,
 and a symbolic one a ``RatFunc`` times D.  Ghost kernels and Taylor levels 0
-and 1 are ints; Taylor levels m >= 2 carry the Fractions 1/m!, and
-power-factor channels their base's coefficients.  Only symbolic values are
-``RatFunc``: the t of scalar-leg kernels, vertex momenta, symbolic
+and 1 are ints; a level m >= 2 divides by m!, which makes a plain
+coefficient a Fraction and multiplies a ``RatFunc``'s content denominator,
+and power-factor channels carry their base's coefficients.  Only symbolic
+values are ``RatFunc``: the t of scalar-leg kernels, vertex momenta, symbolic
 coefficients and exponents.  Python's operator dispatch mixes the kinds, so
 there is one code path.  Every Wick pattern is linear in the two operand
 coefficients, so canonicalization divides each merged output coefficient by

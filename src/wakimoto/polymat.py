@@ -23,8 +23,8 @@ raised to its powers once.  That matrix algebra, V_- and ``anomalous_term``
 run over the integers in a ``Packing``: coefficients are scaled by a common
 denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
-The families leave as ``Poly``, each coefficient converted once to an int
-or a Fraction (the canonical form of ``coeffs``); the level k enters only in
+The families leave as ``Poly``, integer numerators over one denominator
+(the stored form of ``coeffs``); the level k enters only in
 ``currents.CurrentSet.currents``.  ``diffop`` packs its operators with the
 same ``Packing``.
 """
@@ -35,9 +35,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .coeffs import SparsePoly, _lean_terms
+from .coeffs import SparsePoly
 from .liealg import RootSystem, StructureTable
 
 Expo = tuple[int, ...]  # one slot per positive root
@@ -54,19 +54,20 @@ class NilpotencyError(RuntimeError):
 class Poly(SparsePoly):
     """Multivariate polynomial over Q in the triangular coordinates x^alpha.
 
-    Terms map exponent tuples (indexed by the fixed positive-root order) to
-    coefficients in the canonical form and with the arithmetic of ``SparsePoly``.
+    Exponent tuples are indexed by the fixed positive-root order; the stored
+    form and the arithmetic are those of ``SparsePoly``.
     """
 
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Optional[dict[Expo, Union[int, Fraction]]] = None):
         self.nvars = nvars
-        self.terms: dict[Expo, Union[int, Fraction]] = terms if terms is not None else {}
-        self._hash: Optional[int] = None
+        super().__init__(terms)
 
-    def _like(self, terms: dict) -> "Poly":
-        return Poly(self.nvars, terms)
+    def _like(self, num: dict, den: int = 1) -> "Poly":
+        out = SparsePoly._like(self, num, den)
+        out.nvars = self.nvars
+        return out
 
     __mul__ = SparsePoly.__mul__
 
@@ -76,22 +77,22 @@ class Poly(SparsePoly):
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: 1}).scale(c)
+        return Poly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def var(nvars: int, idx: int, c=1) -> "Poly":
         e = tuple(1 if j == idx else 0 for j in range(nvars))
-        return Poly(nvars, {e: 1}).scale(c)
+        return Poly(nvars, {e: c})
 
     def deriv(self, idx: int) -> "Poly":
         # e -> e - unit(idx) is injective on the terms it keeps, so no two
         # terms collect and no coefficient cancels
         out: dict = {}
-        for e, c in self.terms.items():
+        for e, c in self.num.items():
             p = e[idx]
             if p:
                 out[e[:idx] + (p - 1,) + e[idx + 1:]] = c * p
-        return Poly(self.nvars, _lean_terms(out))
+        return self._like(out, self.den)
 
     def sorted_terms(self) -> list[tuple[Expo, Union[int, Fraction]]]:
         """Graded-lex order over the fixed positive-root variable order."""
@@ -114,7 +115,7 @@ def adjoint_matrix(tab: StructureTable) -> list[list[Poly]]:
     index = {lab: i for i, lab in enumerate(labels)}
     nv = tab.rs.n_pos
     d = len(labels)
-    entries = [[Poly.zero(nv) for _ in range(d)] for _ in range(d)]
+    entries = [[Poly.zero(nv)] * d for _ in range(d)]
     for bi, beta in enumerate(tab.rs.pos_roots):
         for a in labels:
             for c, v in tab.bracket(("e", beta), a).items():
@@ -142,7 +143,7 @@ class Packing:
     base must exceed every single exponent the packing's products can have.
     """
 
-    __slots__ = ("nvars", "base", "denom", "weights", "_expos")
+    __slots__ = ("nvars", "base", "denom", "weights", "_expos", "_zero")
 
     def __init__(self, nvars: int, base: int, denom: int):
         self.nvars = nvars
@@ -150,24 +151,24 @@ class Packing:
         self.denom = denom
         self.weights = [base**s for s in range(nvars)]
         self._expos: dict[int, Expo] = {}
+        self._zero = Poly(nvars)  # the shape of every unpacked value
 
     @classmethod
-    def fit(cls, nvars: int, polys: Iterable[Poly], consts=(), factors: int = 2) -> "Packing":
+    def fit(cls, nvars: int, polys: list[Poly], consts=(), factors: int = 2) -> "Packing":
         """The packing of ``polys`` over the common denominator of their
         coefficients and of the rationals ``consts``, with base
         factors * emax + 1 (emax the largest single exponent), so that a
         product of ``factors`` of them, or of their derivatives, never carries."""
-        terms = [t for p in polys for t in p.terms.items()]
-        denom = math.lcm(*(c.denominator for _, c in terms), *(c.denominator for c in consts))
-        emax = max((x for e, _ in terms for x in e), default=0)
+        denom = math.lcm(*(p.den for p in polys), *(c.denominator for c in consts))
+        emax = max((x for p in polys for e in p.num for x in e), default=0)
         return cls(nvars, factors * emax + 1, denom)
 
     def pack(self, p: Poly) -> Packed:
-        D, w = self.denom, self.weights
-        return {sum(map(mul, e, w)): c.numerator * (D // c.denominator) for e, c in p.terms.items()}
+        w, f = self.weights, self.denom // p.den
+        return {sum(map(mul, e, w)): c * f for e, c in p.num.items()}
 
     def unpack(self, p: Packed, denom: int) -> Poly:
-        """The Poly p / denom; each packed exponent is unpacked once per packing."""
+        """The Poly p / denom, denom >= 1; each packed exponent is unpacked once per packing."""
         B, w, expos = self.base, self.weights, self._expos
         terms = {}
         for m, c in p.items():
@@ -175,8 +176,8 @@ class Packing:
                 e = expos.get(m)
                 if e is None:
                     e = expos[m] = tuple(m // x % B for x in w)
-                terms[e] = c // denom if not c % denom else Fraction(c, denom)
-        return Poly(self.nvars, terms)
+                terms[e] = c
+        return self._zero._like(terms, denom)
 
     def deriv(self, p: Packed, s: int) -> Packed:
         """d p / d x_s."""
@@ -316,7 +317,7 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
 
     # an entry of C^m is homogeneous of degree m; powers are kept through
     # m = height_bound, so no exponent of V_- = e^{-C} B(-C) reaches the base
-    D = math.lcm(*(c.denominator for row in C for p in row for c in p.terms.values()))
+    D = math.lcm(*(p.den for row in C for p in row))
     pk = Packing(np_, 2 * height_bound + 1, D)
     N = [{j: pk.pack(p) for j, p in enumerate(row) if not p.is_zero} for row in C]
     pos_powers = matrix_powers([{i: {0: 1}} for i in range(np_)], N[:np_], height_bound)
@@ -338,7 +339,7 @@ def realization_polynomials(rs: RootSystem, tab: StructureTable) -> RealizationP
         V_minus=family(V_minus, pos, l_lower * l_bneg),
         P=family(lower, cartan, l_lower),
         Q=family(lower, neg, l_lower),
-        S=family(Bneg, pos, -l_bneg),
+        S=[[-p for p in row] for row in family(Bneg, pos, l_bneg)],
         V_plus_inv=family(Binv, pos, l_binv),
     )
 
@@ -353,7 +354,7 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
     """
     np_ = rs.n_pos
     fams = (polys.V_plus, polys.V_minus, polys.V_plus_inv)
-    pk = Packing.fit(np_, (p for fam in fams for row in fam for p in row), factors=3)
+    pk = Packing.fit(np_, [p for fam in fams for row in fam for p in row], factors=3)
     V_plus, V_minus, V_plus_inv = ([[pk.pack(p) for p in row] for row in fam] for fam in fams)
     # d_s V_+[mu][g] as [(g, poly)] per (mu, s); d_g V_-[a][s] as {g: poly} per (a, s)
     dV_plus = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .coeffs import Exp, Pol, RatFunc, _lean
+from .coeffs import Exp, Pol, RatFunc
 from .diffop import DiffOp
 from .fields import (
     PHI,
@@ -173,10 +173,10 @@ def ratfunc_to_json(c):
 
 
 def _pol_from_json(data) -> Pol:
-    terms = {(ek, en): c for ek, en, v in data if (c := _lean(Fraction(v)))}
+    p = Pol({(ek, en): Fraction(v) for ek, en, v in data})
     if len({(ek, en) for ek, en, _ in data}) < len(data):
         raise ValueError("a monomial is repeated")
-    return Pol(terms)
+    return p
 
 
 def ratfunc_from_json(data) -> RatFunc:

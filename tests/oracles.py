@@ -726,6 +726,60 @@ def ratfuncs_equal_by_evaluation(x: RatFunc, y: RatFunc) -> bool:
     return all(a == b for a, b in pairs)
 
 
+class FracPol:
+    """A polynomial in k and n as a dict of nonzero Fractions: the reference for
+    ``Pol``'s integer numerators over one content denominator."""
+
+    def __init__(self, terms: dict):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    @staticmethod
+    def of(p: Pol) -> "FracPol":
+        """p read from its stored integer form, not from its ``terms`` view."""
+        return FracPol({m: Fraction(c, p.den) for m, c in p.num.items()})
+
+    def matches(self, p: Pol) -> bool:
+        return FracPol.of(p).terms == self.terms
+
+    def __add__(self, other: "FracPol") -> "FracPol":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return FracPol(out)
+
+    def __mul__(self, other: "FracPol") -> "FracPol":
+        out: dict = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                m = (a1 + a2, b1 + b2)
+                out[m] = out.get(m, 0) + c1 * c2
+        return FracPol(out)
+
+    def scale(self, c) -> "FracPol":
+        return FracPol({m: v * c for m, v in self.terms.items()})
+
+    def subs(self, k=None, n=None) -> "FracPol":
+        """k or n (or both) replaced by a number, term by term."""
+        out: dict = {}
+        for (a, b), c in self.terms.items():
+            if k is not None:
+                c, a = c * Fraction(k) ** a, 0
+            if n is not None:
+                c, b = c * Fraction(n) ** b, 0
+            out[(a, b)] = out.get((a, b), 0) + c
+        return FracPol(out)
+
+    def shift_n(self, delta: int) -> "FracPol":
+        """n -> n + delta, as the product of (n + delta) taken b times per term."""
+        out = FracPol({})
+        for (a, b), c in self.terms.items():
+            term = FracPol({(a, 0): c})
+            for _ in range(b):
+                term = term * FracPol({(0, 1): 1, (0, 0): delta})
+            out = out + term
+        return out
+
+
 def divide_exact(num: Pol, divisor: Pol) -> Optional[Pol]:
     """num / divisor when it divides exactly, else None.
 
@@ -768,7 +822,7 @@ def make_reference(num: Pol, den) -> RatFunc:
         if p.is_const:
             scale *= p.const_value() ** e
             continue
-        lc = p.leading_coeff()
+        lc = p.terms[max(p.terms)]
         if lc != 1:
             scale *= lc**e
             p = p.scale(Fraction(1, lc))

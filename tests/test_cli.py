@@ -245,7 +245,7 @@ def test_verify_exit_code_on_math_failure(capsys, monkeypatch):
     import wakimoto.cli as cli
     from wakimoto.currents import SweepViolation
 
-    def broken(cs, pairs=None):
+    def broken(cs):
         return [SweepViolation((("e", (1,)), ("f", (1,))), 2, "injected")]
 
     monkeypatch.setattr(cli, "verify_current_algebra", broken)

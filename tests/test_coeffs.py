@@ -1,19 +1,22 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FracPol,
     add_reference,
     assert_canonical_coefficients,
     divide_exact,
     make_reference,
     mul_reference,
+    ratfunc_value,
     ratfunc_values,
     ratfuncs_equal_by_evaluation,
 )
-from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel, canonical
+from wakimoto.coeffs import Exp, Pol, RatFunc, _cancel, _divide_linear, canonical
 from wakimoto.fields import BETA, GAMMA, FieldContext, FieldExpr, base_key_of
 from wakimoto.liealg import build_root_system
 from wakimoto.polymat import Poly
@@ -43,6 +46,20 @@ def test_pol_exact_division():
 def test_pol_shift_n_roundtrip():
     p = Pol.k() * Pol.n() ** 3 + Pol.n() + Pol.const(7)
     assert p.shift_n(2).shift_n(-2) == p
+
+
+def test_pol_negative_power_raises():
+    """A negative power is not a polynomial: refused, not silently 1."""
+    assert Pol.k() ** 0 == Pol.const(1) and Pol.k() ** 3 == Pol.k(3)
+    with pytest.raises(ValueError, match="negative"):
+        Pol.k() ** -1
+
+
+def test_pol_non_int_power_raises():
+    with pytest.raises(TypeError, match="not an int"):
+        Pol.k() ** Fraction(2)
+    with pytest.raises(TypeError, match="not an int"):
+        Pol.n() ** 2.0
 
 
 def test_ratfunc_reduction_and_equality():
@@ -153,7 +170,7 @@ def _assert_canonical(x):
     keys = [p.frozen() for p, _ in x.den]
     assert keys == sorted(set(keys))
     for p, e in x.den:
-        assert e > 0 and p.leading_coeff() == 1
+        assert e > 0 and p.terms[max(p.terms)] == 1
         assert not p.is_const and all(a + b <= 1 for a, b in p.terms)
         assert divide_exact(x.num, p) is None
 
@@ -320,3 +337,78 @@ def test_products_and_sums_match_the_cancel_route(a, b, c):
         for g, u, v in zip(ratfunc_values(got), ratfunc_values(a), ratfunc_values(b)):
             if None not in (g, u, v):
                 assert g == op(u, v)
+
+
+# -- the integer form: numerators over one content denominator ----------------
+
+
+def _assert_integer_form(p):
+    """num holds nonzero ints, and den >= 1 shares no factor with all of them."""
+    assert all(type(c) is int and c for c in p.num.values()), p.num
+    assert type(p.den) is int and p.den >= 1 and gcd(p.den, *p.num.values()) == 1, (p.num, p.den)
+
+
+def _pol_routes(terms, s, lin):
+    """The polynomial with coefficients ``terms``, reached by four routes."""
+    parts = Pol.const(s)
+    for m, c in terms.items():
+        parts = parts + Pol({m: c})
+    return [
+        Pol(terms),
+        Pol({m: c * s for m, c in terms.items()}).scale(Fraction(1) / s),
+        parts - Pol.const(s),
+        _divide_linear(Pol(terms) * lin, lin),
+    ]
+
+
+def _ratfunc_routes(terms, den, s, lin):
+    """The RatFunc Pol(terms) / den, reached by four routes."""
+    x = RatFunc._make(Pol(terms), den)
+    parts = RatFunc.of(s)
+    for m, c in terms.items():
+        parts = parts + RatFunc._make(Pol({m: c}), den)
+    lin = RatFunc.of(lin)
+    return [x, RatFunc._make(Pol(terms).scale(s), den) * (Fraction(1) / s), parts - s, x * lin / lin]
+
+
+_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _small, max_size=4)
+_nonzero = _small.filter(bool)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_terms, _terms, _nonzero, _monic_linear, st.lists(st.tuples(_factors, st.integers(1, 2)), max_size=2),
+       st.integers(-3, 3), _small)
+def test_integer_form_is_one_form_whatever_the_route(a, b, s, lin, den, delta, v):
+    """Routes to one value give one stored form, with equal hash, key and
+    text; every result keeps int numerators over a reduced denominator, and
+    agrees with the Fraction-dict reference."""
+    for routes in (_pol_routes(a, s, lin), _ratfunc_routes(a, den, s, lin)):
+        first = routes[0]
+        for r in routes:
+            pols = [r] if isinstance(r, Pol) else [r.num, *(p for p, _ in r.den)]
+            for p in pols:
+                _assert_integer_form(p)
+            assert r == first and hash(r) == hash(first) and r.text() == first.text()
+            assert (r.frozen() == first.frozen()) if isinstance(r, Pol) else (r.key() == first.key())
+    pa, pb, ra, rb = Pol(a), Pol(b), FracPol(a), FracPol(b)
+    assert ra.matches(pa) and FracPol(pa.terms).matches(pa)
+    for got, want in ((pa + pb, ra + rb), (pa - pb, ra + rb.scale(-1)), (pa * pb, ra * rb),
+                      (pa.scale(s), ra.scale(s)), (pa.scale(v), ra.scale(v)),
+                      (pa.shift_n(delta), ra.shift_n(delta)),
+                      (pa.subs_k(v), ra.subs(k=v)), (pa.subs_n(s), ra.subs(n=s))):
+        _assert_integer_form(got)
+        assert want.matches(got), (got, want.terms)
+    x, y = RatFunc._make(pa, den), RatFunc._make(pb, den)
+    for got in (x + y, x * y, x * s, x.shift_n(delta)):
+        for p in [got.num, *(p for p, _ in got.den)]:
+            _assert_integer_form(p)
+    xs, ys = ratfunc_values(x), ratfunc_values(y)
+    for got, want in ((x + y, [None if None in (u, w) else u + w for u, w in zip(xs, ys)]),
+                      (x * s, [None if u is None else u * s for u in xs])):
+        assert all(g == w for g, w in zip(ratfunc_values(got), want) if None not in (g, w))
+    # no factor drawn for den vanishes identically at k = 7/3 or at n = -5/2
+    k0, n0 = Fraction(7, 3), Fraction(-5, 2)
+    for got, want in ((x.shift_n(delta), ratfunc_value(x, k0, n0 + delta)),
+                      (x.subs_k(k0), ratfunc_value(x, k0, n0)), (x.subs_n(n0), ratfunc_value(x, k0, n0))):
+        value = ratfunc_value(got, k0, n0)
+        assert value == want or None in (value, want)
