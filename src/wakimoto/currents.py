@@ -26,11 +26,12 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 from .coeffs import RatFunc, canonical
-from .diffop import DiffOp, _bracket_slot, build_differential_realization
+from .diffop import DiffOp, build_differential_realization
 from .fields import GAMMA, PHI, FieldContext, FieldExpr, Prim
 from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
 from .ope import contract, regularized_product
-from .polymat import Packed, Packing, Poly, RealizationPolys, anomalous_term, mul_into, realization_polynomials
+from .polymat import (Packed, Packing, Poly, RealizationPolys, add_into, anomalous_term, bracket_into,
+                      mul_into, realization_polynomials)
 
 
 class CurrentSet:
@@ -125,23 +126,24 @@ def free_field_image(
     """sum_i weights[i] coeffs[i](gamma) slots[i], canonicalized once.
 
     x^alpha -> gamma^alpha (c^alpha on odd roots); a slot is a product of
-    primitives, () for none; the weights default to 1.
+    primitives, () for none; the weights default to 1.  The integer numerators
+    are taken over the LCM L of the denominators, and the sum divided by L once.
     """
+    L = math.lcm(*(p.den for p in coeffs))
     raw = []
     for p, slot, w in zip(coeffs, slots, repeat(1) if weights is None else weights):
-        for expo, c in p.terms.items():
+        f = L // p.den
+        for expo, c in p.num.items():
             gammas = tuple(
                 (ctx.gamma_kind(pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
             )
-            raw.append((c * w, gammas + slot, (), None))
-    return FieldExpr._from_raw(raw)
+            raw.append((c * f * w, gammas + slot, (), None))
+    return FieldExpr._from_raw(raw, L)
 
 
-def build_wakimoto(
-    rs: RootSystem, tab: StructureTable, polys: Optional[RealizationPolys] = None
-) -> CurrentSet:
-    """``CurrentSet(rs, tab)`` with every stage built now, from ``polys`` if given."""
-    return CurrentSet(rs, tab, polys=polys).built()
+def build_wakimoto(rs: RootSystem, tab: StructureTable) -> CurrentSet:
+    """``CurrentSet(rs, tab)`` with every stage built now."""
+    return CurrentSet(rs, tab).built()
 
 
 @dataclass
@@ -225,7 +227,7 @@ class PackedCurrents:
     * pole 2 = sum_b (P_{beta_b} Q_{dgamma_b} + P_{dgamma_b} Q_{beta_b})
       + t sum_ij G_ij P_{dphi_i} Q_{dphi_j} - sum_bc d_c P_{beta_b} d_b Q_{beta_c};
     * pole 1 in slot Y = sum_b P_{beta_b} d_b Q_Y - sum_c d_c P_Y Q_{beta_c}
-      (``diffop._bracket_slot``), plus, in slot d gamma_d, the pole-2
+      (``polymat.bracket_into``), plus, in slot d gamma_d, the pole-2
       integrand with d_d applied to its z-side factor (the Taylor step).
 
     A w-side operand B V_mu with a rational momentum mu (a first-kind
@@ -332,12 +334,10 @@ class PackedCurrents:
         return [self.pk.pack(Poly(np_ + 1, comp)) for comp in comps]
 
     def _operand(self, co: list[Packed]) -> "_Current":
-        """What a w-side operand's poles read of it: co, jac and jd."""
-        np_ = self.ctx.n_pos
+        """What a w-side operand's poles read of it: co and jac."""
         cur = _Current()
         cur.co = co
-        cur.jac = [self.pk.partials(p, np_) for p in co]
-        cur.jd = [dict(row) for row in cur.jac[:np_]]
+        cur.jac = [self.pk.partials(p, self.ctx.n_pos) for p in co]
         return cur
 
     def _current(self, cur: "_Current", G: list[list[int]]) -> "_Current":
@@ -349,14 +349,14 @@ class PackedCurrents:
             acc: Packed = {}
             for i in range(r):
                 if G[i][j]:
-                    mul_into(acc, co[np_ + i], {0: 1}, G[i][j])
+                    add_into(acc, co[np_ + i], G[i][j])
             phi.append(mul_into({}, acc, self.t))
         zside = [{m: g * c for m, c in p.items()} for p in co[np_ + r:]] + phi
         zside += [{m: g * c for m, c in p.items()} for p in co[:np_]]
         cur.zside = [(y, p) for y, p in enumerate(zside) if any(p.values())]
         cur.taylor = {}
         for y, p in cur.zside:
-            for d, q in pk.partials(p, np_):
+            for d, q in pk.partials(p, np_).items():
                 cur.taylor.setdefault(np_ + r + d, []).append((y, q))
         cur.hess = {}
         return cur
@@ -366,8 +366,8 @@ class PackedCurrents:
         out = A.hess.get((s, c))
         if out is None:
             np_, r = self.ctx.n_pos, self.ctx.rank
-            p = A.jd[s].get(c)
-            out = A.hess[s, c] = [(np_ + r + d, q) for d, q in self.pk.partials(p, np_)] if p else []
+            p = A.jac[s].get(c)
+            out = A.hess[s, c] = [(np_ + r + d, q) for d, q in self.pk.partials(p, np_).items()] if p else []
         return out
 
     def refuted_orders(self, a: Label, b: Label) -> list[int]:
@@ -408,15 +408,15 @@ class PackedCurrents:
             for j in range(r):
                 dR[np_ + j] = {mono: c * D * g * tnu[j] for mono, c in R[0].items()}
             R = {mono: c * D * g * m for mono, c in R[0].items()}
-            for d, q in pk.partials(R, np_):
+            for d, q in pk.partials(R, np_).items():
                 dR[np_ + r + d] = q
             M: Packed = {}
             for i in range(r):
                 if mus[i]:
-                    mul_into(M, A.co[np_ + i], {0: 1}, mus[i])
+                    add_into(M, A.co[np_ + i], mus[i])
             dM, ddM = pk.partials(M, np_), {}
-            for c, q in dM:
-                for d, q2 in pk.partials(q, np_):
+            for c, q in dM.items():
+                for d, q2 in pk.partials(q, np_).items():
                     ddM.setdefault(np_ + r + d, []).append((c, q2))
             out[lab] = self._refuted(A, B, R, [(dR, 1)], (m, M, dM, ddM))
         return out
@@ -427,12 +427,12 @@ class PackedCurrents:
 
         Each pole is formed as e D^2 times its value, e = g m: ``want2`` is
         pole 2 on that scale, and pole 1 in slot Y is sum_{(co, v) in rhs} v
-        co[Y].  ``vertex`` is given when B carries V_mu: (m, M, [(c, d_c M)],
+        co[Y].  ``vertex`` is given when B carries V_mu: (m, M, {c: d_c M},
         {slot of d gamma_d: [(c, d_d d_c M)]}) with M = e sum_i mu_i
         P_{dphi_i}; pole 1 in the dphi slots is then taken times t.  Without
         it m = 1."""
         np_, r = self.ctx.n_pos, self.ctx.rank
-        m, M, dM, ddM = vertex or (1, {}, (), {})
+        m, M, dM, ddM = vertex or (1, {}, {}, {})
         e = self.g * m
         tslots = range(np_, np_ + r) if vertex else ()
         bad = []
@@ -440,26 +440,22 @@ class PackedCurrents:
         for y, p in A.zside:
             mul_into(acc, p, B.co[y], m)
         for s in range(np_):
-            for c, p in A.jac[s]:
-                if q := B.jd[c].get(s):
+            for c, p in A.jac[s].items():
+                if q := B.jac[c].get(s):
                     mul_into(acc, p, q, -e)
-        for c, p in dM:
+        for c, p in dM.items():
             mul_into(acc, p, B.co[c], -1)
-        for mono, c in want2.items():
-            acc[mono] = acc.get(mono, 0) - c
-        if any(acc.values()):
+        if any(add_into(acc, want2, -1).values()):
             bad.append(2)
         # the Taylor step of the double contraction, slot by slot
         ddp: dict[int, list] = {}
-        for c, row in enumerate(B.jd):
-            for s, q in row.items():
+        for c in range(np_):
+            for s, q in B.jac[c].items():
                 for y, p in self._hessian(A, s, c):
                     ddp.setdefault(y, []).append((p, q))
         pa, pb = (A.co, A.jac), (B.co, B.jac)
         for y in range(len(A.co)):
-            acc = _bracket_slot(pa, pb, y, {})
-            if e != 1:
-                acc = {mono: e * c for mono, c in acc.items()}
+            acc = bracket_into({}, pa, pb, y, e)
             for y2, p in A.taylor.get(y, ()):
                 mul_into(acc, p, B.co[y2], m)
             for p, q in ddp.get(y, ()):
@@ -471,7 +467,7 @@ class PackedCurrents:
             if y in tslots:
                 acc = mul_into({}, acc, self.t)
             for co, v in rhs:
-                mul_into(acc, co[y], {0: 1}, -v)
+                add_into(acc, co[y], -v)
             if any(acc.values()):
                 bad.append(1)
                 break
@@ -481,17 +477,17 @@ class PackedCurrents:
 class _Current:
     """One current over a ``PackedCurrents`` packing, with what its poles read.
 
-    co[Y] is the D-scaled P_Y; jac[Y] lists (s, d_s P_Y) over the beta slots
-    s (the shape of ``diffop._bracket_slot``), and jd[c] maps s to
-    d_s P_{beta_c}.  zside lists (Y, R_Y), the g D-scaled z-side factor that
-    meets w-side slot Y at pole 2: P_{dgamma_b} at beta_b, t G_ij P_{dphi_i}
-    at dphi_j, P_{beta_b} at d gamma_b.  taylor maps the slot of d gamma_d
-    to d_d of those factors, (Y, d_d R_Y), and hess[s, c] holds the second
-    derivatives d_d d_c P_{beta_s} that a w-side operand has asked for.  A
-    w-side operand that is not a current has co, jac and jd only.
+    co[Y] is the D-scaled P_Y, and jac[Y], its ``Packing.partials``, maps
+    each beta slot s to d_s P_Y: (co, jac) is the pair
+    ``polymat.bracket_into`` reads.  zside lists (Y, R_Y), the g D-scaled
+    z-side factor that meets w-side slot Y at pole 2: P_{dgamma_b} at beta_b,
+    t G_ij P_{dphi_i} at dphi_j, P_{beta_b} at d gamma_b.  taylor maps the
+    slot of d gamma_d to d_d of those factors, (Y, d_d R_Y), and hess[s, c]
+    holds the second derivatives d_d d_c P_{beta_s} that a w-side operand has
+    asked for.  A w-side operand that is not a current has co and jac only.
     """
 
-    __slots__ = ("co", "jac", "jd", "zside", "taylor", "hess")
+    __slots__ = ("co", "jac", "zside", "taylor", "hess")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ operators involved: coefficients and structure constants are scaled by their
 common denominator D, and an exponent tuple e is packed into one int with
 base B = 2 emax + 1 (emax the largest single exponent), so a product of two
 coefficients never carries.  Each operator's partial derivatives
-d_sig(coeff_i) are tabulated once; one slot kernel serves ``commutator`` and
-``verify_realization``.  Its a^sig d_sig b_i - b^sig d_sig a_i is antisymmetric
-term by term, so the bracket of (b, a) is exactly minus that of (a, b), and
-``verify_realization`` forms one per unordered pair for both ordered checks.
+d_sig(coeff_i) are tabulated once; ``polymat.bracket_into`` forms slot i of
+the bracket for ``commutator`` and ``verify_realization``.  Its
+a^sig d_sig b_i - b^sig d_sig a_i is antisymmetric term by term, so the
+bracket of (b, a) is exactly minus that of (a, b), and ``verify_realization``
+forms one per unordered pair for both ordered checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .liealg import Label, RootSystem, StructureTable
-from .polymat import Packing, Poly, RealizationPolys
+from .polymat import Packing, Poly, RealizationPolys, add_into, bracket_into
 
 
 @dataclass
@@ -58,8 +59,8 @@ def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
     """Pack ``ops`` over the integers: (packing, [(coeffs, jac) per operator]).
 
     The packing's denominator D is common to every coefficient and constant,
-    the coefficients are D-scaled, and jac[i] lists (sig, d_sig coeffs[i]) for
-    each nonzero one."""
+    the coefficients are D-scaled, and jac[i] maps sig to each nonzero
+    d_sig coeffs[i]."""
     pk = Packing.fit(ops[0].rs.n_pos if ops else 0, [p for op in ops for p in op.coeffs], consts)
     out = []
     for op in ops:
@@ -68,22 +69,10 @@ def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
     return pk, out
 
 
-def _bracket_slot(a: tuple, b: tuple, i: int, acc: dict[int, int]) -> dict[int, int]:
-    """Add D^2 (a^sig d_sig b_i - b^sig d_sig a_i) to acc and return it."""
-    for (coeffs, _), (_, jac), sign in ((a, b, 1), (b, a, -1)):
-        for s, dy in jac[i]:
-            for m1, c1 in coeffs[s].items():
-                c1 *= sign
-                for m2, c2 in dy.items():
-                    m = m1 + m2
-                    acc[m] = acc.get(m, 0) + c1 * c2
-    return acc
-
-
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b]: out_i = a^sig d_sig b_i - b^sig d_sig a_i on every slot i (the L_j are central)."""
     pk, (pa, pb) = _packed([a, b])
-    return DiffOp(a.rs, [pk.unpack(_bracket_slot(pa, pb, i, {}), pk.denom**2) for i in range(len(a.coeffs))])
+    return DiffOp(a.rs, [pk.unpack(bracket_into({}, pa, pb, i), pk.denom**2) for i in range(len(a.coeffs))])
 
 
 def build_differential_realization(
@@ -106,7 +95,7 @@ def build_differential_realization(
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
     """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures.
 
-    The slot kernel is antisymmetric term by term, so each unordered pair's
+    ``bracket_into`` is antisymmetric term by term, so each unordered pair's
     bracket L is formed once: (a, b) checks L - R_ab = 0 and (b, a) checks
     L + R_ba = 0, each R from its own table entry (the table's antisymmetry is
     under test); [J_a, J_a] = 0 leaves R_aa alone.  Failures are row-major."""
@@ -121,12 +110,11 @@ def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tu
                              for c, v in tab.bracket(labels[x], labels[y]).items()]
                     for x, y, s in ((j, k, -1), (k, j, 1))}
             for i in range(len(pa[0])):
-                L = _bracket_slot(pa, packed[k], i, {}) if k > j else {}
+                L = bracket_into({}, pa, packed[k], i) if k > j else {}
                 for pair, rhs in list(todo.items()):
                     acc = dict(L) if rhs else L
                     for coeffs, v in rhs:
-                        for m, c in coeffs[i].items():
-                            acc[m] = acc.get(m, 0) + v * c
+                        add_into(acc, coeffs[i], v)
                     if any(acc.values()):
                         bad.append(pair)
                         del todo[pair]

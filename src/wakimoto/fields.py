@@ -617,7 +617,7 @@ def _term_text(term: Term, coef: Scalar, ctx: Optional[FieldContext]) -> str:
                 comps.append(f"{cs}*phi{i + 1}")
         bits.append("V[" + " + ".join(comps) + "]")
     body = " ".join(bits) if bits else "1"
-    cs = RatFunc.of(coef).text()
+    cs = coef.text() if type(coef) is RatFunc else str(coef)
     if cs == "1":
         return body
     if cs == "-1":

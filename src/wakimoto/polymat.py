@@ -25,8 +25,8 @@ denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
 The families leave as ``Poly``, integer numerators over one denominator
 (the stored form of ``coeffs``); the level k enters only in
-``currents.CurrentSet.currents``.  ``diffop`` packs its operators with the
-same ``Packing``.
+``currents.CurrentSet.currents``.  ``diffop`` and ``currents`` share the
+``Packing`` and its kernel: ``mul_into``, ``add_into``, ``bracket_into``.
 """
 
 from __future__ import annotations
@@ -179,13 +179,8 @@ class Packing:
                 terms[e] = c
         return self._zero._like(terms, denom)
 
-    def deriv(self, p: Packed, s: int) -> Packed:
-        """d p / d x_s."""
-        w, B = self.weights[s], self.base
-        return {m - w: c * e for m, c in p.items() if (e := m // w % B)}
-
-    def partials(self, p: Packed, nvars: int) -> list[tuple[int, Packed]]:
-        """(s, d p / d x_s) for each s < nvars where p has x_s, in one pass over p."""
+    def partials(self, p: Packed, nvars: int) -> dict[int, Packed]:
+        """{s: d p / d x_s} for each s < nvars where p has x_s, in increasing s, in one pass over p."""
         B, w = self.base, self.weights
         top = w[nvars] if nvars < self.nvars else 0
         out: dict[int, Packed] = {}
@@ -196,7 +191,7 @@ class Packing:
                 if e:
                     out.setdefault(s, {})[m - w[s]] = c * e
                 s += 1
-        return sorted(out.items())
+        return dict(sorted(out.items()))
 
 
 def mul_into(acc: Packed, p: Packed, q: Packed, c: int = 1) -> Packed:
@@ -206,6 +201,23 @@ def mul_into(acc: Packed, p: Packed, q: Packed, c: int = 1) -> Packed:
         for m2, c2 in q.items():
             m = m1 + m2
             acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
+def add_into(acc: Packed, p: Packed, c: int = 1) -> Packed:
+    """Add c p to acc and return it; a cancelled coefficient stays as a 0."""
+    for m, v in p.items():
+        acc[m] = acc.get(m, 0) + c * v
+    return acc
+
+
+def bracket_into(acc: Packed, a: tuple, b: tuple, slot: int, c: int = 1) -> Packed:
+    """Add c (a^s d_s b_slot - b^s d_s a_slot) to acc and return it, for
+    (coefficients, their ``Packing.partials``) pairs a and b; the sum is
+    antisymmetric term by term, so swapping a and b negates it exactly."""
+    for (co, _), (_, jac), sign in ((a, b, c), (b, a, -c)):
+        for s, dy in jac[slot].items():
+            mul_into(acc, co[s], dy, sign)
     return acc
 
 
@@ -259,7 +271,7 @@ def matrix_series(series: Sequence[Fraction], powers: list[Mat], denom: int) -> 
         w = w.numerator * (L // w.denominator)
         for acc, row in zip(out, power):
             for j, p in row.items():
-                mul_into(acc.setdefault(j, {}), p, {0: 1}, w)
+                add_into(acc.setdefault(j, {}), p, w)
     return [{j: t for j, s in row.items() if (t := _nonzero(s))} for row in out], L
 
 
@@ -356,21 +368,16 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
     fams = (polys.V_plus, polys.V_minus, polys.V_plus_inv)
     pk = Packing.fit(np_, [p for fam in fams for row in fam for p in row], factors=3)
     V_plus, V_minus, V_plus_inv = ([[pk.pack(p) for p in row] for row in fam] for fam in fams)
-    # d_s V_+[mu][g] as [(g, poly)] per (mu, s); d_g V_-[a][s] as {g: poly} per (a, s)
-    dV_plus = [
-        [[(g, t) for g, p in enumerate(row) if (t := pk.deriv(p, s))] for s in range(np_)]
-        for row in V_plus
-    ]
-    dV_minus = [[{g: t for g in range(np_) if (t := pk.deriv(p, g))} for p in row] for row in V_minus]
+    # {s: d_s V_+[mu][g]} per (mu, g) and {g: d_g V_-[a][s]} per (a, s)
+    dV_plus, dV_minus = ([[pk.partials(p, np_) for p in row] for row in fam] for fam in (V_plus, V_minus))
     out: list[list[Poly]] = []
     for dm in dV_minus:
         inner: dict[int, Packed] = {}
         for mu, dp in enumerate(dV_plus):
             acc: Packed = {}
-            for s, terms in enumerate(dp):
-                for g, p1 in terms:
-                    p2 = dm[s].get(g)
-                    if p2:
+            for g, row in enumerate(dp):
+                for s, p1 in row.items():
+                    if p2 := dm[s].get(g):
                         mul_into(acc, p1, p2)
             if acc := _nonzero(acc):
                 inner[mu] = acc

@@ -70,7 +70,8 @@ def latex_pol(p: Pol) -> str:
 
 
 def latex_ratfunc(c) -> str:
-    c = RatFunc.of(c)  # a coefficient in any of its forms
+    if type(c) is not RatFunc:  # a rational coefficient
+        return _frac(c)
     num = latex_pol(c.num)
     if not c.den:
         return num
@@ -162,7 +163,8 @@ def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
 # ---------------------------------------------------------------------------
 
 def ratfunc_to_json(c):
-    c = RatFunc.of(c)  # a coefficient in any of its forms
+    if type(c) is not RatFunc:  # a rational coefficient
+        return {"num": [[0, 0, str(c)]] if c else [], "den": []}
     return {
         "num": [[ek, en, str(v)] for (ek, en), v in sorted(c.num.terms.items())],
         "den": [

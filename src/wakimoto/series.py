@@ -30,6 +30,7 @@ from .fields import (
     FieldContext,
     FieldExpr,
     Term,
+    UnsupportedContraction,
     _base_sort_key,
     expand_power_levels,
     lower_to_floors,
@@ -77,10 +78,6 @@ class SeriesExpr:
     """Implicit sum over n of C_n times each term of ``body``."""
 
     body: FieldExpr
-
-    @staticmethod
-    def zero() -> "SeriesExpr":
-        return SeriesExpr(FieldExpr.zero())
 
     def __add__(self, other: "SeriesExpr") -> "SeriesExpr":
         return SeriesExpr(self.body + other.body)
@@ -142,19 +139,15 @@ def _multiset_minus(prims: tuple, tau: tuple) -> Optional[tuple]:
 
 
 def _pivot_monomial(key: BaseKey) -> tuple:
-    """The base monomial used to orient the copy-elimination rewrite.
-
-    Choosing the monomial whose greatest primitive is largest means the
-    spread copies produced by the promotion (which carry no such primitive)
-    can never recreate a pivot pattern, so the rewrite terminates; and since
-    every relation instance touches exactly one pivot key, eliminating all
-    pivot keys decides membership in the relation span.
-    """
+    """The base monomial whose greatest primitive is largest, which orients the
+    copy-elimination rewrite: every relation instance touches one pivot key."""
     return max(key, key=lambda it: (max(it[0]), it[0]))[0]
 
 
 def _rewritable(term: Term) -> Optional[tuple]:
-    """(order key, anchor base, pivot, remaining prims) when the copy rewrite applies."""
+    """(order key, anchor base, pivot, remaining prims) when the copy rewrite applies;
+    ``UnsupportedContraction`` when the pivot's greatest primitive occurs in
+    another monomial of the anchor base or another power base of the term."""
     anchor = _anchor_of(term)
     if anchor is None:
         return None
@@ -165,6 +158,9 @@ def _rewritable(term: Term) -> Optional[tuple]:
     rest = _multiset_minus(term[0], pivot)
     if rest is None:
         return None
+    top, bases = max(pivot), [k for k, _ in term[1] if k is not key]
+    if any(top in prims for prims, _ in key if prims != pivot) or any(top in m for k in bases for m, _ in k):
+        raise UnsupportedContraction("the series anchor base shares its pivot's greatest primitive")
     return _absorb_order(term), key, pivot, rest
 
 
@@ -210,12 +206,19 @@ def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
     took the last term off a class floor, or when the promoted term leaves
     the known classes or falls below a floor.  What survives is the canonical
     residual; it is empty exactly when the series vanishes.
+
+    It terminates.  Measure a term by the copies among its bare factors of
+    g, the pivot's greatest primitive, which ``_rewritable`` finds in no
+    other monomial of the anchor base and no other power base.  A rewrite
+    replaces a term by terms with fewer copies (the removal terms trade the
+    pivot for a monomial without g; re-anchoring and level expansion add
+    only copies of the other bases), so the multiset of measures falls in
+    the well-founded ordering of Dershowitz and Manna (1979).  A full
+    re-expansion, taken when a class floor moves, keeps every count.
     """
     floors = power_floors(body)
     pending = _rewritable_terms(body.terms)
-    for _ in range(500):
-        if not pending:
-            return body
+    while pending:
         term = min(pending, key=lambda t: pending[t][0])
         _, key, pivot, rest = pending[term]
         lam = RatFunc.of(body.terms[term]) / dict(key)[pivot]
@@ -239,5 +242,5 @@ def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
             body = expand_power_levels(body + promoted)
             floors = power_floors(body)
             pending = _rewritable_terms(body.terms)
-    raise RuntimeError("series copy-elimination did not terminate")
+    return body
 

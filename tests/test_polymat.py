@@ -15,7 +15,7 @@ from oracles import (
     realization_polynomials_fraction,
 )
 from wakimoto.coeffs import RatFunc
-from wakimoto.currents import build_wakimoto
+from wakimoto.currents import CurrentSet
 from wakimoto.fields import GAMMA
 from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.polymat import (
@@ -196,7 +196,7 @@ def test_packing_does_not_carry_at_the_base_boundary():
     assert (pk.base, pk.denom) == (11, 6)
     prod = mul_into({}, pk.pack(p), pk.pack(q))
     assert pk.unpack(prod, pk.denom**2) == p * q
-    assert pk.unpack(pk.deriv(prod, 0), pk.denom**2) == (p * q).deriv(0)
+    assert pk.unpack(pk.partials(prod, 2)[0], pk.denom**2) == (p * q).deriv(0)
     tight = Packing(2, 10, 6)
     assert tight.unpack(mul_into({}, tight.pack(p), tight.pack(q)), 36) != p * q
     # three factors, as in anomalous_term: base 3 emax + 1 = 16 reaches x1^15
@@ -307,7 +307,7 @@ def test_anomalous_term_values():
     assert F[ith][ith].is_zero
     # with the level part, the d gamma^1 coefficient of F_{alpha1} starts with
     # k + 1/2 and the d gamma^theta coefficient of F_theta is exactly k
-    cs = build_wakimoto(rs, tab, polys)
+    cs = CurrentSet(rs, tab, polys=polys).built()
     assert cs[("f", (1, 0))].terms[(((GAMMA, i1, 1),), (), None)] == k + Fraction(1, 2)
     assert _dgamma_terms(cs[("f", (1, 2))], ith) == {(((GAMMA, ith, 1),), (), None): k}
     # rank 1: single ghost pair, F = 0 and the d gamma coefficient is k
@@ -315,7 +315,7 @@ def test_anomalous_term_values():
     tab1 = build_structure_table(rs1)
     polys1 = realization_polynomials(rs1, tab1)
     assert anomalous_term(rs1, polys1)[0][0].is_zero
-    cs1 = build_wakimoto(rs1, tab1, polys1)
+    cs1 = CurrentSet(rs1, tab1, polys=polys1).built()
     assert _dgamma_terms(cs1[("f", (1,))], 0) == {(((GAMMA, 0, 1),), (), None): k}
 
 
@@ -405,3 +405,28 @@ def test_poly_arithmetic_matches_evaluation(p, q, r, pt, idx):
         if same:
             assert hash(a) == hash(b)
         assert all(a.terms.values())  # no zero coefficient is stored
+
+
+@settings(deadline=None, max_examples=100)
+@given(_poly, _poly, st.integers(0, _NV))
+def test_partials_are_the_nonzero_derivatives(p, q, nvars):
+    """``Packing.partials(f, nvars)`` holds d_s f for exactly the s < nvars, in
+    increasing order, where that derivative is nonzero, also for a packed product."""
+    pk = Packing.fit(_NV, [p, q])
+    prod_ = mul_into({}, pk.pack(p), pk.pack(q))
+    for f, packed, denom in ((p, pk.pack(p), pk.denom), (q, pk.pack(q), pk.denom), (p * q, prod_, pk.denom**2)):
+        got = pk.partials(packed, nvars)
+        assert list(got) == [s for s in range(nvars) if f.deriv(s)]
+        assert all(pk.unpack(d, denom) == f.deriv(s) for s, d in got.items())
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_currents_read_the_integer_form_of_the_families(label):
+    """The currents and their packing read each family polynomial's num and den:
+    no family Poly with a denominator builds its ``terms`` view of Fractions."""
+    rs = build_root_system(label)
+    cs = CurrentSet(rs, build_structure_table(rs))
+    assert cs.currents and cs.packed is not None
+    fams = [p for name in _FAMILIES for row in getattr(cs.polys, name) for p in row]
+    assert any(p.den > 1 for p in fams)
+    assert [p for p in fams if p.den > 1 and p._terms is not None] == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import assert_one_form_terms, expand_power_levels_termwise, series_residual_rescan
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.currents import build_wakimoto
-from wakimoto.fields import GAMMA, FieldExpr, expand_power_levels
+from wakimoto.fields import GAMMA, FieldExpr, UnsupportedContraction, expand_power_levels
 from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.screening import _b2_bases, second_kind_b2
 from wakimoto.series import SeriesExpr
@@ -175,3 +175,41 @@ def test_series_residual_matches_rescan_reference(case):
     assert got.terms == want.terms
     assert got.text(cs.ctx) == want.text(cs.ctx)
     assert_one_form_terms(got)
+
+
+def _found_sum(cs):
+    """C_n[(n+1) :A A: A^(n+1) B^(-2t-2n+1) + (n+2) A A^(n-1) B^(-2t-2n)
+    + (n+3) B A^(n+1) B^(-2t-2n-1)]: 603 rewrites, once past a cap of 500."""
+    A, B = _b2_bases(cs)
+    n = RatFunc.n()
+    return SeriesExpr(
+        (A * A).scale(n + 1) * FieldExpr.power(A, Exp(0, 1, 1)) * FieldExpr.power(B, Exp(-2, 1, -2))
+        + A.scale(n + 2) * FieldExpr.power(A, Exp(0, -1, 1)) * FieldExpr.power(B, Exp(-2, 0, -2))
+        + B.scale(n + 3) * FieldExpr.power(A, Exp(0, 1, 1)) * FieldExpr.power(B, Exp(-2, -1, -2))
+    )
+
+
+def test_long_copy_absorption_is_decided(setup):
+    cs = setup
+    s = _found_sum(cs)
+    res = s.residual(cs.ctx)
+    assert len(res.terms) == 265
+    assert_one_form_terms(res)
+    # the residual is linear: twice the sum leaves twice the residual, term for term
+    assert s.scale(2).residual(cs.ctx).terms == res.scale(2).terms
+
+
+def test_copy_absorption_refuses_a_base_sharing_the_pivot_primitive(setup):
+    """The rewrite terminates because the pivot's greatest primitive, d(beta[theta])
+    for A, lies in no other monomial of the anchor base and no other power base."""
+    cs = setup
+    ctx = cs.ctx
+    A, B = _b2_bases(cs)
+    ith = cs.rs.root_index(cs.rs.theta)
+    dbeta = FieldExpr.prim(ctx.beta_kind(ith), ith, 1)
+    base = (FieldExpr.prim(ctx.gamma_kind(0), 0) + FieldExpr.prim(ctx.gamma_kind(0), 0, 1)) * dbeta
+    shared = SeriesExpr(base * FieldExpr.power(base, Exp(0, 0, 1)) * FieldExpr.power(B, Exp(-2, 0, -2)))
+    beside = series_term(cs, RatFunc.one(), extra=A * FieldExpr.power(dbeta, Exp(-1, 0, 0)))
+    for s in (shared, beside):
+        with pytest.raises(UnsupportedContraction):
+            s.residual(ctx)
