@@ -227,8 +227,9 @@ class PackedCurrents:
     * pole 2 = sum_b (P_{beta_b} Q_{dgamma_b} + P_{dgamma_b} Q_{beta_b})
       + t sum_ij G_ij P_{dphi_i} Q_{dphi_j} - sum_bc d_c P_{beta_b} d_b Q_{beta_c};
     * pole 1 in slot Y = sum_b P_{beta_b} d_b Q_Y - sum_c d_c P_Y Q_{beta_c}
-      (``polymat.bracket_into``), plus, in slot d gamma_d, the pole-2
-      integrand with d_d applied to its z-side factor (the Taylor step).
+      (``polymat.bracket_into`` per slot: the first refuted slot ends the check),
+      plus, in slot d gamma_d, the pole-2 integrand with d_d applied to its
+      z-side factor (the Taylor step).
 
     A w-side operand B V_mu with a rational momentum mu (a first-kind
     screening current) adds the vertex channel dphi_i(z) V(w) ~ mu_i/(z-w).
@@ -351,8 +352,7 @@ class PackedCurrents:
                 if G[i][j]:
                     add_into(acc, co[np_ + i], G[i][j])
             phi.append(mul_into({}, acc, self.t))
-        zside = [{m: g * c for m, c in p.items()} for p in co[np_ + r:]] + phi
-        zside += [{m: g * c for m, c in p.items()} for p in co[:np_]]
+        zside = [add_into({}, p, g) for p in co[np_ + r:]] + phi + [add_into({}, p, g) for p in co[:np_]]
         cur.zside = [(y, p) for y, p in enumerate(zside) if any(p.values())]
         cur.taylor = {}
         for y, p in cur.zside:
@@ -453,9 +453,8 @@ class PackedCurrents:
             for s, q in B.jac[c].items():
                 for y, p in self._hessian(A, s, c):
                     ddp.setdefault(y, []).append((p, q))
-        pa, pb = (A.co, A.jac), (B.co, B.jac)
         for y in range(len(A.co)):
-            acc = bracket_into({}, pa, pb, y, e)
+            acc = bracket_into({}, (A.co, A.jac[y]), (B.co, B.jac[y]), e)
             for y2, p in A.taylor.get(y, ()):
                 mul_into(acc, p, B.co[y2], m)
             for p, q in ddp.get(y, ()):
@@ -478,8 +477,8 @@ class _Current:
     """One current over a ``PackedCurrents`` packing, with what its poles read.
 
     co[Y] is the D-scaled P_Y, and jac[Y], its ``Packing.partials``, maps
-    each beta slot s to d_s P_Y: (co, jac) is the pair
-    ``polymat.bracket_into`` reads.  zside lists (Y, R_Y), the g D-scaled
+    each beta slot s to d_s P_Y: (co, jac[Y]) is the pair
+    ``polymat.bracket_into`` reads in slot Y.  zside lists (Y, R_Y), the g D-scaled
     z-side factor that meets w-side slot Y at pole 2: P_{dgamma_b} at beta_b,
     t G_ij P_{dphi_i} at dphi_j, P_{beta_b} at d gamma_b.  taylor maps the
     slot of d gamma_d to d_d of those factors, (Y, d_d R_Y), and hess[s, c]

@@ -10,12 +10,12 @@ Brackets are taken over the integers in one ``polymat.Packing`` of all
 operators involved: coefficients and structure constants are scaled by their
 common denominator D, and an exponent tuple e is packed into one int with
 base B = 2 emax + 1 (emax the largest single exponent), so a product of two
-coefficients never carries.  Each operator's partial derivatives
-d_sig(coeff_i) are tabulated once; ``polymat.bracket_into`` forms slot i of
-the bracket for ``commutator`` and ``verify_realization``.  Its
-a^sig d_sig b_i - b^sig d_sig a_i is antisymmetric term by term, so the
-bracket of (b, a) is exactly minus that of (a, b), and ``verify_realization``
-forms one per unordered pair for both ordered checks.
+coefficients never carries.  An operator's slots are stacked in one dict,
+slot i at i B**n_pos, whose partials are tabulated once; one
+``polymat.bracket_into`` call forms every slot of a bracket.  Its
+a^sig d_sig b - b^sig d_sig a is antisymmetric term by term, so the bracket
+of (b, a) is exactly minus that of (a, b), and ``verify_realization`` forms
+one per unordered pair for both ordered checks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .liealg import Label, RootSystem, StructureTable
-from .polymat import Packing, Poly, RealizationPolys, add_into, bracket_into
+from .polymat import Packed, Packing, Poly, RealizationPolys, add_into, bracket_into
 
 
 @dataclass
@@ -41,11 +41,16 @@ class DiffOp:
     def lpart(self) -> list[Poly]:
         return self.coeffs[self.rs.n_pos:]
 
+    def _zip(self, other: "DiffOp") -> zip:
+        if other.rs != self.rs or len(other.coeffs) != len(self.coeffs):
+            raise ValueError("operators on different root systems or slot counts")
+        return zip(self.coeffs, other.coeffs)
+
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp(self.rs, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return DiffOp(self.rs, [a + b for a, b in self._zip(other)])
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp(self.rs, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return DiffOp(self.rs, [a - b for a, b in self._zip(other)])
 
     def scale(self, c) -> "DiffOp":
         return DiffOp(self.rs, [p.scale(c) for p in self.coeffs])
@@ -55,24 +60,27 @@ class DiffOp:
         return all(p.is_zero for p in self.coeffs)
 
 
-def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, list]:
-    """Pack ``ops`` over the integers: (packing, [(coeffs, jac) per operator]).
+def _packed(ops: list[DiffOp], consts=()) -> tuple[Packing, int, list]:
+    """Pack ``ops`` over the integers: (packing, T, [(stack, (co, dstack)) per operator]).
 
     The packing's denominator D is common to every coefficient and constant,
-    the coefficients are D-scaled, and jac[i] maps sig to each nonzero
-    d_sig coeffs[i]."""
-    pk = Packing.fit(ops[0].rs.n_pos if ops else 0, [p for op in ops for p in op.coeffs], consts)
-    out = []
-    for op in ops:
-        coeffs = [pk.pack(p) for p in op.coeffs]
-        out.append((coeffs, [pk.partials(p, pk.nvars) for p in coeffs]))
-    return pk, out
+    the coefficients are D-scaled, and stack holds slot i at i T, T = base**n_pos
+    (slots may outnumber the base: read them back with divmod); co[sig]
+    multiplies d_sig, and dstack maps sig to d_sig stack."""
+    np_ = ops[0].rs.n_pos if ops else 0
+    pk = Packing.fit(np_, [p for op in ops for _, p in ops[0]._zip(op)], consts)
+    T, cos = pk.base**np_, [[pk.pack(p) for p in op.coeffs] for op in ops]
+    stacks = [{m + i * T: c for i, p in enumerate(co) for m, c in p.items()} for co in cos]
+    return pk, T, [(st, (co[:np_], pk.partials(st, np_))) for co, st in zip(cos, stacks)]
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     """[a, b]: out_i = a^sig d_sig b_i - b^sig d_sig a_i on every slot i (the L_j are central)."""
-    pk, (pa, pb) = _packed([a, b])
-    return DiffOp(a.rs, [pk.unpack(bracket_into({}, pa, pb, i), pk.denom**2) for i in range(len(a.coeffs))])
+    pk, T, ((_, pa), (_, pb)) = _packed([a, b])
+    slots: list[Packed] = [{} for _ in a.coeffs]
+    for m, c in bracket_into({}, pa, pb).items():
+        slots[m // T][m % T] = c
+    return DiffOp(a.rs, [pk.unpack(p, pk.denom**2) for p in slots])
 
 
 def build_differential_realization(
@@ -93,31 +101,24 @@ def build_differential_realization(
 
 
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
-    """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) slot by slot on every ordered basis pair; return failures.
+    """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) on every ordered basis pair; return failures.
 
     ``bracket_into`` is antisymmetric term by term, so each unordered pair's
-    bracket L is formed once: (a, b) checks L - R_ab = 0 and (b, a) checks
-    L + R_ba = 0, each R from its own table entry (the table's antisymmetry is
-    under test); [J_a, J_a] = 0 leaves R_aa alone.  Failures are row-major."""
-    pk, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
-    D, labels = pk.denom, list(ops)
-    rows = {lab: coeffs for lab, (coeffs, _) in zip(labels, packed)}
-    bad = []
-    for j, pa in enumerate(packed):
+    bracket L is formed once, over all slots stacked, zeros dropped: (a, b) checks
+    L == R_ab and (b, a) checks L == -R_ba, each R from its own table entry (the
+    table's antisymmetry is under test); R_aa == {} on the diagonal.  Failures are row-major."""
+    pk, _, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
+    D, labels, stacks = pk.denom, list(ops), {lab: st for lab, (st, _) in zip(ops, packed)}
+
+    def rhs(x: int, y: int, s: int) -> Packed:
+        acc: Packed = {}
+        for c, v in tab.bracket(labels[x], labels[y]).items():
+            add_into(acc, stacks[c], s * D // v.denominator * v.numerator)
+        return {m: c for m, c in acc.items() if c}
+
+    bad = set()
+    for j, (_, pa) in enumerate(packed):
         for k in range(j, len(packed)):
-            # each ordered pair not yet refuted (one key on the diagonal) -> its signed right-hand side
-            todo = {(x, y): [(rows[c], s * D // v.denominator * v.numerator)
-                             for c, v in tab.bracket(labels[x], labels[y]).items()]
-                    for x, y, s in ((j, k, -1), (k, j, 1))}
-            for i in range(len(pa[0])):
-                L = bracket_into({}, pa, packed[k], i) if k > j else {}
-                for pair, rhs in list(todo.items()):
-                    acc = dict(L) if rhs else L
-                    for coeffs, v in rhs:
-                        add_into(acc, coeffs[i], v)
-                    if any(acc.values()):
-                        bad.append(pair)
-                        del todo[pair]
-                if not todo:
-                    break
+            L = {m: c for m, c in bracket_into({}, pa, packed[k][1]).items() if c} if k > j else {}
+            bad.update((x, y) for x, y, s in ((j, k, 1), (k, j, -1)) if L != rhs(x, y, s))
     return [(labels[j], labels[k]) for j, k in sorted(bad)]

@@ -25,8 +25,8 @@ denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
 The families leave as ``Poly``, integer numerators over one denominator
 (the stored form of ``coeffs``); the level k enters only in
-``currents.CurrentSet.currents``.  ``diffop`` and ``currents`` share the
-``Packing`` and its kernel: ``mul_into``, ``add_into``, ``bracket_into``.
+``currents.CurrentSet.currents``.  ``diffop`` and ``currents`` share the ``Packing``
+and its kernel: ``mul_into``, ``add_into``, ``bracket_into`` (one slot, or all stacked).
 """
 
 from __future__ import annotations
@@ -180,12 +180,12 @@ class Packing:
         return self._zero._like(terms, denom)
 
     def partials(self, p: Packed, nvars: int) -> dict[int, Packed]:
-        """{s: d p / d x_s} for each s < nvars where p has x_s, in increasing s, in one pass over p."""
-        B, w = self.base, self.weights
-        top = w[nvars] if nvars < self.nvars else 0
+        """{s: d p / d x_s} for each s < nvars where p has x_s, in increasing s, in one pass over p;
+        digits from base**nvars up (k, or a slot tag) are constants and may exceed the base."""
+        B, w, top = self.base, self.weights, self.base**nvars
         out: dict[int, Packed] = {}
         for m, c in p.items():
-            r, s = m % top if top else m, 0
+            r, s = m % top, 0
             while r:
                 r, e = divmod(r, B)
                 if e:
@@ -211,12 +211,12 @@ def add_into(acc: Packed, p: Packed, c: int = 1) -> Packed:
     return acc
 
 
-def bracket_into(acc: Packed, a: tuple, b: tuple, slot: int, c: int = 1) -> Packed:
-    """Add c (a^s d_s b_slot - b^s d_s a_slot) to acc and return it, for
-    (coefficients, their ``Packing.partials``) pairs a and b; the sum is
-    antisymmetric term by term, so swapping a and b negates it exactly."""
-    for (co, _), (_, jac), sign in ((a, b, c), (b, a, -c)):
-        for s, dy in jac[slot].items():
+def bracket_into(acc: Packed, a: tuple, b: tuple, c: int = 1) -> Packed:
+    """Add c (a^s d_s B - b^s d_s A) to acc and return it, for (co, d) pairs a and b:
+    co[s] multiplies d_s, d = {s: d_s A} is the ``Packing.partials`` of one slot A or of
+    all slots stacked.  The sum is antisymmetric term by term: swapping a and b negates it."""
+    for (co, _), (_, d), sign in ((a, b, c), (b, a, -c)):
+        for s, dy in d.items():
             mul_into(acc, co[s], dy, sign)
     return acc
 

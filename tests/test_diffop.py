@@ -1,4 +1,5 @@
 import copy
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from wakimoto.diffop import (
     verify_realization,
 )
 from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
-from wakimoto.polymat import Poly, realization_polynomials
+from wakimoto.polymat import Packing, Poly, realization_polynomials
 
 from fixtures_b2 import B2_DIFFOPS
 from oracles import (
@@ -184,12 +185,13 @@ def _realization(label):
     return rs, tab, CurrentSet(rs, tab).ops
 
 
-_REALIZATIONS = {label: _realization(label) for label in ("B2", "G2")}
+# A3 has 9 slots over a packing base of 5, so its stacked slot tags exceed the base
+_REALIZATIONS = {label: _realization(label) for label in ("B2", "G2", "A3")}
 
 
 @st.composite
 def _perturbed_realization(draw):
-    """The B2 or G2 realization with one operator perturbed: a monomial with a rational
+    """The B2, G2 or A3 realization with one operator perturbed: a monomial with a rational
     coefficient added to one slot, or the whole operator scaled by a rational other than 1."""
     rs, tab, ops = _REALIZATIONS[draw(st.sampled_from(sorted(_REALIZATIONS)))]
     lab = draw(st.sampled_from(list(ops)))
@@ -214,9 +216,6 @@ def test_verify_realization_matches_fraction_oracle(case):
     assert bad
 
 
-_TABLE_DEFECT_REALIZATIONS = {label: _realization(label) for label in ("B2", "G2", "A3")}
-
-
 def _with_bracket(tab, pair, out):
     """A deep copy of ``tab`` whose f[pair] alone is replaced by ``out``."""
     tab = copy.deepcopy(tab)
@@ -225,11 +224,11 @@ def _with_bracket(tab, pair, out):
 
 
 @settings(deadline=None, max_examples=10)
-@given(st.sampled_from(sorted(_TABLE_DEFECT_REALIZATIONS)), st.data())
+@given(st.sampled_from(sorted(_REALIZATIONS)), st.data())
 def test_one_sided_table_defects_fail_only_their_ordered_pair(label, data):
     # the table's antisymmetry is data under test: a defect in f[(b, a)] alone
     # must fail (b, a) and nothing else, whatever f[(a, b)] says
-    rs, tab, ops = _TABLE_DEFECT_REALIZATIONS[label]
+    rs, tab, ops = _REALIZATIONS[label]
     basis = list(ops)
     a, b = data.draw(st.lists(st.sampled_from(basis), min_size=2, max_size=2, unique=True))
     c = data.draw(st.sampled_from(basis))
@@ -250,3 +249,25 @@ def test_b2_scaled_operator_failures_match_fraction_oracle(lab):
     bad = verify_realization(scaled, tab)
     assert bad == realization_failures_fraction(scaled, tab)
     assert len(bad) in (8, 14, 18)
+
+
+def test_a3_commutator_matches_fraction_oracle_on_every_pair():
+    # 9 slots over base 5: every stacked slot tag from 5 up lies above the base
+    rs, tab, ops = _REALIZATIONS["A3"]
+    assert rs.n_pos + rs.rank > Packing.fit(rs.n_pos, [p for op in ops.values() for p in op.coeffs]).base
+    for a in ops.values():
+        for b in ops.values():
+            assert commutator(a, b) == commutator_fraction(a, b)
+
+
+def test_operators_of_different_shapes_do_not_combine(b2_setup):
+    rs, tab, ops = b2_setup
+    e1 = ops[("e", (1, 0))]
+    g2 = next(iter(_REALIZATIONS["G2"][2].values()))
+    for other in (g2, DiffOp(rs, e1.coeffs[:-1]), DiffOp(build_root_system("A2"), e1.coeffs)):
+        for combine in (operator.add, operator.sub, commutator):
+            for x, y in ((e1, other), (other, e1)):
+                with pytest.raises(ValueError):
+                    combine(x, y)
+        with pytest.raises(ValueError):
+            verify_realization({**ops, ("e", (1, 0)): other}, tab)

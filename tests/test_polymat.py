@@ -25,6 +25,7 @@ from wakimoto.polymat import (
     adjoint_matrix,
     anomalous_term,
     bernoulli_series,
+    bracket_into,
     matrix_powers,
     matrix_series,
     mul_into,
@@ -418,6 +419,29 @@ def test_partials_are_the_nonzero_derivatives(p, q, nvars):
         got = pk.partials(packed, nvars)
         assert list(got) == [s for s in range(nvars) if f.deriv(s)]
         assert all(pk.unpack(d, denom) == f.deriv(s) for s, d in got.items())
+
+
+def _stacked(co, T):
+    return {m + i * T: c for i, p in enumerate(co) for m, c in p.items()}
+
+
+# exponents of at most 2 keep the base at 2 * 2 + 1 = 5 or below, so 9 slots
+# carry stacked slot tags above the base
+@pytest.mark.parametrize("nslots", [_NV, _NV + 1, 9])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_one_bracket_on_stacked_partials_equals_the_slot_brackets(nslots, data):
+    """One ``bracket_into`` call over every slot stacked at i base**nvars
+    equals one call per slot on that slot's partials, re-tagged slot by slot."""
+    a, b = (data.draw(st.lists(_poly, min_size=nslots, max_size=nslots)) for _ in range(2))
+    pk = Packing.fit(_NV, a + b)
+    assert pk.base <= 5
+    T = pk.base**_NV
+    ca, cb = ([pk.pack(p) for p in op] for op in (a, b))
+    one = bracket_into({}, (ca, pk.partials(_stacked(ca, T), _NV)), (cb, pk.partials(_stacked(cb, T), _NV)), -3)
+    per_slot = [bracket_into({}, (ca, pk.partials(ca[i], _NV)), (cb, pk.partials(cb[i], _NV)), -3)
+                for i in range(nslots)]
+    assert {m: c for m, c in one.items() if c} == {m: c for m, c in _stacked(per_slot, T).items() if c}
 
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
