@@ -189,21 +189,30 @@ def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:
 
     A set with ``packed`` currents is decided by the closed-form poles, and
     ``check_pair`` reports each pair they refute; a refuted pair that Wick
-    passes is a violation too, since the two routes disagree.  Any other set
-    goes pair by pair through ``check_pair``.
+    passes is a violation too, since the two routes disagree.  A (b, a) whose
+    (a, b) came first and held is not computed when f_ba == -f_ab and kappa_ba
+    == kappa_ab: skew-symmetry of even fields gives b_(1)a = a_(1)b = k kappa_ba,
+    b_(0)a = -a_(0)b + d(k kappa_ab) = f_ba^c J_c and no higher pole.  Any other
+    pair is computed, and any other set goes pair by pair through ``check_pair``.
     """
     labels = cs.labels()
     pairs = [(a, b) for a in labels for b in labels]
     packed = cs.packed
     if packed is None:
         return [v for a, b in pairs for v in check_pair(cs, a, b)]
+    tab, held = cs.tab, set()
     bad: list[SweepViolation] = []
     for a, b in pairs:
+        if ((b, a) in held and tab.bracket(b, a) == {c: -v for c, v in tab.bracket(a, b).items()}
+                and tab.kappa_of(b, a) == tab.kappa_of(a, b)):
+            continue
         orders = packed.refuted_orders(a, b)
         if orders:
             bad.extend(check_pair(cs, a, b) or [SweepViolation(
                 (a, b), orders[0], "the closed-form poles refute this pair and Wick's theorem does not"
             )])
+        else:
+            held.add((a, b))
     return bad
 
 

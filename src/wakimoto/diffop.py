@@ -103,22 +103,30 @@ def build_differential_realization(
 def verify_realization(ops: dict[Label, DiffOp], tab: StructureTable) -> list[tuple[Label, Label]]:
     """Check D^2 [J_a, J_b] = sum_c (D f_ab^c)(D J_c) on every ordered basis pair; return failures.
 
-    ``bracket_into`` is antisymmetric term by term, so each unordered pair's
-    bracket L is formed once, over all slots stacked, zeros dropped: (a, b) checks
-    L == R_ab and (b, a) checks L == -R_ba, each R from its own table entry (the
-    table's antisymmetry is under test); R_aa == {} on the diagonal.  Failures are row-major."""
+    Per unordered pair, acc = [J_a, J_b] - R_ab is formed once in place, over all slots
+    stacked, and (a, b) fails iff an entry is nonzero.  ``bracket_into`` is antisymmetric
+    term by term, so (b, a) fails iff acc + R_ab + R_ba has one: acc itself when
+    f_ba == -f_ab, else R_ab + R_ba is added (the table's antisymmetry is under test),
+    each R from its own table entry.  On the diagonal acc = -R_aa.  Failures are row-major."""
     pk, _, packed = _packed(list(ops.values()), [v for out in tab.f.values() for v in out.values()])
     D, labels, stacks = pk.denom, list(ops), {lab: st for lab, (st, _) in zip(ops, packed)}
 
-    def rhs(x: int, y: int, s: int) -> Packed:
-        acc: Packed = {}
-        for c, v in tab.bracket(labels[x], labels[y]).items():
+    def add_rhs(acc: Packed, f: dict, s: int) -> Packed:
+        for c, v in f.items():
             add_into(acc, stacks[c], s * D // v.denominator * v.numerator)
-        return {m: c for m, c in acc.items() if c}
+        return acc
 
-    bad = set()
+    bad = []
     for j, (_, pa) in enumerate(packed):
-        for k in range(j, len(packed)):
-            L = {m: c for m, c in bracket_into({}, pa, packed[k][1]).items() if c} if k > j else {}
-            bad.update((x, y) for x, y, s in ((j, k, 1), (k, j, -1)) if L != rhs(x, y, s))
+        if any(add_rhs({}, tab.bracket(labels[j], labels[j]), -1).values()):
+            bad.append((j, j))
+        for k in range(j + 1, len(packed)):
+            f_ab, f_ba = tab.bracket(labels[j], labels[k]), tab.bracket(labels[k], labels[j])
+            acc = bracket_into(add_rhs({}, f_ab, -1), pa, packed[k][1])
+            if any(acc.values()):
+                bad.append((j, k))
+            if f_ba != {c: -v for c, v in f_ab.items()}:
+                acc = add_rhs(add_rhs(acc, f_ab, 1), f_ba, 1)
+            if any(acc.values()):
+                bad.append((k, j))
     return [(labels[j], labels[k]) for j, k in sorted(bad)]

@@ -274,7 +274,8 @@ class FieldExpr:
                     del out[term]
         inv = Fraction(1, denom)
         return FieldExpr({
-            t: c._scaled(inv) if type(c) is RatFunc else _lean(c * inv if denom > 1 else c)
+            t: (c // denom if not c % denom else Fraction(c, denom)) if type(c) is int
+            else c._scaled(inv) if type(c) is RatFunc else _lean(c * inv if denom > 1 else c)
             for t, c in out.items()
         })
 

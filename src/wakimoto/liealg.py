@@ -15,9 +15,10 @@ for users who want a different convention.
 The osp(2|2) superalgebra in its distinguished basis enters as an explicit
 fixture rather than through a general super root-system generator.
 
-``verify_jacobi`` checks every basis triple over the integers: the constants
+``verify_jacobi`` decides every basis triple over the integers: the constants
 are scaled by their common denominator D into one table F[a][b] = {c: D f_ab^c}
 indexed by basis position, so each double bracket is D^2 times the rational one.
+On a graded antisymmetric, graded table each multiset of three is evaluated once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Optional, Sequence, Union
 
 Root = tuple[int, ...]
@@ -136,27 +138,27 @@ class RootSystem:
     def root_index(self, root: Root) -> int:
         return self.pos_roots.index(root)
 
+    @cached_property
+    def _root_data(self) -> dict[Root, tuple[Fraction, tuple[Fraction, ...]]]:
+        """(root_norm2, root_labels) of each positive root, computed once."""
+        return {a: (self._norm2(a), self._labels(a)) for a in self.pos_roots}
+
     def root_norm2(self, root: Root) -> Fraction:
         """(root, root) from the simple-root Gram matrix."""
-        total = Fraction(0)
-        for i, ci in enumerate(root):
-            if not ci:
-                continue
-            for j, cj in enumerate(root):
-                if cj:
-                    total += ci * cj * self.simple_gram(i, j)
-        return total
-
-    def simple_gram(self, i: int, j: int) -> Fraction:
-        """(alpha_i, alpha_j) = A_ij alpha_i^2 / 2."""
-        return Fraction(self.cartan[i][j]) * self.norms[i] / 2
+        return self._root_data[root][0] if root in self._root_data else self._norm2(root)
 
     def root_labels(self, root: Root) -> tuple[Fraction, ...]:
         """Dynkin labels (alpha_i^vee, root) of a root's weight."""
-        return tuple(
-            sum(Fraction(self.cartan[i][j]) * root[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return self._root_data[root][1] if root in self._root_data else self._labels(root)
+
+    def _norm2(self, root: Root) -> Fraction:
+        # (alpha_i, alpha_j) = A_ij alpha_i^2 / 2
+        nz = [(i, c) for i, c in enumerate(root) if c]
+        return sum((ci * cj * (Fraction(self.cartan[i][j]) * self.norms[i] / 2) for i, ci in nz for j, cj in nz),
+                   Fraction(0))
+
+    def _labels(self, root: Root) -> tuple[Fraction, ...]:
+        return tuple(sum(Fraction(a) * c for a, c in zip(row, root)) for row in self.cartan)
 
     def weight_inner(self, lam: Sequence, mu: Sequence) -> Fraction:
         """(lam, mu) for weights given by Dynkin labels."""
@@ -514,29 +516,48 @@ def _abs_root(v: Root) -> Root:
 # ---------------------------------------------------------------------------
 
 def verify_jacobi(tab: StructureTable) -> list[tuple[Label, Label, Label]]:
-    """Exhaustive (graded) Jacobi check over the integers; returns the violating triples."""
+    """Exhaustive (graded) Jacobi check over the integers; returns the violating triples in product order.
+
+    On a graded antisymmetric table, F[b][a] = -(-1)^{|a||b|} F[a][b], that is
+    graded, every output of [a, b] of parity |a| + |b|, a transposition of the
+    Jacobiator's arguments only changes its sign: it is evaluated on the
+    multisets a <= b <= c (J(a, a, c) is nontrivial for an odd a), and a failing
+    one fails in every ordering.  Any other table is scanned on every ordered triple."""
     basis = tab.basis()
     pos = {lab: i for i, lab in enumerate(basis)}
     D = math.lcm(*(v.denominator for out in tab.f.values() for v in out.values()))
-    F = [[[(pos[c], int(D * v)) for c, v in tab.bracket(a, b).items()] for b in basis] for a in basis]
+    F = [[{pos[c]: D // v.denominator * v.numerator for c, v in tab.bracket(a, b).items() if v} for b in basis]
+         for a in basis]
     par = [tab.label_parity(a) for a in basis]
-    bad = []
-    for a, b, c in product(range(len(basis)), repeat=3):
-        # [[a,b],c] - [a,[b,c]] + (-1)^{|a||b|} [b,[a,c]] = 0, each term D^2 times the rational one
-        acc: dict[int, int] = {}
-        for d, v in F[a][b]:
-            for e, w in F[d][c]:
-                acc[e] = acc.get(e, 0) + v * w
-        for d, v in F[b][c]:
-            for e, w in F[a][d]:
-                acc[e] = acc.get(e, 0) - v * w
-        s = -1 if (par[a] and par[b]) else 1
-        for d, v in F[a][c]:
-            for e, w in F[b][d]:
-                acc[e] = acc.get(e, 0) + s * v * w
-        if any(acc.values()):
-            bad.append((basis[a], basis[b], basis[c]))
-    return bad
+
+    def failing(triples):
+        # the triples whose [[a,b],c] - [a,[b,c]] + (-1)^{|a||b|} [b,[a,c]], D^2 times the rational one, is not 0
+        for a, b, c in triples:
+            acc: dict[int, int] = {}
+            for d, v in F[a][b].items():
+                for e, w in F[d][c].items():
+                    acc[e] = acc.get(e, 0) + v * w
+            for d, v in F[b][c].items():
+                for e, w in F[a][d].items():
+                    acc[e] = acc.get(e, 0) - v * w
+            s = -1 if (par[a] and par[b]) else 1
+            for d, v in F[a][c].items():
+                for e, w in F[b][d].items():
+                    acc[e] = acc.get(e, 0) + s * v * w
+            if any(acc.values()):
+                yield a, b, c
+
+    n = len(basis)
+    graded = all(
+        F[b][a] == {d: (1 if par[a] and par[b] else -1) * v for d, v in F[a][b].items()}
+        and all(par[d] == par[a] ^ par[b] for d in F[a][b])
+        for a in range(n) for b in range(a, n)
+    )
+    if graded:
+        bad = sorted({t for m in failing(combinations_with_replacement(range(n), 3)) for t in permutations(m)})
+    else:
+        bad = list(failing(product(range(n), repeat=3)))
+    return [(basis[a], basis[b], basis[c]) for a, b, c in bad]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -279,8 +280,9 @@ def matrix_series(series: Sequence[Fraction], powers: list[Mat], denom: int) -> 
 # Bernoulli generating function
 # ---------------------------------------------------------------------------
 
-def bernoulli_series(depth: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Coefficient lists of u/(e^u - 1) and (e^u - 1)/u through u^depth."""
+@lru_cache(maxsize=None)
+def bernoulli_series(depth: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Coefficients of u/(e^u - 1) and (e^u - 1)/u through u^depth, computed once per depth."""
     bern = [Fraction(1)]
     for m in range(1, depth + 1):
         # sum_{j<=m} binom(m+1, j) B_j = 0
@@ -293,9 +295,7 @@ def bernoulli_series(depth: int) -> tuple[list[Fraction], list[Fraction]]:
     fact = [Fraction(1)]
     for m in range(1, depth + 2):
         fact.append(fact[-1] * m)
-    direct = [bern[m] / fact[m] for m in range(depth + 1)]
-    inverse = [Fraction(1) / fact[m + 1] for m in range(depth + 1)]
-    return direct, inverse
+    return tuple(bern[m] / fact[m] for m in range(depth + 1)), tuple(1 / fact[m + 1] for m in range(depth + 1))
 
 
 # ---------------------------------------------------------------------------

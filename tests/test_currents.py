@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -204,6 +205,50 @@ def test_a_pair_refuted_in_closed_form_fails_even_when_wick_passes_it(monkeypatc
     assert len(bad) == 20 and all("Wick" in v.detail for v in bad)
     ok, details = run_suite(cs, "currents", None)
     assert not ok and len(details["violations"]) == 20
+
+
+def _every_pair_decided(cs):
+    """Wick's violations for each ordered pair the closed-form poles refute,
+    every ordered pair decided on its own, in pair order."""
+    packed = PackedCurrents.of(cs)
+    return [v for a, b in _all_pairs(cs) if packed.refuted_orders(a, b) for v in check_pair(cs, a, b)]
+
+
+def _one_sided(cs, kind):
+    """``cs`` over a copy of its table with one entry of one ordered pair doubled:
+    "f" doubles f[(f_{alpha1+alpha2}, e_alpha1)], "kappa" kappa[(f_alpha1, e_alpha1)]."""
+    tab, (a1, *_, a12) = copy.deepcopy(cs.tab), cs.rs.pos_roots[:cs.rs.rank + 1]
+    if kind == "f":
+        key = (("f", a12), ("e", a1))
+        tab.f[key] = {c: 2 * v for c, v in tab.f[key].items()}
+    else:
+        key = (("f", a1), ("e", a1))
+        tab.kappa[key] *= 2
+    return CurrentSet(cs.rs, tab, cs.ctx, cs.currents, cs.polys)
+
+
+def _flipped_set(label):
+    data = _FLIPPED_JSON[label]
+    rs = build_root_system(data["cartan_matrix"], name=label)
+    signs = {tuple(map(int, key.split(","))): v for key, v in data["extraspecial_signs"].items()}
+    return build_wakimoto(rs, build_structure_table(rs, signs))
+
+
+@pytest.mark.parametrize(
+    "label, defects",
+    [("A3", ("f",)), ("A3", ("kappa",)), ("A3", ("f", "canary")), ("A3", ("f", "drop")),
+     ("A3", ("f", "level")), ("G2", ("f", "drop")), ("G2", ("f", "level")),
+     ("A4", ("f", "canary")), ("C3", ("f", "canary"))],
+)
+def test_pairs_inferred_by_skew_symmetry_keep_every_violation(label, defects):
+    """A (b, a) the sweep infers from a held (a, b) is never a failure the
+    pair-by-pair decision reports: one-sided table defects, alone and with a
+    planted current, give equal violation lists, in pair order."""
+    cs = _flipped_set(label) if label in _FLIPPED_JSON else build_wakimoto(*get_algebra(label))
+    for defect in defects:
+        cs = _one_sided(cs, defect) if defect in ("f", "kappa") else _planted(cs, defect)
+    bad = verify_current_algebra(cs)
+    assert bad and bad == _every_pair_decided(cs)
 
 
 def test_a_term_of_another_shape_goes_to_wick():

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from wakimoto.currents import CurrentSet
@@ -207,7 +207,13 @@ def _perturbed_realization(draw):
     return tab, {**ops, lab: op}
 
 
-@settings(deadline=None, max_examples=20)
+# The two properties below check verify_realization against the Fraction
+# oracle; shrinking a failure through that oracle takes minutes, so a broken
+# verify_realization fails them on the first failing draw, unshrunk.
+_NO_SHRINK = tuple(p for p in Phase if p != Phase.shrink)
+
+
+@settings(deadline=None, max_examples=20, phases=_NO_SHRINK)
 @given(_perturbed_realization())
 def test_verify_realization_matches_fraction_oracle(case):
     tab, ops = case
@@ -223,7 +229,7 @@ def _with_bracket(tab, pair, out):
     return tab
 
 
-@settings(deadline=None, max_examples=10)
+@settings(deadline=None, max_examples=10, phases=_NO_SHRINK)
 @given(st.sampled_from(sorted(_REALIZATIONS)), st.data())
 def test_one_sided_table_defects_fail_only_their_ordered_pair(label, data):
     # the table's antisymmetry is data under test: a defect in f[(b, a)] alone

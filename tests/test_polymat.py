@@ -54,14 +54,16 @@ def flip_sign_vars(p):
 
 def test_bernoulli_series_values():
     direct, inverse = bernoulli_series(6)
-    assert direct[:5] == [
+    assert direct[:5] == (
         Fraction(1),
         Fraction(-1, 2),
         Fraction(1, 12),
         Fraction(0),
         Fraction(-1, 720),
-    ]
-    assert inverse[:4] == [Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
+    )
+    assert inverse[:4] == (Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
+    # one computation per depth, shared by every algebra: immutable, so no caller can alter it
+    assert bernoulli_series(6) is bernoulli_series(6)
     # product of the truncated series is 1 + O(u^7)
     prod = [Fraction(0)] * 7
     for i, a in enumerate(direct):
