@@ -23,7 +23,7 @@ from typing import Optional
 from .coeffs import RatFunc
 from .currents import CurrentSet, sugawara_tensor, sweep_route, verify_current_algebra
 from .diffop import verify_realization
-from .fields import PHI, FieldExpr, UnsupportedContraction, expand_power_levels
+from .fields import PHI, FieldExpr, UnsupportedContraction, beta_kind, expand_power_levels, gamma_kind
 from .liealg import CartanTypeError, get_algebra, verify_jacobi
 from .ope import OpeResult, central_charge, contract, free_field_tensor
 from .render import (
@@ -77,10 +77,11 @@ def _direction_index(cs: CurrentSet, direction: int) -> int:
 #   atom    := NAME '[' label ']' | 'T' | 'Tfree' | 'd(' expr ')'
 #   NAME    := E | H | F | beta | gamma | b | c | dphi | s | stilde
 #
-# Root labels: a simple-root index ("1"), a coefficient digit string
-# ("11", "12"), "theta", or "alphaN" forms of the same.
+# Root labels: a simple-root index ("1"; any digit string shorter than the
+# rank), a coefficient digit string with one digit per simple root ("11",
+# "12"), "theta", or any of these after an "alpha" prefix ("alpha1").
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\[|\]|\(|\)|\+|-|\*|/)")
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+\d*|\[|\]|\(|\)|\+|-|\*|/)")
 
 
 def _tokenize(text: str):
@@ -96,20 +97,18 @@ def _tokenize(text: str):
 
 
 def _root_position(cs: CurrentSet, label: str) -> int:
+    """Position of the positive root a label names (grammar comment above)."""
     rs = cs.rs
-    label = label.strip().lower()
-    if label.startswith("alpha"):
-        label = label[5:]
-    if label == "theta":
+    name = label.strip().lower().removeprefix("alpha")
+    if name == "theta":
         return rs.root_index(rs.theta)
-    if label.isdigit():
-        if len(label) == 1 and 1 <= int(label) <= rs.rank:
-            root = tuple(1 if i == int(label) - 1 else 0 for i in range(rs.rank))
+    if name.isdigit() and len(name) <= rs.rank:
+        if len(name) == rs.rank:
+            root = tuple(int(ch) for ch in name)
+        else:
+            root = tuple(int(i == int(name) - 1) for i in range(rs.rank))
+        if root in rs.pos_roots:
             return rs.root_index(root)
-        if len(label) == rs.rank:
-            root = tuple(int(ch) for ch in label)
-            if rs.is_root(root) and all(c >= 0 for c in root):
-                return rs.root_index(root)
     raise InputError(f"unknown root label {label!r}")
 
 
@@ -204,11 +203,11 @@ class _Parser:
             self.take("(")
             inner = self.nested(self.expr)
             self.take(")")
-            return inner.derivative(cs.ctx)
+            return inner.derivative(cs.rs)
         if name == "T":
             return sugawara_tensor(cs)
         if name == "Tfree":
-            return free_field_tensor(cs.ctx)
+            return free_field_tensor(cs.rs)
         self.take("[")
         label = self.take()
         self.take("]")
@@ -219,7 +218,7 @@ class _Parser:
             return cs.currents[("h", _index(cs, name, label))]
         if name in ("beta", "gamma", "b", "c"):
             pos = _root_position(cs, label)
-            kind = cs.ctx.beta_kind(pos) if name in ("beta", "b") else cs.ctx.gamma_kind(pos)
+            kind = beta_kind(cs.rs, pos) if name in ("beta", "b") else gamma_kind(cs.rs, pos)
             return FieldExpr.prim(kind, pos)
         if name == "dphi":
             return FieldExpr.prim(PHI, _index(cs, name, label))
@@ -260,12 +259,12 @@ def _currents_suite(cs: CurrentSet, direction: Optional[int]):
 
 def _sugawara_suite(cs: CurrentSet, direction: Optional[int]):
     T = sugawara_tensor(cs)
-    Tfree = free_field_tensor(cs.ctx)
+    Tfree = free_field_tensor(cs.rs)
     ok = T.equals(Tfree)
-    c_got = central_charge(cs.ctx, Tfree)
+    c_got = central_charge(cs.rs, Tfree)
     details = {"sugawara_equals_free": ok, "central_charge": c_got.text()}
-    if cs.ctx.bosonic:
-        c_want = RatFunc.k() * cs.rs.dim / cs.ctx.t()
+    if cs.rs.bosonic:
+        c_want = RatFunc.k() * cs.rs.dim / RatFunc.t(cs.rs.hvee)
         details["central_charge_ok"] = c_got == c_want
         ok = ok and c_got == c_want
     return ok, details
@@ -281,7 +280,7 @@ def _screening_suite(cs: CurrentSet, directions, construct):
             rep = verify(cs, construct(cs, j))
         except DirectionError as exc:
             reason = f"multiplicity {cs.rs.theta[j]} direction without a series construction"
-            results[str(j + 1)] = {"status": "unavailable", "reason": reason if cs.ctx.bosonic else str(exc)}
+            results[str(j + 1)] = {"status": "unavailable", "reason": reason if cs.rs.bosonic else str(exc)}
             continue
         results[str(j + 1)] = _report_json(cs, rep)
         ok = ok and rep.ok
@@ -289,14 +288,14 @@ def _screening_suite(cs: CurrentSet, directions, construct):
 
 
 def _screening_first_suite(cs: CurrentSet, direction: Optional[int]):
-    if not cs.ctx.bosonic:
+    if not cs.rs.bosonic:
         return True, {"skipped": "first-kind suite covers the bosonic algebras"}
     return _screening_suite(cs, [direction] if direction is not None else range(cs.rs.rank), first_kind)
 
 
 def _screening_second_suite(cs: CurrentSet, direction: Optional[int]):
     # the osp(2|2) fixture has its one current in direction 1
-    every = range(cs.rs.rank) if cs.ctx.bosonic else [0]
+    every = range(cs.rs.rank) if cs.rs.bosonic else [0]
     return _screening_suite(cs, [direction] if direction is not None else every, second_kind)
 
 
@@ -305,7 +304,7 @@ def _naive_second_kind_suite(cs: CurrentSet, direction: Optional[int]):
     return (
         fail.nonvanishing and fail.matches_expected_shape,
         {
-            "third_order_pole": fail.third_order_pole.text(cs.ctx),
+            "third_order_pole": fail.third_order_pole.text(cs.rs),
             "matches_expected_shape": fail.matches_expected_shape,
             "note": "a nonvanishing third-order pole is the expected outcome",
         },
@@ -415,11 +414,11 @@ def cmd_realize(args) -> int:
                 lines.append(f"{names[lab]} &= {latex_diffop(op)} \\\\")
         lines.append("% free-field currents")
         for lab, expr in cs.currents.items():
-            lines.append(f"{names[lab]} &= {latex_fieldexpr(expr, cs.ctx)} \\\\")
+            lines.append(f"{names[lab]} &= {latex_fieldexpr(expr, cs.rs)} \\\\")
         print("\n".join(lines))
     else:
         for lab, expr in cs.currents.items():
-            print(f"{names[lab]} = {expr.text(cs.ctx)}")
+            print(f"{names[lab]} = {expr.text(cs.rs)}")
     return EXIT_OK
 
 
@@ -456,7 +455,7 @@ def cmd_screen(args) -> int:
         "kind": s.kind,
         "direction": args.direction,
         "current": (
-            latex_fieldexpr(s.body, cs.ctx) if args.format == "latex" else s.body.text(cs.ctx)
+            latex_fieldexpr(s.body, cs.rs) if args.format == "latex" else s.body.text(cs.rs)
         ),
         "series": s.is_series,
     }
@@ -474,17 +473,17 @@ def cmd_ope(args) -> int:
     A = parse_expression(cs, args.left)
     B = parse_expression(cs, args.right)
     # each pole in its level-expanded form, the one that equal poles share
-    res = OpeResult({q: expand_power_levels(p) for q, p in contract(cs.ctx, A, B).poles.items()})
+    res = OpeResult({q: expand_power_levels(p) for q, p in contract(cs.rs, A, B).poles.items()})
     if args.format == "json":
-        print(json.dumps(ope_to_json(res, cs.ctx), indent=2, sort_keys=True))
+        print(json.dumps(ope_to_json(res, cs.rs), indent=2, sort_keys=True))
     else:
         if not res.nonzero_orders():
             print("regular")
         for q in res.nonzero_orders():
             body = (
-                latex_fieldexpr(res.order(q), cs.ctx)
+                latex_fieldexpr(res.order(q), cs.rs)
                 if args.format == "latex"
-                else res.order(q).text(cs.ctx)
+                else res.order(q).text(cs.rs)
             )
             print(f"pole {q}: {body}")
     return EXIT_OK
@@ -507,16 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("text", "json", "latex")):
         p.add_argument("--algebra", default="B2", help="A1/A2/B2/..., OSP22, or a Cartan JSON path")
-        p.add_argument("--format", choices=("text", "json", "latex"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("realize", help="emit the realization")
     common(p)
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("--suite", default="all", choices=("all", *SUITES))
     p.add_argument("--direction", type=int, default=None, help="simple-root index (1-based)")
     p.add_argument(
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("screen", help="build or verify a screening current")
-    common(p)
+    common(p, ("json", "latex"))
     p.add_argument("--direction", type=int, required=True)
     p.add_argument("--kind", choices=("first", "second"), default="first")
     p.add_argument("--verify", action="store_true")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .coeffs import RatFunc, canonical
 from .diffop import DiffOp, build_differential_realization
-from .fields import GAMMA, PHI, FieldContext, FieldExpr, Prim
+from .fields import GAMMA, PHI, FieldExpr, Prim, beta_kind, gamma_kind, vertex_phi_coupling
 from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
 from .ope import contract, regularized_product
 from .polymat import (Packed, Packing, Poly, RealizationPolys, add_into, anomalous_term, bracket_into,
@@ -39,25 +39,28 @@ class CurrentSet:
 
     The stages are the realization polynomials ``polys``, the differential
     operators ``ops`` and the free-field ``currents``, each built from the one
-    before it and the structure table ``tab``.  A ``ctx``, ``polys`` or
-    ``currents`` passed in is kept as given, and a built stage lives in the
-    instance ``__dict__``, so a pickle carries exactly the built stages.  A
-    graded algebra has no ``polys`` or ``ops``; its currents are the
-    osp(2|2) closed form.
+    before it, the root system ``rs`` and the structure table ``tab``.  A
+    ``polys`` or ``currents`` passed in is kept as given, and a built stage
+    lives in the instance ``__dict__``, so a pickle carries exactly the built
+    stages.  A graded algebra has no ``polys`` or ``ops``; its currents are
+    the osp(2|2) closed form.  ``ctx`` is ``rs``: the argument is accepted
+    only as the set's own root system.
     """
 
     def __init__(self, rs: RootSystem, tab: StructureTable, ctx=None, currents=None, polys=None):
+        if ctx is not None and ctx != rs:
+            raise ValueError("a CurrentSet's ctx is its own root system")
         self.rs, self.tab = rs, tab
-        given = {"ctx": ctx, "currents": currents, "polys": polys}
+        given = {"currents": currents, "polys": polys}
         self.__dict__.update((name, stage) for name, stage in given.items() if stage is not None)
 
-    @cached_property
-    def ctx(self) -> FieldContext:
-        return FieldContext.from_algebra(self.rs)
+    @property
+    def ctx(self) -> RootSystem:
+        return self.rs
 
     @cached_property
     def polys(self) -> Optional[RealizationPolys]:
-        return realization_polynomials(self.rs, self.tab) if self.ctx.bosonic else None
+        return realization_polynomials(self.rs, self.tab) if self.rs.bosonic else None
 
     @cached_property
     def ops(self) -> Optional[dict[Label, DiffOp]]:
@@ -71,22 +74,22 @@ class CurrentSet:
         The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
         """
         if self.ops is None:
-            return _osp22_currents(self.ctx)
-        rs, ctx, polys = self.rs, self.ctx, self.polys
+            return _osp22_currents(self.rs)
+        rs, polys = self.rs, self.polys
         F_anom = anomalous_term(rs, polys)
         k = RatFunc.k()
         np_ = rs.n_pos
-        slots = operator_slots(ctx)
-        dgamma = [((ctx.gamma_kind(b), b, 1),) for b in range(np_)]
+        slots = operator_slots(rs)
+        dgamma = [((gamma_kind(rs, b), b, 1),) for b in range(np_)]
         currents: dict[Label, FieldExpr] = {}
         for lab, op in self.ops.items():
             if lab[0] != "f":
-                currents[lab] = free_field_image(ctx, op.coeffs, slots)
+                currents[lab] = free_field_image(rs, op.coeffs, slots)
                 continue
             a = rs.root_index(lab[1])
             level = k * (2 / rs.root_norm2(lab[1]))
             currents[lab] = free_field_image(
-                ctx,
+                rs,
                 op.coeffs + [polys.V_plus_inv[b][a] for b in range(np_)] + F_anom[a],
                 slots + dgamma + dgamma,
                 [1] * len(slots) + [level] * np_ + [1] * np_,
@@ -113,15 +116,15 @@ class CurrentSet:
 Slot = tuple[Prim, ...]
 
 
-def operator_slots(ctx: FieldContext) -> list[Slot]:
+def operator_slots(rs: RootSystem) -> list[Slot]:
     """The free field of each ``DiffOp`` slot: d_beta -> beta_beta, L_j -> sqrt(t) d phi_j."""
-    return [((ctx.beta_kind(b), b, 0),) for b in range(ctx.n_pos)] + [
-        ((PHI, j, 0),) for j in range(ctx.rank)
+    return [((beta_kind(rs, b), b, 0),) for b in range(rs.n_pos)] + [
+        ((PHI, j, 0),) for j in range(rs.rank)
     ]
 
 
 def free_field_image(
-    ctx: FieldContext, coeffs: Sequence[Poly], slots: Sequence[Slot], weights: Optional[Sequence] = None
+    rs: RootSystem, coeffs: Sequence[Poly], slots: Sequence[Slot], weights: Optional[Sequence] = None
 ) -> FieldExpr:
     """sum_i weights[i] coeffs[i](gamma) slots[i], canonicalized once.
 
@@ -135,7 +138,7 @@ def free_field_image(
         f = L // p.den
         for expo, c in p.num.items():
             gammas = tuple(
-                (ctx.gamma_kind(pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
+                (gamma_kind(rs, pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
             )
             raw.append((c * f * w, gammas + slot, (), None))
     return FieldExpr._from_raw(raw, L)
@@ -172,7 +175,7 @@ def expected_ope(cs: CurrentSet, a: Label, b: Label) -> dict[int, FieldExpr]:
 
 
 def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
-    res = contract(cs.ctx, cs.currents[a], cs.currents[b])
+    res = contract(cs.rs, cs.currents[a], cs.currents[b])
     want = expected_ope(cs, a, b)
     bad = []
     orders = set(res.poles) | set(want)
@@ -180,7 +183,7 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
         got = res.order(q)
         expect = want.get(q, FieldExpr.zero())
         if not got.equals(expect):
-            bad.append(SweepViolation((a, b), q, (got - expect).text(cs.ctx)))
+            bad.append(SweepViolation((a, b), q, (got - expect).text(cs.rs)))
     return bad
 
 
@@ -247,7 +250,7 @@ class PackedCurrents:
     2, and that term's Taylor step -sum_c d_d d_c M Q_{beta_c} to pole 1 in
     slot d gamma_d.  Against a witness R(gamma, k) V_mu the poles must be R
     and dR: d_d R in slot d gamma_d, R nu^j in slot dphi_j with nu the
-    ``FieldContext.vertex_phi_coupling`` of mu, and 0 in the beta slots.
+    ``fields.vertex_phi_coupling`` of mu, and 0 in the beta slots.
     Since t nu^j is rational, pole 1 in the dphi slots is multiplied by t.
 
     k is one more packed variable that is never differentiated, so
@@ -261,8 +264,8 @@ class PackedCurrents:
     """
 
     def __init__(self, cs: CurrentSet, rows: dict[Label, list[dict]]):
-        ctx = self.ctx = cs.ctx
-        self.tab, np_ = cs.tab, ctx.n_pos
+        rs = self.rs = cs.rs
+        self.tab, np_ = cs.tab, rs.n_pos
         terms = [t for comps in rows.values() for comp in comps for t in comp.items()]
         fams = [p for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row]
         consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
@@ -272,9 +275,9 @@ class PackedCurrents:
         self.kmax = max((e[np_] for e, _ in terms), default=0)
         # no gamma exponent of a product exceeds 2 emax, and no k exponent 2 kmax + 1 (t)
         pk = self.pk = Packing(np_ + 1, max(2 * self.emax, 2 * self.kmax + 1) + 1, denom)
-        g = self.g = math.lcm(*(x.denominator for row in ctx.G for x in row))
-        G = [[int(x * g) for x in row] for row in ctx.G]
-        self.t = {pk.weights[np_]: 1, 0: ctx.hvee}
+        g = self.g = math.lcm(*(x.denominator for row in rs.G for x in row))
+        G = [[int(x * g) for x in row] for row in rs.G]
+        self.t = {pk.weights[np_]: 1, 0: rs.hvee}
         self.cur = {lab: self._current(self._operand([pk.pack(Poly(np_ + 1, comp)) for comp in comps]), G)
                     for lab, comps in rows.items()}
 
@@ -284,26 +287,26 @@ class PackedCurrents:
         term of another shape, which Wick's theorem decides instead."""
         rows: dict[Label, list[dict]] = {}
         for lab, expr in cs.currents.items():
-            parts = cls.split(cs.ctx, expr)
+            parts = cls.split(cs.rs, expr)
             if parts is None or parts[1] is not None or parts[0][-1]:
                 return None
             rows[lab] = parts[0][:-1]
         return cls(cs, rows)
 
     @staticmethod
-    def split(ctx: FieldContext, expr: FieldExpr) -> Optional[tuple[list[dict], Optional[tuple]]]:
+    def split(rs: RootSystem, expr: FieldExpr) -> Optional[tuple[list[dict], Optional[tuple]]]:
         """``expr`` as sum_X P_X(gamma, k) X V_mu: ([P_X per slot X, then P without a slot], mu).
 
         Each P_X is {gamma exponents + (k power,): rational}, the slots X in
         the order beta_b, dphi_j, d gamma_b; mu is the vertex momentum of
-        every term, None for none.  None on a graded context and for any other
+        every term, None for none.  None on a graded algebra and for any other
         shape: a power factor, a factor besides the gammas and one slot, a
         coefficient with n or a denominator, two momenta, or one that is not
         rational."""
-        if not ctx.bosonic:
+        if not rs.bosonic:
             return None
-        np_ = ctx.n_pos
-        slots = [slot for slot, in operator_slots(ctx)] + [(GAMMA, b, 1) for b in range(np_)]
+        np_ = rs.n_pos
+        slots = [slot for slot, in operator_slots(rs)] + [(GAMMA, b, 1) for b in range(np_)]
         index = {slot: y for y, slot in enumerate(slots)}
         comps: list[dict] = [{} for _ in range(len(slots) + 1)]
         moms = {vertex for _, _, vertex in expr.terms}
@@ -337,7 +340,7 @@ class PackedCurrents:
 
     def _fit(self, comps: list[dict]) -> Optional[list[Packed]]:
         """``comps`` packed, or None when an exponent or a denominator lies outside the packing."""
-        np_, D = self.ctx.n_pos, self.pk.denom
+        np_, D = self.rs.n_pos, self.pk.denom
         if any(D % c.denominator or e[np_] > self.kmax or max(e[:np_], default=0) > self.emax
                for comp in comps for e, c in comp.items()):
             return None
@@ -347,12 +350,12 @@ class PackedCurrents:
         """What a w-side operand's poles read of it: co and jac."""
         cur = _Current()
         cur.co = co
-        cur.jac = [self.pk.partials(p, self.ctx.n_pos) for p in co]
+        cur.jac = [self.pk.partials(p, self.rs.n_pos) for p in co]
         return cur
 
     def _current(self, cur: "_Current", G: list[list[int]]) -> "_Current":
         """``cur`` with its z-side tables added."""
-        pk, g, np_, r = self.pk, self.g, self.ctx.n_pos, self.ctx.rank
+        pk, g, np_, r = self.pk, self.g, self.rs.n_pos, self.rs.rank
         co = cur.co
         phi = []
         for j in range(r):
@@ -374,7 +377,7 @@ class PackedCurrents:
         """(slot of d gamma_d, d_d d_c P_{beta_s}) for each nonzero one of A, tabulated on first use."""
         out = A.hess.get((s, c))
         if out is None:
-            np_, r = self.ctx.n_pos, self.ctx.rank
+            np_, r = self.rs.n_pos, self.rs.rank
             p = A.jac[s].get(c)
             out = A.hess[s, c] = [(np_ + r + d, q) for d, q in self.pk.partials(p, np_).items()] if p else []
         return out
@@ -382,7 +385,7 @@ class PackedCurrents:
     def refuted_orders(self, a: Label, b: Label) -> list[int]:
         """The pole orders, highest first, at which J_a(z) J_b(w) differs from
         k kappa_ab at order 2 and sum_c f_ab^c J_c at order 1."""
-        g, D, np_ = self.g, self.pk.denom, self.ctx.n_pos
+        g, D, np_ = self.g, self.pk.denom, self.rs.n_pos
         kap = self.tab.kappa_of(a, b)
         want2 = {self.pk.weights[np_]: kap.numerator * (D // kap.denominator) * D * g} if kap else {}
         rhs = [(self.cur[c].co, v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
@@ -398,15 +401,15 @@ class PackedCurrents:
         co = self._fit(comps)
         if co is None:
             return {}
-        B, ctx, pk = self._operand(co), self.ctx, self.pk
-        np_, r, D, g = ctx.n_pos, ctx.rank, pk.denom, self.g
+        B, rs, pk = self._operand(co), self.rs, self.pk
+        np_, r, D, g = rs.n_pos, rs.rank, pk.denom, self.g
         mus = [canonical(c) for c in mu]
-        tnu = [canonical(x * ctx.t()) for x in ctx.vertex_phi_coupling(mu)]
+        tnu = [canonical(x * RatFunc.t(rs.hvee)) for x in vertex_phi_coupling(rs, mu)]
         m = math.lcm(*(Fraction(x).denominator for x in mus + tnu))
         mus, tnu = [int(x * g * m) for x in mus], [int(x * m) for x in tnu]
         out: dict[Label, list[int]] = {}
         for lab, A in self.cur.items():
-            parts = self.split(ctx, witnesses[lab]) if lab in witnesses else ([{}], None)
+            parts = self.split(rs, witnesses[lab]) if lab in witnesses else ([{}], None)
             if parts is None or any(parts[0][:-1]) or (parts[0][-1] and parts[1] != mu):
                 continue
             R = self._fit(parts[0][-1:])
@@ -440,7 +443,7 @@ class PackedCurrents:
         {slot of d gamma_d: [(c, d_d d_c M)]}) with M = e sum_i mu_i
         P_{dphi_i}; pole 1 in the dphi slots is then taken times t.  Without
         it m = 1."""
-        np_, r = self.ctx.n_pos, self.ctx.rank
+        np_, r = self.rs.n_pos, self.rs.rank
         m, M, dM, ddM = vertex or (1, {}, {}, {})
         e = self.g * m
         tslots = range(np_, np_ + r) if vertex else ()
@@ -513,8 +516,8 @@ def sugawara_tensor(cs: CurrentSet) -> FieldExpr:
     """(1/2t) kappa^{ab} (J_a J_b) with the point-split product."""
     T = FieldExpr.zero()
     for la, lb, coef in kappa_inverse(cs):
-        T = T + regularized_product(cs.ctx, cs.currents[la], cs.currents[lb]).scale(coef)
-    return T.scale(RatFunc.of(Fraction(1, 2)) / cs.ctx.t())
+        T = T + regularized_product(cs.rs, cs.currents[la], cs.currents[lb]).scale(coef)
+    return T.scale(RatFunc.of(Fraction(1, 2)) / RatFunc.t(cs.rs.hvee))
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +529,16 @@ def osp22_currents() -> CurrentSet:
     return CurrentSet(*osp22_fixture()).built()
 
 
-def _osp22_currents(ctx: FieldContext) -> dict[Label, FieldExpr]:
+def _osp22_currents(rs: RootSystem) -> dict[Label, FieldExpr]:
     k = RatFunc.k()
     half = Fraction(1, 2)
 
     def ghost(kind, pos):  # c d^d of the ghost at root position pos
-        return lambda d=0, c=1: FieldExpr.prim(kind(pos), pos, d, coef=c)
+        return lambda d=0, c=1: FieldExpr.prim(kind(rs, pos), pos, d, coef=c)
 
     # root positions: alpha_1 even (beta, gamma), alpha_2 odd (b, c), alpha_1 + alpha_2 odd (B, C)
-    gam, cf, Cf = (ghost(ctx.gamma_kind, pos) for pos in range(3))
-    bet, bf, Bf = (ghost(ctx.beta_kind, pos) for pos in range(3))
+    gam, cf, Cf = (ghost(gamma_kind, pos) for pos in range(3))
+    bet, bf, Bf = (ghost(beta_kind, pos) for pos in range(3))
 
     P1 = FieldExpr.prim(PHI, 0)
     P2 = FieldExpr.prim(PHI, 1)

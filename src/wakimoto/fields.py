@@ -17,6 +17,10 @@ nonnegative-integer constant powers expanded.  Zero-testing expands power
 factors of a common base to the least constant offset present, after which
 distinct factor structures are linearly independent.
 
+The algebra enters through its ``liealg.RootSystem``: the ghost kinds of a
+root position (``beta_kind``, ``gamma_kind``) and a vertex's coupling to the
+scalar legs and its conformal weight are functions of it, with t = k + h_vee.
+
 A base is an interned ``BaseKey``: equal bases are one object, so they
 compare and hash by identity, and the key carries its sort key and the
 memoized monomials of its derivative and powers.
@@ -30,7 +34,6 @@ summed as they come and each result is divided by that denominator once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -55,70 +58,34 @@ class UnsupportedContraction(ValueError):
     """Raised for contraction requests outside the engine's contract."""
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """Metric data the expression layer needs (built once per algebra)."""
+def beta_kind(rs: RootSystem, pos: int) -> int:
+    """The kind of the ghost beta_alpha at positive-root position ``pos``: b on an odd root."""
+    return BGH if rs.root_parity[pos] else BETA
 
-    rank: int
-    n_pos: int
-    hvee: int
-    G: tuple[tuple[Fraction, ...], ...]
-    Ginv: tuple[tuple[Fraction, ...], ...]
-    rho: tuple[Fraction, ...]               # Dynkin labels of the Weyl vector
-    root_parity: tuple[int, ...]            # per positive-root position
-    root_names: tuple[str, ...]
 
-    @staticmethod
-    def from_algebra(rs: RootSystem) -> "FieldContext":
-        return FieldContext(
-            rank=rs.rank,
-            n_pos=rs.n_pos,
-            hvee=rs.hvee,
-            G=rs.G,
-            Ginv=rs.Ginv,
-            rho=rs.rho_labels,
-            root_parity=tuple(rs.parity(a) for a in rs.pos_roots),
-            root_names=tuple(rs.root_name(a) for a in rs.pos_roots),
-        )
+def gamma_kind(rs: RootSystem, pos: int) -> int:
+    """The kind of the ghost gamma^alpha at positive-root position ``pos``: c on an odd root."""
+    return CGH if rs.root_parity[pos] else GAMMA
 
-    def t(self) -> RatFunc:
-        return RatFunc.t(self.hvee)
 
-    @property
-    def bosonic(self) -> bool:
-        """Whether every positive root is even (no fermionic ghost pairs)."""
-        return not any(self.root_parity)
+def vertex_weight(rs: RootSystem, momentum: Momentum) -> RatFunc:
+    """Delta = (mu, mu + 2 rho) / 2t for a scaled momentum mu."""
+    mu2 = rs.weight_inner(momentum, momentum)
+    murho = rs.weight_inner(momentum, rs.rho_labels)
+    return (mu2 + 2 * murho) / (2 * RatFunc.t(rs.hvee))
 
-    def beta_kind(self, pos: int) -> int:
-        return BGH if self.root_parity[pos] else BETA
 
-    def gamma_kind(self, pos: int) -> int:
-        return CGH if self.root_parity[pos] else GAMMA
-
-    def weight_inner(self, lam: Sequence[RatFunc], mu: Sequence[Scalar]) -> RatFunc:
-        total = RatFunc.zero()
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.Ginv[i][j]:
-                    total = total + lam[i] * mu[j] * self.Ginv[i][j]
-        return total
-
-    def vertex_weight(self, momentum: Momentum) -> RatFunc:
-        """Delta = (mu, mu + 2 rho) / 2t for a scaled momentum mu."""
-        mu2 = self.weight_inner(momentum, momentum)
-        murho = self.weight_inner(momentum, self.rho)
-        return (mu2 + 2 * murho) / (2 * self.t())
-
-    def vertex_phi_coupling(self, momentum: Momentum) -> list[RatFunc]:
-        """nu^j with d(vertex) = nu^j :P_j vertex:, i.e. mu_i G^{ij} / t."""
-        out = []
-        for j in range(self.rank):
-            acc = RatFunc.zero()
-            for i in range(self.rank):
-                if self.Ginv[i][j]:
-                    acc = acc + momentum[i] * self.Ginv[i][j]
-            out.append(acc / self.t())
-        return out
+def vertex_phi_coupling(rs: RootSystem, momentum: Momentum) -> list[RatFunc]:
+    """nu^j with d(vertex) = nu^j :P_j vertex:, i.e. mu_i G^{ij} / t."""
+    t = RatFunc.t(rs.hvee)
+    out = []
+    for j in range(rs.rank):
+        acc = RatFunc.zero()
+        for i in range(rs.rank):
+            if rs.Ginv[i][j]:
+                acc = acc + momentum[i] * rs.Ginv[i][j]
+        out.append(acc / t)
+    return out
 
 
 def prim_parity(p: Prim) -> int:
@@ -318,7 +285,7 @@ class FieldExpr:
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self, ctx: FieldContext) -> "FieldExpr":
+    def derivative(self, rs: RootSystem) -> "FieldExpr":
         raw = []
         for (prims, pfs, vertex), coef in self.terms.items():
             for i, p in enumerate(prims):
@@ -326,11 +293,11 @@ class FieldExpr:
                 raw.append((coef, bumped, pfs, vertex))
             for i, (key, exp) in enumerate(pfs):
                 rest = pfs[:i] + ((key, exp - 1),) + pfs[i + 1:]
-                pref = coef * exp.as_ratfunc(ctx.hvee)
+                pref = coef * exp.as_ratfunc(rs.hvee)
                 for dprims, dcoef in _base_derivative(key):
                     raw.append((pref * dcoef, prims + dprims, rest, vertex))
             if vertex is not None:
-                for j, nu in enumerate(ctx.vertex_phi_coupling(vertex)):
+                for j, nu in enumerate(vertex_phi_coupling(rs, vertex)):
                     if not nu.is_zero:
                         raw.append((coef * nu, prims + ((PHI, j, 0),), pfs, vertex))
         return FieldExpr._from_raw(raw)
@@ -361,7 +328,7 @@ class FieldExpr:
     def __hash__(self):
         raise TypeError("FieldExpr is not hashable; freeze a base instead")
 
-    def weight(self, ctx: FieldContext) -> Optional[RatFunc]:
+    def weight(self, rs: RootSystem) -> Optional[RatFunc]:
         """Conformal weight when every term agrees, else None."""
         seen: Optional[RatFunc] = None
         for (prims, pfs, vertex), _ in self.terms.items():
@@ -370,9 +337,9 @@ class FieldExpr:
                 bw = _base_weight(key)
                 if bw is None:
                     return None
-                w = w + exp.as_ratfunc(ctx.hvee) * bw
+                w = w + exp.as_ratfunc(rs.hvee) * bw
             if vertex is not None:
-                w = w + ctx.vertex_weight(vertex)
+                w = w + vertex_weight(rs, vertex)
             if seen is None:
                 seen = w
             elif seen != w:
@@ -387,10 +354,10 @@ class FieldExpr:
             raw.append((RatFunc.of(coef).shift_n(delta), prims, npfs, nv))
         return FieldExpr._from_raw(raw)
 
-    def subs_t(self, ctx: FieldContext, tval) -> "FieldExpr":
+    def subs_t(self, rs: RootSystem, tval) -> "FieldExpr":
         """Specialize t = tval (so k = tval - hvee); integer powers expand."""
         tval = _lean(tval)
-        kval = tval - ctx.hvee
+        kval = tval - rs.hvee
         raw = []
         for (prims, pfs, vertex), coef in self.terms.items():
             npfs = tuple((key, Exp(0, exp.u * tval + exp.v, exp.w)) for key, exp in pfs)
@@ -398,10 +365,10 @@ class FieldExpr:
             raw.append((RatFunc.of(coef).subs_k(kval), prims, npfs, nv))
         return FieldExpr._from_raw(raw)
 
-    def text(self, ctx: Optional[FieldContext] = None) -> str:
+    def text(self, rs: Optional[RootSystem] = None) -> str:
         if not self.terms:
             return "0"
-        bits = [_term_text(term, self.terms[term], ctx) for term in sorted(self.terms, key=term_order)]
+        bits = [_term_text(term, self.terms[term], rs) for term in sorted(self.terms, key=term_order)]
         return " + ".join(bits).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -590,23 +557,23 @@ def term_order(term: Term) -> tuple:
     )
 
 
-def prim_text(p: Prim, ctx: Optional[FieldContext] = None) -> str:
+def prim_text(p: Prim, rs: Optional[RootSystem] = None) -> str:
     kind, label, deriv = p
     if kind == PHI:
         name = f"dphi{label + 1}"
     else:
-        root = ctx.root_names[label] if ctx else str(label)
+        root = rs.root_names[label] if rs is not None else str(label)
         name = f"{KIND_NAMES[kind]}[{root}]"
     return ("d" * deriv) + (f"({name})" if deriv and kind != PHI else name)
 
 
-def _term_text(term: Term, coef: Scalar, ctx: Optional[FieldContext]) -> str:
+def _term_text(term: Term, coef: Scalar, rs: Optional[RootSystem]) -> str:
     prims, pfs, vertex = term
     bits = []
     for p in prims:
-        bits.append(prim_text(p, ctx))
+        bits.append(prim_text(p, rs))
     for key, exp in pfs:
-        inner = base_expr(key).text(ctx)
+        inner = base_expr(key).text(rs)
         bits.append(f"({inner})^({exp.text()})")
     if vertex is not None:
         comps = []

@@ -1,6 +1,9 @@
 """Root systems and Cartan-Weyl structure constants for simple Lie algebras.
 
 Positive roots are generated from the Cartan matrix by root-string closure.
+A ``RootSystem`` is the one object the field layer reads: rank, the metric G
+and its inverse, h_vee, the Weyl vector's Dynkin labels ``rho_labels``, and,
+derived from the roots, the parity and name of each positive root by position.
 Structure constants are fixed in a Chevalley-type basis and stored once, in a
 ``StructureTable`` whose one writer ``set_pair(a, b, out)`` sets [a, b] and,
 by graded antisymmetry, [b, a].  Root-root brackets are filled one non-simple
@@ -160,15 +163,16 @@ class RootSystem:
     def _labels(self, root: Root) -> tuple[Fraction, ...]:
         return tuple(sum(Fraction(a) * c for a, c in zip(row, root)) for row in self.cartan)
 
-    def weight_inner(self, lam: Sequence, mu: Sequence) -> Fraction:
-        """(lam, mu) for weights given by Dynkin labels."""
+    def weight_inner(self, lam: Sequence, mu: Sequence):
+        """(lam, mu) for weights given by Dynkin labels: ints, Fractions or
+        ``coeffs.RatFunc``s alike; a Fraction when every label is rational."""
         total = Fraction(0)
         for i in range(self.rank):
             if not lam[i]:
                 continue
             for j in range(self.rank):
-                if mu[j]:
-                    total += Fraction(lam[i]) * self.Ginv[i][j] * Fraction(mu[j])
+                if mu[j] and self.Ginv[i][j]:
+                    total = total + lam[i] * self.Ginv[i][j] * mu[j]
         return total
 
     def rho_norm2(self) -> Fraction:
@@ -194,6 +198,21 @@ class RootSystem:
 
     def parity(self, root: Root) -> int:
         return 1 if root in self.odd_roots else 0
+
+    @cached_property
+    def root_parity(self) -> tuple[int, ...]:
+        """``parity`` of each positive root, by position."""
+        return tuple(self.parity(a) for a in self.pos_roots)
+
+    @cached_property
+    def root_names(self) -> tuple[str, ...]:
+        """``root_name`` of each positive root, by position."""
+        return tuple(self.root_name(a) for a in self.pos_roots)
+
+    @property
+    def bosonic(self) -> bool:
+        """Whether every positive root is even (no fermionic ghost pairs)."""
+        return not self.odd_roots
 
 
 def _validate_cartan(A: Sequence[Sequence[int]]) -> None:

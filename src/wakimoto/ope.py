@@ -56,14 +56,16 @@ from .fields import (
     GAMMA,
     PHI,
     BaseKey,
-    FieldContext,
     FieldExpr,
     Momentum,
     Prim,
     Term,
     UnsupportedContraction,
+    beta_kind,
+    gamma_kind,
     prim_parity,
 )
+from .liealg import RootSystem
 
 _FACT = [1]
 for _i in range(1, 40):
@@ -78,14 +80,14 @@ _LEG = (PHI, -1)
 _VERTEX = (-1, -1)
 
 
-def pair_kernel(ctx: FieldContext, zp: Prim, wp: Prim) -> Optional[tuple[int, Scalar]]:
+def pair_kernel(rs: RootSystem, zp: Prim, wp: Prim) -> Optional[tuple[int, Scalar]]:
     """(pole order, coefficient) of <zp(z) wp(w)>, or None; ghost kernels are ints."""
     kz, lz, m = zp
     kw, lw, l = wp
     if kz == PHI:
-        if kw != PHI or not ctx.G[lz][lw]:
+        if kw != PHI or not rs.G[lz][lw]:
             return None
-        return m + l + 2, ctx.t() * (ctx.G[lz][lw] * (-1) ** m * _FACT[m + l + 1])
+        return m + l + 2, RatFunc.t(rs.hvee) * (rs.G[lz][lw] * (-1) ** m * _FACT[m + l + 1])
     if kw != _PARTNER_KIND[kz] or lz != lw:
         return None
     coef = (-1) ** m * _FACT[m + l]
@@ -251,7 +253,7 @@ def _scaled_coefs(expr: FieldExpr) -> tuple[int, list[Scalar]]:
 
 
 def contract(
-    ctx: FieldContext,
+    rs: RootSystem,
     A: FieldExpr,
     B: FieldExpr,
     *,
@@ -262,7 +264,7 @@ def contract(
     With min_order = 0 the regular part (the point-split normal product) is
     included as order 0.
     """
-    run = _Contraction(ctx, min_order)
+    run = _Contraction(rs, min_order)
     da, a_coefs = _scaled_coefs(A)
     db, b_coefs = _scaled_coefs(B)
     w_terms = [_WTerm(tb, cb) for tb, cb in zip(B.terms, b_coefs)]
@@ -291,9 +293,9 @@ def contract(
     return OpeResult(poles)
 
 
-def regularized_product(ctx: FieldContext, A: FieldExpr, B: FieldExpr) -> FieldExpr:
+def regularized_product(rs: RootSystem, A: FieldExpr, B: FieldExpr) -> FieldExpr:
     """Point-splitting normal product: the (z-w)^0 part of the full expansion."""
-    return contract(ctx, A, B, min_order=0).order(0)
+    return contract(rs, A, B, min_order=0).order(0)
 
 
 class _Contraction:
@@ -308,11 +310,11 @@ class _Contraction:
     Taylor tower.
     """
 
-    def __init__(self, ctx: FieldContext, min_order: int):
-        self.ctx = ctx
+    def __init__(self, rs: RootSystem, min_order: int):
+        self.rs = rs
         self.min_order = min_order
-        # (zp, wp) -> pair_kernel(ctx, zp, wp); (base, zp) -> _pf_channels(...)
-        self.kernels = _Table(partial(pair_kernel, ctx))
+        # (zp, wp) -> pair_kernel(rs, zp, wp); (base, zp) -> _pf_channels(...)
+        self.kernels = _Table(partial(pair_kernel, rs))
         self.channels = _Table(partial(_pf_channels, self.kernels))
         self.towers: dict[tuple, tuple[list[FieldExpr], list[list]]] = {}
         self.raw: dict[int, list] = {}
@@ -329,7 +331,7 @@ class _Contraction:
             )
         exprs, levels = tower
         while len(levels) <= top and not exprs[-1].is_structurally_zero:
-            exprs.append(exprs[-1].derivative(self.ctx))
+            exprs.append(exprs[-1].derivative(self.rs))
             levels.append(_level(exprs[-1], _FACT[len(levels)]))
         return levels[: top + 1]
 
@@ -370,7 +372,7 @@ class _Contraction:
                 channels = self.channels[item.base, zp]
                 if not channels:
                     continue
-                pval = item.exp.as_ratfunc(self.ctx.hvee)
+                pval = item.exp.as_ratfunc(self.rs.hvee)
                 if odd and crossed:
                     pval = -pval
                 old_exp = item.exp
@@ -437,41 +439,41 @@ def _level(expr: FieldExpr, fact: int) -> list:
 # energy-momentum tensors
 # ---------------------------------------------------------------------------
 
-def free_field_tensor(ctx: FieldContext) -> FieldExpr:
+def free_field_tensor(rs: RootSystem) -> FieldExpr:
     """T = sum :d(gamma) beta: + (1/2t) G^{ij} :P_i P_j: - (1/t) rho^j dP_j."""
-    T = betagamma_tensor(ctx)
-    t = ctx.t()
+    T = betagamma_tensor(rs)
+    t = RatFunc.t(rs.hvee)
     half_over_t = RatFunc.of(Fraction(1, 2)) / t
-    for i in range(ctx.rank):
-        for j in range(ctx.rank):
-            g = ctx.Ginv[i][j]
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            g = rs.Ginv[i][j]
             if g:
                 T = T + (FieldExpr.prim(PHI, i) * FieldExpr.prim(PHI, j)).scale(
                     half_over_t * g
                 )
-    for j in range(ctx.rank):
-        r = sum(Fraction(ctx.rho[i]) * ctx.Ginv[i][j] for i in range(ctx.rank))
+    for j in range(rs.rank):
+        r = sum(rs.rho_labels[i] * rs.Ginv[i][j] for i in range(rs.rank))
         if r:
             T = T + FieldExpr.prim(PHI, j, 1, coef=-RatFunc.of(r) / t)
     return T
 
 
-def betagamma_tensor(ctx: FieldContext) -> FieldExpr:
+def betagamma_tensor(rs: RootSystem) -> FieldExpr:
     T = FieldExpr.zero()
-    for pos in range(ctx.n_pos):
-        T = T + FieldExpr.prim(ctx.gamma_kind(pos), pos, 1) * FieldExpr.prim(
-            ctx.beta_kind(pos), pos, 0
+    for pos in range(rs.n_pos):
+        T = T + FieldExpr.prim(gamma_kind(rs, pos), pos, 1) * FieldExpr.prim(
+            beta_kind(rs, pos), pos, 0
         )
     return T
 
 
-def scalar_tensor(ctx: FieldContext) -> FieldExpr:
-    return free_field_tensor(ctx) - betagamma_tensor(ctx)
+def scalar_tensor(rs: RootSystem) -> FieldExpr:
+    return free_field_tensor(rs) - betagamma_tensor(rs)
 
 
-def central_charge(ctx: FieldContext, T: FieldExpr) -> RatFunc:
+def central_charge(rs: RootSystem, T: FieldExpr) -> RatFunc:
     """c from the fourth-order pole of T(z)T(w)."""
-    four = contract(ctx, T, T).order(4)
+    four = contract(rs, T, T).order(4)
     c = 0
     for term, coef in four.terms.items():
         if term[0] or term[1] or term[2] is not None:
@@ -480,15 +482,15 @@ def central_charge(ctx: FieldContext, T: FieldExpr) -> RatFunc:
     return RatFunc.of(c * 2)
 
 
-def conformal_weight(ctx: FieldContext, T: FieldExpr, A: FieldExpr):
+def conformal_weight(rs: RootSystem, T: FieldExpr, A: FieldExpr):
     """Weight h with T(z)A(w) = h A/(z-w)^2 + dA/(z-w); (h, None) or (None, info)."""
-    res = contract(ctx, T, A)
+    res = contract(rs, T, A)
     for q in res.nonzero_orders():
         if q > 2:
             return None, (q, res.order(q))
     pole1 = res.order(1)
-    if not pole1.equals(A.derivative(ctx)):
-        return None, (1, pole1 - A.derivative(ctx))
+    if not pole1.equals(A.derivative(rs)):
+        return None, (1, pole1 - A.derivative(rs))
     pole2 = res.order(2)
     if pole2.is_zero:
         return RatFunc.zero(), None

@@ -16,12 +16,12 @@ from .coeffs import Exp, Pol, RatFunc
 from .diffop import DiffOp
 from .fields import (
     PHI,
-    FieldContext,
     FieldExpr,
     base_expr,
     base_key_of,
     term_order,
 )
+from .liealg import RootSystem
 from .ope import OpeResult
 from .polymat import Poly
 
@@ -128,22 +128,22 @@ def latex_diffop(op: DiffOp) -> str:
 _TEX_KIND = {0: "\\gamma^{%s}", 1: "c^{%s}", 2: "b_{%s}", 3: "\\beta_{%s}"}
 
 
-def latex_prim(prim, ctx: FieldContext) -> str:
+def latex_prim(prim, rs: RootSystem) -> str:
     kind, label, deriv = prim
     d = "\\partial " * deriv
     if kind == PHI:
         return d + f"\\sqrt{{t}}\\,\\partial\\varphi_{{{label + 1}}}"
-    name = _root_tex(ctx.root_names[label])
+    name = _root_tex(rs.root_names[label])
     return d + (_TEX_KIND[kind] % name)
 
 
-def latex_fieldexpr(expr: FieldExpr, ctx: FieldContext) -> str:
+def latex_fieldexpr(expr: FieldExpr, rs: RootSystem) -> str:
     bits = []
     for term in sorted(expr.terms, key=term_order):
         (prims, pfs, vertex), coef = term, expr.terms[term]
-        body = "".join(latex_prim(p, ctx) + "\\," for p in prims)
+        body = "".join(latex_prim(p, rs) + "\\," for p in prims)
         for key, e in pfs:
-            inner = latex_fieldexpr(base_expr(key), ctx)
+            inner = latex_fieldexpr(base_expr(key), rs)
             body += f"\\left({inner}\\right)^{{{e.text()}}}"
         if vertex is not None:
             comps = []
@@ -242,12 +242,12 @@ def fieldexpr_from_json(data) -> FieldExpr:
     return FieldExpr._from_raw(raw)
 
 
-def ope_to_json(res: OpeResult, ctx: Optional[FieldContext] = None):
+def ope_to_json(res: OpeResult, rs: Optional[RootSystem] = None):
     poles = {}
     for q in res.nonzero_orders():
         poles[str(q)] = fieldexpr_to_json(res.order(q))
-        if ctx is not None:
-            poles[str(q)]["text"] = res.order(q).text(ctx)
+        if rs is not None:
+            poles[str(q)]["text"] = res.order(q).text(rs)
     return {"schema": SCHEMA_OPE, "poles": poles}
 
 

@@ -33,7 +33,7 @@ from typing import Union
 
 from .coeffs import Exp, RatFunc
 from .currents import CurrentSet, PackedCurrents, free_field_image, operator_slots
-from .fields import FieldContext, FieldExpr
+from .fields import FieldExpr, beta_kind, gamma_kind
 from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
 from .polymat import Poly
@@ -60,18 +60,18 @@ class ScreeningCurrent:
         """The field expression whose OPEs are taken: the summand of a series."""
         return self.expr.body if self.is_series else self.expr
 
-    def compare(self, ctx: FieldContext, got: FieldExpr, want: FieldExpr) -> tuple[bool, str]:
+    def compare(self, rs: RootSystem, got: FieldExpr, want: FieldExpr) -> tuple[bool, str]:
         """Whether ``got - want`` vanishes, and the difference's text when it does not.
 
         For a series current both sides are summands and the difference is
         tested as a series; its text is the series residual.
         """
         if self.is_series:
-            res = SeriesExpr(got - want).residual(ctx)
-            return res.is_structurally_zero, res.text(ctx)
+            res = SeriesExpr(got - want).residual(rs)
+            return res.is_structurally_zero, res.text(rs)
         if got.equals(want):
             return True, ""
-        return False, (got - want).text(ctx)
+        return False, (got - want).text(rs)
 
 
 @dataclass
@@ -103,10 +103,10 @@ def first_kind_momentum(rs: RootSystem, j: int) -> tuple[RatFunc, ...]:
     return tuple(RatFunc.of(-x) for x in rs.root_labels(_simple(rs, j)))
 
 
-def second_kind_momentum(ctx: FieldContext, j: int) -> tuple[RatFunc, ...]:
+def second_kind_momentum(rs: RootSystem, j: int) -> tuple[RatFunc, ...]:
     """Scaled labels with exponent sqrt(t) phi_j."""
-    t = ctx.t()
-    return tuple(t * ctx.G[i][j] for i in range(ctx.rank))
+    t = RatFunc.t(rs.hvee)
+    return tuple(t * rs.G[i][j] for i in range(rs.rank))
 
 
 def _simple(rs: RootSystem, j: int):
@@ -125,7 +125,7 @@ def _polys(cs: CurrentSet):
 
 def screening_composite(cs: CurrentSet, j: int) -> FieldExpr:
     """S_{alpha_j}^sigma(gamma) beta_sigma."""
-    return free_field_image(cs.ctx, _polys(cs).S[j], operator_slots(cs.ctx))
+    return free_field_image(cs.rs, _polys(cs).S[j], operator_slots(cs.rs))
 
 
 def first_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
@@ -147,7 +147,7 @@ def second_kind_mult_one(cs: CurrentSet, j: int) -> ScreeningCurrent:
 def _prop1_form(cs: CurrentSet, j: int) -> ScreeningCurrent:
     base = screening_composite(cs, j)
     expo = Exp(-Fraction(2) / cs.rs.root_norm2(_simple(cs.rs, j)), 0, 0)
-    mom = second_kind_momentum(cs.ctx, j)
+    mom = second_kind_momentum(cs.rs, j)
     expr = FieldExpr.power(base, expo) * FieldExpr.vertex(mom)
     return ScreeningCurrent("second", j, expr, mom)
 
@@ -158,7 +158,7 @@ def second_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
     The osp(2|2) fixture has its one current, in the bosonic direction 1;
     otherwise a^j = 1 gives the power construction and a^j = 2 the B2 series.
     """
-    if not cs.ctx.bosonic:
+    if not cs.rs.bosonic:
         if j:
             raise DirectionError(f"{cs.rs.name} has a second-kind current in direction 1 only")
         return second_kind_osp22(cs)
@@ -180,7 +180,7 @@ def second_kind_b2(cs: CurrentSet) -> ScreeningCurrent:
         raise DirectionError("the series construction assumes the built-in B2 signs")
     j = 1
     A, B = _b2_bases(cs)
-    mom = second_kind_momentum(cs.ctx, j)
+    mom = second_kind_momentum(cs.rs, j)
     body = (
         FieldExpr.power(A, Exp(0, 0, 1))
         * FieldExpr.power(B, Exp(-2, 0, -2))
@@ -191,15 +191,15 @@ def second_kind_b2(cs: CurrentSet) -> ScreeningCurrent:
 
 def second_kind_osp22(cs: CurrentSet) -> ScreeningCurrent:
     """Bosonic-direction current of the osp(2|2) fixture."""
-    ctx = cs.ctx
-    if ctx.root_parity != (0, 1, 1):
+    rs = cs.rs
+    if rs.root_parity != (0, 1, 1):
         raise DirectionError("the osp current requires the OSP22 fixture")
-    t = ctx.t()
-    beta = FieldExpr.prim(ctx.beta_kind(0), 0)
-    c = FieldExpr.prim(ctx.gamma_kind(1), 1)
-    B = FieldExpr.prim(ctx.beta_kind(2), 2)
+    t = RatFunc.t(rs.hvee)
+    beta = FieldExpr.prim(beta_kind(rs, 0), 0)
+    c = FieldExpr.prim(gamma_kind(rs, 1), 1)
+    B = FieldExpr.prim(beta_kind(rs, 2), 2)
     pref = beta - (c * B).scale(t * Fraction(1, 2))
-    mom = second_kind_momentum(ctx, 0)
+    mom = second_kind_momentum(rs, 0)
     expr = pref * FieldExpr.power(beta, Exp(-1, -1, 0)) * FieldExpr.vertex(mom)
     return ScreeningCurrent("second", 0, expr, mom)
 
@@ -209,17 +209,17 @@ def second_kind_osp22(cs: CurrentSet) -> ScreeningCurrent:
 # ---------------------------------------------------------------------------
 
 def _check_total_derivative(
-    ctx: FieldContext, s: ScreeningCurrent, label, res, witness: FieldExpr
+    rs: RootSystem, s: ScreeningCurrent, label, res, witness: FieldExpr
 ) -> GeneratorCheck:
     """Pole 2 must equal the witness, pole 1 its derivative, nothing higher."""
-    want = {2: witness, 1: witness.derivative(ctx)}
+    want = {2: witness, 1: witness.derivative(rs)}
     for q in sorted(set(res.poles) | {1, 2}, reverse=True):
-        ok, text = s.compare(ctx, res.order(q), want.get(q, FieldExpr.zero()))
+        ok, text = s.compare(rs, res.order(q), want.get(q, FieldExpr.zero()))
         if not ok:
             where = f"pole {q}" if q > 2 else f"pole {q} mismatch"
             return GeneratorCheck(label, False, detail=f"{where}: {text}")
     shown = SeriesExpr(witness) if s.is_series else witness
-    return GeneratorCheck(label, True, witness_text=shown.text(ctx))
+    return GeneratorCheck(label, True, witness_text=shown.text(rs))
 
 
 def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
@@ -230,8 +230,8 @@ def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> F
     q = polys.Q[alpha_pos][j]
     if q.is_zero:
         return FieldExpr.zero()
-    pref = RatFunc.of(-2) * cs.ctx.t() / aj2
-    return free_field_image(cs.ctx, [q], [()], [pref]) * FieldExpr.vertex(s.momentum)
+    pref = RatFunc.of(-2) * RatFunc.t(cs.rs.hvee) / aj2
+    return free_field_image(cs.rs, [q], [()], [pref]) * FieldExpr.vertex(s.momentum)
 
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
@@ -252,8 +252,8 @@ def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> Screenin
     Wick's theorem decides T, every other label and every label the closed
     form refutes, so each failure's detail is Wick's.
     """
-    ctx = cs.ctx
-    body = PackedCurrents.split(ctx, s.body)
+    rs = cs.rs
+    body = PackedCurrents.split(rs, s.body)
     closed = {}
     if body is not None and body[1] is not None and not body[0][-1] and cs.packed is not None:
         closed = cs.packed.refuted_labels(body, witnesses)
@@ -262,17 +262,17 @@ def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> Screenin
         want = witnesses.get(label, FieldExpr.zero())
         orders = closed.get(label)
         if orders == []:
-            report.checks.append(GeneratorCheck(label, True, witness_text=want.text(ctx)))
+            report.checks.append(GeneratorCheck(label, True, witness_text=want.text(rs)))
             continue
-        check = _check_total_derivative(ctx, s, label, contract(ctx, J, s.body), want)
+        check = _check_total_derivative(rs, s, label, contract(rs, J, s.body), want)
         if orders and check.ok:
             check = GeneratorCheck(
                 label, False, detail="the closed-form poles refute this label and Wick's theorem does not"
             )
         report.checks.append(check)
     # conformal contract
-    res = contract(ctx, free_field_tensor(ctx), s.body)
-    report.checks.append(_check_total_derivative(ctx, s, ("T", 0), res, s.body))
+    res = contract(rs, free_field_tensor(rs), s.body)
+    report.checks.append(_check_total_derivative(rs, s, ("T", 0), res, s.body))
     return report
 
 
@@ -292,7 +292,7 @@ def verify(cs: CurrentSet, s: ScreeningCurrent) -> ScreeningReport:
         wit = _root_witnesses(cs, s, first_kind_witness)
     elif s.is_series:
         wit = b2_series_witnesses(cs, s)
-    elif not cs.ctx.bosonic:
+    elif not cs.rs.bosonic:
         wit = osp22_witnesses(cs, s)
     else:
         wit = _root_witnesses(cs, s, prop1_witness)
@@ -306,9 +306,8 @@ verify_second_kind_b2 = verify_second_kind_osp22 = verify
 
 def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
     """The closed-form witnesses of the B2 series verification, as summands."""
-    ctx = cs.ctx
     rs = cs.rs
-    t = ctx.t()
+    t = RatFunc.t(rs.hvee)
     n = RatFunc.n()
     base_A, base_B = _b2_bases(cs)
     V = FieldExpr.vertex(s.momentum)
@@ -316,10 +315,10 @@ def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
     An_less = FieldExpr.power(base_A, Exp(0, -1, 1))
     B_less = FieldExpr.power(base_B, Exp(-2, -1, -2))
     B_same = FieldExpr.power(base_B, Exp(-2, 0, -2))
-    g1 = FieldExpr.prim(ctx.gamma_kind(0), 0)
-    g2 = FieldExpr.prim(ctx.gamma_kind(1), 1)
-    g11 = FieldExpr.prim(ctx.gamma_kind(2), 2)
-    dg1 = FieldExpr.prim(ctx.gamma_kind(0), 0, 1)
+    g1 = FieldExpr.prim(gamma_kind(rs, 0), 0)
+    g2 = FieldExpr.prim(gamma_kind(rs, 1), 1)
+    g11 = FieldExpr.prim(gamma_kind(rs, 2), 2)
+    dg1 = FieldExpr.prim(gamma_kind(rs, 0), 0, 1)
     wit = {}
     wit[("f", (0, 1))] = (An * B_less * V).scale(-2 * t - 2 * n)
     wit[("f", (1, 1))] = (g1 * An * B_less * V).scale(2 * t + 2 * n)
@@ -331,24 +330,24 @@ def b2_series_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
 
 def _b2_bases(cs: CurrentSet):
     """The bases A (anchor, exponent n) and B (exponent -2t - 2n) of the B2 series."""
-    ctx = cs.ctx
-    ith = cs.rs.root_index(cs.rs.theta)
+    rs = cs.rs
+    ith = rs.root_index(rs.theta)
     third = Fraction(1, 3)
     A = (
-        FieldExpr.prim(ctx.gamma_kind(0), 0, 1) * FieldExpr.prim(ctx.beta_kind(ith), ith)
+        FieldExpr.prim(gamma_kind(rs, 0), 0, 1) * FieldExpr.prim(beta_kind(rs, ith), ith)
     ).scale(-2 * third) + (
-        FieldExpr.prim(ctx.gamma_kind(0), 0) * FieldExpr.prim(ctx.beta_kind(ith), ith, 1)
+        FieldExpr.prim(gamma_kind(rs, 0), 0) * FieldExpr.prim(beta_kind(rs, ith), ith, 1)
     ).scale(third)
     B = screening_composite(cs, 1)
     return A, B
 
 
 def osp22_witnesses(cs: CurrentSet, s: ScreeningCurrent) -> dict:
-    ctx = cs.ctx
-    t = ctx.t()
-    beta = FieldExpr.prim(ctx.beta_kind(0), 0)
-    c = FieldExpr.prim(ctx.gamma_kind(1), 1)
-    B = FieldExpr.prim(ctx.beta_kind(2), 2)
+    rs = cs.rs
+    t = RatFunc.t(rs.hvee)
+    beta = FieldExpr.prim(beta_kind(rs, 0), 0)
+    c = FieldExpr.prim(gamma_kind(rs, 1), 1)
+    B = FieldExpr.prim(beta_kind(rs, 2), 2)
     V = FieldExpr.vertex(s.momentum)
     wit = {}
     wit[("f", (1, 0))] = (
@@ -383,21 +382,21 @@ def naive_second_kind_failure(cs: CurrentSet, j: int) -> NaiveFailure:
     if j >= cs.rs.rank or cs.rs.theta[j] <= 1:
         raise DirectionError("the naive construction only fails for multiplicity > 1")
     s = _prop1_form(cs, j)
-    T = free_field_tensor(cs.ctx)
-    res = contract(cs.ctx, T, s.expr)
+    T = free_field_tensor(cs.rs)
+    res = contract(cs.rs, T, s.expr)
     pole3 = res.order(3)
     # expected: p(p-1) (S dS)^tau(gamma) beta_tau X^{p-2} V
     polys = _polys(cs)
     np_ = cs.rs.n_pos
     aj2 = cs.rs.root_norm2(_simple(cs.rs, j))
     u = -Fraction(2) / aj2
-    p = Exp(u, 0, 0).as_ratfunc(cs.ctx.hvee)
+    p = Exp(u, 0, 0).as_ratfunc(cs.rs.hvee)
     base = screening_composite(cs, j)
     Sj = polys.S[j]
     contracted = [
         sum((Sj[g] * Sj[tau].deriv(g) for g in range(np_)), Poly.zero(np_)) for tau in range(np_)
     ]
-    shape = free_field_image(cs.ctx, contracted, operator_slots(cs.ctx))
+    shape = free_field_image(cs.rs, contracted, operator_slots(cs.rs))
     expected = (
         shape
         * FieldExpr.power(base, Exp(u, -2, 0))

@@ -27,7 +27,6 @@ from typing import Optional
 from .coeffs import Exp, RatFunc
 from .fields import (
     BaseKey,
-    FieldContext,
     FieldExpr,
     Term,
     UnsupportedContraction,
@@ -37,6 +36,7 @@ from .fields import (
     power_floors,
     prim_parity,
 )
+from .liealg import RootSystem
 
 
 def _cn_factors(hvee: int) -> tuple[RatFunc, RatFunc, RatFunc]:
@@ -88,10 +88,10 @@ class SeriesExpr:
     def scale(self, c) -> "SeriesExpr":
         return SeriesExpr(self.body.scale(c))
 
-    def derivative(self, ctx: FieldContext) -> "SeriesExpr":
-        return SeriesExpr(self.body.derivative(ctx))
+    def derivative(self, rs: RootSystem) -> "SeriesExpr":
+        return SeriesExpr(self.body.derivative(rs))
 
-    def anchored(self, ctx: FieldContext) -> "SeriesExpr":
+    def anchored(self, rs: RootSystem) -> "SeriesExpr":
         """Reindex each term so the anchor power sits at exactly n."""
         raw = []
         for term, coef in self.body.terms.items():
@@ -107,25 +107,25 @@ class SeriesExpr:
                 pfs = tuple((key, e.shift_n(-j)) for key, e in pfs)
                 if vertex is not None:
                     vertex = tuple(c.shift_n(-j) for c in vertex)
-                coef = RatFunc.of(coef).shift_n(-j) * _cn_shift_factor(ctx.hvee, j)
+                coef = RatFunc.of(coef).shift_n(-j) * _cn_shift_factor(rs.hvee, j)
             raw.append((coef, prims, pfs, vertex))
         return SeriesExpr(FieldExpr._from_raw(raw))
 
-    def is_zero(self, ctx: FieldContext) -> bool:
-        return self.residual(ctx).is_structurally_zero
+    def is_zero(self, rs: RootSystem) -> bool:
+        return self.residual(rs).is_structurally_zero
 
-    def equals(self, other: "SeriesExpr", ctx: FieldContext) -> bool:
-        return (self - other).is_zero(ctx)
+    def equals(self, other: "SeriesExpr", rs: RootSystem) -> bool:
+        return (self - other).is_zero(rs)
 
-    def residual(self, ctx: FieldContext) -> FieldExpr:
+    def residual(self, rs: RootSystem) -> FieldExpr:
         """What is left after collection; empty means zero."""
-        body = expand_power_levels(self.anchored(ctx).body)
-        return _absorb_anchor_copies(ctx, body)
+        body = expand_power_levels(self.anchored(rs).body)
+        return _absorb_anchor_copies(rs, body)
 
-    def text(self, ctx: Optional[FieldContext] = None) -> str:
+    def text(self, rs: Optional[RootSystem] = None) -> str:
         if self.body.is_structurally_zero:
             return "0"
-        return "sum_n C_n [ " + self.body.text(ctx) + " ]"
+        return "sum_n C_n [ " + self.body.text(rs) + " ]"
 
 
 def _multiset_minus(prims: tuple, tau: tuple) -> Optional[tuple]:
@@ -193,7 +193,7 @@ def _within_floors(expr: FieldExpr, floors: dict) -> bool:
     return True
 
 
-def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
+def _absorb_anchor_copies(rs: RootSystem, body: FieldExpr) -> FieldExpr:
     """Quotient by :sum_tau c_tau tau m A^n: = :m A^{n+1}: at a common level.
 
     Works on the anchored, level-expanded representation: the least term
@@ -228,7 +228,7 @@ def _absorb_anchor_copies(ctx: FieldContext, body: FieldExpr) -> FieldExpr:
         )
         aidx = next(i for i, (kk, e) in enumerate(pfs) if e.w == 1)
         bumped = pfs[:aidx] + ((key, pfs[aidx][1] + 1),) + pfs[aidx + 1:]
-        promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)])).anchored(ctx).body
+        promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)])).anchored(rs).body
         body = body - removal
         if _floors_hold(body, pfs) and _within_floors(promoted, floors):
             added = FieldExpr._from_raw(lower_to_floors(promoted.terms.items(), floors))

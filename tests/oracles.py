@@ -25,6 +25,7 @@ from wakimoto.fields import (
     _base_sort_key,
     base_expr,
     prim_parity,
+    vertex_phi_coupling,
 )
 from wakimoto.liealg import Label, RootSystem, StructureTable
 from wakimoto.polymat import (
@@ -521,11 +522,11 @@ def _creator_modes(tag, h, modes):
     return range(-modes, top + 1)
 
 
-def vacuum_two_point(ctx, A, B, modes=4, orders=4):
+def vacuum_two_point(rs, A, B, modes=4, orders=4):
     """<0|A(z)B(w)|0> as {(zpow, wpow): RatFunc}, truncated but exact
     for every key with wpow <= modes - 2."""
     out = {}
-    t = ctx.t()
+    t = RatFunc.t(rs.hvee)
     for (aprims, apfs, avert), ca in A.terms.items():
         assert not apfs and avert is None
         afac = [_factor_data(p) for p in aprims]
@@ -567,7 +568,7 @@ def vacuum_two_point(ctx, A, B, modes=4, orders=4):
                         elif tag == "g" and etag == "b" and label == elabel:
                             c = -c
                         elif tag == "a" and etag == "a":
-                            g = ctx.G[label][elabel]
+                            g = rs.G[label][elabel]
                             if not g:
                                 good = False
                                 break
@@ -587,9 +588,9 @@ def vacuum_two_point(ctx, A, B, modes=4, orders=4):
     }
 
 
-def engine_vacuum_series(ctx, A, B, orders=4, window=None):
+def engine_vacuum_series(rs, A, B, orders=4, window=None):
     """Engine-side <0|A(z)B(w)|0> expanded in the same (zpow, wpow) grid."""
-    res = contract(ctx, A, B)
+    res = contract(rs, A, B)
     window = window if window is not None else 2
     out = {}
     for q, expr in res.poles.items():
@@ -635,7 +636,7 @@ def expand_power_levels_termwise(expr: FieldExpr) -> FieldExpr:
     return out
 
 
-def series_residual_rescan(ctx, series) -> FieldExpr:
+def series_residual_rescan(rs, series) -> FieldExpr:
     """Reference series residual: anchor term by term, then rewrite the least
     rewritable term and level-expand the whole body again, until none is left."""
     body = FieldExpr.zero()
@@ -643,7 +644,7 @@ def series_residual_rescan(ctx, series) -> FieldExpr:
         j = int(next(e for _, e in term[1] if e.w == 1).v)
         piece = FieldExpr({term: coef})
         if j:
-            piece = piece.shift_n(-j).scale(_cn_shift_factor(ctx.hvee, j))
+            piece = piece.shift_n(-j).scale(_cn_shift_factor(rs.hvee, j))
         body = body + piece
     body = expand_power_levels_termwise(body)
     for _ in range(500):
@@ -658,7 +659,7 @@ def series_residual_rescan(ctx, series) -> FieldExpr:
         aidx = next(i for i, (_, e) in enumerate(pfs) if e.w == 1)
         bumped = pfs[:aidx] + ((key, pfs[aidx][1] + 1),) + pfs[aidx + 1:]
         promoted = SeriesExpr(FieldExpr._from_raw([(lam, rest, bumped, vertex)]))
-        body = expand_power_levels_termwise(body - removal + promoted.anchored(ctx).body)
+        body = expand_power_levels_termwise(body - removal + promoted.anchored(rs).body)
     raise RuntimeError("reference copy elimination did not terminate")
 
 
@@ -924,7 +925,7 @@ def from_raw_reference(raw) -> FieldExpr:
     return FieldExpr(out)
 
 
-def _derivative_reference(ctx, expr: FieldExpr) -> FieldExpr:
+def _derivative_reference(rs, expr: FieldExpr) -> FieldExpr:
     """d(expr) for an expression without power factors (a z-side part)."""
     raw = []
     for (prims, pfs, vertex), coef in expr.terms.items():
@@ -932,13 +933,13 @@ def _derivative_reference(ctx, expr: FieldExpr) -> FieldExpr:
         for i, p in enumerate(prims):
             raw.append((coef, prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:], (), vertex))
         if vertex is not None:
-            for j, nu in enumerate(ctx.vertex_phi_coupling(vertex)):
+            for j, nu in enumerate(vertex_phi_coupling(rs, vertex)):
                 if not nu.is_zero:
                     raw.append((coef * nu, prims + ((PHI, j, 0),), (), vertex))
     return from_raw_reference(raw)
 
 
-def _pair_kernel_reference(ctx, zp, wp):
+def _pair_kernel_reference(rs, zp, wp):
     kz, lz, m = zp
     kw, lw, l = wp
     if kz == BETA and kw == GAMMA and lz == lw:
@@ -950,10 +951,10 @@ def _pair_kernel_reference(ctx, zp, wp):
     if kz == CGH and kw == BGH and lz == lw:
         return m + l + 1, RatFunc.of(Fraction((-1) ** m * _REF_FACT[m + l]))
     if kz == PHI and kw == PHI:
-        g = ctx.G[lz][lw]
+        g = rs.G[lz][lw]
         if not g:
             return None
-        return m + l + 2, ctx.t() * Fraction(g * (-1) ** m * _REF_FACT[m + l + 1])
+        return m + l + 2, RatFunc.t(rs.hvee) * Fraction(g * (-1) ** m * _REF_FACT[m + l + 1])
     return None
 
 
@@ -977,7 +978,7 @@ class _RefItem:
         self.parity = prim_parity(prim) if kind == "prim" else 0
 
 
-def _taylor_reference(ctx, prims, vertex, top):
+def _taylor_reference(rs, prims, vertex, top):
     """Levels m = 0..top of d^m/m! of :prims vertex: as (RatFunc, prims, vertex)
     triples, up to and including the first (empty) level that vanishes."""
     expr = from_raw_reference([(RatFunc.one(), prims, (), vertex)])
@@ -987,11 +988,11 @@ def _taylor_reference(ctx, prims, vertex, top):
         levels.append([(c * inv, p, v) for (p, _, v), c in expr.terms.items()])
         if expr.is_structurally_zero:
             break
-        expr = _derivative_reference(ctx, expr)
+        expr = _derivative_reference(rs, expr)
     return levels
 
 
-def contract_reference(ctx, A: FieldExpr, B: FieldExpr, *, min_order: int = 1) -> dict:
+def contract_reference(rs, A: FieldExpr, B: FieldExpr, *, min_order: int = 1) -> dict:
     """{pole order: FieldExpr} of A(z)B(w) for the orders >= min_order."""
     raw = {}
     for ta, ca in A.terms.items():
@@ -1000,7 +1001,7 @@ def contract_reference(ctx, A: FieldExpr, B: FieldExpr, *, min_order: int = 1) -
         for tb, cb in B.terms.items():
             if ta[2] is not None and tb[2] is not None:
                 raise UnsupportedContraction("vertex-vertex contraction is out of scope")
-            _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb)
+            _contract_pair_reference(rs, min_order, raw, ta, ca, tb, cb)
     poles = {}
     for q, terms in raw.items():
         expr = from_raw_reference(terms)
@@ -1009,7 +1010,7 @@ def contract_reference(ctx, A: FieldExpr, B: FieldExpr, *, min_order: int = 1) -
     return poles
 
 
-def _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb):
+def _contract_pair_reference(rs, min_order, raw, ta, ca, tb, cb):
     zprims, _, zvertex = ta
     wprims, wpfs, wvertex = tb
     zalive = [True] * len(zprims)
@@ -1035,7 +1036,7 @@ def _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb):
         rest_prims = tuple(item.prim for item in wleft if item.kind == "prim")
         rest_pfs = tuple((item.base, item.exp) for item in wleft if item.kind == "pf")
         zleft = tuple(p for p, alive in zip(zprims, zalive) if alive)
-        for m, level in enumerate(_taylor_reference(ctx, zleft, zvertex, q - min_order)):
+        for m, level in enumerate(_taylor_reference(rs, zleft, zvertex, q - min_order)):
             bucket = raw.setdefault(q - m, [])
             for tc, tprims, tvertex in level:
                 bucket.append((coef * tc, tprims + rest_prims, rest_pfs, tvertex if tvertex is not None else wvertex))
@@ -1067,7 +1068,7 @@ def _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb):
                 continue
             sgn = -1 if (prim_parity(zp) and crossing_parity(iz, pos)) else 1
             if item.kind == "prim":
-                ker = _pair_kernel_reference(ctx, zp, item.prim)
+                ker = _pair_kernel_reference(rs, zp, item.prim)
                 if ker is None:
                     continue
                 item.alive = False
@@ -1078,11 +1079,11 @@ def _contract_pair_reference(ctx, min_order, raw, ta, ca, tb, cb):
             elif item.kind == "pf":
                 for bprims, bcoef in item.base:
                     for i, g in enumerate(bprims):
-                        ker = _pair_kernel_reference(ctx, zp, g)
+                        ker = _pair_kernel_reference(rs, zp, g)
                         if ker is None:
                             continue
                         gsgn = -1 if prim_parity(g) and sum(map(prim_parity, bprims[:i])) % 2 else 1
-                        pval = item.exp.as_ratfunc(ctx.hvee)
+                        pval = item.exp.as_ratfunc(rs.hvee)
                         old_exp = item.exp
                         item.exp = old_exp - 1
                         if item.exp.is_const and item.exp.v == 0:

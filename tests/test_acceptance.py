@@ -134,15 +134,15 @@ def test_criterion_4_wakimoto_currents(b2cs):
 
 def test_criterion_5_central_charges(b2cs):
     with criterion(5, "Sugawara tensor and central charges", 30.0):
-        ctx = b2cs.ctx
+        rs = b2cs.rs
         k = RatFunc.k()
-        t = ctx.t()
+        t = RatFunc.t(rs.hvee)
         T = sugawara_tensor(b2cs)
-        Tfree = free_field_tensor(ctx)
+        Tfree = free_field_tensor(rs)
         assert T.equals(Tfree)
-        assert central_charge(ctx, Tfree) == 10 * k / t
-        assert central_charge(ctx, betagamma_tensor(ctx)) == RatFunc.of(8)
-        assert central_charge(ctx, scalar_tensor(ctx)) == 2 - 30 / t
+        assert central_charge(rs, Tfree) == 10 * k / t
+        assert central_charge(rs, betagamma_tensor(rs)) == RatFunc.of(8)
+        assert central_charge(rs, scalar_tensor(rs)) == 2 - 30 / t
 
 
 def test_criterion_6_first_kind(b2cs):
@@ -160,8 +160,8 @@ def test_criterion_7_prop1(b2cs):
         # witnesses match the closed forms, e.g. R_{-a11} = -2t gamma^2 X^{-t-1}
         from wakimoto.screening import prop1_witness, screening_composite
 
-        ctx = b2cs.ctx
-        t = ctx.t()
+        rs = b2cs.rs
+        t = RatFunc.t(rs.hvee)
         X = screening_composite(b2cs, 0)
         V = FieldExpr.vertex(s.momentum)
         i11 = b2cs.rs.root_index((1, 1))
@@ -172,7 +172,7 @@ def test_criterion_7_prop1(b2cs):
         probes = [
             b2cs[("e", (0, 1))],
             b2cs[("h", 0)],
-            betagamma_tensor(ctx),
+            betagamma_tensor(rs),
         ]
         for m in (1, 2, 3):
             from wakimoto.fields import base_key_of
@@ -183,8 +183,8 @@ def test_criterion_7_prop1(b2cs):
             for _ in range(m):
                 planted = planted * X
             for J in probes:
-                lhs = contract(ctx, J, sym)
-                rhs = contract(ctx, J, planted)
+                lhs = contract(rs, J, sym)
+                rhs = contract(rs, J, planted)
                 for q in set(lhs.poles) | set(rhs.poles):
                     assert lhs.order(q).equals(rhs.order(q)), (m, q)
 
@@ -195,7 +195,7 @@ def test_criterion_8_negative_control(b2cs):
         assert fail.nonvanishing
         assert fail.matches_expected_shape
         # the S dS sequence concretely contains -gamma^1/3 on beta_theta
-        ctx = b2cs.ctx
+        rs = b2cs.rs
         ith = b2cs.rs.root_index((1, 2))
         found = False
         for (prims, pfs, vertex), coef in fail.expected_shape.terms.items():
@@ -219,8 +219,8 @@ def test_criterion_9_prop2_series(b2cs):
         from wakimoto.series import cn_ratio
         from wakimoto.screening import ScreeningCurrent, verify_second_kind_b2 as vb2
 
-        relabeled = SeriesExpr(s.expr.body.shift_n(1).scale(cn_ratio(b2cs.ctx.hvee)))
-        assert relabeled.equals(s.expr, b2cs.ctx)
+        relabeled = SeriesExpr(s.expr.body.shift_n(1).scale(cn_ratio(b2cs.rs.hvee)))
+        assert relabeled.equals(s.expr, b2cs.rs)
         s2 = ScreeningCurrent(s.kind, s.direction, relabeled, s.momentum)
         rep2 = vb2(b2cs, s2)
         assert rep2.ok, [(c.label, c.detail) for c in rep2.failures()]
@@ -236,8 +236,8 @@ def test_criterion_10_prop3_osp22():
         # R_{-alpha1} = t (beta - (t+1)/2 c B) beta^{-t-2}
         from wakimoto.screening import osp22_witnesses
 
-        ctx = cs.ctx
-        t = ctx.t()
+        rs = cs.rs
+        t = RatFunc.t(rs.hvee)
         wit = osp22_witnesses(cs, s)
         beta = FieldExpr.prim(BETA, 0)
         c_ = FieldExpr.prim(CGH, 1)
@@ -250,6 +250,6 @@ def test_criterion_10_prop3_osp22():
         ).scale(t)
         assert wit[("f", (1, 0))].equals(expected)
         # graded signs: the two-field fermion oracle
-        assert contract(ctx, B_, FieldExpr.prim(CGH, 2)).order(1).equals(FieldExpr.const(1))
-        assert contract(ctx, FieldExpr.prim(CGH, 2), B_).order(1).equals(FieldExpr.const(1))
+        assert contract(rs, B_, FieldExpr.prim(CGH, 2)).order(1).equals(FieldExpr.const(1))
+        assert contract(rs, FieldExpr.prim(CGH, 2), B_).order(1).equals(FieldExpr.const(1))
         assert ((c_ * B_) + (B_ * c_)).is_zero

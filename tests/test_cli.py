@@ -10,7 +10,7 @@ import pytest
 
 from wakimoto import cli, currents
 from wakimoto.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main, parse_expression, _load
-from wakimoto.fields import FieldExpr
+from wakimoto.fields import FieldExpr, beta_kind, gamma_kind
 from wakimoto.ope import contract
 
 
@@ -73,7 +73,7 @@ def test_ope_nesting_within_the_bound_parses():
     assert parse_expression(cs, "-" * 50 + "E[1]").equals(E)
     d50 = parse_expression(cs, "d(" * 50 + "gamma[1]" + ")" * 50)
     for _ in range(50):
-        g = g.derivative(cs.ctx)
+        g = g.derivative(cs.rs)
     assert d50.equals(g)
 
 
@@ -112,11 +112,11 @@ def test_ope_prints_level_expanded_poles(capsys, fmt):
 def test_ope_expression_arithmetic():
     cs = _load("B2")
     e = parse_expression(cs, "2*gamma[1]*beta[1] - d(gamma[1])*1/2")
-    g = FieldExpr.prim(cs.ctx.gamma_kind(0), 0)
-    b = FieldExpr.prim(cs.ctx.beta_kind(0), 0)
+    g = FieldExpr.prim(gamma_kind(cs.rs, 0), 0)
+    b = FieldExpr.prim(beta_kind(cs.rs, 0), 0)
     from fractions import Fraction
 
-    expected = (g * b).scale(2) - FieldExpr.prim(cs.ctx.gamma_kind(0), 0, 1).scale(
+    expected = (g * b).scale(2) - FieldExpr.prim(gamma_kind(cs.rs, 0), 0, 1).scale(
         Fraction(1, 2)
     )
     assert e.equals(expected)
@@ -267,7 +267,7 @@ def test_json_roundtrip():
     s = second_kind_mult_one(cs, 0)
     back = fieldexpr_from_json(fieldexpr_to_json(s.expr))
     assert back.equals(s.expr)
-    res = contract(cs.ctx, cs.currents[("e", (1, 2))], cs.currents[("f", (1, 2))])
+    res = contract(cs.rs, cs.currents[("e", (1, 2))], cs.currents[("f", (1, 2))])
     rt = ope_from_json(json.loads(json.dumps(ope_to_json(res))))
     for q in set(res.poles) | set(rt.poles):
         assert rt.order(q).equals(res.order(q))
@@ -285,13 +285,35 @@ def test_json_roundtrip():
         ("B2", "s[3]", "s[3]"),
         ("A1", "E[0]", "root label '0'"),
         ("B2", "beta[0]", "root label '0'"),
+        ("B2", "E[0]", "root label '0'"),
+        ("B2", "E[99]", "root label '99'"),
+        ("B2", "E[alpha]", "root label 'alpha'"),
+        ("A10", "E[11]", "root label '11'"),
+        ("B2", "E[" + "9" * 5000 + "]", "root label '999"),
     ],
+    ids=lambda v: v if len(v) < 40 else f"{v[:6]}...",
 )
 def test_bad_label_is_input_error(capsys, algebra, expr, why):
     code, out, err = run(capsys, "ope", "--algebra", algebra, expr, "E[1]")
     assert code == EXIT_INPUT
     assert out == ""
     assert err.count("\n") == 1 and why in err
+
+
+@pytest.mark.parametrize(
+    "algebra, spellings",
+    [
+        ("B2", [("E[1]", "F[1]"), ("E[alpha1]", "F[1]")]),
+        ("A10", [("beta[0000000001]", "gamma[0000000001]"), ("beta[10]", "gamma[10]"),
+                 ("beta[alpha10]", "gamma[alpha10]")]),
+    ],
+)
+def test_root_label_spellings_print_the_same_bytes(capsys, algebra, spellings):
+    """A simple-root index, with or without the alpha prefix and at any rank, names
+    the same root as its coefficient digit string."""
+    outs = [run(capsys, "ope", "--algebra", algebra, "--format", "text", *pair) for pair in spellings]
+    assert outs[0][0] == EXIT_OK and "pole 1: " in outs[0][1]
+    assert all(out == outs[0] for out in outs)
 
 
 def test_naive_suite_without_a_second_direction_is_input_error(capsys):
@@ -312,6 +334,29 @@ def test_osp22_first_kind_is_input_error(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.count("\n") == 1 and "realization polynomials" in err
+
+
+@pytest.mark.parametrize(
+    "argv, formats, removed",
+    [
+        (["realize", "--algebra", "A1"], ["json", "latex", "text"], []),
+        (["verify", "--algebra", "A1", "--suite", "jacobi"], ["json", "text"], ["latex"]),
+        (["screen", "--algebra", "A1", "--direction", "1"], ["json", "latex"], ["text"]),
+        (["ope", "--algebra", "A1", "E[1]", "F[1]"], ["json", "latex", "text"], []),
+    ],
+    ids=["realize", "verify", "screen", "ope"],
+)
+def test_each_format_writes_its_own_bytes(capsys, argv, formats, removed):
+    """A subcommand offers only the formats it writes: each accepted one prints
+    different bytes, and a value that would repeat another is a usage error."""
+    outs = {fmt: run(capsys, *argv, "--format", fmt) for fmt in formats}
+    assert all(code == EXIT_OK and out and not err for code, out, err in outs.values())
+    assert len({out for _, out, _ in outs.values()}) == len(formats)
+    for fmt in removed:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -352,8 +397,8 @@ def _planted(selector):
     or OSP22's e_alpha1 + 2 beta_alpha1."""
     cs = _load(selector)
     e1 = ("e", tuple(int(i == 0) for i in range(cs.rs.rank)))
-    pos, coef = (cs.rs.root_index(cs.rs.theta), 1) if cs.ctx.bosonic else (0, 2)
-    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(pos), pos, coef=coef)
+    pos, coef = (cs.rs.root_index(cs.rs.theta), 1) if cs.rs.bosonic else (0, 2)
+    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(beta_kind(cs.rs, pos), pos, coef=coef)
     return cs
 
 
@@ -412,7 +457,7 @@ def test_jobs_check_the_current_set_they_were_given():
     for algebra in ("OSP22", "A2"):
         cs = _load(algebra)
         e1 = ("e", (1, 0))
-        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(cs.ctx.beta_kind(0), 0, coef=2)
+        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(beta_kind(cs.rs, 0), 0, coef=2)
         ok, details = cli.run_suite(cs, "currents", None)
         assert not ok and len(details["violations"]) == 14
 

@@ -46,7 +46,7 @@ def a1cs():
 
 def reference_current(cs, label):
     """Current rebuilt from the printed realization plus anomalous terms."""
-    rs, ctx = cs.rs, cs.ctx
+    rs = cs.rs
     k = RatFunc.k()
     dspec, lspec = B2_DIFFOPS[label]
     expr = FieldExpr.zero()
@@ -95,7 +95,7 @@ def test_raising_and_cartan_have_no_anomalous_terms(b2cs):
 
 def test_e_theta_f_theta_pair(b2cs):
     rs = b2cs.rs
-    res = contract(b2cs.ctx, b2cs[("e", rs.theta)], b2cs[("f", rs.theta)])
+    res = contract(b2cs.rs, b2cs[("e", rs.theta)], b2cs[("f", rs.theta)])
     k = RatFunc.k()
     assert res.order(2).equals(FieldExpr.const(k))
     assert res.order(1).equals(b2cs[("h", 0)] + b2cs[("h", 1)])
@@ -105,7 +105,7 @@ def test_e_theta_f_theta_pair(b2cs):
 def test_e_e_pair_regular(b2cs):
     rs = b2cs.rs
     e1 = b2cs[("e", (1, 0))]
-    assert contract(b2cs.ctx, e1, e1).is_regular()
+    assert contract(b2cs.rs, e1, e1).is_regular()
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "G2"])
@@ -122,7 +122,7 @@ def test_b2_full_sweep(b2cs):
 def test_sweep_detects_wrong_current(b2cs):
     broken = dict(b2cs.currents)
     broken[("e", (1, 0))] = broken[("e", (1, 0))] + FieldExpr.prim(BETA, 3)
-    cs2 = CurrentSet(b2cs.rs, b2cs.tab, b2cs.ctx, broken)
+    cs2 = CurrentSet(b2cs.rs, b2cs.tab, currents=broken)
     bad = {v.pair for v in verify_current_algebra(cs2)}
     assert (("e", (1, 0)), ("f", (1, 2))) in bad
 
@@ -160,7 +160,7 @@ def _planted(cs, defect):
         else:
             level = [(RatFunc.of(c) - RatFunc.of(c).subs_k(0), *t) for t, c in dgamma.items()]
             cur[f] = cur[f] + FieldExpr._from_raw(level)
-    return CurrentSet(rs, cs.tab, cs.ctx, cur)
+    return CurrentSet(rs, cs.tab, currents=cur)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -224,7 +224,7 @@ def _one_sided(cs, kind):
     else:
         key = (("f", a1), ("e", a1))
         tab.kappa[key] *= 2
-    return CurrentSet(cs.rs, tab, cs.ctx, cs.currents, cs.polys)
+    return CurrentSet(cs.rs, tab, currents=cs.currents, polys=cs.polys)
 
 
 def _flipped_set(label):
@@ -257,7 +257,7 @@ def test_a_term_of_another_shape_goes_to_wick():
     cs = build_wakimoto(*get_algebra("A1"))
     broken = dict(cs.currents)
     broken[("e", (1,))] = broken[("e", (1,))] + FieldExpr.prim(GAMMA, 0)
-    cs2 = CurrentSet(cs.rs, cs.tab, cs.ctx, broken)
+    cs2 = CurrentSet(cs.rs, cs.tab, currents=broken)
     assert PackedCurrents.of(cs2) is None
     ok, details = run_suite(cs2, "currents", None)
     assert not ok and details["route"] == "wick" and details["pairs"] == 9
@@ -271,6 +271,16 @@ def test_an_unbuilt_current_set_pickles_without_stages():
     assert set(vars(cs)) == {"rs", "tab"}
 
 
+def test_the_ctx_of_a_current_set_is_its_root_system(b2cs):
+    """``ctx`` reads ``rs``; the argument takes the set's own root system and nothing else."""
+    cs = CurrentSet(b2cs.rs, b2cs.tab, b2cs.ctx, b2cs.currents, b2cs.polys)
+    assert cs.ctx is cs.rs is b2cs.rs and cs.currents is b2cs.currents
+    assert set(vars(CurrentSet(b2cs.rs, b2cs.tab, b2cs.rs))) == {"rs", "tab"}
+    for other in ("B2", get_algebra("A2")[0]):
+        with pytest.raises(ValueError, match="own root system"):
+            CurrentSet(b2cs.rs, b2cs.tab, other)
+
+
 def test_a_built_current_set_unpickles_without_rebuilding(b2cs, monkeypatch):
     data = pickle.dumps(b2cs)
 
@@ -279,9 +289,8 @@ def test_a_built_current_set_unpickles_without_rebuilding(b2cs, monkeypatch):
 
     for name in ("realization_polynomials", "build_differential_realization", "anomalous_term"):
         monkeypatch.setattr(currents, name, refuse)
-    monkeypatch.setattr(currents.FieldContext, "from_algebra", refuse)
     cs = pickle.loads(data)
-    assert cs.currents == b2cs.currents and cs.ops.keys() == b2cs.ops.keys() and cs.ctx == b2cs.ctx
+    assert cs.currents == b2cs.currents and cs.ops.keys() == b2cs.ops.keys() and cs.rs == b2cs.rs
     assert cs.polys.V_plus == b2cs.polys.V_plus
 
 
@@ -312,13 +321,13 @@ def test_expected_ope_matches_the_scale_and_add_construction(label):
 def test_sugawara_equals_free_tensor(a1cs, b2cs):
     for cs in (a1cs, b2cs):
         T = sugawara_tensor(cs)
-        assert T.equals(free_field_tensor(cs.ctx))
+        assert T.equals(free_field_tensor(cs.rs))
 
 
 def test_currents_are_weight_one_primaries(b2cs):
-    T = free_field_tensor(b2cs.ctx)
+    T = free_field_tensor(b2cs.rs)
     for label, J in b2cs.currents.items():
-        h, err = conformal_weight(b2cs.ctx, T, J)
+        h, err = conformal_weight(b2cs.rs, T, J)
         assert err is None, (label, err)
         assert h == RatFunc.of(1), label
 
@@ -330,8 +339,8 @@ def test_mode_oracle_vacuum_match(a1cs, b2cs):
         pairs = [(("e", a), ("f", a)) for a in rs.pos_roots]
         pairs += [(("h", i), ("h", j)) for i in range(rs.rank) for j in range(rs.rank)]
         for a, b in pairs:
-            oracle = vacuum_two_point(cs.ctx, cs[a], cs[b], modes=4, orders=6)
-            engine = engine_vacuum_series(cs.ctx, cs[a], cs[b], orders=6)
+            oracle = vacuum_two_point(cs.rs, cs[a], cs[b], modes=4, orders=6)
+            engine = engine_vacuum_series(cs.rs, cs[a], cs[b], orders=6)
             assert oracle == engine, (a, b)
 
 
@@ -343,9 +352,9 @@ def test_osp22_current_sweep():
 def test_osp22_sugawara_and_weights():
     cs = osp22_currents()
     T = sugawara_tensor(cs)
-    Tfree = free_field_tensor(cs.ctx)
+    Tfree = free_field_tensor(cs.rs)
     assert T.equals(Tfree)
     for label, J in cs.currents.items():
-        h, err = conformal_weight(cs.ctx, Tfree, J)
+        h, err = conformal_weight(cs.rs, Tfree, J)
         assert err is None, (label, err)
         assert h == RatFunc.of(1), label

@@ -18,7 +18,6 @@ from wakimoto.fields import (
     CGH,
     GAMMA,
     PHI,
-    FieldContext,
     FieldExpr,
     UnsupportedContraction,
     base_key_of,
@@ -39,69 +38,69 @@ from wakimoto.screening import first_kind
 
 
 @pytest.fixture(scope="module")
-def ctx():
-    return FieldContext.from_algebra(build_root_system("B2"))
+def rs():
+    return build_root_system("B2")
 
 
 @pytest.fixture(scope="module")
-def a1ctx():
-    return FieldContext.from_algebra(build_root_system("A1"))
+def a1():
+    return build_root_system("A1")
 
 
-def test_basic_contractions(ctx):
+def test_basic_contractions(rs):
     beta = FieldExpr.prim(BETA, 0)
     gamma = FieldExpr.prim(GAMMA, 0)
-    res = contract(ctx, beta, gamma)
+    res = contract(rs, beta, gamma)
     assert res.nonzero_orders() == [1]
     assert res.order(1).equals(FieldExpr.const(1))
-    res = contract(ctx, gamma, beta)
+    res = contract(rs, gamma, beta)
     assert res.order(1).equals(FieldExpr.const(-1))
     # gamma with gamma: empty
-    assert contract(ctx, gamma, gamma).nonzero_orders() == []
+    assert contract(rs, gamma, gamma).nonzero_orders() == []
     # beta against a different root's gamma: empty
-    assert contract(ctx, beta, FieldExpr.prim(GAMMA, 1)).nonzero_orders() == []
+    assert contract(rs, beta, FieldExpr.prim(GAMMA, 1)).nonzero_orders() == []
 
 
-def test_fermion_contractions(ctx):
+def test_fermion_contractions(rs):
     b = FieldExpr.prim(BGH, 1)
     c = FieldExpr.prim(CGH, 1)
-    assert contract(ctx, b, c).order(1).equals(FieldExpr.const(1))
-    assert contract(ctx, c, b).order(1).equals(FieldExpr.const(1))
+    assert contract(rs, b, c).order(1).equals(FieldExpr.const(1))
+    assert contract(rs, c, b).order(1).equals(FieldExpr.const(1))
     # derivative kernels
-    assert contract(ctx, b, FieldExpr.prim(CGH, 1, 1)).order(2).equals(FieldExpr.const(1))
+    assert contract(rs, b, FieldExpr.prim(CGH, 1, 1)).order(2).equals(FieldExpr.const(1))
 
 
-def test_phi_contractions(ctx):
+def test_phi_contractions(rs):
     p1 = FieldExpr.prim(PHI, 0)
     p2 = FieldExpr.prim(PHI, 1)
-    res = contract(ctx, p1, p2)
-    t = ctx.t()
-    assert res.order(2).equals(FieldExpr.const(t * ctx.G[0][1]))
+    res = contract(rs, p1, p2)
+    t = RatFunc.t(rs.hvee)
+    assert res.order(2).equals(FieldExpr.const(t * rs.G[0][1]))
     # vertex kernels: scaled momentum component comes out directly
     mom = [RatFunc.of(3), RatFunc.of(-1)]
     v = FieldExpr.vertex(mom)
-    res = contract(ctx, p1, v)
+    res = contract(rs, p1, v)
     assert res.order(1).equals(v.scale(3))
-    res = contract(ctx, v, p1)
+    res = contract(rs, v, p1)
     assert res.order(1).equals(v.scale(-3))
 
 
-def test_vertex_vertex_rejected(ctx):
+def test_vertex_vertex_rejected(rs):
     v = FieldExpr.vertex([RatFunc.of(1), RatFunc.zero()])
     with pytest.raises(UnsupportedContraction):
-        contract(ctx, v, v)
+        contract(rs, v, v)
 
 
-def test_left_power_factor_rejected(ctx):
+def test_left_power_factor_rejected(rs):
     X = FieldExpr.prim(BETA, 0, coef=-1)
     p = FieldExpr.power(X, Exp(-1, 0, 0))
     with pytest.raises(UnsupportedContraction):
-        contract(ctx, p, FieldExpr.prim(GAMMA, 0))
+        contract(rs, p, FieldExpr.prim(GAMMA, 0))
 
 
-def test_a1_wakimoto_by_hand(a1ctx):
+def test_a1_wakimoto_by_hand(a1):
     """E(z)F(w) for the rank-1 realization, checked against hand expansion."""
-    ctx = a1ctx
+    rs = a1
     k = RatFunc.k()
     g = lambda d=0: FieldExpr.prim(GAMMA, 0, d)
     b = lambda d=0: FieldExpr.prim(BETA, 0, d)
@@ -111,17 +110,17 @@ def test_a1_wakimoto_by_hand(a1ctx):
     F = (g() * g() * b()).scale(-1) + g() * P + b(0).scale(0) + FieldExpr.prim(
         BETA, 0, 0, coef=0
     ) + FieldExpr.prim(GAMMA, 0, 1, coef=k)
-    res = contract(ctx, E, F)
+    res = contract(rs, E, F)
     assert res.order(2).equals(FieldExpr.const(k))
     assert res.order(1).equals(H)
     assert res.order(3).is_zero
     # reversed order
-    res = contract(ctx, F, E)
+    res = contract(rs, F, E)
     assert res.order(2).equals(FieldExpr.const(k))
     assert res.order(1).equals(H.scale(-1))
 
 
-def test_power_factor_falling_factorial_vs_integer_expansion(ctx):
+def test_power_factor_falling_factorial_vs_integer_expansion(rs):
     """contract(J, X^m) via the symbolic rule == contract(J, X*...*X) plainly."""
     X = (
         FieldExpr.prim(BETA, 1, coef=-1)
@@ -132,7 +131,7 @@ def test_power_factor_falling_factorial_vs_integer_expansion(ctx):
         FieldExpr.prim(BETA, 0),
         FieldExpr.prim(GAMMA, 1),
         FieldExpr.prim(GAMMA, 1, 1) * FieldExpr.prim(BETA, 3),
-        betagamma_tensor(ctx),
+        betagamma_tensor(rs),
     ]
     for m in (1, 2, 3):
         planted = FieldExpr.const(1)
@@ -144,8 +143,8 @@ def test_power_factor_falling_factorial_vs_integer_expansion(ctx):
         # (X^{m-t} X^{t}) canonicalizes to the expanded product; instead keep
         # the power symbolic by probing X^{m + 0*t} through a fresh object:
         for J in probes:
-            lhs = contract(ctx, J, _symbolic_power_times(X, m))
-            rhs = contract(ctx, J, planted)
+            lhs = contract(rs, J, _symbolic_power_times(X, m))
+            rhs = contract(rs, J, planted)
             for q in set(lhs.poles) | set(rhs.poles):
                 assert lhs.order(q).equals(rhs.order(q)), (m, q)
 
@@ -160,16 +159,16 @@ def _symbolic_power_times(X, m):
     return FE({((), ((key, Exp(0, m, 0)),), None): RatFunc.one()})
 
 
-def test_regularized_product_matches_wick_for_free_pair(ctx):
+def test_regularized_product_matches_wick_for_free_pair(rs):
     # :gamma beta: via point splitting equals the plain normal product
     g = FieldExpr.prim(GAMMA, 0)
     b = FieldExpr.prim(BETA, 0)
-    assert regularized_product(ctx, g, b).equals(g * b)
+    assert regularized_product(rs, g, b).equals(g * b)
     # :beta gamma: picks no extra term either (Taylor remainder vanishes)
-    assert regularized_product(ctx, b, g).equals(b * g)
+    assert regularized_product(rs, b, g).equals(b * g)
 
 
-def test_exchange_symmetry_on_random_expressions(ctx):
+def test_exchange_symmetry_on_random_expressions(rs):
     """Pole structure of AB determines BA by Taylor re-expansion."""
     rng = random.Random(7)
     pool = [
@@ -188,8 +187,8 @@ def test_exchange_symmetry_on_random_expressions(ctx):
             A = A * rng.choice(pool)
         for _ in range(rng.randint(1, 3)):
             B = B * rng.choice(pool)
-        ab = contract(ctx, A, B)
-        ba = contract(ctx, B, A)
+        ab = contract(rs, A, B)
+        ba = contract(rs, B, A)
         orders = set(ab.poles) | set(ba.poles)
         for r in orders:
             expect = FieldExpr.zero()
@@ -198,61 +197,58 @@ def test_exchange_symmetry_on_random_expressions(ctx):
             while r + m <= max(ab.poles, default=0):
                 p = ab.order(r + m)
                 for _ in range(m):
-                    p = p.derivative(ctx)
+                    p = p.derivative(rs)
                 expect = expect + p.scale(Fraction((-1) ** (m + r), fact))
                 m += 1
                 fact *= m
             assert ba.order(r).equals(expect), (trial, r)
 
 
-def test_central_charges(ctx):
+def test_central_charges(rs):
     k = RatFunc.k()
-    t = ctx.t()
-    assert central_charge(ctx, betagamma_tensor(ctx)) == RatFunc.of(8)  # d - r
-    c_phi = central_charge(ctx, scalar_tensor(ctx))
+    t = RatFunc.t(rs.hvee)
+    assert central_charge(rs, betagamma_tensor(rs)) == RatFunc.of(8)  # d - r
+    c_phi = central_charge(rs, scalar_tensor(rs))
     assert c_phi == 2 - 30 / t  # r - hvee*d/(k+hvee)
-    c_tot = central_charge(ctx, free_field_tensor(ctx))
+    c_tot = central_charge(rs, free_field_tensor(rs))
     assert c_tot == 10 * k / t
 
 
 def test_osp_ghost_central_charge():
     rs, _ = osp22_fixture()
-    ctx = FieldContext.from_algebra(rs)
     # one bosonic pair (+2) and two fermionic pairs (-2 each)
-    assert central_charge(ctx, betagamma_tensor(ctx)) == RatFunc.of(-2)
-    assert central_charge(ctx, free_field_tensor(ctx)) == RatFunc.zero()
+    assert central_charge(rs, betagamma_tensor(rs)) == RatFunc.of(-2)
+    assert central_charge(rs, free_field_tensor(rs)) == RatFunc.zero()
 
 
-def test_conformal_weights_under_free_tensor(ctx):
-    T = free_field_tensor(ctx)
-    h, err = conformal_weight(ctx, T, FieldExpr.prim(BETA, 2))
+def test_conformal_weights_under_free_tensor(rs):
+    T = free_field_tensor(rs)
+    h, err = conformal_weight(rs, T, FieldExpr.prim(BETA, 2))
     assert err is None and h == RatFunc.of(1)
-    h, err = conformal_weight(ctx, T, FieldExpr.prim(GAMMA, 2))
+    h, err = conformal_weight(rs, T, FieldExpr.prim(GAMMA, 2))
     assert err is None and h == RatFunc.zero()
     # identity field
-    h, err = conformal_weight(ctx, T, FieldExpr.const(5))
+    h, err = conformal_weight(rs, T, FieldExpr.const(5))
     assert err is None and h == RatFunc.zero()
     # vertex weights match the closed formula
-    rs = build_root_system("B2")
-    mom = [ctx.t() * ctx.G[i][0] for i in range(2)]
+    mom = [RatFunc.t(rs.hvee) * rs.G[i][0] for i in range(2)]
     V = FieldExpr.vertex(mom)
-    h, err = conformal_weight(ctx, T, V)
+    h, err = conformal_weight(rs, T, V)
     assert err is None
-    assert h == V.weight(ctx)
+    assert h == V.weight(rs)
 
 
-def test_tt_ope_structure(ctx):
-    T = free_field_tensor(ctx)
-    res = contract(ctx, T, T)
+def test_tt_ope_structure(rs):
+    T = free_field_tensor(rs)
+    res = contract(rs, T, T)
     assert res.order(3).is_zero
     assert res.order(2).equals(T.scale(2))
-    assert res.order(1).equals(T.derivative(ctx))
+    assert res.order(1).equals(T.derivative(rs))
 
 
 def test_graded_exchange_symmetry():
     """The exchange identity with fermionic operands carries (-1)^{|A||B|}."""
     rs, _ = __import__("wakimoto.liealg", fromlist=["osp22_fixture"]).osp22_fixture()
-    ctx = FieldContext.from_algebra(rs)
     pool = [
         (FieldExpr.prim(BGH, 1), 1),
         (FieldExpr.prim(CGH, 1), 1),
@@ -279,8 +275,8 @@ def test_graded_exchange_symmetry():
         if A.is_structurally_zero or B.is_structurally_zero:
             continue
         sign = -1 if (pa and pb) else 1
-        ab = contract(ctx, A, B)
-        ba = contract(ctx, B, A)
+        ab = contract(rs, A, B)
+        ba = contract(rs, B, A)
         orders = set(ab.poles) | set(ba.poles)
         for r in orders:
             expect = FieldExpr.zero()
@@ -289,76 +285,74 @@ def test_graded_exchange_symmetry():
             while r + m <= max(ab.poles, default=0):
                 p = ab.order(r + m)
                 for _ in range(m):
-                    p = p.derivative(ctx)
+                    p = p.derivative(rs)
                 expect = expect + p.scale(Fraction(sign * (-1) ** (m + r), fact))
                 m += 1
                 fact *= m
             assert ba.order(r).equals(expect), (trial, r)
 
 
-def test_conformal_weight_reports_anomalous_pole(ctx):
+def test_conformal_weight_reports_anomalous_pole(rs):
     # the ghost-number current :gamma beta: is weight 1 but not primary:
     # T(z)j(w) has a third-order pole (the background-charge anomaly)
-    T = betagamma_tensor(ctx)
+    T = betagamma_tensor(rs)
     j = FieldExpr.prim(GAMMA, 0) * FieldExpr.prim(BETA, 0)
-    h, err = conformal_weight(ctx, T, j)
+    h, err = conformal_weight(rs, T, j)
     assert h is None
     order, offending = err
     assert order == 3
     assert offending.equals(FieldExpr.const(1))
 
 
-def test_contract_always_returns_ope_result(ctx):
+def test_contract_always_returns_ope_result(rs):
     g = FieldExpr.prim(GAMMA, 0)
     b = FieldExpr.prim(BETA, 0)
-    full = contract(ctx, b, g, min_order=0)
+    full = contract(rs, b, g, min_order=0)
     assert isinstance(full, OpeResult)
     assert full.order(1).equals(FieldExpr.const(1))
     assert full.order(0).equals(b * g)
     with pytest.raises(TypeError):
-        contract(ctx, b, g, max_order=4)
+        contract(rs, b, g, max_order=4)
     with pytest.raises(TypeError):  # an old positional max_order must not pass as min_order
-        contract(ctx, b, g, 4)
+        contract(rs, b, g, 4)
 
 
-def test_normal_product_of_pairs_without_contraction(ctx):
+def test_normal_product_of_pairs_without_contraction(rs):
     """At min_order = 0 a term pair with no contraction still gives :AB:."""
     g1, g2 = FieldExpr.prim(GAMMA, 0), FieldExpr.prim(GAMMA, 1)
-    assert regularized_product(ctx, g1, g2) == g1 * g2
-    assert contract(ctx, g1, g2).poles == {}
-    rs, _ = osp22_fixture()
-    octx = FieldContext.from_algebra(rs)
+    assert regularized_product(rs, g1, g2) == g1 * g2
+    assert contract(rs, g1, g2).poles == {}
+    osp, _ = osp22_fixture()
     c1, c2 = FieldExpr.prim(CGH, 1), FieldExpr.prim(CGH, 2)
-    assert regularized_product(octx, c2, c1) == (c1 * c2).scale(-1)
+    assert regularized_product(osp, c2, c1) == (c1 * c2).scale(-1)
 
 
-def test_z_vertex_contracts_with_w_scalar_leg(ctx):
+def test_z_vertex_contracts_with_w_scalar_leg(rs):
     # gamma_1 on the z side and the gamma_3 term on the w side have no partner
     mom = [RatFunc.of(3), RatFunc.k()]
     V = FieldExpr.vertex(mom)
     g = [FieldExpr.prim(GAMMA, i) for i in range(3)]
-    res = contract(ctx, g[0] * V, FieldExpr.prim(PHI, 0) * g[1] + g[2])
+    res = contract(rs, g[0] * V, FieldExpr.prim(PHI, 0) * g[1] + g[2])
     assert res.nonzero_orders() == [1]
     assert res.order(1) == (g[0] * g[1] * V).scale(-3)
 
 
-def test_z_prim_contracts_into_power_factor_base(ctx):
+def test_z_prim_contracts_into_power_factor_base(rs):
     # gamma_2 meets beta_2 inside the base only; gamma_theta meets nothing
     X = FieldExpr.prim(BETA, 1) + FieldExpr.prim(GAMMA, 0) * FieldExpr.prim(BETA, 2)
     B = FieldExpr.power(X, Exp(-1, 0, 0))
-    res = contract(ctx, FieldExpr.prim(GAMMA, 1) + FieldExpr.prim(GAMMA, 3), B)
+    res = contract(rs, FieldExpr.prim(GAMMA, 1) + FieldExpr.prim(GAMMA, 3), B)
     assert res.nonzero_orders() == [1]
-    assert res.order(1) == FieldExpr.power(X, Exp(-1, -1, 0)).scale(ctx.t())
-    assert contract(ctx, FieldExpr.prim(GAMMA, 3), B).poles == {}
+    assert res.order(1) == FieldExpr.power(X, Exp(-1, -1, 0)).scale(RatFunc.t(rs.hvee))
+    assert contract(rs, FieldExpr.prim(GAMMA, 3), B).poles == {}
 
 
 def test_fermionic_pairs_keep_signs():
-    rs, _ = osp22_fixture()
-    octx = FieldContext.from_algebra(rs)
+    osp, _ = osp22_fixture()
     b = [None] + [FieldExpr.prim(BGH, i) for i in (1, 2)]
     c = [None] + [FieldExpr.prim(CGH, i) for i in (1, 2)]
     # b1 b2 (z) c1 c2 (w): the double contraction crosses c1; c1 (z) is dead
-    res = contract(octx, b[1] * b[2] + c[1], c[1] * c[2])
+    res = contract(osp, b[1] * b[2] + c[1], c[1] * c[2])
     assert res.nonzero_orders() == [2, 1]
     assert res.order(2) == FieldExpr.const(-1)
     assert res.order(1) == (b[1] * c[1] + b[2] * c[2]).scale(-1)
@@ -368,7 +362,7 @@ def test_fermionic_pairs_keep_signs():
 # the engine against the RatFunc reference engine
 # ---------------------------------------------------------------------------
 
-_OSP_CTX = FieldContext.from_algebra(osp22_fixture()[0])
+_OSP = osp22_fixture()[0]
 _K, _N = RatFunc.k(), RatFunc.n()
 _nonzero = st.integers(-3, 3).filter(bool)
 _coefs = st.one_of(
@@ -436,8 +430,8 @@ def _operand_pairs(draw):
 def _assert_matches_reference(A, B):
     """contract() equals the reference engine: orders, terms and insertion order."""
     for min_order in (0, 1):
-        got = contract(_OSP_CTX, A, B, min_order=min_order).poles
-        want = contract_reference(_OSP_CTX, A, B, min_order=min_order)
+        got = contract(_OSP, A, B, min_order=min_order).poles
+        want = contract_reference(_OSP, A, B, min_order=min_order)
         assert list(got) == list(want)
         for q, expr in want.items():
             assert list(got[q].terms.items()) == list(expr.terms.items()), q
@@ -473,7 +467,7 @@ def test_crossing_signs_through_partnerless_factors():
         + p(CGH, 2, 1)
     )
     _assert_matches_reference(A, B)
-    assert contract(_OSP_CTX, A, B).nonzero_orders() == [4, 3, 2, 1]
+    assert contract(_OSP, A, B).nonzero_orders() == [4, 3, 2, 1]
 
 
 def test_uncontracted_patterns_that_can_still_pole_are_kept():
@@ -488,11 +482,11 @@ def test_uncontracted_patterns_that_can_still_pole_are_kept():
         _assert_matches_reference(g0 * V, phi0 * rest)
         # V meets phi_0 and gamma_0 survives
         (key,) = (g0 * rest * V).terms
-        assert contract(_OSP_CTX, g0 * V, phi0 * rest).order(1).terms[key] == -(_K + 1)
+        assert contract(_OSP, g0 * V, phi0 * rest).order(1).terms[key] == -(_K + 1)
     _assert_matches_reference(g0 * V + g0.scale(Fraction(1, 2)), phi0 * beta0 + phi0)
     (key,) = (g0 * phi0 * beta0).terms
-    assert regularized_product(_OSP_CTX, g0, phi0 * beta0).terms[key] == 1
-    assert contract(_OSP_CTX, g0, phi0 * beta0).order(1) == phi0.scale(-1)
+    assert regularized_product(_OSP, g0, phi0 * beta0).terms[key] == 1
+    assert contract(_OSP, g0, phi0 * beta0).order(1) == phi0.scale(-1)
 
 
 @settings(deadline=None, max_examples=100)
@@ -518,7 +512,7 @@ def test_contract_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        res = contract(cs.ctx, F, E)
+        res = contract(cs.rs, F, E)
         FieldExpr._from_raw([(c, p, f, v) for (p, f, v), c in F.terms.items()])
         assert gc.collect() == 0
     finally:
@@ -526,8 +520,8 @@ def test_contract_leaves_no_cyclic_garbage():
     assert res.nonzero_orders() == [2, 1]
 
 
-def _pole_lines(name, ctx, A, B):
-    return [f"{name} {q}: {expr.text(ctx)}" for q, expr in contract(ctx, A, B).poles.items()]
+def _pole_lines(name, rs, A, B):
+    return [f"{name} {q}: {expr.text(rs)}" for q, expr in contract(rs, A, B).poles.items()]
 
 
 def _contract_pole_digest():
@@ -538,14 +532,14 @@ def _contract_pole_digest():
     for cs in tables + [osp22_currents()]:
         for a in cs.labels():
             for b in cs.labels():
-                lines += _pole_lines(f"{cs.rs.name} {a} {b}", cs.ctx, cs[a], cs[b])
+                lines += _pole_lines(f"{cs.rs.name} {a} {b}", cs.rs, cs[a], cs[b])
     b2 = build_wakimoto(*get_algebra("B2"))
-    for name, T in (("sugawara", sugawara_tensor(b2)), ("free", free_field_tensor(b2.ctx))):
-        lines += _pole_lines(f"B2 T-{name}", b2.ctx, T, T)
+    for name, T in (("sugawara", sugawara_tensor(b2)), ("free", free_field_tensor(b2.rs))):
+        lines += _pole_lines(f"B2 T-{name}", b2.rs, T, T)
     for j in range(b2.rs.rank):
         body = first_kind(b2, j).body
         for a in b2.labels():
-            lines += _pole_lines(f"B2 S{j} {a}", b2.ctx, b2[a], body)
+            lines += _pole_lines(f"B2 S{j} {a}", b2.rs, b2[a], body)
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 

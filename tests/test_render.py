@@ -8,7 +8,7 @@ from oracles import assert_canonical_coefficients
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.currents import build_wakimoto
 from wakimoto.diffop import build_differential_realization
-from wakimoto.fields import BETA, GAMMA, PHI, FieldContext, FieldExpr, base_key_of
+from wakimoto.fields import BETA, GAMMA, PHI, FieldExpr, base_key_of
 from wakimoto.liealg import build_root_system, build_structure_table
 from wakimoto.polymat import realization_polynomials
 from wakimoto.render import (
@@ -54,7 +54,7 @@ def test_latex_fieldexpr_screening():
     from wakimoto.screening import second_kind_mult_one
 
     s = second_kind_mult_one(cs, 0)
-    tex = latex_fieldexpr(s.expr, cs.ctx)
+    tex = latex_fieldexpr(s.expr, cs.rs)
     assert "^{-t}" in tex and "\\beta_{1}" in tex and "e^{" in tex
 
 
@@ -95,7 +95,7 @@ def test_a_zero_vertex_in_json_is_no_vertex():
 
 # Small pools, so that drawn terms often share their factors and differ only
 # in a power factor's base or in the vertex momentum.
-_CTX = FieldContext.from_algebra(build_root_system("B2"))
+_B2 = build_root_system("B2")
 _PRIMS = [(), ((GAMMA, 0, 0),), ((GAMMA, 1, 0), (BETA, 3, 1)), ((PHI, 0, 0),)]
 _BASES = [
     base_key_of(FieldExpr.prim(GAMMA, 2)),
@@ -118,7 +118,7 @@ _TIED = [[(1, 1, 0, 0), (1, 2, 0, 1)], [(2, 0, 1, 2), (2, 0, 2, 3)]]
 
 
 def _writers(expr):
-    return expr.text(_CTX), latex_fieldexpr(expr, _CTX), json.dumps(fieldexpr_to_json(expr))
+    return expr.text(_B2), latex_fieldexpr(expr, _B2), json.dumps(fieldexpr_to_json(expr))
 
 
 @settings(deadline=None, max_examples=60)

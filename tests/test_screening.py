@@ -56,7 +56,7 @@ def a1cs():
 def test_first_kind_b2_s1_form(b2cs):
     s = first_kind(b2cs, 0)
     # (-beta_1 - 1/2 g2 b11 + 1/6 g2 g2 btheta) e^{-phi_1/sqrt t}
-    ctx = b2cs.ctx
+    rs = b2cs.rs
     V = FieldExpr.vertex(s.momentum)
     expected = (
         FieldExpr.prim(BETA, 0, coef=-1)
@@ -92,16 +92,16 @@ def test_first_kind_b2_contract(b2cs, j):
 def test_first_kind_witness_values(b2cs):
     # F_{alpha1}(z)s_1(w): witness -t * 1 * V; F_{alpha2}(z)s_1(w): zero
     s = first_kind(b2cs, 0)
-    ctx = b2cs.ctx
-    t = ctx.t()
-    res = contract(ctx, b2cs[("f", (1, 0))], s.expr)
+    rs = b2cs.rs
+    t = RatFunc.t(rs.hvee)
+    res = contract(rs, b2cs[("f", (1, 0))], s.expr)
     V = FieldExpr.vertex(s.momentum)
     assert res.order(2).equals(V.scale(-t))
-    res = contract(ctx, b2cs[("f", (0, 1))], s.expr)
+    res = contract(rs, b2cs[("f", (0, 1))], s.expr)
     assert res.order(2).is_zero and res.order(1).is_zero
     # H_i(z)s_j(w) regular
     for i in range(2):
-        assert contract(ctx, b2cs[("h", i)], s.expr).is_regular()
+        assert contract(rs, b2cs[("h", i)], s.expr).is_regular()
 
 
 def test_first_kind_a1_contract(a1cs):
@@ -130,8 +130,8 @@ def test_second_kind_b2_witness_forms(b2cs):
     from wakimoto.screening import prop1_witness, screening_composite
 
     s = second_kind_mult_one(b2cs, 0)
-    ctx = b2cs.ctx
-    t = ctx.t()
+    rs = b2cs.rs
+    t = RatFunc.t(rs.hvee)
     X = screening_composite(b2cs, 0)
     V = FieldExpr.vertex(s.momentum)
     i11 = b2cs.rs.root_index((1, 1))
@@ -172,7 +172,7 @@ def test_naive_failure_direction_two(b2cs):
     assert fail.nonvanishing
     assert fail.matches_expected_shape
     # the offending contracted sequence contains -gamma^1/3 on beta_theta
-    txt = fail.third_order_pole.text(b2cs.ctx)
+    txt = fail.third_order_pole.text(b2cs.rs)
     assert "gamma" in txt
 
 
@@ -183,7 +183,7 @@ def test_naive_failure_rejects_mult_one(b2cs):
 
 def test_b2_series_term_weight_is_one(b2cs):
     s = second_kind_b2(b2cs)
-    w = s.expr.body.weight(b2cs.ctx)
+    w = s.expr.body.weight(b2cs.rs)
     assert w == RatFunc.of(1)
 
 
@@ -193,7 +193,7 @@ def test_b2_series_base_matches_first_kind_composite(b2cs):
     A, B = _b2_bases(b2cs)
     assert B.equals(screening_composite(b2cs, 1))
     # A has conformal weight 2
-    assert A.weight(b2cs.ctx) == RatFunc.of(2)
+    assert A.weight(b2cs.rs) == RatFunc.of(2)
 
 
 def test_b2_series_recursion_consistency(b2cs):
@@ -211,9 +211,9 @@ def test_series_reindex_roundtrip(b2cs):
     body = s.expr.body
     shifted = SeriesExpr(body.shift_n(1))
     back = SeriesExpr(shifted.body.shift_n(-1))
-    assert back.equals(SeriesExpr(body), b2cs.ctx)
+    assert back.equals(SeriesExpr(body), b2cs.rs)
     # anchoring a shifted representation agrees with the original
-    assert shifted.anchored(b2cs.ctx).body.is_structurally_zero is False
+    assert shifted.anchored(b2cs.rs).body.is_structurally_zero is False
 
 
 def test_second_kind_b2_series_full_verification(b2cs):
@@ -251,16 +251,16 @@ def test_osp22_second_kind():
 
 def test_integer_exponent_degeneration_a1(a1cs):
     """At t = -3 the rank-1 current has exponent 3; plain Wick must agree."""
-    ctx = a1cs.ctx
+    rs = a1cs.rs
     s = second_kind_mult_one(a1cs, 0)
     tval = Fraction(-3)
     X = FieldExpr.prim(BETA, 0, coef=-1)
     planted = X * X * X * FieldExpr.vertex(tuple(c.subs_k(tval - 2) for c in s.momentum))
-    special = s.expr.subs_t(ctx, tval)
+    special = s.expr.subs_t(rs, tval)
     assert special.equals(planted)
     for label, J in a1cs.currents.items():
-        lhs = contract(ctx, _subs_k(J, tval - 2), special)
-        rhs = contract(ctx, _subs_k(J, tval - 2), planted)
+        lhs = contract(rs, _subs_k(J, tval - 2), special)
+        rhs = contract(rs, _subs_k(J, tval - 2), planted)
         for q in set(lhs.poles) | set(rhs.poles):
             assert lhs.order(q).equals(rhs.order(q)), (label, q)
 
@@ -269,7 +269,6 @@ def test_integer_exponent_degeneration_b2_naive():
     """At t = -3/2 the naive direction-2 exponent is 3: both sides defined."""
     rs = build_root_system("B2")
     cs = build_wakimoto(rs, build_structure_table(rs))
-    ctx = cs.ctx
     from wakimoto.screening import _prop1_form, screening_composite
 
     s = _prop1_form(cs, 1)
@@ -279,11 +278,11 @@ def test_integer_exponent_degeneration_b2_naive():
     Xs = _subs_k(X, kval)
     V = FieldExpr.vertex(tuple(c.subs_k(kval) for c in s.momentum))
     planted = Xs * Xs * Xs * V
-    special = s.expr.subs_t(ctx, tval)
+    special = s.expr.subs_t(rs, tval)
     assert special.equals(planted)
     probe = _subs_k(cs[("e", (1, 0))], kval)
-    lhs = contract(ctx, probe, special)
-    rhs = contract(ctx, probe, planted)
+    lhs = contract(rs, probe, special)
+    rhs = contract(rs, probe, planted)
     for q in set(lhs.poles) | set(rhs.poles):
         assert lhs.order(q).equals(rhs.order(q)), q
 
@@ -292,14 +291,14 @@ def test_series_ope_specializes_to_integer_powers(b2cs):
     """The symbolic-n OPE per series term specializes to plain expansion."""
     from wakimoto.screening import _b2_bases, second_kind_momentum
 
-    ctx = b2cs.ctx
+    rs = b2cs.rs
     A, B = _b2_bases(b2cs)
-    V = FieldExpr.vertex(second_kind_momentum(ctx, 1))
+    V = FieldExpr.vertex(second_kind_momentum(rs, 1))
     body = (
         FieldExpr.power(A, Exp(0, 0, 1)) * FieldExpr.power(B, Exp(-2, 0, -2)) * V
     )
     J = b2cs[("f", b2cs.rs.theta)]
-    res_sym = contract(ctx, J, body)
+    res_sym = contract(rs, J, body)
 
     def subs_n_expr(e, n0):
         out = FieldExpr.zero()
@@ -312,7 +311,7 @@ def test_series_ope_specializes_to_integer_powers(b2cs):
         direct = FieldExpr.power(B, Exp(-2, -2 * n0, 0)) * V
         for _ in range(n0):
             direct = direct * A
-        res_dir = contract(ctx, J, direct)
+        res_dir = contract(rs, J, direct)
         for q in set(res_sym.poles) | set(res_dir.poles):
             assert subs_n_expr(res_sym.order(q), n0).equals(res_dir.order(q)), (n0, q)
 
@@ -323,9 +322,9 @@ def test_b2_series_tests_each_pole_once(b2cs, monkeypatch):
     calls = []
     residual = SeriesExpr.residual
 
-    def counted(self, ctx):
+    def counted(self, rs):
         calls.append(1)
-        return residual(self, ctx)
+        return residual(self, rs)
 
     monkeypatch.setattr(SeriesExpr, "residual", counted)
     report = verify_second_kind_b2(b2cs, s)
@@ -333,9 +332,9 @@ def test_b2_series_tests_each_pole_once(b2cs, monkeypatch):
     assert report.ok
     from wakimoto.ope import free_field_tensor
 
-    ctx = b2cs.ctx
-    probes = list(b2cs.currents.values()) + [free_field_tensor(ctx)]
-    poles = sum(len(set(contract(ctx, J, s.expr.body).poles) | {1, 2}) for J in probes)
+    rs = b2cs.rs
+    probes = list(b2cs.currents.values()) + [free_field_tensor(rs)]
+    poles = sum(len(set(contract(rs, J, s.expr.body).poles) | {1, 2}) for J in probes)
     assert len(calls) == poles == 25
 
 
@@ -359,10 +358,10 @@ def test_prop1_negative_control_shows_unexpanded_difference():
     wrong[label] = wrong[label].scale(2)
     report = verify_screening(cs, s, wrong)
     assert [c.label for c in report.failures()] == [label]
-    diff = contract(cs.ctx, cs[label], s.expr).order(2) - wrong[label]
+    diff = contract(cs.rs, cs[label], s.expr).order(2) - wrong[label]
     detail = report.failures()[0].detail
-    assert detail == "pole 2 mismatch: " + diff.text(cs.ctx)
-    assert detail != "pole 2 mismatch: " + expand_power_levels(diff).text(cs.ctx)
+    assert detail == "pole 2 mismatch: " + diff.text(cs.rs)
+    assert detail != "pole 2 mismatch: " + expand_power_levels(diff).text(cs.rs)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +381,7 @@ def _built(label):
 
 def _wick(cs):
     """``cs`` without packed currents, so that Wick's theorem decides every label."""
-    out = CurrentSet(cs.rs, cs.tab, cs.ctx, cs.currents, cs.polys)
+    out = CurrentSet(cs.rs, cs.tab, currents=cs.currents, polys=cs.polys)
     out.__dict__["packed"] = None
     return out
 
@@ -393,7 +392,7 @@ def _witnesses(cs, s, witness=first_kind_witness):
 
 def _closed(cs, s, wit):
     """The labels the closed-form poles decide, with the pole orders they refute."""
-    return cs.packed.refuted_labels(PackedCurrents.split(cs.ctx, s.body), wit)
+    return cs.packed.refuted_labels(PackedCurrents.split(cs.rs, s.body), wit)
 
 
 def _both(cs, s, wit):
@@ -460,8 +459,8 @@ def test_a_label_refuted_in_closed_form_fails_even_when_wick_passes_it(b2cs, mon
     currents = [id(J) for J in b2cs.currents.values()]
     real = screening.contract
 
-    def doubled(ctx, a, b, *args):
-        return real(ctx, a.scale(2) if id(a) in currents else a, b, *args)
+    def doubled(rs, a, b, *args):
+        return real(rs, a.scale(2) if id(a) in currents else a, b, *args)
 
     monkeypatch.setattr(screening, "contract", doubled)
     report = verify_screening(b2cs, s, wit)
@@ -478,9 +477,9 @@ def _contracted(monkeypatch, cs, s, wit):
     seen = []
     real = screening.contract
 
-    def spy(ctx, a, b, *args):
+    def spy(rs, a, b, *args):
         seen.append(names.get(id(a), "T"))
-        return real(ctx, a, b, *args)
+        return real(rs, a, b, *args)
 
     monkeypatch.setattr(screening, "contract", spy)
     checks = verify_screening(cs, s, wit).checks
