@@ -213,9 +213,9 @@ class _Parser:
         self.take("]")
         if name in ("E", "F"):
             pos = _root_position(cs, label)
-            return cs.currents[("e" if name == "E" else "f", cs.rs.pos_roots[pos])]
+            return cs.current(("e" if name == "E" else "f", cs.rs.pos_roots[pos]))
         if name == "H":
-            return cs.currents[("h", _index(cs, name, label))]
+            return cs.current(("h", _index(cs, name, label)))
         if name in ("beta", "gamma", "b", "c"):
             pos = _root_position(cs, label)
             kind = beta_kind(cs.rs, pos) if name in ("beta", "b") else gamma_kind(cs.rs, pos)

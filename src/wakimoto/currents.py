@@ -38,8 +38,10 @@ class CurrentSet:
     """All currents of one affine algebra; each stage of the construction is built on first read.
 
     The stages are the realization polynomials ``polys``, the differential
-    operators ``ops`` and the free-field ``currents``, each built from the one
-    before it, the root system ``rs`` and the structure table ``tab``.  A
+    operators ``ops``, the k-free ``anomalous`` term of the lowering currents
+    and the free-field ``currents``, each built from those before it, the root
+    system ``rs`` and the structure table ``tab``; ``current(label)`` builds
+    one current without the others.  A
     ``polys`` or ``currents`` passed in is kept as given, and a built stage
     lives in the instance ``__dict__``, so a pickle carries exactly the built
     stages.  A graded algebra has no ``polys`` or ``ops``; its currents are
@@ -68,33 +70,41 @@ class CurrentSet:
         return None if self.polys is None else build_differential_realization(self.rs, self.tab, self.polys)
 
     @cached_property
+    def anomalous(self) -> list[list[Poly]]:
+        """The k-free part of the d gamma corrections, ``polymat.anomalous_term``: read by the lowering currents."""
+        return anomalous_term(self.rs, self.polys)
+
+    @cached_property
     def currents(self) -> dict[Label, FieldExpr]:
-        """The free-field image of the operators, plus the d gamma corrections.
+        """The free-field image of every operator (``current``), or the osp(2|2) closed form."""
+        if self.ops is None:
+            return _osp22_currents(self.rs)
+        return {lab: self._image(lab) for lab in self.ops}
+
+    def current(self, label: Label) -> FieldExpr:
+        """One current: read from the ``currents`` stage when it is built or given, else built alone."""
+        if "currents" in self.__dict__ or self.ops is None:
+            return self.currents[label]
+        return self._image(label)
+
+    def _image(self, label: Label) -> FieldExpr:
+        """The free-field image of one operator, plus the d gamma corrections of a lowering one.
 
         The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
         """
-        if self.ops is None:
-            return _osp22_currents(self.rs)
-        rs, polys = self.rs, self.polys
-        F_anom = anomalous_term(rs, polys)
-        k = RatFunc.k()
-        np_ = rs.n_pos
+        rs, op = self.rs, self.ops[label]
         slots = operator_slots(rs)
+        if label[0] != "f":
+            return free_field_image(rs, op.coeffs, slots)
+        np_, a = rs.n_pos, rs.root_index(label[1])
         dgamma = [((gamma_kind(rs, b), b, 1),) for b in range(np_)]
-        currents: dict[Label, FieldExpr] = {}
-        for lab, op in self.ops.items():
-            if lab[0] != "f":
-                currents[lab] = free_field_image(rs, op.coeffs, slots)
-                continue
-            a = rs.root_index(lab[1])
-            level = k * (2 / rs.root_norm2(lab[1]))
-            currents[lab] = free_field_image(
-                rs,
-                op.coeffs + [polys.V_plus_inv[b][a] for b in range(np_)] + F_anom[a],
-                slots + dgamma + dgamma,
-                [1] * len(slots) + [level] * np_ + [1] * np_,
-            )
-        return currents
+        level = RatFunc.k() * (2 / rs.root_norm2(label[1]))
+        return free_field_image(
+            rs,
+            op.coeffs + [self.polys.V_plus_inv[b][a] for b in range(np_)] + self.anomalous[a],
+            slots + dgamma + dgamma,
+            [1] * len(slots) + [level] * np_ + [1] * np_,
+        )
 
     @cached_property
     def packed(self) -> Optional["PackedCurrents"]:
@@ -272,9 +282,8 @@ class PackedCurrents:
         denom = math.lcm(*(p.den for p in fams), *(c.denominator for c in [c for _, c in terms] + consts))
         expos = [e for e, _ in terms] + [e for p in fams for e in p.num]
         self.emax = max((x for e in expos for x in e[:np_]), default=0)
-        self.kmax = max((e[np_] for e, _ in terms), default=0)
-        # no gamma exponent of a product exceeds 2 emax, and no k exponent 2 kmax + 1 (t)
-        pk = self.pk = Packing(np_ + 1, max(2 * self.emax, 2 * self.kmax + 1) + 1, denom)
+        # no gamma exponent of a product exceeds 2 emax; k, the top digit, needs no bound
+        pk = self.pk = Packing(np_ + 1, 2 * self.emax + 1, denom)
         g = self.g = math.lcm(*(x.denominator for row in rs.G for x in row))
         G = [[int(x * g) for x in row] for row in rs.G]
         self.t = {pk.weights[np_]: 1, 0: rs.hvee}
@@ -341,8 +350,7 @@ class PackedCurrents:
     def _fit(self, comps: list[dict]) -> Optional[list[Packed]]:
         """``comps`` packed, or None when an exponent or a denominator lies outside the packing."""
         np_, D = self.rs.n_pos, self.pk.denom
-        if any(D % c.denominator or e[np_] > self.kmax or max(e[:np_], default=0) > self.emax
-               for comp in comps for e, c in comp.items()):
+        if any(D % c.denominator or max(e[:np_], default=0) > self.emax for comp in comps for e, c in comp.items()):
             return None
         return [self.pk.pack(Poly(np_ + 1, comp)) for comp in comps]
 
@@ -391,13 +399,16 @@ class PackedCurrents:
         rhs = [(self.cur[c].co, v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
         return self._refuted(self.cur[a], self.cur[b], want2, rhs)
 
-    def refuted_labels(self, body: tuple[list[dict], tuple], witnesses: dict) -> dict[Label, list[int]]:
+    def refuted_labels(self, body: FieldExpr, witnesses: dict) -> dict[Label, list[int]]:
         """For each current J_a whose witness R = ``witnesses.get(a, 0)`` is
         sum P(gamma, k) V_mu and fits the packing: the pole orders, highest
         first, at which J_a(z) s(w) differs from R at order 2 and dR at order
-        1.  ``body`` is the ``split`` of s = sum_Y Q_Y Y V_mu, every term with
-        a slot and mu; {} when it does not fit the packing."""
-        (*comps, _), mu = body
+        1.  {} unless s = ``body`` is sum_Y Q_Y Y V_mu, every term with a slot
+        and one rational mu, within the packing."""
+        parts = self.split(self.rs, body)
+        if parts is None or parts[1] is None or parts[0][-1]:
+            return {}
+        (*comps, _), mu = parts
         co = self._fit(comps)
         if co is None:
             return {}

@@ -1,6 +1,6 @@
 """Root systems and Cartan-Weyl structure constants for simple Lie algebras.
 
-Positive roots are generated from the Cartan matrix by root-string closure.
+Positive roots are the nonnegative part of the Weyl orbit of the simple roots.
 A ``RootSystem`` is the one object the field layer reads: rank, the metric G
 and its inverse, h_vee, the Weyl vector's Dynkin labels ``rho_labels``, and,
 derived from the roots, the parity and name of each positive root by position.
@@ -179,14 +179,12 @@ class RootSystem:
         return self.weight_inner(self.rho_labels, self.rho_labels)
 
     def is_root(self, v: Root) -> bool:
-        if all(c >= 0 for c in v):
-            return v in self._pos_set()
-        if all(c <= 0 for c in v):
-            return tuple(-c for c in v) in self._pos_set()
-        return False
+        return v in self._roots
 
-    def _pos_set(self) -> frozenset:
-        return frozenset(self.pos_roots)
+    @cached_property
+    def _roots(self) -> frozenset[Root]:
+        """Every root, positive and negative."""
+        return frozenset(self.pos_roots).union(tuple(-c for c in a) for a in self.pos_roots)
 
     def root_name(self, root: Root) -> str:
         """Short name: '1', '2' for simple roots, digit string otherwise, 'theta' for the top."""
@@ -232,21 +230,10 @@ def _validate_cartan(A: Sequence[Sequence[int]]) -> None:
                     )
                 if (A[i][j] == 0) != (A[j][i] == 0):
                     raise CartanTypeError("zero pattern of Cartan matrix must be symmetric")
-    # connectivity: the algebra must be simple
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(r):
-            if j not in seen and A[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != r:
-        raise CartanTypeError("Dynkin diagram is disconnected; only simple algebras are supported")
 
 
 def _simple_norms(A: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Relative norms from A_ij/A_ji along the (connected) diagram."""
+    """Relative norms from A_ij/A_ji along the diagram, which must be connected (the algebra simple)."""
     r = len(A)
     norms: list[Optional[Fraction]] = [None] * r
     norms[0] = Fraction(2)
@@ -254,11 +241,12 @@ def _simple_norms(A: Sequence[Sequence[int]]) -> list[Fraction]:
     while frontier:
         i = frontier.pop()
         for j in range(r):
-            if A[i][j] != 0 and i != j and norms[j] is None:
+            if A[i][j] != 0 and norms[j] is None:
                 norms[j] = norms[i] * Fraction(A[i][j], A[j][i])
                 frontier.append(j)
-    assert all(v is not None for v in norms)
-    return [Fraction(v) for v in norms]  # type: ignore[arg-type]
+    if None in norms:
+        raise CartanTypeError("Dynkin diagram is disconnected; only simple algebras are supported")
+    return norms  # type: ignore[return-value]
 
 
 def _positive_definite(B: list[list[Fraction]]) -> bool:
@@ -320,37 +308,22 @@ def build_root_system(source: Union[str, Sequence[Sequence[int]]], name: str = "
     if not _positive_definite(gram):
         raise CartanTypeError("symmetrized Cartan matrix is not positive definite (not finite type)")
 
-    # root-string closure in the coefficient lattice
-    simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    # every root is a Weyl image of a simple root: close the simple roots under
+    # s_i(b) = b - <b, alpha_i^vee> alpha_i, finite now that the form is positive definite
+    simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
     roots: set[Root] = set(simple)
-    by_height: dict[int, list[Root]] = {1: list(simple)}
-    h = 1
-    bound = 4 * r * r + 16
-    while by_height.get(h):
-        nxt: list[Root] = []
-        for beta in by_height[h]:
-            for i in range(r):
-                cand = tuple(beta[j] + simple[i][j] for j in range(r))
-                if cand in roots:
-                    continue
-                # root string: beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0
-                pairing = sum(A[i][j] * beta[j] for j in range(r))
-                p = 0
-                cur = tuple(beta[j] - simple[i][j] for j in range(r))
-                while all(c >= 0 for c in cur) and cur in roots:
-                    p += 1
-                    cur = tuple(cur[j] - simple[i][j] for j in range(r))
-                if p - pairing > 0:
-                    roots.add(cand)
-                    nxt.append(cand)
-        h += 1
-        if h > bound:
-            raise CartanTypeError("root closure did not terminate; matrix is not finite type")
-        if nxt:
-            by_height[h] = nxt
+    frontier = list(simple)
+    while frontier:
+        b = frontier.pop()
+        for i in range(r):
+            pairing = sum(A[i][j] * b[j] for j in range(r))
+            img = b[:i] + (b[i] - pairing,) + b[i + 1:]
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
 
     # order: by height, then by coefficient vector (earlier simple roots first)
-    pos = sorted(roots, key=lambda v: (sum(v), tuple(-c for c in v)))
+    pos = sorted((v for v in roots if min(v) >= 0), key=lambda v: (sum(v), tuple(-c for c in v)))
     theta = pos[-1]
     if sum(1 for v in pos if sum(v) == sum(theta)) != 1:
         raise CartanTypeError("no unique highest root; matrix is not of simple finite type")
@@ -363,11 +336,8 @@ def build_root_system(source: Union[str, Sequence[Sequence[int]]], name: str = "
     scale = Fraction(2) / theta2
     norms = [v * scale for v in norms]
 
+    # symmetric since gram is: A_ij alpha_i^2 = A_ji alpha_j^2
     G = [[Fraction(2) * A[i][j] / (norms[j]) for j in range(r)] for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            if G[i][j] != G[j][i]:
-                raise CartanTypeError("coroot Gram matrix is not symmetric")
     Ginv = _invert([row[:] for row in G])
 
     rs = RootSystem(

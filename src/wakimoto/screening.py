@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .coeffs import Exp, RatFunc
-from .currents import CurrentSet, PackedCurrents, free_field_image, operator_slots
+from .currents import CurrentSet, free_field_image, operator_slots
 from .fields import FieldExpr, beta_kind, gamma_kind
 from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
@@ -253,10 +253,7 @@ def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> Screenin
     form refutes, so each failure's detail is Wick's.
     """
     rs = cs.rs
-    body = PackedCurrents.split(rs, s.body)
-    closed = {}
-    if body is not None and body[1] is not None and not body[0][-1] and cs.packed is not None:
-        closed = cs.packed.refuted_labels(body, witnesses)
+    closed = {} if cs.packed is None else cs.packed.refuted_labels(s.body, witnesses)
     report = ScreeningReport()
     for label, J in cs.currents.items():
         want = witnesses.get(label, FieldExpr.zero())

@@ -38,6 +38,36 @@ from wakimoto.polymat import (
 from wakimoto.series import SeriesExpr, _absorb_order, _cn_shift_factor, _rewritable
 
 
+def root_string_positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of a finite-type Cartan matrix by root strings, in
+    ``RootSystem.pos_roots`` order (height, then earlier simple roots first).
+
+    Height by height: beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0,
+    p the length of the alpha_i-string descending from beta."""
+    r = len(cartan)
+    simple = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    roots = set(simple)
+    layer = list(simple)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(r):
+                cand = tuple(beta[j] + simple[i][j] for j in range(r))
+                if cand in roots:
+                    continue
+                pairing = sum(cartan[i][j] * beta[j] for j in range(r))
+                p = 0
+                cur = tuple(beta[j] - simple[i][j] for j in range(r))
+                while cur in roots:
+                    p += 1
+                    cur = tuple(cur[j] - simple[i][j] for j in range(r))
+                if p - pairing > 0:
+                    roots.add(cand)
+                    nxt.append(cand)
+        layer = nxt
+    return tuple(sorted(roots, key=lambda v: (sum(v), tuple(-c for c in v))))
+
+
 def adjoint_matrices(rs: RootSystem, tab: StructureTable) -> dict:
     """Matrix of ad(label) acting on the ordered basis, entries as Fractions."""
     labels = tab.basis()

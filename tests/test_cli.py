@@ -451,6 +451,16 @@ def test_operator_and_polynomial_suites_build_no_current(monkeypatch, capsys, ar
     assert code == EXIT_OK and json.loads(out)["suites"][argv[3]]["status"] == "pass"
 
 
+def test_ope_builds_only_the_currents_it_names(monkeypatch, capsys):
+    """E[1] H[1] reads no lowering current, so the anomalous term is never
+    built, and the output is the one the full current set gives."""
+    monkeypatch.setattr(currents, "anomalous_term", _refuse)
+    code, out, err = run(capsys, "ope", "--algebra", "B2", "E[1]", "H[1]")
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "494c9e691db0752eb0172481b44655fffc76bed10183db04a44849a08249bc6b"
+
+
 def test_jobs_check_the_current_set_they_were_given():
     """A perturbed current set, e_alpha1 + 2 beta_alpha1 in OSP22 and in A2:
     the suite checks the perturbed set, not a freshly built one."""
@@ -606,6 +616,26 @@ def test_malformed_algebra_json_is_input_error(tmp_path, capsys, text):
     code, out, err = run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi")
     assert code == EXIT_INPUT and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NOT_FINITE = "error: symmetrized Cartan matrix is not positive definite (not finite type)\n"
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        ([[2, -2], [-2, 2]], _NOT_FINITE),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], _NOT_FINITE),
+        ([[2, -3], [-3, 2]], _NOT_FINITE),
+        ([[2, 0], [0, 2]], "error: Dynkin diagram is disconnected; only simple algebras are supported\n"),
+        ([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]], "error: Cartan matrix is not symmetrizable\n"),
+    ],
+    ids=["affine-A1", "affine-A2", "hyperbolic", "disconnected", "non-symmetrizable"],
+)
+def test_cartan_json_not_of_simple_finite_type_is_input_error(tmp_path, capsys, cartan, message):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps({"cartan_matrix": cartan}))
+    assert run(capsys, "verify", "--algebra", str(p)) == (EXIT_INPUT, "", message)
 
 
 @pytest.mark.parametrize("name", [5, [1], {"a": 1}, True, None, 0, "custom-a2"])

@@ -266,6 +266,20 @@ def test_a_term_of_another_shape_goes_to_wick():
     assert run_suite(cs, "currents", None) == (True, {"pairs": 9, "route": "packed", "violations": []})
 
 
+@pytest.mark.parametrize("label", ["G2", "OSP22"])
+def test_one_current_is_the_one_the_set_builds(label):
+    """``current`` builds one current, the anomalous term only for a lowering
+    one, and reads the ``currents`` stage once it is built."""
+    built = CurrentSet(*get_algebra(label)).built()
+    for lab in built.labels():
+        cs = CurrentSet(built.rs, built.tab)
+        assert cs.current(lab) == built.currents[lab]
+        assert ("currents" in vars(cs)) == (label == "OSP22")
+        assert ("anomalous" in vars(cs)) == (label != "OSP22" and lab[0] == "f")
+    given = CurrentSet(built.rs, built.tab, currents=built.currents)
+    assert all(given.current(lab) is built.currents[lab] for lab in built.labels())
+
+
 def test_an_unbuilt_current_set_pickles_without_stages():
     cs = pickle.loads(pickle.dumps(CurrentSet(*get_algebra("B2"))))
     assert set(vars(cs)) == {"rs", "tab"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wakimoto import screening
 from wakimoto.coeffs import Exp, RatFunc
-from wakimoto.currents import CurrentSet, PackedCurrents, build_wakimoto, osp22_currents
+from wakimoto.currents import CurrentSet, build_wakimoto, osp22_currents
 from wakimoto.fields import BETA, GAMMA, FieldExpr
 from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import contract
@@ -392,7 +392,7 @@ def _witnesses(cs, s, witness=first_kind_witness):
 
 def _closed(cs, s, wit):
     """The labels the closed-form poles decide, with the pole orders they refute."""
-    return cs.packed.refuted_labels(PackedCurrents.split(cs.rs, s.body), wit)
+    return cs.packed.refuted_labels(s.body, wit)
 
 
 def _both(cs, s, wit):
@@ -438,6 +438,19 @@ def test_a_witness_with_an_extra_term_fails_on_both_routes(b2cs):
     wit[label] = wit[label] + FieldExpr.prim(GAMMA, 1) * FieldExpr.vertex(s.momentum)
     assert _closed(b2cs, s, wit)[label] == [2, 1]
     assert _failed(_both(b2cs, s, wit)) == [label]
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_a_witness_times_t_is_decided_in_closed_form(label):
+    """t R has k^2 terms; k is never differentiated, so the packing takes it
+    and refutes it, with the checks of the Wick route."""
+    cs = _built(label)
+    s = first_kind(cs, 0)
+    wit = _witnesses(cs, s)
+    lab = ("f", cs.rs.pos_roots[0])
+    wit[lab] = wit[lab].scale(RatFunc.t(cs.rs.hvee))
+    assert _closed(cs, s, wit)[lab] == [2, 1]
+    assert _failed(_both(cs, s, wit)) == [lab]
 
 
 def test_a_body_with_a_doubled_momentum_fails_on_both_routes(b2cs):
