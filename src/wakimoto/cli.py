@@ -279,8 +279,7 @@ def _screening_suite(cs: CurrentSet, directions, construct):
         try:
             rep = verify(cs, construct(cs, j))
         except DirectionError as exc:
-            reason = f"multiplicity {cs.rs.theta[j]} direction without a series construction"
-            results[str(j + 1)] = {"status": "unavailable", "reason": reason if cs.rs.bosonic else str(exc)}
+            results[str(j + 1)] = {"status": "unavailable", "reason": str(exc)}
             continue
         results[str(j + 1)] = _report_json(cs, rep)
         ok = ok and rep.ok

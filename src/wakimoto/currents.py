@@ -1,19 +1,20 @@
 """Wakimoto free-field currents and their algebra verification.
 
-The currents are the free-field image of the differential operators of
-``diffop.build_differential_realization`` under the one substitution
-``free_field_image``: x^alpha -> gamma^alpha, d_alpha -> beta_alpha,
-L_i -> sqrt(t) d phi_i, plus the anomalous d(gamma) corrections on the
-lowering side.  Those corrections are where the level k enters: the k-free
-part comes from ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part
-is added here.  The screening composites are images under the same
-substitution.  The osp(2|2) current set is entered from its closed form.
+Each current has one source, its rows: its coefficients over
+``current_slots`` (beta_b, dphi_j, d gamma_b), polynomials in gamma and k.
+The beta and dphi rows are the operator's (``diffop``), the d gamma rows of
+a lowering current its anomalous corrections, where k enters: the k-free
+part is ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part is added
+in ``CurrentSet.rows``.  ``free_field_image`` (x^alpha -> gamma^alpha,
+d_alpha -> beta_alpha, L_i -> sqrt(t) d phi_i) maps rows, and screening
+composites, to field expressions, and ``PackedCurrents.split`` inverts it.
 
-The current-algebra sweep decides a generated (bosonic) set from the
-closed-form poles of ``PackedCurrents`` and runs Wick's theorem
-(``check_pair``) on the pairs they refute; the osp(2|2) set goes pair by
-pair through Wick's theorem.  The same packing, ``CurrentSet.packed``,
-decides the first-kind screening contracts.
+The sweep decides a set with rows from the closed-form poles of
+``PackedCurrents``, which packs the rows, and runs Wick's theorem
+(``check_pair``) on the pairs they refute; the osp(2|2) set, entered from
+its closed form, and a set built from given currents go pair by pair
+through Wick's theorem.  ``CurrentSet.packed`` also decides the first-kind
+screening contracts.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Optional, Sequence
 
-from .coeffs import RatFunc, canonical
+from .coeffs import Pol, RatFunc, canonical
 from .diffop import DiffOp, build_differential_realization
 from .fields import GAMMA, PHI, FieldExpr, Prim, beta_kind, gamma_kind, vertex_phi_coupling
 from .liealg import Label, RootSystem, StructureTable, _invert, osp22_fixture
@@ -38,15 +38,15 @@ class CurrentSet:
     """All currents of one affine algebra; each stage of the construction is built on first read.
 
     The stages are the realization polynomials ``polys``, the differential
-    operators ``ops``, the k-free ``anomalous`` term of the lowering currents
-    and the free-field ``currents``, each built from those before it, the root
-    system ``rs`` and the structure table ``tab``; ``current(label)`` builds
-    one current without the others.  A
-    ``polys`` or ``currents`` passed in is kept as given, and a built stage
-    lives in the instance ``__dict__``, so a pickle carries exactly the built
-    stages.  A graded algebra has no ``polys`` or ``ops``; its currents are
-    the osp(2|2) closed form.  ``ctx`` is ``rs``: the argument is accepted
-    only as the set's own root system.
+    operators ``ops``, the k-free ``anomalous`` term of the lowering currents,
+    the ``rows`` and their free-field image ``currents``, each built from
+    those before it, ``rs`` and ``tab``; ``current(label)`` builds one current
+    without the others.  A ``polys`` or ``currents`` passed in is kept, and
+    given currents have no ``rows``; a built stage lives in the instance
+    ``__dict__``, so a pickle carries exactly the built stages.  A graded
+    algebra has no ``polys``, ``ops`` or ``rows``; its currents are the
+    osp(2|2) closed form.  ``ctx`` is ``rs``: the argument is accepted only
+    as the set's own root system.
     """
 
     def __init__(self, rs: RootSystem, tab: StructureTable, ctx=None, currents=None, polys=None):
@@ -71,40 +71,43 @@ class CurrentSet:
 
     @cached_property
     def anomalous(self) -> list[list[Poly]]:
-        """The k-free part of the d gamma corrections, ``polymat.anomalous_term``: read by the lowering currents."""
+        """The k-free part of the d gamma corrections, ``polymat.anomalous_term``: read by the lowering rows."""
         return anomalous_term(self.rs, self.polys)
 
     @cached_property
+    def rows(self) -> Optional[dict[Label, list[Poly]]]:
+        """Each current's coefficients over ``current_slots``, in (gamma, k); None for given
+        currents (a built ``currents`` stage reads ``rows`` first) and without ``ops``."""
+        if "currents" in self.__dict__ or self.ops is None:
+            return None
+        return {lab: self._rows(lab) for lab in self.ops}
+
+    def _rows(self, label: Label) -> list[Poly]:
+        """The operator's coefficients, then the d gamma rows: on F_alpha
+        F_{alpha b} + k (2/alpha^2) (V_+^{-1})_b^alpha, on E and H none."""
+        rs = self.rs
+        rows = [with_k(p) for p in self.ops[label].coeffs]
+        if label[0] != "f":
+            return rows + [Poly(rs.n_pos + 1)] * rs.n_pos
+        a, level = rs.root_index(label[1]), 2 / rs.root_norm2(label[1])
+        return rows + [with_k(f) + with_k(v[a].scale(level), 1)
+                       for f, v in zip(self.anomalous[a], self.polys.V_plus_inv)]
+
+    @cached_property
     def currents(self) -> dict[Label, FieldExpr]:
-        """The free-field image of every operator (``current``), or the osp(2|2) closed form."""
-        if self.ops is None:
+        """The free-field image of every current's rows, or the osp(2|2) closed form."""
+        if self.rows is None:
             return _osp22_currents(self.rs)
-        return {lab: self._image(lab) for lab in self.ops}
+        slots = current_slots(self.rs)
+        return {lab: free_field_image(self.rs, rows, slots) for lab, rows in self.rows.items()}
 
     def current(self, label: Label) -> FieldExpr:
-        """One current: read from the ``currents`` stage when it is built or given, else built alone."""
-        if "currents" in self.__dict__ or self.ops is None:
+        """One current: read from the ``currents`` stage when it is built or given, else
+        the image of its rows, which are built alone unless the ``rows`` stage is."""
+        if "currents" in self.__dict__ or not self.rs.bosonic:
             return self.currents[label]
-        return self._image(label)
-
-    def _image(self, label: Label) -> FieldExpr:
-        """The free-field image of one operator, plus the d gamma corrections of a lowering one.
-
-        The d gamma^b coefficient of F_alpha is (2k/alpha^2) (V_+^{-1})_b^alpha + F_{alpha b}.
-        """
-        rs, op = self.rs, self.ops[label]
-        slots = operator_slots(rs)
-        if label[0] != "f":
-            return free_field_image(rs, op.coeffs, slots)
-        np_, a = rs.n_pos, rs.root_index(label[1])
-        dgamma = [((gamma_kind(rs, b), b, 1),) for b in range(np_)]
-        level = RatFunc.k() * (2 / rs.root_norm2(label[1]))
-        return free_field_image(
-            rs,
-            op.coeffs + [self.polys.V_plus_inv[b][a] for b in range(np_)] + self.anomalous[a],
-            slots + dgamma + dgamma,
-            [1] * len(slots) + [level] * np_ + [1] * np_,
-        )
+        rows = self.__dict__.get("rows")
+        return free_field_image(self.rs, rows[label] if rows else self._rows(label), current_slots(self.rs))
 
     @cached_property
     def packed(self) -> Optional["PackedCurrents"]:
@@ -117,7 +120,8 @@ class CurrentSet:
         return self
 
     def labels(self) -> list[Label]:
-        return list(self.currents)
+        """The current labels, read from the rows when the set has them, so listing builds no current."""
+        return list(self.currents if self.rows is None else self.rows)
 
     def __getitem__(self, label: Label) -> FieldExpr:
         return self.currents[label]
@@ -126,31 +130,35 @@ class CurrentSet:
 Slot = tuple[Prim, ...]
 
 
-def operator_slots(rs: RootSystem) -> list[Slot]:
-    """The free field of each ``DiffOp`` slot: d_beta -> beta_beta, L_j -> sqrt(t) d phi_j."""
-    return [((beta_kind(rs, b), b, 0),) for b in range(rs.n_pos)] + [
-        ((PHI, j, 0),) for j in range(rs.rank)
-    ]
+def current_slots(rs: RootSystem) -> list[Slot]:
+    """The free field of each row: beta_b (d_b), dphi_j (L_j -> sqrt(t) d phi_j), then d gamma_b."""
+    return ([((beta_kind(rs, b), b, 0),) for b in range(rs.n_pos)]
+            + [((PHI, j, 0),) for j in range(rs.rank)]
+            + [((GAMMA, b, 1),) for b in range(rs.n_pos)])
 
 
-def free_field_image(
-    rs: RootSystem, coeffs: Sequence[Poly], slots: Sequence[Slot], weights: Optional[Sequence] = None
-) -> FieldExpr:
-    """sum_i weights[i] coeffs[i](gamma) slots[i], canonicalized once.
+def with_k(p: Poly, power: int = 0) -> Poly:
+    """p(gamma) k^power as a polynomial in (gamma, k), read from p's num and den."""
+    return p._like({e + (power,): c for e, c in p.num.items()}, p.den, p.nvars + 1)
 
-    x^alpha -> gamma^alpha (c^alpha on odd roots); a slot is a product of
-    primitives, () for none; the weights default to 1.  The integer numerators
-    are taken over the LCM L of the denominators, and the sum divided by L once.
+
+def free_field_image(rs: RootSystem, rows: Sequence[Poly], slots: Sequence[Slot]) -> FieldExpr:
+    """sum_i rows[i](gamma, k) slots[i], canonicalized once.
+
+    x^alpha -> gamma^alpha (c^alpha on odd roots), an exponent past the n_pos
+    gammas is the power of k, and a slot is a product of primitives, () for
+    none.  The integer numerators are taken over the LCM L of the
+    denominators, and the sum divided by L once.
     """
-    L = math.lcm(*(p.den for p in coeffs))
+    np_ = rs.n_pos
+    L = math.lcm(*(p.den for p in rows))
     raw = []
-    for p, slot, w in zip(coeffs, slots, repeat(1) if weights is None else weights):
+    for p, slot in zip(rows, slots):
         f = L // p.den
         for expo, c in p.num.items():
-            gammas = tuple(
-                (gamma_kind(rs, pos), pos, 0) for pos, m in enumerate(expo) for _ in range(m)
-            )
-            raw.append((c * f * w, gammas + slot, (), None))
+            gammas = tuple((gamma_kind(rs, pos), pos, 0) for pos, m in enumerate(expo[:np_]) for _ in range(m))
+            kp = expo[np_] if len(expo) > np_ else 0
+            raw.append((RatFunc(Pol.k(kp).scale(c * f)) if kp else c * f, gammas + slot, (), None))
     return FieldExpr._from_raw(raw, L)
 
 
@@ -200,9 +208,9 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
 def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:
     """Pairwise OPE sweep against the structure table, in pair order.
 
-    A set with ``packed`` currents is decided by the closed-form poles, and
-    ``check_pair`` reports each pair they refute; a refuted pair that Wick
-    passes is a violation too, since the two routes disagree.  A (b, a) whose
+    A set with ``rows`` is decided by the closed-form poles of ``packed``, and
+    ``check_pair`` (which builds ``currents``) reports each pair they refute; a
+    refuted pair that Wick passes is a violation too, the routes disagreeing.  A (b, a) whose
     (a, b) came first and held is not computed when f_ba == -f_ab and kappa_ba
     == kappa_ab: skew-symmetry of even fields gives b_(1)a = a_(1)b = k kappa_ba,
     b_(0)a = -a_(0)b + d(k kappa_ab) = f_ba^c J_c and no higher pole.  Any other
@@ -264,50 +272,39 @@ class PackedCurrents:
     Since t nu^j is rational, pole 1 in the dphi slots is multiplied by t.
 
     k is one more packed variable that is never differentiated, so
-    t = k + h_vee is a packed polynomial.  The packing's denominator D is
-    common to every coefficient, to the table's f and kappa and to the
-    realization families S and Q the first-kind witnesses come from, and g
-    is the LCM of the denominators of G.  Each pole is formed as e D^2 times
-    its value, e = g m with m the LCM of the denominators of mu and t nu (1
+    t = k + h_vee is a packed polynomial.  ``Packing.fit`` packs the rows
+    with the families S and Q the first-kind witnesses come from: D is the
+    common denominator of them and of the table's f and kappa, and g is the
+    LCM of the denominators of G.  Each pole is formed as e D^2 times its
+    value, e = g m with m the LCM of the denominators of mu and t nu (1
     without a vertex); the wanted poles are subtracted in place, and a pole
     holds when every entry is 0.
     """
 
-    def __init__(self, cs: CurrentSet, rows: dict[Label, list[dict]]):
+    def __init__(self, cs: CurrentSet):
         rs = self.rs = cs.rs
         self.tab, np_ = cs.tab, rs.n_pos
-        terms = [t for comps in rows.values() for comp in comps for t in comp.items()]
         fams = [p for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row]
         consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
-        denom = math.lcm(*(p.den for p in fams), *(c.denominator for c in [c for _, c in terms] + consts))
-        expos = [e for e, _ in terms] + [e for p in fams for e in p.num]
-        self.emax = max((x for e in expos for x in e[:np_]), default=0)
-        # no gamma exponent of a product exceeds 2 emax; k, the top digit, needs no bound
-        pk = self.pk = Packing(np_ + 1, 2 * self.emax + 1, denom)
+        pk = self.pk = Packing.fit(np_ + 1, [p for rows in cs.rows.values() for p in rows] + fams, consts)
         g = self.g = math.lcm(*(x.denominator for row in rs.G for x in row))
         G = [[int(x * g) for x in row] for row in rs.G]
         self.t = {pk.weights[np_]: 1, 0: rs.hvee}
-        self.cur = {lab: self._current(self._operand([pk.pack(Poly(np_ + 1, comp)) for comp in comps]), G)
-                    for lab, comps in rows.items()}
+        self.cur = {lab: self._current(self._operand([pk.pack(p) for p in rows]), G)
+                    for lab, rows in cs.rows.items()}
 
     @classmethod
     def of(cls, cs: CurrentSet) -> Optional["PackedCurrents"]:
-        """The packed currents of ``cs``; None for a graded set or one with a
-        term of another shape, which Wick's theorem decides instead."""
-        rows: dict[Label, list[dict]] = {}
-        for lab, expr in cs.currents.items():
-            parts = cls.split(cs.rs, expr)
-            if parts is None or parts[1] is not None or parts[0][-1]:
-                return None
-            rows[lab] = parts[0][:-1]
-        return cls(cs, rows)
+        """The packed rows of ``cs``; None for a set without rows (graded, or
+        built from given currents), which Wick's theorem decides instead."""
+        return None if cs.rows is None else cls(cs)
 
     @staticmethod
-    def split(rs: RootSystem, expr: FieldExpr) -> Optional[tuple[list[dict], Optional[tuple]]]:
+    def split(rs: RootSystem, expr: FieldExpr) -> Optional[tuple[list[Poly], Optional[tuple]]]:
         """``expr`` as sum_X P_X(gamma, k) X V_mu: ([P_X per slot X, then P without a slot], mu).
 
-        Each P_X is {gamma exponents + (k power,): rational}, the slots X in
-        the order beta_b, dphi_j, d gamma_b; mu is the vertex momentum of
+        The inverse of ``free_field_image``: each P_X is a Poly in (gamma, k),
+        the slots X those of ``current_slots``; mu is the vertex momentum of
         every term, None for none.  None on a graded algebra and for any other
         shape: a power factor, a factor besides the gammas and one slot, a
         coefficient with n or a denominator, two momenta, or one that is not
@@ -315,7 +312,7 @@ class PackedCurrents:
         if not rs.bosonic:
             return None
         np_ = rs.n_pos
-        slots = [slot for slot, in operator_slots(rs)] + [(GAMMA, b, 1) for b in range(np_)]
+        slots = [slot for slot, in current_slots(rs)]
         index = {slot: y for y, slot in enumerate(slots)}
         comps: list[dict] = [{} for _ in range(len(slots) + 1)]
         moms = {vertex for _, _, vertex in expr.terms}
@@ -345,14 +342,14 @@ class PackedCurrents:
             for kp, c in parts:
                 expo[np_] = kp
                 comps[len(slots) if y is None else y][tuple(expo)] = c
-        return comps, mu
+        return [Poly(np_ + 1, comp) for comp in comps], mu
 
-    def _fit(self, comps: list[dict]) -> Optional[list[Packed]]:
-        """``comps`` packed, or None when an exponent or a denominator lies outside the packing."""
-        np_, D = self.rs.n_pos, self.pk.denom
-        if any(D % c.denominator or max(e[:np_], default=0) > self.emax for comp in comps for e, c in comp.items()):
+    def _fit(self, rows: list[Poly]) -> Optional[list[Packed]]:
+        """``rows`` packed, or None when a gamma exponent or a denominator lies outside the packing."""
+        np_, pk = self.rs.n_pos, self.pk  # ``Packing.fit`` took base 2 emax + 1, two factors
+        if any(pk.denom % p.den or any(x > pk.base // 2 for e in p.num for x in e[:np_]) for p in rows):
             return None
-        return [self.pk.pack(Poly(np_ + 1, comp)) for comp in comps]
+        return [pk.pack(p) for p in rows]
 
     def _operand(self, co: list[Packed]) -> "_Current":
         """What a w-side operand's poles read of it: co and jac."""
@@ -364,7 +361,7 @@ class PackedCurrents:
     def _current(self, cur: "_Current", G: list[list[int]]) -> "_Current":
         """``cur`` with its z-side tables added."""
         pk, g, np_, r = self.pk, self.g, self.rs.n_pos, self.rs.rank
-        co = cur.co
+        co, jac, dg = cur.co, cur.jac, np_ + r
         phi = []
         for j in range(r):
             acc: Packed = {}
@@ -372,12 +369,15 @@ class PackedCurrents:
                 if G[i][j]:
                     add_into(acc, co[np_ + i], G[i][j])
             phi.append(mul_into({}, acc, self.t))
-        zside = [add_into({}, p, g) for p in co[np_ + r:]] + phi + [add_into({}, p, g) for p in co[:np_]]
-        cur.zside = [(y, p) for y, p in enumerate(zside) if any(p.values())]
+        # (Y, R, c, {d: d_d R}); beside dphi, R and its partials are entries of co and jac, not copies
+        sides = ([(y, co[dg + y], g, jac[dg + y]) for y in range(np_)]
+                 + [(np_ + j, p, 1, pk.partials(p, np_)) for j, p in enumerate(phi)]
+                 + [(dg + b, co[b], g, jac[b]) for b in range(np_)])
+        cur.zside = [side for side in sides if any(side[1].values())]
         cur.taylor = {}
-        for y, p in cur.zside:
-            for d, q in pk.partials(p, np_).items():
-                cur.taylor.setdefault(np_ + r + d, []).append((y, q))
+        for y, _, c, dp in cur.zside:
+            for d, q in dp.items():
+                cur.taylor.setdefault(dg + d, []).append((y, q, c))
         cur.hess = {}
         return cur
 
@@ -420,7 +420,7 @@ class PackedCurrents:
         mus, tnu = [int(x * g * m) for x in mus], [int(x * m) for x in tnu]
         out: dict[Label, list[int]] = {}
         for lab, A in self.cur.items():
-            parts = self.split(rs, witnesses[lab]) if lab in witnesses else ([{}], None)
+            parts = self.split(rs, witnesses[lab]) if lab in witnesses else ([Poly(np_ + 1)], None)
             if parts is None or any(parts[0][:-1]) or (parts[0][-1] and parts[1] != mu):
                 continue
             R = self._fit(parts[0][-1:])
@@ -460,8 +460,8 @@ class PackedCurrents:
         tslots = range(np_, np_ + r) if vertex else ()
         bad = []
         acc: Packed = {}
-        for y, p in A.zside:
-            mul_into(acc, p, B.co[y], m)
+        for y, p, c, _ in A.zside:
+            mul_into(acc, p, B.co[y], m * c)
         for s in range(np_):
             for c, p in A.jac[s].items():
                 if q := B.jac[c].get(s):
@@ -478,8 +478,8 @@ class PackedCurrents:
                     ddp.setdefault(y, []).append((p, q))
         for y in range(len(A.co)):
             acc = bracket_into({}, (A.co, A.jac[y]), (B.co, B.jac[y]), e)
-            for y2, p in A.taylor.get(y, ()):
-                mul_into(acc, p, B.co[y2], m)
+            for y2, p, c in A.taylor.get(y, ()):
+                mul_into(acc, p, B.co[y2], m * c)
             for p, q in ddp.get(y, ()):
                 mul_into(acc, p, q, -e)
             if M:
@@ -501,10 +501,11 @@ class _Current:
 
     co[Y] is the D-scaled P_Y, and jac[Y], its ``Packing.partials``, maps
     each beta slot s to d_s P_Y: (co, jac[Y]) is the pair
-    ``polymat.bracket_into`` reads in slot Y.  zside lists (Y, R_Y), the g D-scaled
-    z-side factor that meets w-side slot Y at pole 2: P_{dgamma_b} at beta_b,
-    t G_ij P_{dphi_i} at dphi_j, P_{beta_b} at d gamma_b.  taylor maps the
-    slot of d gamma_d to d_d of those factors, (Y, d_d R_Y), and hess[s, c]
+    ``polymat.bracket_into`` reads in slot Y.  zside lists (Y, R_Y, c, {d:
+    d_d R_Y}), c R_Y the g D-scaled z-side factor that meets w-side slot Y
+    at pole 2: P_{dgamma_b} at beta_b and P_{beta_b} at d gamma_b, with c =
+    g, and t G_ij P_{dphi_i} at dphi_j, with c = 1.  taylor maps the slot of
+    d gamma_d to d_d of those factors, (Y, d_d R_Y, c), and hess[s, c]
     holds the second derivatives d_d d_c P_{beta_s} that a w-side operand has
     asked for.  A w-side operand that is not a current has co and jac only.
     """

@@ -25,7 +25,7 @@ denominator and each exponent tuple is one int.  Each series is an integer
 combination of the powers over the LCM of its coefficients' denominators.
 The families leave as ``Poly``, integer numerators over one denominator
 (the stored form of ``coeffs``); the level k enters only in
-``currents.CurrentSet.currents``.  ``diffop`` and ``currents`` share the ``Packing``
+``currents.CurrentSet.rows``.  ``diffop`` and ``currents`` share the ``Packing``
 and its kernel: ``mul_into``, ``add_into``, ``bracket_into`` (one slot, or all stacked).
 """
 
@@ -65,9 +65,9 @@ class Poly(SparsePoly):
         self.nvars = nvars
         super().__init__(terms)
 
-    def _like(self, num: dict, den: int = 1) -> "Poly":
+    def _like(self, num: dict, den: int = 1, nvars: Optional[int] = None) -> "Poly":
         out = SparsePoly._like(self, num, den)
-        out.nvars = self.nvars
+        out.nvars = self.nvars if nvars is None else nvars
         return out
 
     __mul__ = SparsePoly.__mul__
@@ -361,7 +361,7 @@ def anomalous_term(rs: RootSystem, polys: RealizationPolys) -> list[list[Poly]]:
 
     F_{alpha beta} = (V_+^{-1})_beta^mu  d_sigma V_mu^gamma  d_gamma V_{-alpha}^sigma;
     the level part (2k/alpha^2) (V_+^{-1})_beta^alpha of the d gamma^beta
-    coefficient is added by ``currents.CurrentSet.currents``.  The inner sum over
+    row is added by ``currents.CurrentSet.rows``.  The inner sum over
     (sigma, gamma) is formed once per (alpha, mu), over the integers.
     """
     np_ = rs.n_pos

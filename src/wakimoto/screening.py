@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .coeffs import Exp, RatFunc
-from .currents import CurrentSet, free_field_image, operator_slots
+from .currents import CurrentSet, current_slots, free_field_image, with_k
 from .fields import FieldExpr, beta_kind, gamma_kind
 from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
@@ -125,7 +125,7 @@ def _polys(cs: CurrentSet):
 
 def screening_composite(cs: CurrentSet, j: int) -> FieldExpr:
     """S_{alpha_j}^sigma(gamma) beta_sigma."""
-    return free_field_image(cs.rs, _polys(cs).S[j], operator_slots(cs.rs))
+    return free_field_image(cs.rs, _polys(cs).S[j], current_slots(cs.rs))
 
 
 def first_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
@@ -164,21 +164,21 @@ def second_kind(cs: CurrentSet, j: int) -> ScreeningCurrent:
         return second_kind_osp22(cs)
     if cs.rs.theta[j] == 1:
         return second_kind_mult_one(cs, j)
-    return second_kind_b2(cs)
+    return second_kind_b2(cs, j)
 
 
-def second_kind_b2(cs: CurrentSet) -> ScreeningCurrent:
-    """The series current in the multiplicity-two direction of B2.
+def second_kind_b2(cs: CurrentSet, j: int = 1) -> ScreeningCurrent:
+    """The series current in the multiplicity-two direction j = 1 of B2.
 
     Its bases and witnesses are closed forms in the built-in B2 structure
-    constants, so a B2 with other extraspecial signs is refused too.
+    constants, so a B2 with other extraspecial signs is refused too; any
+    other direction is refused with its multiplicity.
     """
     b2 = build_root_system("B2")
-    if cs.rs.pos_roots != b2.pos_roots:
-        raise DirectionError("the series construction is provided for B2 only")
+    if cs.rs.pos_roots != b2.pos_roots or j != 1:
+        raise DirectionError(f"multiplicity {cs.rs.theta[j]} direction without a series construction")
     if cs.tab.f != build_structure_table(b2).f:
         raise DirectionError("the series construction assumes the built-in B2 signs")
-    j = 1
     A, B = _b2_bases(cs)
     mom = second_kind_momentum(cs.rs, j)
     body = (
@@ -223,15 +223,13 @@ def _check_total_derivative(
 
 
 def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
-    """R for F_alpha against a first-kind current: -(2t/alpha_j^2) Q_{-alpha}^{-alpha_j}."""
-    polys = _polys(cs)
-    j = s.direction
-    aj2 = cs.rs.root_norm2(_simple(cs.rs, j))
-    q = polys.Q[alpha_pos][j]
+    """R for F_alpha against a first-kind current: -(2/alpha_j^2) (k + h_vee) Q_{-alpha}^{-alpha_j}."""
+    q = _polys(cs).Q[alpha_pos][s.direction]
     if q.is_zero:
         return FieldExpr.zero()
-    pref = RatFunc.of(-2) * RatFunc.t(cs.rs.hvee) / aj2
-    return free_field_image(cs.rs, [q], [()], [pref]) * FieldExpr.vertex(s.momentum)
+    q = q.scale(-2 / cs.rs.root_norm2(_simple(cs.rs, s.direction)))
+    row = with_k(q, 1) + with_k(q.scale(cs.rs.hvee))
+    return free_field_image(cs.rs, [row], [()]) * FieldExpr.vertex(s.momentum)
 
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
@@ -250,18 +248,19 @@ def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> Screenin
     first-kind current) is decided by the closed-form poles of ``cs.packed``
     on every label whose witness is R(gamma, k) V_mu within the packing.
     Wick's theorem decides T, every other label and every label the closed
-    form refutes, so each failure's detail is Wick's.
+    form refutes, so each failure's detail is Wick's; only those labels'
+    currents are built.
     """
     rs = cs.rs
     closed = {} if cs.packed is None else cs.packed.refuted_labels(s.body, witnesses)
     report = ScreeningReport()
-    for label, J in cs.currents.items():
+    for label in cs.labels():
         want = witnesses.get(label, FieldExpr.zero())
         orders = closed.get(label)
         if orders == []:
             report.checks.append(GeneratorCheck(label, True, witness_text=want.text(rs)))
             continue
-        check = _check_total_derivative(rs, s, label, contract(rs, J, s.body), want)
+        check = _check_total_derivative(rs, s, label, contract(rs, cs.current(label), s.body), want)
         if orders and check.ok:
             check = GeneratorCheck(
                 label, False, detail="the closed-form poles refute this label and Wick's theorem does not"
@@ -393,7 +392,7 @@ def naive_second_kind_failure(cs: CurrentSet, j: int) -> NaiveFailure:
     contracted = [
         sum((Sj[g] * Sj[tau].deriv(g) for g in range(np_)), Poly.zero(np_)) for tau in range(np_)
     ]
-    shape = free_field_image(cs.rs, contracted, operator_slots(cs.rs))
+    shape = free_field_image(cs.rs, contracted, current_slots(cs.rs))
     expected = (
         shape
         * FieldExpr.power(base, Exp(u, -2, 0))

@@ -392,14 +392,19 @@ def test_jobs_reads_no_environment(monkeypatch, capsys):
     assert cli.build_parser().parse_args(["verify"]).jobs == 1
 
 
+def _perturbed(cs, pos, coef):
+    """A set built from the currents of ``cs`` with e_alpha1 + coef beta at root position pos."""
+    e1, cur = ("e", tuple(int(i == 0) for i in range(cs.rs.rank))), dict(cs.currents)
+    cur[e1] = cur[e1] + FieldExpr.prim(beta_kind(cs.rs, pos), pos, coef=coef)
+    return currents.CurrentSet(cs.rs, cs.tab, currents=cur)
+
+
 def _planted(selector):
     """The algebra of ``selector`` with one wrong current: A3's e_alpha1 + beta_theta,
     or OSP22's e_alpha1 + 2 beta_alpha1."""
     cs = _load(selector)
-    e1 = ("e", tuple(int(i == 0) for i in range(cs.rs.rank)))
     pos, coef = (cs.rs.root_index(cs.rs.theta), 1) if cs.rs.bosonic else (0, 2)
-    cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(beta_kind(cs.rs, pos), pos, coef=coef)
-    return cs
+    return _perturbed(cs, pos, coef)
 
 
 def test_verify_jobs_matches_one_process_when_the_sweep_fails(monkeypatch, capsys):
@@ -465,9 +470,7 @@ def test_jobs_check_the_current_set_they_were_given():
     """A perturbed current set, e_alpha1 + 2 beta_alpha1 in OSP22 and in A2:
     the suite checks the perturbed set, not a freshly built one."""
     for algebra in ("OSP22", "A2"):
-        cs = _load(algebra)
-        e1 = ("e", (1, 0))
-        cs.currents[e1] = cs.currents[e1] + FieldExpr.prim(beta_kind(cs.rs, 0), 0, coef=2)
+        cs = _perturbed(_load(algebra), 0, 2)
         ok, details = cli.run_suite(cs, "currents", None)
         assert not ok and len(details["violations"]) == 14
 
@@ -553,6 +556,29 @@ def test_custom_b2_series_needs_the_builtin_signs(tmp_path, capsys, signs, code)
         json.dumps({"name": "my-b2", "cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": signs})
     )
     assert assert_screen_matches_suite(capsys, str(p), 2, "2") == code
+
+
+@pytest.mark.parametrize(
+    "algebra, signs, direction, reason",
+    [
+        ("B2", {"1,1": -1}, 2, "the series construction assumes the built-in B2 signs"),
+        ("G2", None, 1, "multiplicity 2 direction without a series construction"),
+        ("G2", None, 2, "multiplicity 3 direction without a series construction"),
+    ],
+    ids=["B2-sign-flipped", "G2-1", "G2-2"],
+)
+def test_an_unavailable_direction_gives_the_reason_screen_gives(tmp_path, capsys, algebra, signs, direction, reason):
+    """The suite reports the refusal of the construction, the one `screen` prints."""
+    if signs is not None:
+        p = tmp_path / "b2.json"
+        p.write_text(json.dumps({"cartan_matrix": [[2, -1], [-2, 2]], "extraspecial_signs": signs}))
+        algebra = str(p)
+    d = str(direction)
+    code, out, err = run(capsys, "verify", "--algebra", algebra, "--suite", "screening-second")
+    assert code == EXIT_OK
+    assert json.loads(out)["suites"]["screening-second"]["details"][d] == {"status": "unavailable", "reason": reason}
+    assert run(capsys, "screen", "--algebra", algebra, "--direction", d, "--kind", "second") == (
+        EXIT_INPUT, "", f"error: {reason}\n")
 
 
 @pytest.mark.parametrize(

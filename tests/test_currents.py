@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto import currents
 from wakimoto.cli import run_suite
@@ -13,13 +15,16 @@ from wakimoto.currents import (
     PackedCurrents,
     build_wakimoto,
     check_pair,
+    current_slots,
     expected_ope,
+    free_field_image,
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
 )
 from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
+from wakimoto.polymat import Poly
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
 from test_cli import _FLIPPED_JSON
@@ -143,10 +148,17 @@ def _orders(violations):
     return {(*v.pair, v.order) for v in violations}
 
 
+def _with_rows(cs):
+    """``cs``, built from given currents, with the rows ``split`` reads off
+    them injected, so that the closed form decides it too."""
+    cs.__dict__["rows"] = {lab: PackedCurrents.split(cs.rs, J)[0][:-1] for lab, J in cs.currents.items()}
+    return cs
+
+
 def _planted(cs, defect):
-    """``cs`` with one wrong current: "canary" adds beta_theta to e_alpha1,
-    "drop" drops the first d gamma term of f_theta, "level" doubles the
-    level part of f_theta's d gamma terms."""
+    """``cs`` with one wrong current, and its rows: "canary" adds beta_theta
+    to e_alpha1, "drop" drops the first d gamma term of f_theta, "level"
+    doubles the level part of f_theta's d gamma terms."""
     rs, cur = cs.rs, dict(cs.currents)
     if defect == "canary":
         e1, th = ("e", rs.pos_roots[0]), rs.root_index(rs.theta)
@@ -160,7 +172,7 @@ def _planted(cs, defect):
         else:
             level = [(RatFunc.of(c) - RatFunc.of(c).subs_k(0), *t) for t, c in dgamma.items()]
             cur[f] = cur[f] + FieldExpr._from_raw(level)
-    return CurrentSet(rs, cs.tab, currents=cur)
+    return _with_rows(CurrentSet(rs, cs.tab, currents=cur))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -215,8 +227,9 @@ def _every_pair_decided(cs):
 
 
 def _one_sided(cs, kind):
-    """``cs`` over a copy of its table with one entry of one ordered pair doubled:
-    "f" doubles f[(f_{alpha1+alpha2}, e_alpha1)], "kappa" kappa[(f_alpha1, e_alpha1)]."""
+    """``cs`` over a copy of its table with one entry of one ordered pair doubled,
+    and its rows: "f" doubles f[(f_{alpha1+alpha2}, e_alpha1)], "kappa"
+    kappa[(f_alpha1, e_alpha1)]."""
     tab, (a1, *_, a12) = copy.deepcopy(cs.tab), cs.rs.pos_roots[:cs.rs.rank + 1]
     if kind == "f":
         key = (("f", a12), ("e", a1))
@@ -224,7 +237,7 @@ def _one_sided(cs, kind):
     else:
         key = (("f", a1), ("e", a1))
         tab.kappa[key] *= 2
-    return CurrentSet(cs.rs, tab, currents=cs.currents, polys=cs.polys)
+    return _with_rows(CurrentSet(cs.rs, tab, currents=cs.currents, polys=cs.polys))
 
 
 def _flipped_set(label):
@@ -264,6 +277,61 @@ def test_a_term_of_another_shape_goes_to_wick():
     wick = [v for a, b in _all_pairs(cs2) for v in check_pair(cs2, a, b)]
     assert wick and len(details["violations"]) == len(wick)
     assert run_suite(cs, "currents", None) == (True, {"pairs": 9, "route": "packed", "violations": []})
+
+
+_B2 = build_root_system("B2")
+# rows over B2's ten slots: polynomials in its four gammas and k, with rational coefficients
+_b2_rows = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * (_B2.n_pos + 1)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        max_size=3,
+    ).map(lambda terms: Poly(_B2.n_pos + 1, terms)),
+    min_size=len(current_slots(_B2)),
+    max_size=len(current_slots(_B2)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_b2_rows)
+def test_split_inverts_the_free_field_image(rows):
+    """``split`` reads back every row, its denominator included, with nothing
+    outside the slots and no momentum."""
+    comps, mu = PackedCurrents.split(_B2, free_field_image(_B2, rows, current_slots(_B2)))
+    assert mu is None and comps[-1].is_zero
+    assert [(p.num, p.den) for p in comps[:-1]] == [(p.num, p.den) for p in rows]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "flipped-A4", "flipped-C3"])
+def test_each_current_is_the_image_of_its_rows(label):
+    cs = _flipped_set(label.removeprefix("flipped-")) if label.startswith("flipped-") else (
+        build_wakimoto(*get_algebra(label)))
+    assert cs.rows.keys() == cs.currents.keys()
+    for lab, rows in cs.rows.items():
+        comps, mu = PackedCurrents.split(cs.rs, cs.current(lab))
+        assert mu is None and comps[-1].is_zero and comps[:-1] == rows
+
+
+def test_passing_bosonic_suites_build_no_field_expression_current():
+    """The currents and first-kind suites decide a fresh B3 set from its packed rows alone."""
+    cs = CurrentSet(*get_algebra("B3"))
+    for suite in ("currents", "screening-first"):
+        ok, details = run_suite(cs, suite, None)
+        assert ok, details
+    assert cs.packed is not None and "currents" not in vars(cs)
+
+
+def test_a_set_built_from_given_currents_takes_wick():
+    """Given currents have no rows, so nothing is packed, and the planted pair
+    e_alpha1 + beta_theta against f_theta is still reported."""
+    built = build_wakimoto(*get_algebra("A2"))
+    cur = dict(built.currents)
+    cur[("e", (1, 0))] = cur[("e", (1, 0))] + FieldExpr.prim(BETA, built.rs.root_index(built.rs.theta))
+    cs = CurrentSet(built.rs, built.tab, currents=cur)
+    assert cs.rows is None and cs.packed is None
+    ok, details = run_suite(cs, "currents", None)
+    assert not ok and details["route"] == "wick"
+    assert str((("e", (1, 0)), ("f", (1, 1)))) in {v["pair"] for v in details["violations"]}
 
 
 @pytest.mark.parametrize("label", ["G2", "OSP22"])
