@@ -1,20 +1,20 @@
 """Wakimoto free-field currents and their algebra verification.
 
 Each current has one source, its rows: its coefficients over
-``current_slots`` (beta_b, dphi_j, d gamma_b), polynomials in gamma and k.
-The beta and dphi rows are the operator's (``diffop``), the d gamma rows of
-a lowering current its anomalous corrections, where k enters: the k-free
-part is ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part is added
-in ``CurrentSet.rows``.  ``free_field_image`` (x^alpha -> gamma^alpha,
+``current_slots`` (beta_b, dphi_j, d gamma_b).  The beta and dphi rows are
+the operator's own polynomials in gamma (``diffop``); only the d gamma rows
+of a lowering current, its anomalous corrections, are in (gamma, k): the
+k-free part is ``polymat.anomalous_term``, the (2k/alpha^2) V_+^{-1} part
+is added in ``CurrentSet.rows``.  ``free_field_image`` (x^alpha -> gamma^alpha,
 d_alpha -> beta_alpha, L_i -> sqrt(t) d phi_i) maps rows, and screening
 composites, to field expressions, and ``PackedCurrents.split`` inverts it.
 
-The sweep decides a set with rows from the closed-form poles of
-``PackedCurrents``, which packs the rows, and runs Wick's theorem
-(``check_pair``) on the pairs they refute; the osp(2|2) set, entered from
-its closed form, and a set built from given currents go pair by pair
-through Wick's theorem.  ``CurrentSet.packed`` also decides the first-kind
-screening contracts.
+``check_pair`` decides one pair of a set with rows from the closed-form
+poles of ``PackedCurrents``, which packs the rows, and runs Wick's theorem
+(``wick_pair``) only on a pair they refute; the osp(2|2) set, entered from
+its closed form, and a set built from given currents go straight to Wick's
+theorem.  ``CurrentSet.packed`` also decides the first-kind screening
+contracts.
 """
 
 from __future__ import annotations
@@ -76,19 +76,20 @@ class CurrentSet:
 
     @cached_property
     def rows(self) -> Optional[dict[Label, list[Poly]]]:
-        """Each current's coefficients over ``current_slots``, in (gamma, k); None for given
-        currents (a built ``currents`` stage reads ``rows`` first) and without ``ops``."""
+        """Each current's coefficients over ``current_slots``: the operator's own polynomials in gamma,
+        then d gamma rows, in (gamma, k) on a lowering current and zero in gamma on the others; None
+        for given currents (a built ``currents`` stage reads ``rows`` first) and without ``ops``."""
         if "currents" in self.__dict__ or self.ops is None:
             return None
         return {lab: self._rows(lab) for lab in self.ops}
 
     def _rows(self, label: Label) -> list[Poly]:
-        """The operator's coefficients, then the d gamma rows: on F_alpha
-        F_{alpha b} + k (2/alpha^2) (V_+^{-1})_b^alpha, on E and H none."""
+        """The operator's coefficients, not copied, then the d gamma rows: on F_alpha
+        F_{alpha b} + k (2/alpha^2) (V_+^{-1})_b^alpha, on E and H zero."""
         rs = self.rs
-        rows = [with_k(p) for p in self.ops[label].coeffs]
+        rows = list(self.ops[label].coeffs)
         if label[0] != "f":
-            return rows + [Poly(rs.n_pos + 1)] * rs.n_pos
+            return rows + [Poly(rs.n_pos)] * rs.n_pos
         a, level = rs.root_index(label[1]), 2 / rs.root_norm2(label[1])
         return rows + [with_k(f) + with_k(v[a].scale(level), 1)
                        for f, v in zip(self.anomalous[a], self.polys.V_plus_inv)]
@@ -146,9 +147,9 @@ def free_field_image(rs: RootSystem, rows: Sequence[Poly], slots: Sequence[Slot]
     """sum_i rows[i](gamma, k) slots[i], canonicalized once.
 
     x^alpha -> gamma^alpha (c^alpha on odd roots), an exponent past the n_pos
-    gammas is the power of k, and a slot is a product of primitives, () for
-    none.  The integer numerators are taken over the LCM L of the
-    denominators, and the sum divided by L once.
+    gammas, where a row has one, is the power of k, and a slot is a product
+    of primitives, () for none.  The integer numerators are taken over the
+    LCM L of the denominators, and the sum divided by L once.
     """
     np_ = rs.n_pos
     L = math.lcm(*(p.den for p in rows))
@@ -192,7 +193,8 @@ def expected_ope(cs: CurrentSet, a: Label, b: Label) -> dict[int, FieldExpr]:
     return out
 
 
-def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
+def wick_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
+    """J_a(z) J_b(w) by Wick's theorem, against ``expected_ope``: one violation per differing order."""
     res = contract(cs.rs, cs.currents[a], cs.currents[b])
     want = expected_ope(cs, a, b)
     bad = []
@@ -205,40 +207,43 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
     return bad
 
 
-def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:
-    """Pairwise OPE sweep against the structure table, in pair order.
-
-    A set with ``rows`` is decided by the closed-form poles of ``packed``, and
-    ``check_pair`` (which builds ``currents``) reports each pair they refute; a
-    refuted pair that Wick passes is a violation too, the routes disagreeing.  A (b, a) whose
-    (a, b) came first and held is not computed when f_ba == -f_ab and kappa_ba
-    == kappa_ab: skew-symmetry of even fields gives b_(1)a = a_(1)b = k kappa_ba,
-    b_(0)a = -a_(0)b + d(k kappa_ab) = f_ba^c J_c and no higher pole.  Any other
-    pair is computed, and any other set goes pair by pair through ``check_pair``.
-    """
-    labels = cs.labels()
-    pairs = [(a, b) for a in labels for b in labels]
+def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
+    """The violations of one ordered pair: on a set with ``packed``, none for a pair its
+    closed-form poles hold, which builds no field-expression current, and for a pair they
+    refute ``wick_pair``'s, or one saying the two disagree; on any other set ``wick_pair``'s."""
     packed = cs.packed
     if packed is None:
-        return [v for a, b in pairs for v in check_pair(cs, a, b)]
-    tab, held = cs.tab, set()
+        return wick_pair(cs, a, b)
+    orders = packed.refuted_orders(a, b)
+    return [] if not orders else (wick_pair(cs, a, b) or [SweepViolation(
+        (a, b), orders[0], "the closed-form poles refute this pair and Wick's theorem does not")])
+
+
+def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:
+    """Pairwise OPE sweep against the structure table: ``check_pair`` on each ordered pair, in pair order.
+
+    A (b, a) whose (a, b) came first and held is not computed when f_ba ==
+    s f_ab and kappa_ba == -s kappa_ab, s = 1 for two odd fields and -1
+    otherwise: skew-symmetry gives b_(1)a = -s a_(1)b = k kappa_ba, b_(0)a =
+    s a_(0)b - s d(k kappa_ab) = f_ba^c J_c and no higher pole.
+    """
+    labels, tab, held = cs.labels(), cs.tab, set()
     bad: list[SweepViolation] = []
-    for a, b in pairs:
-        if ((b, a) in held and tab.bracket(b, a) == {c: -v for c, v in tab.bracket(a, b).items()}
-                and tab.kappa_of(b, a) == tab.kappa_of(a, b)):
-            continue
-        orders = packed.refuted_orders(a, b)
-        if orders:
-            bad.extend(check_pair(cs, a, b) or [SweepViolation(
-                (a, b), orders[0], "the closed-form poles refute this pair and Wick's theorem does not"
-            )])
-        else:
-            held.add((a, b))
+    for a in labels:
+        for b in labels:
+            s = 1 if tab.label_parity(a) and tab.label_parity(b) else -1
+            if ((b, a) in held and tab.bracket(b, a) == {c: s * v for c, v in tab.bracket(a, b).items()}
+                    and tab.kappa_of(b, a) == -s * tab.kappa_of(a, b)):
+                continue
+            found = check_pair(cs, a, b)
+            bad.extend(found)
+            if not found:
+                held.add((a, b))
     return bad
 
 
 def sweep_route(cs: CurrentSet) -> str:
-    """"packed" when ``verify_current_algebra`` decides ``cs`` in closed form, else "wick"."""
+    """The route of ``check_pair`` on ``cs``: "packed" (Wick's theorem only on refuted pairs) or "wick"."""
     return "wick" if cs.packed is None else "packed"
 
 
@@ -378,17 +383,7 @@ class PackedCurrents:
         for y, _, c, dp in cur.zside:
             for d, q in dp.items():
                 cur.taylor.setdefault(dg + d, []).append((y, q, c))
-        cur.hess = {}
         return cur
-
-    def _hessian(self, A: "_Current", s: int, c: int) -> list[tuple[int, Packed]]:
-        """(slot of d gamma_d, d_d d_c P_{beta_s}) for each nonzero one of A, tabulated on first use."""
-        out = A.hess.get((s, c))
-        if out is None:
-            np_, r = self.rs.n_pos, self.rs.rank
-            p = A.jac[s].get(c)
-            out = A.hess[s, c] = [(np_ + r + d, q) for d, q in self.pk.partials(p, np_).items()] if p else []
-        return out
 
     def refuted_orders(self, a: Label, b: Label) -> list[int]:
         """The pole orders, highest first, at which J_a(z) J_b(w) differs from
@@ -474,8 +469,9 @@ class PackedCurrents:
         ddp: dict[int, list] = {}
         for c in range(np_):
             for s, q in B.jac[c].items():
-                for y, p in self._hessian(A, s, c):
-                    ddp.setdefault(y, []).append((p, q))
+                if p := A.jac[s].get(c):  # d_d d_c P_{beta_s}, into slot d gamma_d
+                    for d, h in self.pk.partials(p, np_).items():
+                        ddp.setdefault(np_ + r + d, []).append((h, q))
         for y in range(len(A.co)):
             acc = bracket_into({}, (A.co, A.jac[y]), (B.co, B.jac[y]), e)
             for y2, p, c in A.taylor.get(y, ()):
@@ -505,12 +501,11 @@ class _Current:
     d_d R_Y}), c R_Y the g D-scaled z-side factor that meets w-side slot Y
     at pole 2: P_{dgamma_b} at beta_b and P_{beta_b} at d gamma_b, with c =
     g, and t G_ij P_{dphi_i} at dphi_j, with c = 1.  taylor maps the slot of
-    d gamma_d to d_d of those factors, (Y, d_d R_Y, c), and hess[s, c]
-    holds the second derivatives d_d d_c P_{beta_s} that a w-side operand has
-    asked for.  A w-side operand that is not a current has co and jac only.
+    d gamma_d to d_d of those factors, (Y, d_d R_Y, c).  A w-side operand
+    that is not a current has co and jac only.
     """
 
-    __slots__ = ("co", "jac", "zside", "taylor", "hess")
+    __slots__ = ("co", "jac", "zside", "taylor")
 
 
 # ---------------------------------------------------------------------------

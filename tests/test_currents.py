@@ -21,6 +21,8 @@ from wakimoto.currents import (
     osp22_currents,
     sugawara_tensor,
     verify_current_algebra,
+    wick_pair,
+    with_k,
 )
 from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import conformal_weight, contract, free_field_tensor
@@ -141,7 +143,7 @@ def _both_routes(cs, pairs):
     packed = PackedCurrents.of(cs)
     assert packed is not None
     by_packed = {(a, b, q) for a, b in pairs for q in packed.refuted_orders(a, b)}
-    return by_packed, [v for a, b in pairs for v in check_pair(cs, a, b)]
+    return by_packed, [v for a, b in pairs for v in wick_pair(cs, a, b)]
 
 
 def _orders(violations):
@@ -179,6 +181,7 @@ def _planted(cs, defect):
 def test_packed_and_wick_refute_the_same_pairs(label):
     cs = build_wakimoto(*get_algebra(label))
     assert _both_routes(cs, _all_pairs(cs)) == (set(), [])
+    assert [v for a, b in _all_pairs(cs) for v in check_pair(cs, a, b)] == []
 
 
 @pytest.mark.parametrize("label", ["A4", "C3"])
@@ -212,18 +215,48 @@ def test_planted_defects_fail_the_same_pairs_on_both_routes(label, defect, count
 
 def test_a_pair_refuted_in_closed_form_fails_even_when_wick_passes_it(monkeypatch):
     cs = _planted(build_wakimoto(*get_algebra("A3")), "canary")
-    monkeypatch.setattr(currents, "check_pair", lambda cs, a, b: [])
+    monkeypatch.setattr(currents, "wick_pair", lambda cs, a, b: [])
     bad = verify_current_algebra(cs)
     assert len(bad) == 20 and all("Wick" in v.detail for v in bad)
     ok, details = run_suite(cs, "currents", None)
     assert not ok and len(details["violations"]) == 20
 
 
+@pytest.mark.parametrize("defect", ["canary", "drop", "level", "f", "kappa"])
+def test_check_pair_is_wick_pair_on_every_planted_pair(defect):
+    """The closed form decides each pair of a planted A3 set first, and the
+    violations are those of Wick's theorem on every ordered pair."""
+    cs = build_wakimoto(*get_algebra("A3"))
+    cs = _one_sided(cs, defect) if defect in ("f", "kappa") else _planted(cs, defect)
+    assert cs.packed is not None
+    for a, b in _all_pairs(cs):
+        assert check_pair(cs, a, b) == wick_pair(cs, a, b), (a, b)
+
+
+def test_a_holding_pair_builds_no_field_expression_current():
+    """``check_pair`` decides a pair that holds from the packed rows alone."""
+    cs = CurrentSet(*get_algebra("B3"))
+    th = cs.rs.theta
+    assert check_pair(cs, ("e", th), ("f", th)) == []
+    assert cs.packed is not None and "currents" not in vars(cs)
+
+
+def test_check_pair_reports_a_refuted_pair_that_wick_passes(monkeypatch):
+    """A pair the closed form refutes fails even when Wick's theorem passes it."""
+    cs = _planted(build_wakimoto(*get_algebra("A3")), "canary")
+    rs = cs.rs
+    pair = (("e", rs.pos_roots[0]), ("f", rs.theta))
+    assert wick_pair(cs, *pair)
+    monkeypatch.setattr(currents, "wick_pair", lambda cs, a, b: [])
+    assert check_pair(cs, *pair) == [currents.SweepViolation(
+        pair, cs.packed.refuted_orders(*pair)[0], "the closed-form poles refute this pair and Wick's theorem does not")]
+
+
 def _every_pair_decided(cs):
     """Wick's violations for each ordered pair the closed-form poles refute,
     every ordered pair decided on its own, in pair order."""
     packed = PackedCurrents.of(cs)
-    return [v for a, b in _all_pairs(cs) if packed.refuted_orders(a, b) for v in check_pair(cs, a, b)]
+    return [v for a, b in _all_pairs(cs) if packed.refuted_orders(a, b) for v in wick_pair(cs, a, b)]
 
 
 def _one_sided(cs, kind):
@@ -264,6 +297,24 @@ def test_pairs_inferred_by_skew_symmetry_keep_every_violation(label, defects):
     assert bad and bad == _every_pair_decided(cs)
 
 
+def test_a_pair_of_odd_currents_is_inferred_with_the_graded_sign(monkeypatch):
+    """For two odd currents skew-symmetry gives f_ba = f_ab and kappa_ba = -kappa_ab:
+    the osp(2|2) sweep infers (f_a2, e_a2) from (e_a2, f_a2), and a table that
+    writes that pair with the signs of even fields is reported, as pair by pair."""
+    cs = osp22_currents()
+    a, b = ("e", (0, 1)), ("f", (0, 1))
+    computed = []
+    monkeypatch.setattr(currents, "check_pair", lambda cs, x, y: computed.append((x, y)) or wick_pair(cs, x, y))
+    assert verify_current_algebra(cs) == [] and (a, b) in computed and (b, a) not in computed
+    tab = copy.deepcopy(cs.tab)
+    tab.f[(b, a)] = {c: -v for c, v in tab.f[(a, b)].items()}
+    tab.kappa[(b, a)] = tab.kappa[(a, b)]
+    cs2 = CurrentSet(cs.rs, tab, currents=cs.currents)
+    bad = verify_current_algebra(cs2)
+    assert {v.pair for v in bad} == {(b, a)}
+    assert bad == [v for x, y in _all_pairs(cs2) for v in wick_pair(cs2, x, y)]
+
+
 def test_a_term_of_another_shape_goes_to_wick():
     """A bare gamma in e_alpha1 has no beta, dphi or d gamma factor: the
     set is swept by Wick, and the term is not dropped."""
@@ -274,7 +325,7 @@ def test_a_term_of_another_shape_goes_to_wick():
     assert PackedCurrents.of(cs2) is None
     ok, details = run_suite(cs2, "currents", None)
     assert not ok and details["route"] == "wick" and details["pairs"] == 9
-    wick = [v for a, b in _all_pairs(cs2) for v in check_pair(cs2, a, b)]
+    wick = [v for a, b in _all_pairs(cs2) for v in wick_pair(cs2, a, b)]
     assert wick and len(details["violations"]) == len(wick)
     assert run_suite(cs, "currents", None) == (True, {"pairs": 9, "route": "packed", "violations": []})
 
@@ -307,9 +358,13 @@ def test_each_current_is_the_image_of_its_rows(label):
     cs = _flipped_set(label.removeprefix("flipped-")) if label.startswith("flipped-") else (
         build_wakimoto(*get_algebra(label)))
     assert cs.rows.keys() == cs.currents.keys()
+    np_ = cs.rs.n_pos
     for lab, rows in cs.rows.items():
         comps, mu = PackedCurrents.split(cs.rs, cs.current(lab))
-        assert mu is None and comps[-1].is_zero and comps[:-1] == rows
+        in_k = np_ if lab[0] == "f" else 0  # only a lowering current's d gamma rows carry k
+        assert [p.nvars for p in rows] == [np_] * (len(rows) - in_k) + [np_ + 1] * in_k
+        assert all(p is q for p, q in zip(rows, cs.ops[lab].coeffs))
+        assert mu is None and comps[-1].is_zero and comps[:-1] == [with_k(p) if p.nvars == np_ else p for p in rows]
 
 
 def test_passing_bosonic_suites_build_no_field_expression_current():
