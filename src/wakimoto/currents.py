@@ -112,8 +112,9 @@ class CurrentSet:
 
     @cached_property
     def packed(self) -> Optional["PackedCurrents"]:
-        """``PackedCurrents.of`` this set: built on first read, never by ``built()``."""
-        return PackedCurrents.of(self)
+        """The rows packed over the integers, built on first read and never by ``built()``; None
+        for a set without rows (graded, or built from given currents), which Wick's theorem decides."""
+        return None if self.rows is None else PackedCurrents(self)
 
     def built(self) -> "CurrentSet":
         """This set with every stage built: the currents read all the others."""
@@ -255,26 +256,34 @@ class PackedCurrents:
     """The currents of a bosonic set over the integers, and each pair's poles in closed form.
 
     Each current is sum_X P_X(gamma, k) X, its slot X one of beta_b, dphi_j
-    or d gamma_b, in that order.  For A = sum P_X X and B = sum Q_Y Y, with
-    d_b = d/d gamma^b, Wick's theorem closes in a few lines and leaves no
-    pole above 2:
+    or d gamma_b, in that order, packed as the pair (co, jac) that
+    ``polymat.bracket_into`` reads: co[X] is the D-scaled P_X and jac[X], its
+    ``Packing.partials``, maps each beta slot s to d_s P_X, d_s = d/d
+    gamma^s.  For A = sum P_X X and B = sum Q_Y Y, Wick's theorem closes in a
+    few lines and leaves no pole above 2.  Its contractions (z, w, c), z from
+    A and w from B, are
 
-    * pole 2 = sum_b (P_{beta_b} Q_{dgamma_b} + P_{dgamma_b} Q_{beta_b})
-      + t sum_ij G_ij P_{dphi_i} Q_{dphi_j} - sum_bc d_c P_{beta_b} d_b Q_{beta_c};
+    * the ghost pairs (P_{dgamma_b}, Q_{beta_b}) and (P_{beta_b}, Q_{dgamma_b}), c = 1;
+    * the scalar legs (P_{dphi_i}, t Q_{dphi_j}), c = G_ij;
+    * the double contraction (d_c P_{beta_s}, d_s Q_{beta_c}), c = -1;
+
+    and the poles are
+
+    * pole 2 = sum c z w;
     * pole 1 in slot Y = sum_b P_{beta_b} d_b Q_Y - sum_c d_c P_Y Q_{beta_c}
-      (``polymat.bracket_into`` per slot: the first refuted slot ends the check),
-      plus, in slot d gamma_d, the pole-2 integrand with d_d applied to its
-      z-side factor (the Taylor step).
+      (``polymat.bracket_into`` per slot: the first refuted slot ends the
+      check), plus, in slot d gamma_d, the Taylor step sum c (d_d z) w: the
+      same contractions with d_d applied to their z side.
 
     A w-side operand B V_mu with a rational momentum mu (a first-kind
     screening current) adds the vertex channel dphi_i(z) V(w) ~ mu_i/(z-w).
-    With M = sum_i mu_i P_{dphi_i} it adds M Q_Y to pole 1 in every slot Y;
-    together with one gamma-beta pair it adds -sum_c d_c M Q_{beta_c} to pole
-    2, and that term's Taylor step -sum_c d_d d_c M Q_{beta_c} to pole 1 in
-    slot d gamma_d.  Against a witness R(gamma, k) V_mu the poles must be R
-    and dR: d_d R in slot d gamma_d, R nu^j in slot dphi_j with nu the
-    ``fields.vertex_phi_coupling`` of mu, and 0 in the beta slots.
-    Since t nu^j is rational, pole 1 in the dphi slots is multiplied by t.
+    With M = sum_i mu_i P_{dphi_i} it adds M Q_Y to pole 1 in every slot Y,
+    and together with one gamma-beta pair the contraction (d_c M,
+    Q_{beta_c}), c = -1, to the list.  Against a witness R(gamma, k) V_mu
+    the poles must be R and dR: d_d R in slot d gamma_d, R nu^j in slot
+    dphi_j with nu the ``fields.vertex_phi_coupling`` of mu, and 0 in the
+    beta slots.  Since t nu^j is rational, pole 1 in the dphi slots is
+    multiplied by t.
 
     k is one more packed variable that is never differentiated, so
     t = k + h_vee is a packed polynomial.  ``Packing.fit`` packs the rows
@@ -293,16 +302,9 @@ class PackedCurrents:
         consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
         pk = self.pk = Packing.fit(np_ + 1, [p for rows in cs.rows.values() for p in rows] + fams, consts)
         g = self.g = math.lcm(*(x.denominator for row in rs.G for x in row))
-        G = [[int(x * g) for x in row] for row in rs.G]
+        self.legs = [(i, j, int(x * g)) for i, row in enumerate(rs.G) for j, x in enumerate(row) if x]
         self.t = {pk.weights[np_]: 1, 0: rs.hvee}
-        self.cur = {lab: self._current(self._operand([pk.pack(p) for p in rows]), G)
-                    for lab, rows in cs.rows.items()}
-
-    @classmethod
-    def of(cls, cs: CurrentSet) -> Optional["PackedCurrents"]:
-        """The packed rows of ``cs``; None for a set without rows (graded, or
-        built from given currents), which Wick's theorem decides instead."""
-        return None if cs.rows is None else cls(cs)
+        self.cur = {lab: self._operand([pk.pack(p) for p in rows]) for lab, rows in cs.rows.items()}
 
     @staticmethod
     def split(rs: RootSystem, expr: FieldExpr) -> Optional[tuple[list[Poly], Optional[tuple]]]:
@@ -356,34 +358,9 @@ class PackedCurrents:
             return None
         return [pk.pack(p) for p in rows]
 
-    def _operand(self, co: list[Packed]) -> "_Current":
-        """What a w-side operand's poles read of it: co and jac."""
-        cur = _Current()
-        cur.co = co
-        cur.jac = [self.pk.partials(p, self.rs.n_pos) for p in co]
-        return cur
-
-    def _current(self, cur: "_Current", G: list[list[int]]) -> "_Current":
-        """``cur`` with its z-side tables added."""
-        pk, g, np_, r = self.pk, self.g, self.rs.n_pos, self.rs.rank
-        co, jac, dg = cur.co, cur.jac, np_ + r
-        phi = []
-        for j in range(r):
-            acc: Packed = {}
-            for i in range(r):
-                if G[i][j]:
-                    add_into(acc, co[np_ + i], G[i][j])
-            phi.append(mul_into({}, acc, self.t))
-        # (Y, R, c, {d: d_d R}); beside dphi, R and its partials are entries of co and jac, not copies
-        sides = ([(y, co[dg + y], g, jac[dg + y]) for y in range(np_)]
-                 + [(np_ + j, p, 1, pk.partials(p, np_)) for j, p in enumerate(phi)]
-                 + [(dg + b, co[b], g, jac[b]) for b in range(np_)])
-        cur.zside = [side for side in sides if any(side[1].values())]
-        cur.taylor = {}
-        for y, _, c, dp in cur.zside:
-            for d, q in dp.items():
-                cur.taylor.setdefault(dg + d, []).append((y, q, c))
-        return cur
+    def _operand(self, co: list[Packed]) -> tuple[list[Packed], list[dict[int, Packed]]]:
+        """What a pole reads of an operand, current or screening body: (co, jac)."""
+        return co, [self.pk.partials(p, self.rs.n_pos) for p in co]
 
     def refuted_orders(self, a: Label, b: Label) -> list[int]:
         """The pole orders, highest first, at which J_a(z) J_b(w) differs from
@@ -391,7 +368,7 @@ class PackedCurrents:
         g, D, np_ = self.g, self.pk.denom, self.rs.n_pos
         kap = self.tab.kappa_of(a, b)
         want2 = {self.pk.weights[np_]: kap.numerator * (D // kap.denominator) * D * g} if kap else {}
-        rhs = [(self.cur[c].co, v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
+        rhs = [(self.cur[c][0], v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
         return self._refuted(self.cur[a], self.cur[b], want2, rhs)
 
     def refuted_labels(self, body: FieldExpr, witnesses: dict) -> dict[Label, list[int]]:
@@ -422,7 +399,7 @@ class PackedCurrents:
             if R is None:
                 continue
             # pole 2 = R, pole 1 = dR: d_d R at d gamma_d and (t nu^j) R at dphi_j, times t
-            dR = [{} for _ in A.co]
+            dR = [{} for _ in co]
             for j in range(r):
                 dR[np_ + j] = {mono: c * D * g * tnu[j] for mono, c in R[0].items()}
             R = {mono: c * D * g * m for mono, c in R[0].items()}
@@ -431,81 +408,58 @@ class PackedCurrents:
             M: Packed = {}
             for i in range(r):
                 if mus[i]:
-                    add_into(M, A.co[np_ + i], mus[i])
-            dM, ddM = pk.partials(M, np_), {}
-            for c, q in dM.items():
-                for d, q2 in pk.partials(q, np_).items():
-                    ddM.setdefault(np_ + r + d, []).append((c, q2))
-            out[lab] = self._refuted(A, B, R, [(dR, 1)], (m, M, dM, ddM))
+                    add_into(M, A[0][np_ + i], mus[i])
+            out[lab] = self._refuted(A, B, R, [(dR, 1)], (m, M, pk.partials(M, np_)))
         return out
 
-    def _refuted(self, A: "_Current", B: "_Current", want2: Packed, rhs: list,
-                 vertex: Optional[tuple] = None) -> list[int]:
+    def _refuted(self, A: tuple, B: tuple, want2: Packed, rhs: list, vertex: Optional[tuple] = None) -> list[int]:
         """The pole orders, highest first, at which A(z) B(w) differs from the wanted poles.
 
-        Each pole is formed as e D^2 times its value, e = g m: ``want2`` is
-        pole 2 on that scale, and pole 1 in slot Y is sum_{(co, v) in rhs} v
-        co[Y].  ``vertex`` is given when B carries V_mu: (m, M, {c: d_c M},
-        {slot of d gamma_d: [(c, d_d d_c M)]}) with M = e sum_i mu_i
-        P_{dphi_i}; pole 1 in the dphi slots is then taken times t.  Without
-        it m = 1."""
-        np_, r = self.rs.n_pos, self.rs.rank
-        m, M, dM, ddM = vertex or (1, {}, {}, {})
+        A and B are (co, jac) pairs.  Each pole is formed as e D^2 times its
+        value, e = g m: ``want2`` is pole 2 on that scale, and pole 1 in slot
+        Y is sum_{(co, v) in rhs} v co[Y].  ``vertex`` is given when B
+        carries V_mu: (m, M, {c: d_c M}) with M = e sum_i mu_i P_{dphi_i};
+        pole 1 in the dphi slots is then taken times t.  Without it m = 1.
+
+        The contractions are listed once, as (z, {d: d_d z}, w, c) on the
+        pole's scale: the ghost pairs with c = e, the scalar legs with c = m
+        g G_ij, the double contraction with c = -e and, with a vertex, (d_c
+        M, Q_{beta_c}) with c = -1.  Pole 2 is sum c z w, and pole 1 in slot
+        d gamma_d adds sum c (d_d z) w, the Taylor step.
+        """
+        (co, jac), (qo, qjac) = A, B
+        pk, np_, r = self.pk, self.rs.n_pos, self.rs.rank
+        dg = np_ + r
+        m, M, dM = vertex or (1, {}, {})
         e = self.g * m
-        tslots = range(np_, np_ + r) if vertex else ()
-        bad = []
+        tq = [mul_into({}, q, self.t) if q else q for q in qo[np_:dg]]
+        contractions = [(co[z], jac[z], qo[w], e)
+                        for b in range(np_) for z, w in ((dg + b, b), (b, dg + b)) if co[z] and qo[w]]
+        contractions += [(co[np_ + i], jac[np_ + i], tq[j], m * G)
+                         for i, j, G in self.legs if co[np_ + i] and tq[j]]
+        contractions += [(p, pk.partials(p, np_), q, -e)
+                         for s in range(np_) for c, p in jac[s].items() if (q := qjac[c].get(s))]
+        contractions += [(p, pk.partials(p, np_), qo[c], -1) for c, p in dM.items()]
         acc: Packed = {}
-        for y, p, c, _ in A.zside:
-            mul_into(acc, p, B.co[y], m * c)
-        for s in range(np_):
-            for c, p in A.jac[s].items():
-                if q := B.jac[c].get(s):
-                    mul_into(acc, p, q, -e)
-        for c, p in dM.items():
-            mul_into(acc, p, B.co[c], -1)
-        if any(add_into(acc, want2, -1).values()):
-            bad.append(2)
-        # the Taylor step of the double contraction, slot by slot
-        ddp: dict[int, list] = {}
-        for c in range(np_):
-            for s, q in B.jac[c].items():
-                if p := A.jac[s].get(c):  # d_d d_c P_{beta_s}, into slot d gamma_d
-                    for d, h in self.pk.partials(p, np_).items():
-                        ddp.setdefault(np_ + r + d, []).append((h, q))
-        for y in range(len(A.co)):
-            acc = bracket_into({}, (A.co, A.jac[y]), (B.co, B.jac[y]), e)
-            for y2, p, c in A.taylor.get(y, ()):
-                mul_into(acc, p, B.co[y2], m * c)
-            for p, q in ddp.get(y, ()):
-                mul_into(acc, p, q, -e)
+        pole1: list[Packed] = [{} for _ in co]
+        for z, dz, w, c in contractions:
+            mul_into(acc, z, w, c)
+            for d, h in dz.items():
+                mul_into(pole1[dg + d], h, w, c)
+        bad = [2] if any(add_into(acc, want2, -1).values()) else []
+        tslots = range(np_, dg) if vertex else ()
+        for y, acc in enumerate(pole1):
+            bracket_into(acc, (co, jac[y]), (qo, qjac[y]), e)
             if M:
-                mul_into(acc, M, B.co[y])
-                for c, p in ddM.get(y, ()):
-                    mul_into(acc, p, B.co[c], -1)
+                mul_into(acc, M, qo[y])
             if y in tslots:
                 acc = mul_into({}, acc, self.t)
-            for co, v in rhs:
-                add_into(acc, co[y], -v)
+            for rco, v in rhs:
+                add_into(acc, rco[y], -v)
             if any(acc.values()):
                 bad.append(1)
                 break
         return bad
-
-
-class _Current:
-    """One current over a ``PackedCurrents`` packing, with what its poles read.
-
-    co[Y] is the D-scaled P_Y, and jac[Y], its ``Packing.partials``, maps
-    each beta slot s to d_s P_Y: (co, jac[Y]) is the pair
-    ``polymat.bracket_into`` reads in slot Y.  zside lists (Y, R_Y, c, {d:
-    d_d R_Y}), c R_Y the g D-scaled z-side factor that meets w-side slot Y
-    at pole 2: P_{dgamma_b} at beta_b and P_{beta_b} at d gamma_b, with c =
-    g, and t G_ij P_{dphi_i} at dphi_j, with c = 1.  taylor maps the slot of
-    d gamma_d to d_d of those factors, (Y, d_d R_Y, c).  A w-side operand
-    that is not a current has co and jac only.
-    """
-
-    __slots__ = ("co", "jac", "zside", "taylor")
 
 
 # ---------------------------------------------------------------------------

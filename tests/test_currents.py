@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from wakimoto import currents
@@ -140,7 +140,7 @@ def _all_pairs(cs):
 
 def _both_routes(cs, pairs):
     """The (a, b, order) refuted by the closed-form poles, and Wick's violations in pair order."""
-    packed = PackedCurrents.of(cs)
+    packed = cs.packed
     assert packed is not None
     by_packed = {(a, b, q) for a, b in pairs for q in packed.refuted_orders(a, b)}
     return by_packed, [v for a, b in pairs for v in wick_pair(cs, a, b)]
@@ -233,6 +233,41 @@ def test_check_pair_is_wick_pair_on_every_planted_pair(defect):
         assert check_pair(cs, a, b) == wick_pair(cs, a, b), (a, b)
 
 
+# a planted defect fails on the first failing draw, unshrunk: shrinking re-runs Wick's theorem per step
+_NO_SHRINK = tuple(p for p in Phase if p != Phase.shrink)
+
+
+@st.composite
+def _planted_rows(draw):
+    """A fresh A2, B2 or G2 set, one current of it, and its rows with one drawn
+    monomial, with or without k, added to one beta, dphi or d gamma row."""
+    cs = CurrentSet(*get_algebra(draw(st.sampled_from(["A2", "B2", "G2"]))))
+    np_, rows = cs.rs.n_pos, dict(cs.rows)
+    label = draw(st.sampled_from(sorted(rows)))
+    # the beta_b, dphi_j or d gamma_b rows, as (first slot, count)
+    start, size = draw(st.sampled_from([(0, np_), (np_, cs.rs.rank), (np_ + cs.rs.rank, np_)]))
+    y = start + draw(st.integers(0, size - 1))
+    expo = draw(st.tuples(*[st.integers(0, 1)] * np_, st.integers(0, 1)))
+    coef = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool))
+    row = rows[label][y]
+    rows[label] = list(rows[label])
+    rows[label][y] = (row if row.nvars > np_ else with_k(row)) + Poly(np_ + 1, {expo: coef})
+    cs.__dict__["rows"] = rows
+    return cs, label
+
+
+@settings(deadline=None, max_examples=20, phases=_NO_SHRINK)
+@given(_planted_rows())
+def test_a_defect_planted_in_any_row_is_decided_as_wick_decides_it(planted):
+    """A monomial planted in any slot of one current, the dphi rows and the d gamma
+    rows of E and H included: the closed form and Wick's theorem give the same
+    violations on every ordered pair that involves that current."""
+    cs, label = planted
+    for other in cs.labels():
+        for a, b in {(label, other), (other, label)}:
+            assert check_pair(cs, a, b) == wick_pair(cs, a, b), (a, b)
+
+
 def test_a_holding_pair_builds_no_field_expression_current():
     """``check_pair`` decides a pair that holds from the packed rows alone."""
     cs = CurrentSet(*get_algebra("B3"))
@@ -255,7 +290,7 @@ def test_check_pair_reports_a_refuted_pair_that_wick_passes(monkeypatch):
 def _every_pair_decided(cs):
     """Wick's violations for each ordered pair the closed-form poles refute,
     every ordered pair decided on its own, in pair order."""
-    packed = PackedCurrents.of(cs)
+    packed = cs.packed
     return [v for a, b in _all_pairs(cs) if packed.refuted_orders(a, b) for v in wick_pair(cs, a, b)]
 
 
@@ -322,7 +357,7 @@ def test_a_term_of_another_shape_goes_to_wick():
     broken = dict(cs.currents)
     broken[("e", (1,))] = broken[("e", (1,))] + FieldExpr.prim(GAMMA, 0)
     cs2 = CurrentSet(cs.rs, cs.tab, currents=broken)
-    assert PackedCurrents.of(cs2) is None
+    assert cs2.packed is None
     ok, details = run_suite(cs2, "currents", None)
     assert not ok and details["route"] == "wick" and details["pairs"] == 9
     wick = [v for a, b in _all_pairs(cs2) for v in wick_pair(cs2, a, b)]
