@@ -114,7 +114,7 @@ class CurrentSet:
     def packed(self) -> Optional["PackedCurrents"]:
         """The rows packed over the integers, built on first read and never by ``built()``; None
         for a set without rows (graded, or built from given currents), which Wick's theorem decides."""
-        return None if self.rows is None else PackedCurrents(self)
+        return None if self.rows is None else PackedCurrents(self.rs, self.tab, self.rows)
 
     def built(self) -> "CurrentSet":
         """This set with every stage built: the currents read all the others."""
@@ -287,24 +287,22 @@ class PackedCurrents:
 
     k is one more packed variable that is never differentiated, so
     t = k + h_vee is a packed polynomial.  ``Packing.fit`` packs the rows
-    with the families S and Q the first-kind witnesses come from: D is the
-    common denominator of them and of the table's f and kappa, and g is the
-    LCM of the denominators of G.  Each pole is formed as e D^2 times its
-    value, e = g m with m the LCM of the denominators of mu and t nu (1
-    without a vertex); the wanted poles are subtracted in place, and a pole
-    holds when every entry is 0.
+    alone: D is the common denominator of them and of the table's f and
+    kappa, and g is the LCM of the denominators of G; a screening body or
+    witness outside that packing goes to Wick's theorem (``_fit``).  Each
+    pole is formed as e D^2 times its value, e = g m with m the LCM of the
+    denominators of mu and t nu (1 without a vertex); the wanted poles are
+    subtracted in place, and a pole holds when every entry is 0.
     """
 
-    def __init__(self, cs: CurrentSet):
-        rs = self.rs = cs.rs
-        self.tab, np_ = cs.tab, rs.n_pos
-        fams = [p for fam in (cs.polys.S, cs.polys.Q) for row in fam for p in row]
-        consts = [*(v for out in cs.tab.f.values() for v in out.values()), *cs.tab.kappa.values()]
-        pk = self.pk = Packing.fit(np_ + 1, [p for rows in cs.rows.values() for p in rows] + fams, consts)
+    def __init__(self, rs: RootSystem, tab: StructureTable, rows: dict[Label, list[Poly]]):
+        self.rs, self.tab, np_ = rs, tab, rs.n_pos
+        consts = [*(v for out in tab.f.values() for v in out.values()), *tab.kappa.values()]
+        pk = self.pk = Packing.fit(np_ + 1, [p for row in rows.values() for p in row], consts)
         g = self.g = math.lcm(*(x.denominator for row in rs.G for x in row))
         self.legs = [(i, j, int(x * g)) for i, row in enumerate(rs.G) for j, x in enumerate(row) if x]
         self.t = {pk.weights[np_]: 1, 0: rs.hvee}
-        self.cur = {lab: self._operand([pk.pack(p) for p in rows]) for lab, rows in cs.rows.items()}
+        self.cur = {lab: self._operand([pk.pack(p) for p in row]) for lab, row in rows.items()}
 
     @staticmethod
     def split(rs: RootSystem, expr: FieldExpr) -> Optional[tuple[list[Poly], Optional[tuple]]]:
@@ -351,6 +349,13 @@ class PackedCurrents:
                 comps[len(slots) if y is None else y][tuple(expo)] = c
         return [Poly(np_ + 1, comp) for comp in comps], mu
 
+    @classmethod
+    def screening_rows(cls, rs: RootSystem, body: FieldExpr) -> Optional[tuple[list[Poly], tuple]]:
+        """A screening body sum_Y Q_Y Y V_mu, every term with a slot and one rational mu, as
+        ([Q_Y per slot Y], mu): the shape ``refuted_labels`` decides; None for any other."""
+        parts = cls.split(rs, body)
+        return None if parts is None or parts[1] is None or parts[0][-1] else (parts[0][:-1], parts[1])
+
     def _fit(self, rows: list[Poly]) -> Optional[list[Packed]]:
         """``rows`` packed, or None when a gamma exponent or a denominator lies outside the packing."""
         np_, pk = self.rs.n_pos, self.pk  # ``Packing.fit`` took base 2 emax + 1, two factors
@@ -371,16 +376,12 @@ class PackedCurrents:
         rhs = [(self.cur[c][0], v.numerator * (D // v.denominator) * g) for c, v in self.tab.bracket(a, b).items()]
         return self._refuted(self.cur[a], self.cur[b], want2, rhs)
 
-    def refuted_labels(self, body: FieldExpr, witnesses: dict) -> dict[Label, list[int]]:
+    def refuted_labels(self, body: tuple[list[Poly], tuple], witnesses: dict) -> dict[Label, list[int]]:
         """For each current J_a whose witness R = ``witnesses.get(a, 0)`` is
         sum P(gamma, k) V_mu and fits the packing: the pole orders, highest
         first, at which J_a(z) s(w) differs from R at order 2 and dR at order
-        1.  {} unless s = ``body`` is sum_Y Q_Y Y V_mu, every term with a slot
-        and one rational mu, within the packing."""
-        parts = self.split(self.rs, body)
-        if parts is None or parts[1] is None or parts[0][-1]:
-            return {}
-        (*comps, _), mu = parts
+        1.  ``body`` is s's ``screening_rows``; {} unless they fit the packing."""
+        comps, mu = body
         co = self._fit(comps)
         if co is None:
             return {}

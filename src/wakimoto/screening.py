@@ -21,8 +21,8 @@ V_mu with one rational mu, meets each J_a in closed form over the integers
 (``currents.PackedCurrents.refuted_labels`` on ``CurrentSet.packed``) when
 the witness is R(gamma, k) V_mu within the packing.  Wick's theorem
 (``ope.contract``) decides T, every other label and every other current,
-and reruns each label the closed form refutes, so a failure reads as Wick's
-residual.
+for which no packing is built, and reruns each label the closed form
+refutes, so a failure reads as Wick's residual.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .coeffs import Exp, RatFunc
-from .currents import CurrentSet, current_slots, free_field_image, with_k
+from .currents import CurrentSet, PackedCurrents, current_slots, free_field_image
 from .fields import FieldExpr, beta_kind, gamma_kind
 from .liealg import Label, RootSystem, build_root_system, build_structure_table
 from .ope import contract, free_field_tensor
@@ -224,12 +224,8 @@ def _check_total_derivative(
 
 def first_kind_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
     """R for F_alpha against a first-kind current: -(2/alpha_j^2) (k + h_vee) Q_{-alpha}^{-alpha_j}."""
-    q = _polys(cs).Q[alpha_pos][s.direction]
-    if q.is_zero:
-        return FieldExpr.zero()
-    q = q.scale(-2 / cs.rs.root_norm2(_simple(cs.rs, s.direction)))
-    row = with_k(q, 1) + with_k(q.scale(cs.rs.hvee))
-    return free_field_image(cs.rs, [row], [()]) * FieldExpr.vertex(s.momentum)
+    q = _polys(cs).Q[alpha_pos][s.direction].scale(-2 / cs.rs.root_norm2(_simple(cs.rs, s.direction)))
+    return free_field_image(cs.rs, [q], [()]).scale(RatFunc.t(cs.rs.hvee)) * FieldExpr.vertex(s.momentum)
 
 
 def prop1_witness(cs: CurrentSet, s: ScreeningCurrent, alpha_pos: int) -> FieldExpr:
@@ -246,13 +242,14 @@ def verify_screening(cs: CurrentSet, s: ScreeningCurrent, witnesses) -> Screenin
     (a summand, for a series current); raising/Cartan labels are expected
     regular.  A body sum_Y Q_Y(gamma) Y V_mu with one rational momentum (a
     first-kind current) is decided by the closed-form poles of ``cs.packed``
-    on every label whose witness is R(gamma, k) V_mu within the packing.
-    Wick's theorem decides T, every other label and every label the closed
-    form refutes, so each failure's detail is Wick's; only those labels'
-    currents are built.
+    on every label whose witness is R(gamma, k) V_mu within the packing; a
+    body of any other shape reads no ``cs.packed``.  Wick's theorem decides
+    T, every other label and every label the closed form refutes, so each
+    failure's detail is Wick's; only those labels' currents are built.
     """
     rs = cs.rs
-    closed = {} if cs.packed is None else cs.packed.refuted_labels(s.body, witnesses)
+    body = PackedCurrents.screening_rows(rs, s.body)
+    closed = {} if body is None or cs.packed is None else cs.packed.refuted_labels(body, witnesses)
     report = ScreeningReport()
     for label in cs.labels():
         want = witnesses.get(label, FieldExpr.zero())

@@ -456,6 +456,23 @@ def test_operator_and_polynomial_suites_build_no_current(monkeypatch, capsys, ar
     assert code == EXIT_OK and json.loads(out)["suites"][argv[3]]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "name", ["verify-B3-screening-second", "screen-B2-second-1", "screen-B2-second-2", "screen-OSP22-second-1"],
+)
+def test_second_kind_screening_builds_no_packing(monkeypatch, capsys, name):
+    """Only a first-kind body has the closed form's shape, so the power
+    currents, the B2 series and the osp(2|2) current are decided by Wick's
+    theorem alone, with the stored exit code and JSON."""
+    stored = dict(
+        reversed(line.split()) for line in (GOLDEN / "screen-json.sha256").read_text().splitlines()
+    )
+    stored["verify-B3-screening-second"] = "e6818b61a143b615e1a3b18a902a6d9e560c4ea4a46bef97006debddb6a75c0a"
+    monkeypatch.setattr(currents, "PackedCurrents", _refuse)
+    argv = _SCREEN_COMMANDS.get(name, "verify --algebra B3 --suite screening-second").split()
+    code, out, err = run(capsys, *argv)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == stored[name]
+
+
 def test_ope_builds_only_the_currents_it_names(monkeypatch, capsys):
     """E[1] H[1] reads no lowering current, so the anomalous term is never
     built, and the output is the one the full current set gives."""

@@ -29,7 +29,7 @@ from wakimoto.ope import conformal_weight, contract, free_field_tensor
 from wakimoto.polymat import Poly
 
 from fixtures_b2 import B2_ANOMALOUS, B2_DIFFOPS
-from test_cli import _FLIPPED_JSON
+from test_cli import _FLIPPED_JSON, _refuse
 from oracles import (
     assert_one_form_terms,
     engine_vacuum_series,
@@ -422,6 +422,18 @@ def test_a_set_built_from_given_currents_takes_wick():
     ok, details = run_suite(cs, "currents", None)
     assert not ok and details["route"] == "wick"
     assert str((("e", (1, 0)), ("f", (1, 1)))) in {v["pair"] for v in details["violations"]}
+
+
+def test_the_closed_form_needs_no_realization_polynomials(monkeypatch):
+    """The packing is fitted to the rows and the table alone: a set built from
+    given currents, with rows injected and one current planted wrong, refutes
+    in closed form the pairs Wick's theorem refutes, and no realization
+    polynomial is built."""
+    cs = _planted(build_wakimoto(*get_algebra("A2")), "canary")
+    monkeypatch.setattr(currents, "realization_polynomials", _refuse)
+    refuted = {(a, b) for a, b in _all_pairs(cs) if cs.packed.refuted_orders(a, b)}
+    assert refuted and refuted == {v.pair for a, b in _all_pairs(cs) for v in wick_pair(cs, a, b)}
+    assert "polys" not in vars(cs)
 
 
 @pytest.mark.parametrize("label", ["G2", "OSP22"])

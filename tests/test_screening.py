@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wakimoto import screening
 from wakimoto.coeffs import Exp, RatFunc
-from wakimoto.currents import CurrentSet, build_wakimoto, osp22_currents
+from wakimoto.currents import CurrentSet, PackedCurrents, build_wakimoto, osp22_currents
 from wakimoto.fields import BETA, GAMMA, FieldExpr
 from wakimoto.liealg import build_root_system, build_structure_table, get_algebra
 from wakimoto.ope import contract
@@ -392,7 +392,7 @@ def _witnesses(cs, s, witness=first_kind_witness):
 
 def _closed(cs, s, wit):
     """The labels the closed-form poles decide, with the pole orders they refute."""
-    return cs.packed.refuted_labels(s.body, wit)
+    return cs.packed.refuted_labels(PackedCurrents.screening_rows(cs.rs, s.body), wit)
 
 
 def _both(cs, s, wit):
