@@ -13,9 +13,9 @@ A term is an ordered product of primitive factors times a coefficient:
 
 Canonical form: factors sorted with graded signs, vanishing squares of odd
 factors dropped, vertices merged, power factors with equal bases merged, and
-nonnegative-integer constant powers expanded.  Zero-testing expands power
-factors of a common base to the least constant offset present, after which
-distinct factor structures are linearly independent.
+every nonnegative-integer constant power of a term multiplied out.  Zero-testing
+expands power factors of a common base to the least constant offset present,
+after which distinct factor structures are linearly independent.
 
 The algebra enters through its ``liealg.RootSystem``: the ghost kinds of a
 root position (``beta_kind``, ``gamma_kind``) and a vertex's coupling to the
@@ -23,7 +23,10 @@ scalar legs and its conformal weight are functions of it, with t = k + h_vee.
 
 A base is an interned ``BaseKey``: equal bases are one object, so they
 compare and hash by identity, and the key carries its sort key and the
-memoized monomials of its derivative and powers.
+memoized monomials of its derivative and powers.  A base has no arithmetic
+of its own: that memo is filled by ``FieldExpr`` products and derivatives,
+a base's weight is ``FieldExpr.weight`` of the base, and canonicalization
+multiplies out an integer power through the memo.
 
 Every coefficient stored in a FieldExpr is in the one form of
 ``coeffs.canonical``: an int or a Fraction when it is rational, a RatFunc
@@ -199,7 +202,7 @@ class FieldExpr:
                 coef = -coef
             kept: tuple[PF, ...] = ()
             if pfs:
-                # merge power factors sharing a base; expand nonneg integer powers
+                # merge power factors sharing a base; multiply out nonneg integer powers
                 grouped: dict[BaseKey, Exp] = {}
                 for key, exp in pfs:
                     if key in grouped:
@@ -207,26 +210,21 @@ class FieldExpr:
                     else:
                         grouped[key] = exp
                 merged: list[PF] = []
-                expand: Optional[tuple[BaseKey, int]] = None
+                parts: Optional[list] = None
                 for key in sorted(grouped, key=_base_sort_key):
                     exp = grouped[key]
                     if exp.is_const:
                         if exp.v == 0:
                             continue
                         if exp.v.denominator == 1 and exp.v > 0:
-                            expand = (key, int(exp.v))
+                            power = _base_power(key, int(exp.v))
+                            parts = [(c * pc, p + pp) for c, p in parts or ((coef, sp),) for pp, pc in power]
                             continue
                     merged.append((key, exp))
-                if expand is not None:
-                    key, power = expand
-                    rest = (
-                        merged
-                        + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0)
-                    )
-                    for bprims, bcoef in key.items:
-                        stack.append((coef * bcoef, sp + bprims, tuple(rest), vertex))
-                    continue
                 kept = tuple(merged)
+                if parts is not None:
+                    stack.extend((c, p, kept, vertex) for c, p in parts)
+                    continue
             term: Term = (sp, kept, vertex)
             cur = out.get(term)
             if cur is None:
@@ -294,7 +292,7 @@ class FieldExpr:
             for i, (key, exp) in enumerate(pfs):
                 rest = pfs[:i] + ((key, exp - 1),) + pfs[i + 1:]
                 pref = coef * exp.as_ratfunc(rs.hvee)
-                for dprims, dcoef in _base_derivative(key):
+                for dprims, dcoef in _base_derivative(key, rs):
                     raw.append((pref * dcoef, prims + dprims, rest, vertex))
             if vertex is not None:
                 for j, nu in enumerate(vertex_phi_coupling(rs, vertex)):
@@ -334,7 +332,7 @@ class FieldExpr:
         for (prims, pfs, vertex), _ in self.terms.items():
             w = RatFunc.of(sum(KIND_WEIGHT[kind] + deriv for kind, _, deriv in prims))
             for key, exp in pfs:
-                bw = _base_weight(key)
+                bw = base_expr(key).weight(rs)
                 if bw is None:
                     return None
                 w = w + exp.as_ratfunc(rs.hvee) * bw
@@ -437,15 +435,13 @@ def base_expr(key: BaseKey) -> FieldExpr:
 _base_sort_key = attrgetter("sort_key")
 
 
-def _base_derivative(key: BaseKey) -> list[tuple[tuple[Prim, ...], Scalar]]:
-    """The monomials of d(base) as (sorted prims, coefficient) pairs."""
+def _base_derivative(key: BaseKey, rs: RootSystem) -> list[tuple[tuple[Prim, ...], Scalar]]:
+    """The monomials of d(base) as (sorted prims, coefficient) pairs.
+
+    ``FieldExpr.derivative`` reads ``rs`` only for vertices and power
+    factors, and a base has neither, so one memo serves every algebra."""
     if key.derivative is None:
-        raw = []
-        for prims, coef in key:
-            for i, p in enumerate(prims):
-                bumped = prims[:i] + ((p[0], p[1], p[2] + 1),) + prims[i + 1:]
-                raw.append((coef, bumped, (), None))
-        key.derivative = _plain_monomials(FieldExpr._from_raw(raw))
+        key.derivative = _plain_monomials(base_expr(key).derivative(rs))
     return key.derivative
 
 
@@ -463,17 +459,6 @@ def _base_power(key: BaseKey, m: int) -> list[tuple[tuple[Prim, ...], Scalar]]:
 
 def _plain_monomials(expr: FieldExpr) -> list[tuple[tuple[Prim, ...], Scalar]]:
     return [(prims, coef) for (prims, _, _), coef in expr.terms.items()]
-
-
-def _base_weight(key: BaseKey) -> Optional[RatFunc]:
-    seen = None
-    for prims, _ in key:
-        w = sum(KIND_WEIGHT[k] + d for k, _, d in prims)
-        if seen is None:
-            seen = w
-        elif seen != w:
-            return None
-    return RatFunc.of(seen if seen is not None else 0)
 
 
 # ---------------------------------------------------------------------------

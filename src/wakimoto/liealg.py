@@ -292,8 +292,9 @@ def build_root_system(source: Union[str, Sequence[Sequence[int]]], name: str = "
         m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", source.strip())
         if not m:
             raise CartanTypeError(f"unrecognized algebra label {source!r}")
-        A = _cartan_matrix(m.group(1).upper(), int(m.group(2)))
-        name = name or source.strip().upper()
+        family, rank = m.group(1).upper(), int(m.group(2))
+        A = _cartan_matrix(family, rank)
+        name = name or f"{family}{rank}"
     else:
         A = [[int(x) for x in row] for row in source]
         name = name or "custom"

@@ -79,17 +79,11 @@ class SeriesExpr:
 
     body: FieldExpr
 
-    def __add__(self, other: "SeriesExpr") -> "SeriesExpr":
-        return SeriesExpr(self.body + other.body)
-
     def __sub__(self, other: "SeriesExpr") -> "SeriesExpr":
         return SeriesExpr(self.body - other.body)
 
     def scale(self, c) -> "SeriesExpr":
         return SeriesExpr(self.body.scale(c))
-
-    def derivative(self, rs: RootSystem) -> "SeriesExpr":
-        return SeriesExpr(self.body.derivative(rs))
 
     def anchored(self, rs: RootSystem) -> "SeriesExpr":
         """Reindex each term so the anchor power sits at exactly n."""

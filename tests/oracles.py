@@ -926,19 +926,21 @@ def from_raw_reference(raw) -> FieldExpr:
         for key, exp in pfs:
             grouped[key] = grouped[key] + exp if key in grouped else exp
         kept = []
-        expand = None
+        expand = []
         for key in sorted(grouped, key=_base_sort_key):
             exp = grouped[key]
             if exp.is_const:
                 if exp.v == 0:
                     continue
                 if exp.v.denominator == 1 and exp.v > 0:
-                    expand = (key, int(exp.v))
+                    expand.append((key, int(exp.v)))
                     continue
             kept.append((key, exp))
-        if expand is not None:
-            key, power = expand
-            rest = tuple(kept + [(key, Exp.const(power - 1))] * (1 if power > 1 else 0))
+        if expand:
+            # one copy of the last expandable base per pop; every other one rides along
+            key, power = expand.pop()
+            rest = tuple(kept + [(k, Exp.const(m)) for k, m in expand])
+            rest += ((key, Exp.const(power - 1)),) if power > 1 else ()
             for bprims, bcoef in key:
                 stack.append((coef * bcoef, sp + bprims, rest, vertex))
             continue

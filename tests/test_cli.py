@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wakimoto import cli, currents
+from wakimoto import cli, currents, screening
 from wakimoto.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFICATION, main, parse_expression, _load
 from wakimoto.fields import FieldExpr, beta_kind, gamma_kind
 from wakimoto.ope import contract
@@ -314,6 +314,35 @@ def test_root_label_spellings_print_the_same_bytes(capsys, algebra, spellings):
     outs = [run(capsys, "ope", "--algebra", algebra, "--format", "text", *pair) for pair in spellings]
     assert outs[0][0] == EXIT_OK and "pole 1: " in outs[0][1]
     assert all(out == outs[0] for out in outs)
+
+
+@pytest.mark.parametrize("spelling", ["a 2", "A02"])
+def test_algebra_label_spellings_print_the_same_report(capsys, spelling):
+    """A built-in label is reported by its family and rank, however it is spelled."""
+    want = run(capsys, "verify", "--algebra", "A2", "--suite", "jacobi")
+    assert want[0] == EXIT_OK and json.loads(want[1])["algebra"] == "A2"
+    assert run(capsys, "verify", "--algebra", spelling, "--suite", "jacobi") == want
+
+
+def _doubled_first_kind_witness(monkeypatch):
+    real = screening.first_kind_witness
+    monkeypatch.setattr(screening, "first_kind_witness", lambda cs, s, a: real(cs, s, a).scale(2))
+
+
+def test_screen_exits_1_on_a_wrong_witness(capsys, monkeypatch):
+    _doubled_first_kind_witness(monkeypatch)
+    code, out, err = run(capsys, "screen", "--algebra", "B2", "--direction", "1", "--verify")
+    assert code == EXIT_VERIFICATION and err == ""
+    assert json.loads(out)["status"] == "fail"
+
+
+def test_verify_text_prints_one_failure_detail_line(capsys, monkeypatch):
+    _doubled_first_kind_witness(monkeypatch)
+    code, out, err = run(capsys, "verify", "--algebra", "B2", "--suite", "screening-first", "--format", "text")
+    assert code == EXIT_VERIFICATION and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "screening-first: fail"
+    assert len(lines) == 2 and lines[1].startswith("  ") and len(lines[1]) <= 402
 
 
 def test_naive_suite_without_a_second_direction_is_input_error(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakimoto.coeffs import Exp, RatFunc
 from wakimoto.fields import (
@@ -14,6 +16,8 @@ from wakimoto.fields import (
     base_key_of,
 )
 from wakimoto.liealg import build_root_system, osp22_fixture
+
+from oracles import from_raw_reference
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +244,74 @@ def test_stored_coefficients_have_one_form():
     for expr, want in cases:
         (c,) = expr.terms.values()
         assert c == want and type(c) is type(want), (c, want)
+
+
+# -- every nonnegative-integer power is multiplied out ---------------------------
+
+def _xy():
+    """X = gamma[1] beta[1] and Y = gamma[2] beta[2] on B2."""
+    X = FieldExpr.prim(GAMMA, 0) * FieldExpr.prim(BETA, 0)
+    Y = FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 1)
+    return X, Y
+
+
+def test_every_integer_power_of_a_term_is_multiplied_out():
+    X, Y = _xy()
+    raw = [(1, (), ((base_key_of(X), Exp.const(2)), (base_key_of(Y), Exp.const(1))), None)]
+    assert FieldExpr._from_raw(raw) == X * X * Y
+
+
+def test_powers_that_sum_to_one_multiply_out_for_two_bases():
+    X, Y = _xy()
+    t, one_minus_t = Exp(1, 0, 0), Exp(-1, 1, 0)
+    prod = (
+        (FieldExpr.power(X, t) * FieldExpr.power(Y, t))
+        * (FieldExpr.power(X, one_minus_t) * FieldExpr.power(Y, one_minus_t))
+    )
+    assert prod == X * Y
+    assert all(not pfs for _, pfs, _ in prod.terms)
+
+
+def test_subs_t_multiplies_out_every_base(rs):
+    X, Y = _xy()
+    t = Exp(1, 0, 0)
+    got = (FieldExpr.power(X, t) * FieldExpr.power(Y, t)).subs_t(rs, 2)
+    assert got == X * X * Y * Y
+    assert all(not pfs for _, pfs, _ in got.terms)
+
+
+def test_json_integer_powers_multiply_out():
+    from wakimoto.render import fieldexpr_from_json, fieldexpr_to_json
+
+    X, Y = _xy()
+    data = fieldexpr_to_json(FieldExpr.power(X, Exp(1, 0, 0)) * FieldExpr.power(Y, Exp(1, 0, 0)))
+    (entry,) = data["terms"]
+    for pw, v in zip(entry["powers"], ("2", "1")):
+        pw["exp"] = ["0", v, "0"]
+    assert fieldexpr_from_json(data) == X * X * Y
+
+
+_POOL = (
+    FieldExpr.prim(GAMMA, 0) * FieldExpr.prim(BETA, 0),
+    FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 1),
+    FieldExpr.prim(BETA, 0, coef=-1) + FieldExpr.prim(GAMMA, 1) * FieldExpr.prim(BETA, 2, coef=Fraction(1, 2)),
+)
+_EXPONENTS = (
+    Exp.const(0), Exp.const(1), Exp.const(2), Exp.const(3), Exp.const(-1), Exp.const(Fraction(1, 2)),
+    Exp(1, 0, 0), Exp(0, 0, 1), Exp(-1, 1, 0),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.tuples(st.integers(0, len(_POOL) - 1), st.sampled_from(_EXPONENTS)), max_size=3),
+    st.lists(st.sampled_from(((GAMMA, 1, 0), (BETA, 0, 0), (BETA, 2, 1))), max_size=2),
+    st.sampled_from((1, Fraction(-2, 3), RatFunc.k() + 1)),
+)
+def test_from_raw_multiplies_out_every_integer_power(factors, prims, coef):
+    raw = [(coef, tuple(prims), tuple((base_key_of(_POOL[i]), e) for i, e in factors), None)]
+    got = FieldExpr._from_raw(raw)
+    assert got == from_raw_reference(raw)
+    for _, pfs, _ in got.terms:
+        for _, exp in pfs:
+            assert not (exp.is_const and exp.v.denominator == 1 and exp.v >= 0)
