@@ -197,15 +197,11 @@ def expected_ope(cs: CurrentSet, a: Label, b: Label) -> dict[int, FieldExpr]:
 def wick_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
     """J_a(z) J_b(w) by Wick's theorem, against ``expected_ope``: one violation per differing order."""
     res = contract(cs.rs, cs.currents[a], cs.currents[b])
-    want = expected_ope(cs, a, b)
-    bad = []
-    orders = set(res.poles) | set(want)
-    for q in sorted(orders, reverse=True):
-        got = res.order(q)
-        expect = want.get(q, FieldExpr.zero())
-        if not got.equals(expect):
-            bad.append(SweepViolation((a, b), q, (got - expect).text(cs.rs)))
-    return bad
+    return [SweepViolation((a, b), q, text) for q, text in res.mismatches(cs.rs, expected_ope(cs, a, b))]
+
+
+# the detail of a pair or label the closed-form poles refute and Wick's theorem holds
+UNCONFIRMED = "the closed-form poles refute this {} and Wick's theorem does not"
 
 
 def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
@@ -216,8 +212,7 @@ def check_pair(cs: CurrentSet, a: Label, b: Label) -> list[SweepViolation]:
     if packed is None:
         return wick_pair(cs, a, b)
     orders = packed.refuted_orders(a, b)
-    return [] if not orders else (wick_pair(cs, a, b) or [SweepViolation(
-        (a, b), orders[0], "the closed-form poles refute this pair and Wick's theorem does not")])
+    return [] if not orders else wick_pair(cs, a, b) or [SweepViolation((a, b), orders[0], UNCONFIRMED.format("pair"))]
 
 
 def verify_current_algebra(cs: CurrentSet) -> list[SweepViolation]:

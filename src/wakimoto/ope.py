@@ -37,7 +37,9 @@ coefficients, so canonicalization divides each merged output coefficient by
 D_A * D_B once.
 
 The result maps pole orders to expressions at w; order 0 (the point-split
-normal product) is used for the Sugawara construction.
+normal product) is used for the Sugawara construction.  Its one comparison
+with the wanted poles, ``OpeResult.mismatches``, serves ``currents.wick_pair``
+and every screening check.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from .coeffs import RatFunc, Scalar
 from .fields import (
@@ -66,6 +68,7 @@ from .fields import (
     prim_parity,
 )
 from .liealg import RootSystem
+from .series import SeriesExpr
 
 _FACT = [1]
 for _i in range(1, 40):
@@ -130,6 +133,18 @@ class OpeResult:
 
     def nonzero_orders(self) -> list[int]:
         return sorted((q for q, v in self.poles.items() if not v.is_zero), reverse=True)
+
+    def mismatches(self, rs: RootSystem, want: dict, series: bool = False) -> Iterator[tuple[int, str]]:
+        """(q, text of got - want) for each order q, highest first, whose pole is not ``want.get(q, 0)``;
+        ``series`` poles are summands, compared by the series residual, which is then the text."""
+        for q in sorted(set(self.poles) | set(want), reverse=True):
+            got, expect = self.order(q), want.get(q, FieldExpr.zero())
+            if series:
+                res = SeriesExpr(got - expect).residual(rs)
+                if not res.is_structurally_zero:
+                    yield q, res.text(rs)
+            elif not got.equals(expect):
+                yield q, (got - expect).text(rs)
 
 
 # internal w-side entries

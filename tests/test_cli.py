@@ -66,6 +66,33 @@ def test_ope_deep_nesting_is_input_error(capsys, expr):
     assert err.count("\n") == 1 and "nested deeper than" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("@", "parse error at position 0: '@'"),
+        ("E[1", "unexpected end of expression"),
+        ("E(1]", "expected '[', found '('"),
+        ("E[1]]", "trailing input from token 4: ']'"),
+        ("Q[1]", "unknown generator 'Q'"),
+    ],
+    ids=["bad-character", "unclosed-label", "wrong-bracket", "trailing-input", "unknown-generator"],
+)
+def test_ope_malformed_expression_is_input_error(capsys, expr, message):
+    assert run(capsys, "ope", "--algebra", "B2", "--", expr, "F[1]") == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+def test_ope_of_the_free_field_tensor_with_itself(capsys):
+    """Tfree(z) Tfree(w) has poles at orders 4, 2 and 1; order 4 is c/2, with c = 10k/(k+3) on B2."""
+    code, out, err = run(capsys, "ope", "--algebra", "B2", "Tfree", "Tfree")
+    assert (code, err) == (EXIT_OK, "")
+    poles = json.loads(out)["poles"]
+    assert sorted(poles) == ["1", "2", "4"] and poles["4"]["text"] == "(5*k/(k+3))"
+
+
+def test_ope_text_of_a_regular_product(capsys):
+    assert run(capsys, "ope", "--algebra", "B2", "--format", "text", "E[1]", "E[1]") == (EXIT_OK, "regular\n", "")
+
+
 def test_ope_nesting_within_the_bound_parses():
     cs = _load("B2")
     E, g = parse_expression(cs, "E[1]"), parse_expression(cs, "gamma[1]")
@@ -522,7 +549,8 @@ def test_jobs_check_the_current_set_they_were_given():
 
 
 def test_closed_stdout_is_not_an_input_error():
-    """`realize ... | head -c 10`: no error line, and neither exit 1 nor 2."""
+    """`realize ... | head -c 10`: no error line, and exit 141, neither 1 nor 2.  The output,
+    over 400 kB, overflows the pipe buffer, so the closed pipe is always met."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.Popen(
@@ -535,7 +563,7 @@ def test_closed_stdout_is_not_an_input_error():
     proc.wait(timeout=120)
     proc.stderr.close()
     assert err == b""
-    assert proc.returncode in (EXIT_OK, cli.EXIT_BROKEN_PIPE)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_verify_jobs_matches_one_process(capsys):
@@ -708,6 +736,43 @@ def test_cartan_json_not_of_simple_finite_type_is_input_error(tmp_path, capsys, 
     p = tmp_path / "alg.json"
     p.write_text(json.dumps({"cartan_matrix": cartan}))
     assert run(capsys, "verify", "--algebra", str(p)) == (EXIT_INPUT, "", message)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("B1", "B requires rank >= 2"),
+        ("C1", "C requires rank >= 2"),
+        ("D2", "D requires rank >= 3"),
+        ("G3", "G exists only at rank 2"),
+        ("F3", "F exists only at rank 4"),
+        ("E5", "E exists only at ranks 6, 7, 8"),
+    ],
+)
+def test_a_label_outside_its_family_is_input_error(capsys, label, message):
+    assert run(capsys, "verify", "--algebra", label, "--suite", "jacobi") == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"cartan_matrix": []}, "empty Cartan matrix"),
+        ({"cartan_matrix": [[2, -1], [-1, 2, 0]]}, "Cartan matrix must be square"),
+        ({"cartan_matrix": [[3, -1], [-1, 2]]}, "diagonal entry A[0][0] must be 2"),
+        ({"cartan_matrix": [[2, -1], [0, 2]]}, "zero pattern of Cartan matrix must be symmetric"),
+        ({"name": "A2"}, "JSON algebra file must contain 'cartan_matrix'"),
+        ({"cartan_matrix": [[2, -1], [-1, 2]], "extraspecial_signs": [["1,1", -1]]},
+         "'extraspecial_signs' must map root keys to +1 or -1"),
+        ({"cartan_matrix": [[2, -1], [-1, 2]], "extraspecial_signs": {"1,1,0": -1}},
+         "override key '1,1,0' has wrong rank"),
+    ],
+    ids=["empty", "not-square", "diagonal-3", "one-sided-zero", "no-cartan-matrix", "signs-as-list",
+         "key-of-wrong-rank"],
+)
+def test_an_algebra_file_outside_the_accepted_form_is_input_error(tmp_path, capsys, data, message):
+    p = tmp_path / "alg.json"
+    p.write_text(json.dumps(data))
+    assert run(capsys, "verify", "--algebra", str(p), "--suite", "jacobi") == (EXIT_INPUT, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("name", [5, [1], {"a": 1}, True, None, 0, "custom-a2"])

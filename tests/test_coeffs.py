@@ -321,14 +321,31 @@ def _canonical(draw):
     return RatFunc._make(num, den)
 
 
+@st.composite
+def _divisors(draw):
+    """A nonzero RatFunc whose numerator is a constant or a linear factor, over drawn denominators."""
+    num = draw(st.sampled_from([Pol.const(1), *_den_factors])).scale(draw(_small.filter(bool)))
+    return RatFunc._make(num, [(f, e) for f, e in zip(_den_factors, draw(_exponents(2))) if e])
+
+
+def _quotient_reference(a, d):
+    """a / d through ``make_reference``: a's numerator times d's denominators, over a's
+    denominators and d's numerator."""
+    num = a.num
+    for p, e in d.den:
+        num = num * p**e
+    return make_reference(num, a.den + ((d.num, 1),))
+
+
 @settings(deadline=None, max_examples=100)
-@given(_canonical(), _canonical(), _small)
-def test_products_and_sums_match_the_cancel_route(a, b, c):
-    """``a*b``, ``a+b`` and ``a*c`` equal, structurally, the canonical form the
+@given(_canonical(), _canonical(), _small, _divisors())
+def test_products_and_sums_match_the_cancel_route(a, b, c, d):
+    """``a*b``, ``a+b``, ``a*c`` and ``a/d`` equal, structurally, the canonical form the
     merge-and-divide route builds, and agree with pointwise evaluation."""
     for got, want in ((a * b, mul_reference(a, b)), (a + b, add_reference(a, b)),
                       (a * c, make_reference(a.num * Pol.const(c), a.den)),
-                      (c * a, make_reference(a.num * Pol.const(c), a.den))):
+                      (c * a, make_reference(a.num * Pol.const(c), a.den)),
+                      (a / d, _quotient_reference(a, d))):
         assert got.num == want.num and got.den == want.den
         assert ratfuncs_equal_by_evaluation(got, want)
         assert_canonical_coefficients(got)
@@ -337,6 +354,19 @@ def test_products_and_sums_match_the_cancel_route(a, b, c):
         for g, u, v in zip(ratfunc_values(got), ratfunc_values(a), ratfunc_values(b)):
             if None not in (g, u, v):
                 assert g == op(u, v)
+
+
+def test_division_by_a_value_with_a_denominator():
+    k, n = RatFunc.k(), RatFunc.n()
+    x = (k + 2) / (n + 1)
+    assert x / (RatFunc.of(3) / (k + 1)) == (k + 2) * (k + 1) / 3 / (n + 1)
+    assert x / ((2 * k + 1) / (k + 1) / (n + 2)) == (k + 2) * (k + 1) * (n + 2) / (n + 1) / (2 * k + 1)
+
+
+def test_division_by_a_factor_of_degree_two_raises():
+    """The divisor's numerator becomes one denominator factor, and (k+1)(n+2) has degree 2."""
+    with pytest.raises(ValueError, match="is not linear"):
+        RatFunc.one() / ((RatFunc.k() + 1) * (RatFunc.n() + 2))
 
 
 # -- the integer form: numerators over one content denominator ----------------

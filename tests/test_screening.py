@@ -519,6 +519,33 @@ def test_first_kind_bodies_of_another_shape_go_to_wick(b2cs, monkeypatch):
         assert _failed(checks), name
 
 
+def test_bodies_the_closed_form_refuses_go_to_wick(b2cs, monkeypatch):
+    """Bodies outside the closed form's shape, and of its shape but outside the packing:
+    every label goes to Wick's theorem, with the checks of the all-Wick run."""
+    s = first_kind(b2cs, 0)
+    rs, wit, V = b2cs.rs, _witnesses(b2cs, s), FieldExpr.vertex(s.momentum)
+    beta2 = FieldExpr.prim(BETA, 1)
+    gammas = FieldExpr.const(1)
+    for _ in range(b2cs.packed.pk.base // 2 + 1):
+        gammas = gammas * FieldExpr.prim(GAMMA, 0)
+    unshaped = {
+        "a denominator in k": s.expr + (beta2 * V).scale(RatFunc.one() / (RatFunc.k() + 1)),
+        "an n coefficient": s.expr + (beta2 * V).scale(RatFunc.n()),
+        "two slot factors": s.expr + FieldExpr.prim(BETA, 0) * beta2 * V,
+    }
+    unpacked = {
+        "a gamma power past the packing": s.expr * gammas,
+        "a denominator outside D": s.expr.scale(Fraction(1, 7)),
+    }
+    for name, body in unshaped.items():
+        assert PackedCurrents.screening_rows(rs, body) is None, name
+    for name, body in unpacked.items():
+        assert b2cs.packed.refuted_labels(PackedCurrents.screening_rows(rs, body), wit) == {}, name
+    for name, body in {**unshaped, **unpacked}.items():
+        _, seen = _contracted(monkeypatch, b2cs, ScreeningCurrent("first", 0, body, s.momentum), wit)
+        assert seen == b2cs.labels() + ["T"], name
+
+
 def test_witnesses_of_another_shape_go_to_wick(b2cs, monkeypatch):
     s = first_kind(b2cs, 0)
     V = FieldExpr.vertex(s.momentum)
